@@ -132,6 +132,8 @@ def cmd_certify_pair(args) -> int:
 def cmd_verify_certificate(args) -> int:
     with open(args.file) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{args.file}: expected a JSON object, not {type(data).__name__}")
     _validate_schema(data)
     if data.get("format") == homotopy.REPORT_FORMAT:
         certs = [r["certificate"] for r in data["results"] if r.get("certificate")]
@@ -162,7 +164,10 @@ def _validate_schema(data) -> None:
     schema = json.loads(
         resources.files("braidcert.schema").joinpath(name).read_text()
     )
-    jsonschema.validate(data, schema)
+    try:
+        jsonschema.validate(data, schema)
+    except jsonschema.ValidationError as exc:
+        raise ValueError(f"does not match {name}: {exc.message}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -227,7 +232,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

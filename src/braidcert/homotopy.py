@@ -16,7 +16,6 @@ identities are re-verified exactly, entry by entry.
 from __future__ import annotations
 
 import itertools
-import json
 from functools import lru_cache
 
 from . import linalg
@@ -38,7 +37,7 @@ from .bimodcalc import (
 )
 from .coxeter import make_reflection
 from .polyring import Poly, format_poly, parse_poly
-from .scalars import ONE, QSqrt2
+from .scalars import ONE, ZERO, QSqrt2
 from .words import Alphabet, BraidWord, format_word, parse_word, relator_table
 
 
@@ -232,15 +231,6 @@ def _paste(big: Matrix, block: Matrix, row_off: int, col_off: int) -> None:
                 target[col_off + j] = entry
 
 
-def tensor_complex_many(*complexes: Complex) -> Complex:
-    if not complexes:
-        raise ValueError("empty tensor product of complexes")
-    out = complexes[0]
-    for c in complexes[1:]:
-        out = tensor_complex(out, c)
-    return out
-
-
 # -- chain maps ---------------------------------------------------------------------
 
 
@@ -299,10 +289,6 @@ def chain_map_failures(f: ChainMap) -> list:
                         )
                     )
     return failures
-
-
-def verify_chain_map(f: ChainMap) -> bool:
-    return not chain_map_failures(f)
 
 
 def chain_iso_failures(f: ChainMap, g: ChainMap) -> list:
@@ -412,54 +398,40 @@ def chain_map_space(c: Complex, d: Complex) -> list:
     differentials is then a small linear system over their coefficients.
     """
     degrees = sorted(set(c.objects) | set(d.objects))
-    per_degree: dict = {}
-    var_of: dict = {}
+    per_degree: dict = {}  # degree -> [(variable, basis morphism)]
     nvars = 0
     for k in degrees:
         ck, dk = c.object_at(k), d.object_at(k)
         basis = solve_morphisms(ck, dk) if ck.rank and dk.rank else []
-        per_degree[k] = basis
-        for i in range(len(basis)):
-            var_of[(k, i)] = nvars
-            nvars += 1
+        per_degree[k] = list(enumerate(basis, nvars))
+        nvars += len(basis)
     if nvars == 0:
         return []
     rows: list = []
     for k in degrees:
         # d_D o f_k  =  f_{k+1} o d_C   as maps C_k -> D_{k+1}
-        terms: list = []
-        if c.object_at(k).rank and d.object_at(k + 1).rank:
-            dd = d.diff_at(k)
-            for i, b in enumerate(per_degree[k]):
-                terms.append((var_of[(k, i)], dd.compose(b).matrix, ONE))
-            dc = c.diff_at(k)
-            for i, b in enumerate(per_degree.get(k + 1, [])):
-                terms.append((var_of[(k + 1, i)], b.compose(dc).matrix, QSqrt2(-1)))
-        rows.extend(_entrywise_rows(terms))
-    kernel = linalg.kernel_basis(rows, nvars)
-    maps = []
-    for vec in kernel:
-        comps: dict = {}
-        for k in degrees:
-            basis = per_degree[k]
-            if not basis:
-                continue
-            total = None
-            for i, b in enumerate(basis):
-                coeff = vec.get(var_of[(k, i)])
-                if coeff:
-                    piece = b.scale(coeff)
-                    total = piece if total is None else total + piece
-            if total is not None and not total.is_zero():
-                comps[k] = total
-        maps.append(ChainMap(c, d, comps))
-    return maps
+        if not (c.object_at(k).rank and d.object_at(k + 1).rank):
+            continue
+        dd, dc = d.diff_at(k), c.diff_at(k)
+        terms = [(v, dd.compose(b).matrix, ONE) for v, b in per_degree[k]]
+        terms += [
+            (v, b.compose(dc).matrix, QSqrt2(-1)) for v, b in per_degree.get(k + 1, [])
+        ]
+        rows += _affine_rows(terms)[0]
+    return [
+        ChainMap(c, d, _combine((vec.get(v), {k: b}) for k in degrees for v, b in per_degree[k]))
+        for vec in linalg.kernel_basis(rows, nvars)
+    ]
 
 
-def _entrywise_rows(terms) -> list:
-    """Linear equations saying a sum of coefficient-weighted matrices vanishes."""
-    if not terms:
-        return []
+def _affine_rows(terms, target: Matrix | None = None) -> tuple:
+    """Equations saying a sum of coefficient-weighted matrices equals ``target``.
+
+    ``terms`` holds ``(variable, matrix, sign)`` triples and ``target=None``
+    stands for the zero matrix.  There is one equation per (row, column,
+    monomial) slot, in sorted slot order; slots that read ``0 = 0`` are
+    skipped.  Returns the parallel lists ``(rows, rhs)``.
+    """
     slots: dict = {}
     for var, matrix, sign in terms:
         for a, row in enumerate(matrix):
@@ -475,7 +447,36 @@ def _entrywise_rows(terms) -> list:
                         eq[var] = cur
                     else:
                         eq.pop(var, None)
-    return [eq for eq in slots.values() if eq]
+    for a, row in enumerate(target or ()):
+        for b, poly in enumerate(row):
+            for mono in poly.terms:
+                slots.setdefault((a, b, mono), {})
+    rows: list = []
+    rhs: list = []
+    for (a, b, mono), eq in sorted(slots.items()):
+        want = target[a][b].coefficient(mono) if target else ZERO
+        if eq or want:
+            rows.append(eq)
+            rhs.append(want)
+    return rows, rhs
+
+
+def _combine(weighted) -> dict:
+    """Per-degree sums of ``coeff * morphism`` over ``(coeff, {degree: morphism})``.
+
+    Zero coefficients are skipped and degrees whose total is zero dropped; a
+    missing degree reads as the zero morphism in ``ChainMap.component`` and in
+    the verifier.
+    """
+    totals: dict = {}
+    for coeff, components in weighted:
+        if not coeff:
+            continue
+        for k, m in components.items():
+            piece = m.scale(coeff)
+            cur = totals.get(k)
+            totals[k] = piece if cur is None else cur + piece
+    return {k: m for k, m in totals.items() if not m.is_zero()}
 
 
 def _combo_candidates(dim: int, max_support: int = 3):
@@ -500,20 +501,7 @@ def _combo_candidates(dim: int, max_support: int = 3):
 
 
 def _build_chain_map(basis: list, coeffs: dict) -> ChainMap:
-    degrees: set = set()
-    for i in coeffs:
-        degrees.update(basis[i].components)
-    comps: dict = {}
-    for k in degrees:
-        total = None
-        for i, coeff in coeffs.items():
-            piece = basis[i].components.get(k)
-            if piece is None or not coeff:
-                continue
-            scaled = piece.scale(coeff)
-            total = scaled if total is None else total + scaled
-        if total is not None and not total.is_zero():
-            comps[k] = total
+    comps = _combine((coeff, basis[i].components) for i, coeff in coeffs.items())
     return ChainMap(basis[0].source, basis[0].target, comps)
 
 
@@ -535,29 +523,17 @@ def find_chain_iso(c: Complex, d: Complex, max_candidates: int = 4000):
     """
     if not _graded_ranks_match(c, d):
         return None
-    basis = chain_map_space(c, d)
-    if not basis:
-        return None
-    count = 0
-    for coeffs in _combo_candidates(len(basis)):
-        count += 1
-        if count > max_candidates:
-            break
-        f = _build_chain_map(basis, coeffs)
+    for f in _candidate_iter(chain_map_space(c, d), max_candidates):
         inverses: dict = {}
-        ok = True
         for k in sorted(c.objects):
-            comp = f.component(k)
-            inv = comp.graded_inverse()
+            inv = f.component(k).graded_inverse()
             if inv is None:
-                ok = False
                 break
             inverses[k] = inv
-        if not ok:
-            continue
-        g = ChainMap(d, c, inverses)
-        if verify_chain_iso(f, g):
-            return f, g
+        else:
+            g = ChainMap(d, c, inverses)
+            if verify_chain_iso(f, g):
+                return f, g
     return None
 
 
@@ -575,8 +551,7 @@ def find_homotopy_equiv(c: Complex, d: Complex, degree_bound: int = 8, max_candi
     gb = chain_map_space(d, c)
     hc_basis = _homotopy_spaces(c)
     hd_basis = _homotopy_spaces(d)
-    candidates = list(_candidate_iter(fb, max_candidates))
-    for f in candidates:
+    for f in _candidate_iter(fb, max_candidates):
         cert = _solve_homotopy_for(c, d, f, gb, hc_basis, hd_basis)
         if cert is not None:
             return cert
@@ -584,11 +559,8 @@ def find_homotopy_equiv(c: Complex, d: Complex, degree_bound: int = 8, max_candi
 
 
 def _candidate_iter(basis: list, max_candidates: int):
-    count = 0
-    for coeffs in _combo_candidates(len(basis)):
-        count += 1
-        if count > max_candidates:
-            return
+    """The first ``max_candidates`` probe combinations of ``basis``, built lazily."""
+    for coeffs in itertools.islice(_combo_candidates(len(basis)), max_candidates):
         yield _build_chain_map(basis, coeffs)
 
 
@@ -603,116 +575,45 @@ def _homotopy_spaces(c: Complex) -> dict:
 
 
 def _solve_homotopy_for(c, d, f, gb, hc_basis, hd_basis):
-    n = c.n
-    var_of: dict = {}
-    nvars = 0
-    for j in range(len(gb)):
-        var_of[("g", j)] = nvars
-        nvars += 1
-    for k, basis in hc_basis.items():
-        for i in range(len(basis)):
-            var_of[("hc", k, i)] = nvars
-            nvars += 1
-    for k, basis in hd_basis.items():
-        for i in range(len(basis)):
-            var_of[("hd", k, i)] = nvars
-            nvars += 1
+    # unknowns: the coefficients of the backward basis ``gb``, then those of
+    # the source-side and the target-side homotopy bases, degree by degree
+    nvars = len(gb)
+    h_vars = []  # per side: degree -> [(variable, basis homotopy)]
+    for h_basis in (hc_basis, hd_basis):
+        side: dict = {}
+        for k, basis in h_basis.items():
+            side[k] = list(enumerate(basis, nvars))
+            nvars += len(basis)
+        h_vars.append(side)
     rows: list = []
     rhs: list = []
     # source side: sum_j y_j (g_j f)_k + (dh + hd)_k = id
-    for k in c.support():
-        obj = c.objects[k]
-        terms = []
-        for j, g in enumerate(gb):
-            prod = g.component(k).compose(f.component(k))
-            terms.append((var_of[("g", j)], prod.matrix, ONE))
-        terms.extend(
-            (var_of[("hc", kk, i)], m, s)
-            for (kk, i), m, s in _indexed_homotopy_terms(c, hc_basis, k)
-        )
-        _extend_affine(rows, rhs, terms, mat_identity(obj.rank, n))
     # target side: sum_j y_j (f g_j)_k + (dh + hd)_k = id
-    for k in d.support():
-        obj = d.objects[k]
-        terms = []
-        for j, g in enumerate(gb):
-            prod = f.component(k).compose(g.component(k))
-            terms.append((var_of[("g", j)], prod.matrix, ONE))
-        terms.extend(
-            (var_of[("hd", kk, i)], m, s)
-            for (kk, i), m, s in _indexed_homotopy_terms(d, hd_basis, k)
-        )
-        _extend_affine(rows, rhs, terms, mat_identity(obj.rank, n))
+    for cx, h, f_first in ((c, h_vars[0], False), (d, h_vars[1], True)):
+        for k in cx.support():
+            fk = f.component(k)
+            terms = []
+            for j, g in enumerate(gb):
+                gk = g.component(k)
+                prod = fk.compose(gk) if f_first else gk.compose(fk)
+                terms.append((j, prod.matrix, ONE))
+            terms += [(v, cx.diff_at(k - 1).compose(hk).matrix, ONE) for v, hk in h.get(k, [])]
+            terms += [(v, hk.compose(cx.diff_at(k)).matrix, ONE) for v, hk in h.get(k + 1, [])]
+            eqs, want = _affine_rows(terms, mat_identity(cx.objects[k].rank, cx.n))
+            rows += eqs
+            rhs += want
     solution = linalg.solve_affine(rows, rhs)
     if solution is None:
         return None
-    g_comps: dict = {}
-    for j, g in enumerate(gb):
-        coeff = solution.get(var_of[("g", j)])
-        if not coeff:
-            continue
-        for k, comp in g.components.items():
-            piece = comp.scale(coeff)
-            cur = g_comps.get(k)
-            g_comps[k] = piece if cur is None else cur + piece
-    g_map = ChainMap(d, c, g_comps)
-    h_src = _assemble_homotopy(c, hc_basis, var_of, solution, "hc")
-    h_tgt = _assemble_homotopy(d, hd_basis, var_of, solution, "hd")
+    g_map = ChainMap(d, c, _combine((solution.get(j), g.components) for j, g in enumerate(gb)))
+    h_src, h_tgt = (
+        _combine((solution.get(v), {k: hk}) for k, pairs in h.items() for v, hk in pairs)
+        for h in h_vars
+    )
     cert = HomotopyEquivalence(f, g_map, h_src, h_tgt)
     if homotopy_failures(cert):
         return None
     return cert
-
-
-def _indexed_homotopy_terms(c: Complex, h_basis: dict, k: int):
-    out = []
-    for i, hk in enumerate(h_basis.get(k, [])):
-        out.append(((k, i), c.diff_at(k - 1).compose(hk).matrix, ONE))
-    for i, hk1 in enumerate(h_basis.get(k + 1, [])):
-        out.append(((k + 1, i), hk1.compose(c.diff_at(k)).matrix, ONE))
-    return out
-
-
-def _extend_affine(rows: list, rhs: list, terms, target: Matrix) -> None:
-    """Equations saying the weighted sum of matrices equals ``target``."""
-    slots: dict = {}
-    for var, matrix, sign in terms:
-        for a, row in enumerate(matrix):
-            for b, poly in enumerate(row):
-                if not poly:
-                    continue
-                for mono, coeff in poly.terms.items():
-                    eq = slots.setdefault((a, b, mono), {})
-                    cur = eq.get(var)
-                    add = coeff * sign
-                    cur = add if cur is None else cur + add
-                    if cur:
-                        eq[var] = cur
-                    else:
-                        eq.pop(var, None)
-    for a, row in enumerate(target):
-        for b, poly in enumerate(row):
-            for mono, coeff in poly.terms.items():
-                slots.setdefault((a, b, mono), {})
-    for (a, b, mono), eq in sorted(slots.items()):
-        want = target[a][b].coefficient(mono) if a < len(target) else QSqrt2(0)
-        if eq or want:
-            rows.append(eq)
-            rhs.append(want)
-
-
-def _assemble_homotopy(c: Complex, h_basis: dict, var_of: dict, solution: dict, tag: str) -> dict:
-    out: dict = {}
-    for k, basis in h_basis.items():
-        total = None
-        for i, hk in enumerate(basis):
-            coeff = solution.get(var_of[(tag, k, i)])
-            if coeff:
-                piece = hk.scale(coeff)
-                total = piece if total is None else total + piece
-        if total is not None and not total.is_zero():
-            out[k] = total
-    return out
 
 
 # -- certificates -------------------------------------------------------------------
@@ -889,13 +790,3 @@ def relation_certificates(n: int) -> dict:
         "all_certified": all_ok,
         "results": results,
     }
-
-
-def dump_certificates(report: dict, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=1)
-
-
-def load_certificates(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)

@@ -1,14 +1,18 @@
 """Exact sparse linear algebra over Q(sqrt2).
 
-Rows are ``{column index: QSqrt2}`` dicts.  Everything is deterministic:
-pivots are chosen as the smallest column of each incoming row, rows are
-processed in input order, and kernel vectors are emitted with free columns
-ascending.
+Rows are ``{column index: QSqrt2}`` dicts.  One eliminator, ``_Echelon``,
+sits behind four entry points: ``kernel_basis``, ``solve_affine``,
+``dense_rank`` and ``dense_inverse``.  It keeps the reduced row-echelon form
+of the rows inserted so far, choosing each pivot as the smallest column left
+in an incoming row.  The reduced row-echelon form of a row space is unique,
+so every output (kernel vectors, with free columns ascending; the solution
+with free variables at 0; the rank; the inverse) is canonical: it does not
+depend on the order in which rows are inserted, only the running time does.
 """
 
 from __future__ import annotations
 
-from .scalars import ONE, QSqrt2
+from .scalars import ONE, ZERO
 
 Row = dict
 
@@ -16,8 +20,10 @@ Row = dict
 class _Echelon:
     """Incrementally maintained reduced row-echelon collection."""
 
-    def __init__(self) -> None:
+    def __init__(self, rows=()) -> None:
         self.pivots: dict = {}  # pivot column -> normalized row
+        for row in rows:
+            self.insert(row)
 
     def reduce(self, row: Row) -> Row:
         """Reduce ``row`` against the current pivots (row is consumed)."""
@@ -63,9 +69,7 @@ class _Echelon:
 
 def kernel_basis(rows, ncols: int) -> list:
     """Basis of ``{x : A x = 0}`` as column->value dicts, free columns ascending."""
-    ech = _Echelon()
-    for row in rows:
-        ech.insert(dict(row))
+    ech = _Echelon(dict(row) for row in rows)
     pivot_cols = set(ech.pivots)
     basis = []
     for free in range(ncols):
@@ -86,12 +90,9 @@ def solve_affine(rows, rhs) -> Row | None:
     ``rows`` and ``rhs`` are parallel sequences; each row is a column dict and
     each rhs entry a QSqrt2.
     """
-    ech = _Echelon()
-    for row, b in zip(rows, rhs):
-        r = dict(row)
-        if b:
-            r[_RHS_COL] = -b
-        ech.insert(r)
+    ech = _Echelon(
+        {**row, _RHS_COL: -b} if b else dict(row) for row, b in zip(rows, rhs)
+    )
     if _RHS_COL in ech.pivots:
         return None  # inconsistent: a row reduced to 0 = nonzero
     solution: Row = {}
@@ -109,31 +110,26 @@ _RHS_COL = float("inf")
 
 
 def dense_inverse(matrix) -> list | None:
-    """Inverse of a small dense QSqrt2 matrix (list of lists), or None."""
+    """Inverse of a small dense QSqrt2 matrix (list of lists), or None.
+
+    ``[A | I]`` always has rank m; A is invertible exactly when its reduced
+    echelon form has pivots in columns ``0..m-1``, and then the right half
+    of that form is the inverse.
+    """
     m = len(matrix)
     if any(len(r) != m for r in matrix):
         return None
-    aug = [
-        [matrix[i][j] for j in range(m)]
-        + [ONE if i == j else QSqrt2(0) for j in range(m)]
-        for i in range(m)
-    ]
-    for col in range(m):
-        piv = next((r for r in range(col, m) if aug[r][col]), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col].inverse()
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(m):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[m:] for row in aug]
+    pivots = _Echelon(
+        {**_sparse(row), m + i: ONE} for i, row in enumerate(matrix)
+    ).pivots
+    if any(i not in pivots for i in range(m)):
+        return None
+    return [[pivots[i].get(m + j, ZERO) for j in range(m)] for i in range(m)]
 
 
 def dense_rank(matrix) -> int:
-    ech = _Echelon()
-    for row in matrix:
-        ech.insert({j: v for j, v in enumerate(row) if v})
-    return len(ech.pivots)
+    return len(_Echelon(_sparse(row) for row in matrix).pivots)
+
+
+def _sparse(row) -> Row:
+    return {j: v for j, v in enumerate(row) if v}

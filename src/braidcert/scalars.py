@@ -115,9 +115,6 @@ class QSqrt2:
     def __bool__(self) -> bool:
         return self.a != 0 or self.b != 0
 
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     # -- text form -------------------------------------------------------
     #
     # Grammar: "p/q + r/s*sqrt2" with either term optional; the printer is
@@ -142,7 +139,6 @@ class QSqrt2:
 ZERO = QSqrt2(0)
 ONE = QSqrt2(1)
 SQRT2 = QSqrt2(0, 1)
-HALF_SQRT2 = QSqrt2(0, Fraction(1, 2))
 
 _TERM_RE = re.compile(
     r"""\s*(?P<sign>[+-])?\s*

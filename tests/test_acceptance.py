@@ -5,6 +5,7 @@ tolerance anywhere.  Run with ``pytest tests/test_acceptance.py -s`` to see
 the per-criterion lines.
 """
 
+import hashlib
 import itertools
 import json
 
@@ -352,3 +353,18 @@ def test_criterion_8_serialization_round_trip(certificates_n2, certificates_n3):
             if not ok:
                 failures.append(f"{item['relation']} fails re-verification: {wits[:2]}")
     _report(8, "every certificate re-verifies after a JSON write/read cycle", failures)
+
+
+# sha256 of the file ``braidcert certify --n N --format json --out F`` writes
+# (the report dumped with indent=1, plus a newline): certificates must stay
+# byte-identical unless a change means to alter them.
+CERTIFY_SHA256 = {
+    2: "d86d99ea3d1405d99de6dc628a0e648bc847d86bfc8c9bbae6198a01d200f0c5",
+    3: "90d69fe5be5f87f43de52b5e61910fd1a41ce943abdf026782fe1df850fd6ac6",
+}
+
+
+def test_certify_output_bytes_unchanged(certificates_n2, certificates_n3):
+    for n, report in ((2, certificates_n2), (3, certificates_n3)):
+        text = json.dumps(report, indent=1) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == CERTIFY_SHA256[n], f"n={n}"

@@ -164,3 +164,29 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {
+            "format": "braidcert.certificate.v1",
+            "relation": "z0 z0 ~ ",
+            "kind": "iso",
+            "group": "vbB",
+            "n": 2,
+            "words": ["z0 z0", ""],
+            "forward": [],
+        },
+        [1, 2],
+        {"format": "braidcert.report.v1", "kind": "invariant-relator-check", "results": []},
+    ],
+    ids=["certificate-without-inverse", "top-level-array", "report-without-all_pass"],
+)
+def test_verify_certificate_malformed_file_is_usage_error(capsys, tmp_path, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "verify-certificate", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -11,6 +11,9 @@ def q(a, b=0):
 
 
 entries = st.builds(QSqrt2, st.fractions(max_denominator=4), st.fractions(max_denominator=4))
+# few distinct values, so that singular matrices and dependent rows are common
+small_entries = st.sampled_from([q(0), q(0), q(1), q(-1), q(0, 1)])
+mixed_entries = st.one_of(small_entries, entries)
 
 
 def dense_kernel_dim_bruteforce(matrix, ncols):
@@ -32,6 +35,25 @@ def dense_kernel_dim_bruteforce(matrix, ncols):
     return ncols - rank
 
 
+def oracle_rank(matrix, ncols):
+    return ncols - dense_kernel_dim_bruteforce(matrix, ncols)
+
+
+def draw_matrix(data, nrows, ncols):
+    return [[data.draw(mixed_entries) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def mat_vec(matrix, x):
+    """``A x`` for a dense matrix and a column->value dict."""
+    out = []
+    for row in matrix:
+        acc = QSqrt2(0)
+        for j, v in x.items():
+            acc = acc + row[j] * v
+        out.append(acc)
+    return out
+
+
 @given(st.integers(1, 4), st.integers(1, 5), st.data())
 @settings(max_examples=60, deadline=None)
 def test_kernel_matches_bruteforce_and_annihilates(nrows, ncols, data):
@@ -44,11 +66,7 @@ def test_kernel_matches_bruteforce_and_annihilates(nrows, ncols, data):
     basis = linalg.kernel_basis(sparse_rows, ncols)
     assert len(basis) == dense_kernel_dim_bruteforce(matrix, ncols)
     for vec in basis:
-        for row in matrix:
-            acc = QSqrt2(0)
-            for j, v in vec.items():
-                acc = acc + row[j] * v
-            assert not acc
+        assert not any(mat_vec(matrix, vec))
 
 
 def test_kernel_deterministic_order():
@@ -88,3 +106,52 @@ def test_dense_inverse():
 def test_dense_rank():
     assert linalg.dense_rank([[q(1), q(2)], [q(2), q(4)]]) == 1
     assert linalg.dense_rank([[q(1), q(0)], [q(0), q(1)]]) == 2
+
+
+@given(st.integers(1, 4), st.integers(1, 5), st.data())
+@settings(max_examples=60, deadline=None)
+def test_dense_rank_matches_bruteforce(nrows, ncols, data):
+    matrix = draw_matrix(data, nrows, ncols)
+    assert linalg.dense_rank(matrix) == oracle_rank(matrix, ncols)
+
+
+@given(st.integers(1, 4), st.data())
+@settings(max_examples=60, deadline=None)
+def test_dense_inverse_is_two_sided_exactly_when_full_rank(m, data):
+    matrix = draw_matrix(data, m, m)
+    inv = linalg.dense_inverse(matrix)
+    if oracle_rank(matrix, m) < m:
+        assert inv is None
+        return
+    assert inv is not None
+    for i in range(m):
+        for j in range(m):
+            want = q(1) if i == j else q(0)
+            assert sum((matrix[i][t] * inv[t][j] for t in range(m)), q(0)) == want
+            assert sum((inv[i][t] * matrix[t][j] for t in range(m)), q(0)) == want
+
+
+@given(
+    st.integers(1, 4),
+    st.integers(1, 5),
+    st.sampled_from(["image", "random", "contradiction"]),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_solve_affine_matches_rank_condition(nrows, ncols, rhs_kind, data):
+    matrix = draw_matrix(data, nrows, ncols)
+    if rhs_kind == "image":  # b = A x0 is consistent by construction
+        b = mat_vec(matrix, {j: data.draw(mixed_entries) for j in range(ncols)})
+    else:
+        b = [data.draw(mixed_entries) for _ in range(nrows)]
+    if rhs_kind == "contradiction":  # repeat row 0 with another right-hand side
+        matrix.append(list(matrix[0]))
+        b.append(b[0] + q(1))
+    sparse_rows = [{j: v for j, v in enumerate(row) if v} for row in matrix]
+    x = linalg.solve_affine(sparse_rows, b)
+    augmented = [row + [bi] for row, bi in zip(matrix, b)]
+    if oracle_rank(augmented, ncols + 1) != oracle_rank(matrix, ncols):
+        assert x is None
+        return
+    assert x is not None
+    assert mat_vec(matrix, x) == b
