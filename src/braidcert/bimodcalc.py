@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 from . import coxeter, linalg
 from .coxeter import Reflection, demazure_decompose, make_reflection
 from .polyring import Poly, format_poly, monomial_exponents
-from .scalars import ONE, QSqrt2
+from .scalars import ONE, ZERO, QSqrt2
 
 Matrix = list  # list of rows of Poly
 
@@ -84,6 +84,86 @@ def mat_eq(a: Matrix, b: Matrix) -> bool:
     return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
 
 
+def mat_residuals(a: Matrix, b: Matrix) -> list:
+    """``(row, col, residual a - b)`` for every entry where ``a`` and ``b`` differ, row-major."""
+    return [
+        (i, j, format_poly(x - y))
+        for i, (ra, rb) in enumerate(zip(a, b))
+        for j, (x, y) in enumerate(zip(ra, rb))
+        if x != y
+    ]
+
+
+def mat_paste(big: Matrix, block: Matrix, row_off: int, col_off: int) -> None:
+    """Copy the nonzero entries of ``block`` into ``big`` at the given offsets."""
+    for i, row in enumerate(block):
+        target = big[row_off + i]
+        for j, entry in enumerate(row):
+            if entry:
+                target[col_off + j] = entry
+
+
+def id_tensor(left: Bimodule, matrix: Matrix) -> Matrix:
+    """Matrix of ``id (x) g`` for ``g`` given by ``matrix``; its entries cross ``left``.
+
+    Basis element ``a (x) b`` sits at index ``a * rank_b + b`` on both sides.
+    """
+    n = left.n
+    rl = left.rank
+    tr, sr = len(matrix), len(matrix[0]) if matrix else 0
+    out = mat_zero(rl * tr, rl * sr, n)
+    for b2 in range(tr):
+        for b in range(sr):
+            entry = matrix[b2][b]
+            if not entry:
+                continue
+            crossed = left.action_of(entry)
+            for a2 in range(rl):
+                row = crossed[a2]
+                orow = out[a2 * tr + b2]
+                for a in range(rl):
+                    if row[a]:
+                        orow[a * sr + b] = orow[a * sr + b] + row[a]
+    return out
+
+
+def affine_rows(terms, target: Matrix | None = None) -> tuple:
+    """Equations saying a sum of coefficient-weighted matrices equals ``target``.
+
+    ``terms`` holds ``(variable, matrix, sign)`` triples and ``target=None``
+    stands for the zero matrix.  There is one equation per (row, column,
+    monomial) slot, in sorted slot order; slots that read ``0 = 0`` are
+    skipped.  Returns the parallel lists ``(rows, rhs)``.
+    """
+    slots: dict = {}
+    for var, matrix, sign in terms:
+        for a, row in enumerate(matrix):
+            for b, poly in enumerate(row):
+                if not poly:
+                    continue
+                for mono, coeff in poly.terms.items():
+                    eq = slots.setdefault((a, b, mono), {})
+                    cur = eq.get(var)
+                    add = coeff * sign
+                    cur = add if cur is None else cur + add
+                    if cur:
+                        eq[var] = cur
+                    else:
+                        eq.pop(var, None)
+    for a, row in enumerate(target or ()):
+        for b, poly in enumerate(row):
+            for mono in poly.terms:
+                slots.setdefault((a, b, mono), {})
+    rows: list = []
+    rhs: list = []
+    for (a, b, mono), eq in sorted(slots.items()):
+        want = target[a][b].coefficient(mono) if target else ZERO
+        if eq or want:
+            rows.append(eq)
+            rhs.append(want)
+    return rows, rhs
+
+
 def mat_vec(a: Matrix, v: Sequence[Poly], n: int) -> list:
     out = []
     for row in a:
@@ -101,36 +181,23 @@ def mat_vec(a: Matrix, v: Sequence[Poly], n: int) -> list:
 class Bimodule:
     """A graded bimodule presented by a left basis and right-action matrices."""
 
-    __slots__ = (
-        "n",
-        "rank",
-        "basis_degrees",
-        "basis_labels",
-        "actions",
-        "factor_word",
-        "block_spans",
-        "_monomial_cache",
-    )
+    __slots__ = ("n", "rank", "basis_degrees", "actions", "block_spans", "_monomial_cache")
 
     def __init__(
         self,
         n: int,
         basis_degrees: Sequence[int],
-        basis_labels: Sequence[str],
         actions: Sequence[Matrix],
-        factor_word: tuple,
         block_spans: Sequence[tuple] | None = None,
     ) -> None:
         self.n = n
         self.rank = len(basis_degrees)
         self.basis_degrees = tuple(basis_degrees)
-        self.basis_labels = tuple(basis_labels)
         self.actions = tuple(actions)
-        self.factor_word = factor_word
         self.block_spans = tuple(block_spans) if block_spans else ((0, self.rank),)
         self._monomial_cache: dict = {}
 
-    # equality compares presentations (degrees and actions), not labels
+    # equality compares presentations: degrees and actions
     def __eq__(self, other) -> bool:
         if not isinstance(other, Bimodule):
             return NotImplemented
@@ -144,8 +211,7 @@ class Bimodule:
         return hash((self.n, self.basis_degrees))
 
     def __repr__(self) -> str:
-        word = "(x)".join(str(f) for f in self.factor_word) or "R"
-        return f"Bimodule({word}, rank={self.rank}, degrees={list(self.basis_degrees)})"
+        return f"Bimodule(rank={self.rank}, degrees={list(self.basis_degrees)})"
 
     def is_zero(self) -> bool:
         return self.rank == 0
@@ -195,17 +261,14 @@ class Bimodule:
 
 
 def bimodule_R(n: int) -> Bimodule:
-    return Bimodule(
-        n, [0], ["1"], [[[Poly.variable(n, j)]] for j in range(n)], ("R",)
-    )
+    return Bimodule(n, [0], [[[Poly.variable(n, j)]] for j in range(n)])
 
 
 def bimodule_Rw(word, n: int) -> Bimodule:
     """Rank one, with ``a`` acting on the right as multiplication by ``w(a)``."""
     word = tuple(word)
     actions = [[[coxeter.act(word, Poly.variable(n, j))]] for j in range(n)]
-    name = "R" if not word else "Rw[" + ",".join(map(str, word)) + "]"
-    return Bimodule(n, [0], ["1"], actions, (name,))
+    return Bimodule(n, [0], actions)
 
 
 def bimodule_Bs(t: Reflection) -> Bimodule:
@@ -217,26 +280,18 @@ def bimodule_Bs(t: Reflection) -> Bimodule:
         p0, q0 = demazure_decompose(t, xj)
         p1, q1 = demazure_decompose(t, xj * t.root)
         actions.append([[p0, p1], [q0, q1]])
-    name = "B[" + ",".join(map(str, t.word)) + "]"
-    return Bimodule(n, [0, 2], ["1(x)1", "1(x)r"], actions, (name,))
+    return Bimodule(n, [0, 2], actions)
 
 
 def zero_bimodule(n: int) -> Bimodule:
-    return Bimodule(n, [], [], [[] for _ in range(n)], ("0",))
+    return Bimodule(n, [], [[] for _ in range(n)])
 
 
 def shift(m: Bimodule, p: int) -> Bimodule:
     """Shift the internal grading: basis degrees go up by ``p``, actions unchanged."""
     if p == 0:
         return m
-    return Bimodule(
-        m.n,
-        [d + p for d in m.basis_degrees],
-        m.basis_labels,
-        m.actions,
-        m.factor_word + ((f"{{{p}}}",) if p else ()),
-        m.block_spans,
-    )
+    return Bimodule(m.n, [d + p for d in m.basis_degrees], m.actions, m.block_spans)
 
 
 def tensor(m: Bimodule, other: Bimodule) -> Bimodule:
@@ -256,34 +311,12 @@ def tensor(m: Bimodule, other: Bimodule) -> Bimodule:
         for a in range(rm)
         for b in range(ro)
     ]
-    labels = [
-        f"{m.basis_labels[a]}(x){other.basis_labels[b]}"
-        for a in range(rm)
-        for b in range(ro)
-    ]
-    actions = []
-    for j in range(n):
-        t = mat_zero(rank, rank, n)
-        oj = other.actions[j]
-        for c in range(ro):
-            for b in range(ro):
-                entry = oj[c][b]
-                if not entry:
-                    continue
-                crossed = m.action_of(entry)
-                for a2 in range(rm):
-                    row = crossed[a2]
-                    trow = t[a2 * ro + c]
-                    for a in range(rm):
-                        if row[a]:
-                            col = a * ro + b
-                            trow[col] = trow[col] + row[a]
-        actions.append(t)
+    actions = [id_tensor(m, a) for a in other.actions]
     if len(other.block_spans) == 1:
         spans = [(s * ro, e * ro) for s, e in m.block_spans]
     else:
         spans = [(0, rank)]
-    return Bimodule(n, degrees, labels, actions, m.factor_word + other.factor_word, spans)
+    return Bimodule(n, degrees, actions, spans)
 
 
 def tensor_many(factors: Iterable[Bimodule]) -> Bimodule:
@@ -302,31 +335,20 @@ def direct_sum(parts: Sequence[Bimodule]) -> Bimodule:
         raise ValueError("empty direct sum (use zero_bimodule)")
     n = parts[0].n
     degrees: list = []
-    labels: list = []
     spans: list = []
-    factor_word: tuple = ()
-    offset = 0
+    offsets: list = []
     for p in parts:
+        offsets.append(len(degrees))
+        spans.extend((offsets[-1] + s, offsets[-1] + e) for s, e in p.block_spans)
         degrees.extend(p.basis_degrees)
-        labels.extend(p.basis_labels)
-        for s, e in p.block_spans:
-            spans.append((offset + s, offset + e))
-        offset += p.rank
-        factor_word = factor_word + (p.factor_word,)
-    rank = offset
+    rank = len(degrees)
     actions = []
     for j in range(n):
         t = mat_zero(rank, rank, n)
-        off = 0
-        for p in parts:
-            a = p.actions[j]
-            for k in range(p.rank):
-                for l in range(p.rank):
-                    if a[k][l]:
-                        t[off + k][off + l] = a[k][l]
-            off += p.rank
+        for p, off in zip(parts, offsets):
+            mat_paste(t, p.actions[j], off, off)
         actions.append(t)
-    return Bimodule(n, degrees, labels, actions, ("sum", factor_word), spans)
+    return Bimodule(n, degrees, actions, spans)
 
 
 # -- morphisms --------------------------------------------------------------------
@@ -383,17 +405,7 @@ class Morphism:
         for j in range(src.n):
             lhs = mat_mul(self.matrix, src.actions[j], src.n)
             rhs = mat_mul(tgt.actions[j], self.matrix, src.n)
-            for k in range(tgt.rank):
-                for l in range(src.rank):
-                    if lhs[k][l] != rhs[k][l]:
-                        failures.append(
-                            (
-                                f"action X{j}",
-                                k,
-                                l,
-                                format_poly(lhs[k][l] - rhs[k][l]),
-                            )
-                        )
+            failures += [(f"action X{j}", *w) for w in mat_residuals(lhs, rhs)]
         return failures
 
     def is_morphism(self) -> bool:
@@ -730,24 +742,11 @@ def find_unit_preserving_iso(src: Bimodule, tgt: Bimodule):
     if not basis:
         return None
     n = src.n
-    unit = _unit_column(tgt)
     # affine constraint: column 0 of the combination equals the unit column
-    rows: list = []
-    rhs: list = []
-    slot_of: dict = {}
-    for k in range(tgt.rank):
-        monos = set()
-        for i, b in enumerate(basis):
-            monos.update(b.matrix[k][0].terms)
-        monos.update(unit[k].terms)
-        for mono in sorted(monos, reverse=True):
-            row = {}
-            for i, b in enumerate(basis):
-                c = b.matrix[k][0].coefficient(mono)
-                if c:
-                    row[i] = c
-            rows.append(row)
-            rhs.append(unit[k].coefficient(mono))
+    rows, rhs = affine_rows(
+        [(i, [row[:1] for row in b.matrix], ONE) for i, b in enumerate(basis)],
+        [[u] for u in _unit_column(tgt)],
+    )
     particular = linalg.solve_affine(rows, rhs)
     if particular is None:
         return None

@@ -134,13 +134,29 @@ def cmd_verify_certificate(args) -> int:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError(f"{args.file}: expected a JSON object, not {type(data).__name__}")
-    _validate_schema(data)
     if data.get("format") == homotopy.REPORT_FORMAT:
-        certs = [r["certificate"] for r in data["results"] if r.get("certificate")]
+        _check_schema("report.schema.json", [("", data)])
+        entries = data["results"] if data.get("kind") == "relation-certificates" else []
+        if not entries:
+            raise ValueError(f"{args.file}: the report holds no certificates to verify")
+        _check_schema(
+            "certificate.schema.json",
+            [
+                (f"results[{i}].certificate ", r["certificate"])
+                for i, r in enumerate(entries)
+                if r.get("certificate") is not None
+            ],
+        )
     else:
-        certs = [data]
+        _check_schema("certificate.schema.json", [("", data)])
+        entries = [{"certificate": data}]
     bad = 0
-    for cert in certs:
+    for entry in entries:
+        cert = entry.get("certificate")
+        if cert is None:
+            bad += 1
+            print(f"[FAIL] {entry['relation']} ({entry['kind']}): no certificate")
+            continue
         ok, failures = homotopy.verify_certificate_dict(cert)
         tag = "ok" if ok else "FAIL"
         print(f"[{tag}] {cert['relation']} ({cert['kind']})")
@@ -151,23 +167,24 @@ def cmd_verify_certificate(args) -> int:
     return 0 if bad == 0 else 1
 
 
-def _validate_schema(data) -> None:
+def _check_schema(name: str, items) -> None:
+    """Check each ``(where, instance)`` against the shipped schema ``name``.
+
+    One validator serves all the items; the first violation ends in a
+    ``ValueError`` that names where it is.
+    """
     try:
         import jsonschema
     except ImportError:  # pragma: no cover
         return
-    name = (
-        "report.schema.json"
-        if data.get("format") == homotopy.REPORT_FORMAT
-        else "certificate.schema.json"
-    )
     schema = json.loads(
         resources.files("braidcert.schema").joinpath(name).read_text()
     )
-    try:
-        jsonschema.validate(data, schema)
-    except jsonschema.ValidationError as exc:
-        raise ValueError(f"does not match {name}: {exc.message}") from None
+    validator = jsonschema.validators.validator_for(schema)(schema)
+    for where, instance in items:
+        error = jsonschema.exceptions.best_match(validator.iter_errors(instance))
+        if error is not None:
+            raise ValueError(f"{where}does not match {name}: {error.message}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -23,12 +23,17 @@ from .bimodcalc import (
     Bimodule,
     Matrix,
     Morphism,
+    affine_rows,
     bimodule_R,
     bimodule_Rw,
     bimodule_Bs,
     direct_sum,
+    id_tensor,
+    mat_add,
     mat_eq,
     mat_identity,
+    mat_paste,
+    mat_residuals,
     mat_zero,
     shift,
     solve_morphisms,
@@ -37,7 +42,7 @@ from .bimodcalc import (
 )
 from .coxeter import make_reflection
 from .polyring import Poly, format_poly, parse_poly
-from .scalars import ONE, ZERO, QSqrt2
+from .scalars import ONE, QSqrt2
 from .words import Alphabet, BraidWord, format_word, parse_word, relator_table
 
 
@@ -82,12 +87,8 @@ def complex_failures(c: Complex) -> list:
         if d1 is None or d2 is None:
             continue
         comp = d2.compose(d1)
-        for row in range(comp.target.rank):
-            for col in range(comp.source.rank):
-                if comp.matrix[row][col]:
-                    failures.append(
-                        (k, "d.d != 0", row, col, format_poly(comp.matrix[row][col]))
-                    )
+        zero = mat_zero(comp.target.rank, comp.source.rank, c.n)
+        failures += [(k, "d.d != 0", *w) for w in mat_residuals(comp.matrix, zero)]
     return failures
 
 
@@ -153,30 +154,6 @@ def _morphism_tensor_id(f: Morphism, right: Bimodule) -> Matrix:
     return out
 
 
-def _id_tensor_morphism(left: Bimodule, g: Morphism) -> Matrix:
-    """Matrix of ``id (x) g``; g's coefficients cross the left factor."""
-    n = left.n
-    rl = left.rank
-    rows = rl * g.target.rank
-    cols = rl * g.source.rank
-    out = mat_zero(rows, cols, n)
-    for b2 in range(g.target.rank):
-        for b in range(g.source.rank):
-            entry = g.matrix[b2][b]
-            if not entry:
-                continue
-            crossed = left.action_of(entry)
-            for a2 in range(rl):
-                row = crossed[a2]
-                orow = out[a2 * g.target.rank + b2]
-                for a in range(rl):
-                    if row[a]:
-                        orow[a * g.source.rank + b] = (
-                            orow[a * g.source.rank + b] + row[a]
-                        )
-    return out
-
-
 def tensor_complex(c: Complex, d: Complex) -> Complex:
     """Total complex of the product, with the Koszul sign on the second factor."""
     if c.n != d.n:
@@ -211,24 +188,16 @@ def tensor_complex(c: Complex, d: Complex) -> Complex:
             if (p + 1, q) in offsets[k + 1] and (p in c.diffs):
                 block = _morphism_tensor_id(c.diffs[p], d.objects[q])
                 toff = offsets[k + 1][(p + 1, q)]
-                _paste(matrix, block, toff, soff)
+                mat_paste(matrix, block, toff, soff)
             # (-1)^p id (x) d_D into block (p, q+1)
             if (p, q + 1) in offsets[k + 1] and (q in d.diffs):
-                block = _id_tensor_morphism(c.objects[p], d.diffs[q])
+                block = id_tensor(c.objects[p], d.diffs[q].matrix)
                 if p % 2:
                     block = [[-e if e else e for e in row] for row in block]
                 toff = offsets[k + 1][(p, q + 1)]
-                _paste(matrix, block, toff, soff)
+                mat_paste(matrix, block, toff, soff)
         diffs[k] = Morphism(src, tgt, matrix)
     return Complex(n, objects, diffs)
-
-
-def _paste(big: Matrix, block: Matrix, row_off: int, col_off: int) -> None:
-    for i, row in enumerate(block):
-        target = big[row_off + i]
-        for j, entry in enumerate(row):
-            if entry:
-                target[col_off + j] = entry
 
 
 # -- chain maps ---------------------------------------------------------------------
@@ -276,18 +245,7 @@ def chain_map_failures(f: ChainMap) -> list:
     for k in sorted(degrees):
         lhs = f.component(k + 1).compose(f.source.diff_at(k))
         rhs = f.target.diff_at(k).compose(f.component(k))
-        for row in range(lhs.target.rank):
-            for col in range(lhs.source.rank):
-                if lhs.matrix[row][col] != rhs.matrix[row][col]:
-                    failures.append(
-                        (
-                            k,
-                            "square",
-                            row,
-                            col,
-                            format_poly(lhs.matrix[row][col] - rhs.matrix[row][col]),
-                        )
-                    )
+        failures += [(k, "square", *w) for w in mat_residuals(lhs.matrix, rhs.matrix)]
     return failures
 
 
@@ -332,31 +290,21 @@ def _homotopy_side_failures(c: Complex, gf: dict, h: dict, side: str) -> list:
     failures = []
     n = c.n
     for k in c.support():
-        obj = c.objects[k]
-        acc = mat_zero(obj.rank, obj.rank, n)
-        if k in gf:
-            acc = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(acc, gf[k].matrix)]
+        rank = c.objects[k].rank
+        terms = [gf[k]] if k in gf else []
         hk = h.get(k)
         if hk is not None and c.object_at(k - 1).rank:
-            term = c.diff_at(k - 1).compose(hk)
-            acc = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(acc, term.matrix)]
+            terms.append(c.diff_at(k - 1).compose(hk))
         hk1 = h.get(k + 1)
         if hk1 is not None and c.object_at(k + 1).rank:
-            term = hk1.compose(c.diff_at(k))
-            acc = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(acc, term.matrix)]
-        ident = mat_identity(obj.rank, n)
-        for row in range(obj.rank):
-            for col in range(obj.rank):
-                if acc[row][col] != ident[row][col]:
-                    failures.append(
-                        (
-                            k,
-                            f"{side}: g.f + dh + hd != id",
-                            row,
-                            col,
-                            format_poly(acc[row][col] - ident[row][col]),
-                        )
-                    )
+            terms.append(hk1.compose(c.diff_at(k)))
+        acc = mat_zero(rank, rank, n)
+        for term in terms:
+            acc = mat_add(acc, term.matrix)
+        failures += [
+            (k, f"{side}: g.f + dh + hd != id", *w)
+            for w in mat_residuals(acc, mat_identity(rank, n))
+        ]
     return failures
 
 
@@ -417,48 +365,11 @@ def chain_map_space(c: Complex, d: Complex) -> list:
         terms += [
             (v, b.compose(dc).matrix, QSqrt2(-1)) for v, b in per_degree.get(k + 1, [])
         ]
-        rows += _affine_rows(terms)[0]
+        rows += affine_rows(terms)[0]
     return [
         ChainMap(c, d, _combine((vec.get(v), {k: b}) for k in degrees for v, b in per_degree[k]))
         for vec in linalg.kernel_basis(rows, nvars)
     ]
-
-
-def _affine_rows(terms, target: Matrix | None = None) -> tuple:
-    """Equations saying a sum of coefficient-weighted matrices equals ``target``.
-
-    ``terms`` holds ``(variable, matrix, sign)`` triples and ``target=None``
-    stands for the zero matrix.  There is one equation per (row, column,
-    monomial) slot, in sorted slot order; slots that read ``0 = 0`` are
-    skipped.  Returns the parallel lists ``(rows, rhs)``.
-    """
-    slots: dict = {}
-    for var, matrix, sign in terms:
-        for a, row in enumerate(matrix):
-            for b, poly in enumerate(row):
-                if not poly:
-                    continue
-                for mono, coeff in poly.terms.items():
-                    eq = slots.setdefault((a, b, mono), {})
-                    cur = eq.get(var)
-                    add = coeff * sign
-                    cur = add if cur is None else cur + add
-                    if cur:
-                        eq[var] = cur
-                    else:
-                        eq.pop(var, None)
-    for a, row in enumerate(target or ()):
-        for b, poly in enumerate(row):
-            for mono in poly.terms:
-                slots.setdefault((a, b, mono), {})
-    rows: list = []
-    rhs: list = []
-    for (a, b, mono), eq in sorted(slots.items()):
-        want = target[a][b].coefficient(mono) if target else ZERO
-        if eq or want:
-            rows.append(eq)
-            rhs.append(want)
-    return rows, rhs
 
 
 def _combine(weighted) -> dict:
@@ -599,7 +510,7 @@ def _solve_homotopy_for(c, d, f, gb, hc_basis, hd_basis):
                 terms.append((j, prod.matrix, ONE))
             terms += [(v, cx.diff_at(k - 1).compose(hk).matrix, ONE) for v, hk in h.get(k, [])]
             terms += [(v, hk.compose(cx.diff_at(k)).matrix, ONE) for v, hk in h.get(k + 1, [])]
-            eqs, want = _affine_rows(terms, mat_identity(cx.objects[k].rank, cx.n))
+            eqs, want = affine_rows(terms, mat_identity(cx.objects[k].rank, cx.n))
             rows += eqs
             rhs += want
     solution = linalg.solve_affine(rows, rhs)

@@ -26,22 +26,21 @@ class _Echelon:
             self.insert(row)
 
     def reduce(self, row: Row) -> Row:
-        """Reduce ``row`` against the current pivots (row is consumed)."""
-        while True:
-            hit = sorted(c for c in row if c in self.pivots)
-            if not hit:
-                return row
-            for col in hit:
-                factor = row.get(col)
-                if not factor:
-                    continue
-                for c, v in self.pivots[col].items():
-                    cur = row.get(c)
-                    cur = -factor * v if cur is None else cur - factor * v
-                    if cur:
-                        row[c] = cur
-                    else:
-                        row.pop(c, None)
+        """Reduce ``row`` against the current pivots (row is consumed).
+
+        One pass is enough: ``insert`` keeps every pivot row free of the other
+        pivot columns, so subtracting one never brings a pivot column back.
+        """
+        for col in sorted(c for c in row if c in self.pivots):
+            factor = row[col]
+            for c, v in self.pivots[col].items():
+                cur = row.get(c)
+                cur = -factor * v if cur is None else cur - factor * v
+                if cur:
+                    row[c] = cur
+                else:
+                    row.pop(c, None)
+        return row
 
     def insert(self, row: Row) -> bool:
         """Reduce and, if nonzero, normalize and adopt as a new pivot row."""

@@ -186,6 +186,23 @@ def test_morphism_failure_witness_structure():
     assert isinstance(residual, str)
 
 
+def test_non_morphism_action_witnesses():
+    n = 2
+    twist = Morphism(bimodule_Rw((0,), n), bimodule_R(n), [[Poly.one(n)]])
+    assert twist.morphism_failures() == [
+        ("action X0", 0, 0, "-2*X0"),
+        ("action X1", 0, 0, "1*sqrt2*X0"),
+    ]
+    B = bimodule_Bs(refl((0,), n))
+    sign = Morphism(B, B, [[Poly.one(n), Poly.zero(n)], [Poly.zero(n), -Poly.one(n)]])
+    assert sign.morphism_failures() == [
+        ("action X0", 0, 1, "2*X0^2"),
+        ("action X0", 1, 0, "-2"),
+        ("action X1", 0, 1, "-1*sqrt2*X0^2"),
+        ("action X1", 1, 0, "1*sqrt2"),
+    ]
+
+
 def test_graded_inverse_round_trip():
     n = 3
     f = phi(n)

@@ -180,8 +180,50 @@ def test_usage_error_exit_code():
         },
         [1, 2],
         {"format": "braidcert.report.v1", "kind": "invariant-relator-check", "results": []},
+        {
+            "format": "braidcert.report.v1",
+            "kind": "relation-certificates",
+            "group": "vbB",
+            "n": 2,
+            "all_certified": True,
+            "results": [
+                {
+                    "relation": "relWB0[0]",
+                    "kind": "iso",
+                    "status": "certified",
+                    "certificate": {
+                        "format": "braidcert.certificate.v1",
+                        "relation": "relWB0[0]",
+                        "kind": "iso",
+                        "group": "vbB",
+                        "n": 2,
+                        "words": ["z0 z0", ""],
+                        "inverse": [],
+                    },
+                }
+            ],
+        },
+        {
+            "format": "braidcert.report.v1",
+            "kind": "invariant-relator-check",
+            "all_pass": True,
+            "results": [{"relator_label": "relWB0[0]", "status": "pass"}],
+        },
+        {
+            "format": "braidcert.report.v1",
+            "kind": "relation-certificates",
+            "all_certified": True,
+            "results": [],
+        },
     ],
-    ids=["certificate-without-inverse", "top-level-array", "report-without-all_pass"],
+    ids=[
+        "certificate-without-inverse",
+        "top-level-array",
+        "report-without-all_pass",
+        "inner-certificate-without-forward",
+        "relator-check-report",
+        "report-without-entries",
+    ],
 )
 def test_verify_certificate_malformed_file_is_usage_error(capsys, tmp_path, payload):
     path = tmp_path / "bad.json"
@@ -190,3 +232,35 @@ def test_verify_certificate_malformed_file_is_usage_error(capsys, tmp_path, payl
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_certificate_null_entry_fails(capsys, tmp_path):
+    cert_path = tmp_path / "cert.json"
+    code, _, _ = run(
+        capsys, "certify-pair", "z0 z0", "", "--n", "2", "--format", "json", "--out", str(cert_path)
+    )
+    assert code == 0
+    report = {
+        "format": "braidcert.report.v1",
+        "kind": "relation-certificates",
+        "group": "vbB",
+        "n": 2,
+        "all_certified": False,
+        "results": [
+            {
+                "relation": "relWB0[0]",
+                "kind": "iso",
+                "status": "certified",
+                "certificate": json.loads(cert_path.read_text()),
+            },
+            {"relation": "relWB0[1]", "kind": "iso", "status": "failed", "certificate": None},
+        ],
+    }
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    code, out, _ = run(capsys, "verify-certificate", str(path))
+    assert code == 1
+    assert out.splitlines() == [
+        "[ok] z0 z0 ~  (iso)",
+        "[FAIL] relWB0[1] (iso): no certificate",
+    ]

@@ -4,18 +4,25 @@ from hypothesis import given, settings, strategies as st
 
 from braidcert.bimodcalc import (
     Morphism,
+    bimodule_Bs,
+    bimodule_R,
     bimodule_Rw,
     mat_eq,
     mat_identity,
+    shift,
 )
+from braidcert.coxeter import make_reflection
 from braidcert.homotopy import (
     ChainMap,
+    Complex,
+    HomotopyEquivalence,
     F_letter,
     F_one,
     F_word,
     chain_map_failures,
     chain_map_space,
     certify_pair,
+    complex_failures,
     find_chain_iso,
     find_homotopy_equiv,
     homotopy_failures,
@@ -335,3 +342,53 @@ def test_remark_isos_at_n3():
         assert found is not None and verify_chain_iso(*found), i
     found = find_chain_iso(FW("z0 s1 z0 s1", n), FW("s1 z0 s1 z0", n))
     assert found is not None and verify_chain_iso(*found)
+
+
+# -- exact witnesses ----------------------------------------------------------------
+# Every failure is a (degree, tag, row, col, residual) tuple; residuals are
+# listed entry by entry in row-major order.
+
+
+def test_non_square_zero_complex_witnesses():
+    n = 2
+    b = bimodule_Bs(make_reflection((0,), n))
+    src = shift(bimodule_R(n), 2)
+    d = Morphism(src, b, [[Poly.variable(n, 0)], [Poly.one(n)]])
+    c = Complex(n, {-1: src, 0: b, 1: b}, {-1: d, 0: Morphism.identity(b)})
+    assert complex_failures(c) == [
+        (-1, "d.d != 0", 0, 0, "X0"),
+        (-1, "d.d != 0", 1, 0, "1"),
+    ]
+
+
+def test_non_commuting_chain_map_witnesses():
+    n = 2
+    c = FW("z1 z0 z1 s0", n)
+    d = FW("s0 z1 z0 z1", n)
+    comps = {
+        -1: Morphism(c.objects[-1], d.objects[-1], [[Poly.constant(n, QSqrt2(-1))]]),
+        0: Morphism(c.objects[0], d.objects[0], mat_identity(2, n)),
+    }
+    assert chain_map_failures(ChainMap(c, d, comps)) == [
+        (-1, "square", 0, 0, "2*X0"),
+        (-1, "square", 1, 0, "2"),
+    ]
+
+
+def test_tampered_homotopy_witnesses():
+    n = 2
+    cert = find_homotopy_equiv(FW("s0 s0^-1", n), F_one(n))
+    h_source = dict(cert.h_source)
+    h_source[0] = h_source[0].scale(QSqrt2(2))
+    tampered = HomotopyEquivalence(cert.forward, cert.backward, h_source, cert.h_target)
+    tag = "source: g.f + dh + hd != id"
+    assert homotopy_failures(tampered) == [
+        (-1, tag, 0, 0, "1"),
+        (-1, tag, 1, 1, "1"),
+        (0, tag, 0, 3, "-1"),
+        (0, tag, 0, 4, "-1*X0"),
+        (0, tag, 1, 3, "X0"),
+        (0, tag, 2, 4, "X0"),
+        (0, tag, 3, 3, "1"),
+        (0, tag, 4, 4, "1"),
+    ]

@@ -155,3 +155,15 @@ def test_solve_affine_matches_rank_condition(nrows, ncols, rhs_kind, data):
         return
     assert x is not None
     assert mat_vec(matrix, x) == b
+
+
+@given(st.integers(1, 6), st.integers(1, 6), st.data())
+@settings(max_examples=60, deadline=None)
+def test_pivot_rows_hold_no_other_pivot_column(nrows, ncols, data):
+    # the invariant that lets ``_Echelon.reduce`` finish in one pass
+    ech = linalg._Echelon()
+    for row in draw_matrix(data, nrows, ncols):
+        ech.insert({j: v for j, v in enumerate(row) if v})
+        for col, prow in ech.pivots.items():
+            assert prow[col] == q(1)
+            assert not any(c in ech.pivots for c in prow if c != col)
