@@ -213,9 +213,6 @@ class Bimodule:
     def __repr__(self) -> str:
         return f"Bimodule(rank={self.rank}, degrees={list(self.basis_degrees)})"
 
-    def is_zero(self) -> bool:
-        return self.rank == 0
-
     def _monomial_action(self, exp: tuple) -> Matrix:
         cached = self._monomial_cache.get(exp)
         if cached is not None:
@@ -361,15 +358,9 @@ class Morphism:
     real constraint and is verified, never assumed.
     """
 
-    __slots__ = ("source", "target", "matrix", "degree_shift")
+    __slots__ = ("source", "target", "matrix")
 
-    def __init__(
-        self,
-        source: Bimodule,
-        target: Bimodule,
-        matrix: Matrix,
-        degree_shift: int = 0,
-    ) -> None:
+    def __init__(self, source: Bimodule, target: Bimodule, matrix: Matrix) -> None:
         if len(matrix) != target.rank or any(len(r) != source.rank for r in matrix):
             raise ValueError(
                 f"matrix shape {len(matrix)}x{len(matrix[0]) if matrix else 0} "
@@ -378,28 +369,27 @@ class Morphism:
         self.source = source
         self.target = target
         self.matrix = matrix
-        self.degree_shift = degree_shift
 
     @classmethod
     def identity(cls, m: Bimodule) -> "Morphism":
         return cls(m, m, mat_identity(m.rank, m.n))
 
     @classmethod
-    def zero(cls, source: Bimodule, target: Bimodule, degree_shift: int = 0) -> "Morphism":
-        return cls(source, target, mat_zero(target.rank, source.rank, source.n), degree_shift)
+    def zero(cls, source: Bimodule, target: Bimodule) -> "Morphism":
+        return cls(source, target, mat_zero(target.rank, source.rank, source.n))
 
     def is_zero(self) -> bool:
         return all(not e for row in self.matrix for e in row)
 
     def morphism_failures(self) -> list:
-        """Empty iff this is a graded bimodule morphism; entries name violations."""
+        """Empty iff this is a degree-0 bimodule morphism; entries name violations."""
         failures = []
         src, tgt = self.source, self.target
         for k in range(tgt.rank):
             for l in range(src.rank):
                 entry = self.matrix[k][l]
                 if entry and not entry.is_homogeneous(
-                    src.basis_degrees[l] + self.degree_shift - tgt.basis_degrees[k]
+                    src.basis_degrees[l] - tgt.basis_degrees[k]
                 ):
                     failures.append(("grading", k, l, format_poly(entry)))
         for j in range(src.n):
@@ -416,24 +406,16 @@ class Morphism:
         if other.target is not self.source and other.target != self.source:
             raise ValueError("composition shape mismatch")
         if self.source.rank == 0:
-            return Morphism.zero(
-                other.source, self.target, self.degree_shift + other.degree_shift
-            )
+            return Morphism.zero(other.source, self.target)
         return Morphism(
-            other.source,
-            self.target,
-            mat_mul(self.matrix, other.matrix, self.source.n),
-            self.degree_shift + other.degree_shift,
+            other.source, self.target, mat_mul(self.matrix, other.matrix, self.source.n)
         )
 
     def __add__(self, other: "Morphism") -> "Morphism":
-        return Morphism(self.source, self.target, mat_add(self.matrix, other.matrix), self.degree_shift)
-
-    def __sub__(self, other: "Morphism") -> "Morphism":
-        return Morphism(self.source, self.target, mat_sub(self.matrix, other.matrix), self.degree_shift)
+        return Morphism(self.source, self.target, mat_add(self.matrix, other.matrix))
 
     def scale(self, c) -> "Morphism":
-        return Morphism(self.source, self.target, mat_scale(self.matrix, c), self.degree_shift)
+        return Morphism(self.source, self.target, mat_scale(self.matrix, c))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Morphism):
@@ -441,7 +423,6 @@ class Morphism:
         return (
             self.source == other.source
             and self.target == other.target
-            and self.degree_shift == other.degree_shift
             and mat_eq(self.matrix, other.matrix)
         )
 
@@ -456,67 +437,31 @@ class Morphism:
     def graded_inverse(self) -> "Morphism | None":
         """Two-sided inverse of a degree-0 morphism, or None.
 
-        Sorting both bases by internal degree makes the matrix block upper
-        triangular with scalar diagonal blocks; the map is invertible exactly
-        when all those scalar blocks are, and the inverse comes out of block
-        back-substitution.
+        The constant terms form a matrix ``D`` that pairs basis elements of
+        equal degree, and ``F`` is invertible exactly when ``D`` is.  Then
+        ``S = I - D^-1 F`` strictly raises degree, so ``S^m = 0`` for ``m``
+        distinct basis degrees and ``F^-1 = (I + S + ... + S^(m-1)) D^-1``.
         """
-        if self.degree_shift != 0:
-            return None
         src, tgt = self.source, self.target
         n = src.n
         if sorted(src.basis_degrees) != sorted(tgt.basis_degrees):
             return None
-        src_order = sorted(range(src.rank), key=lambda l: (src.basis_degrees[l], l))
-        tgt_order = sorted(range(tgt.rank), key=lambda k: (tgt.basis_degrees[k], k))
-        degrees = sorted(set(src.basis_degrees))
-        src_groups = {
-            d: [l for l in src_order if src.basis_degrees[l] == d] for d in degrees
-        }
-        tgt_groups = {
-            d: [k for k in tgt_order if tgt.basis_degrees[k] == d] for d in degrees
-        }
-        # invert the scalar diagonal blocks
-        diag_inv: dict = {}
-        for d in degrees:
-            S, T = src_groups[d], tgt_groups[d]
-            if len(S) != len(T):
-                return None
-            block = [[self.matrix[k][l].constant_term() for l in S] for k in T]
-            inv = linalg.dense_inverse(block)
-            if inv is None:
-                return None
-            diag_inv[d] = inv
-        # block back-substitution by increasing degree gap:
-        # G[d][d'] = inv(F[dd]) (delta I - sum_{d<e<=d'} F[de] G[e][d'])
-        gblocks: dict = {}
-        for gap in range(len(degrees)):
-            for di in range(len(degrees) - gap):
-                d, dp = degrees[di], degrees[di + gap]
-                T_d = tgt_groups[d]
-                inv_poly = [
-                    [Poly.constant(n, diag_inv[d][i][j]) for j in range(len(T_d))]
-                    for i in range(len(T_d))
-                ]
-                if gap == 0:
-                    gblocks[(d, dp)] = inv_poly
-                    continue
-                acc = mat_zero(len(T_d), len(tgt_groups[dp]), n)
-                for e in degrees[di + 1 : di + gap + 1]:
-                    fde = [[self.matrix[k][l] for l in src_groups[e]] for k in T_d]
-                    acc = mat_add(acc, mat_mul(fde, gblocks[(e, dp)], n))
-                gblocks[(d, dp)] = mat_scale(mat_mul(inv_poly, acc, n), QSqrt2(-1))
-        inverse = mat_zero(src.rank, tgt.rank, n)
-        for (d, dp), block in gblocks.items():
-            for bi, l in enumerate(src_groups[d]):
-                for bj, k in enumerate(tgt_groups[dp]):
-                    inverse[l][k] = block[bi][bj]
-        g = Morphism(tgt, src, inverse)
-        if not mat_eq(mat_mul(g.matrix, self.matrix, n), mat_identity(src.rank, n)):
+        d_inv = linalg.dense_inverse(
+            [[e.constant_term() for e in row] for row in self.matrix]
+        )
+        if d_inv is None:
             return None
-        if not mat_eq(mat_mul(self.matrix, g.matrix, n), mat_identity(tgt.rank, n)):
+        d_inv = [[Poly.constant(n, c) for c in row] for row in d_inv]
+        ident = mat_identity(src.rank, n)
+        s = mat_sub(ident, mat_mul(d_inv, self.matrix, n))
+        inverse = d_inv
+        for _ in range(len(set(src.basis_degrees)) - 1):
+            inverse = mat_add(d_inv, mat_mul(s, inverse, n))
+        if not mat_eq(mat_mul(inverse, self.matrix, n), ident):
             return None
-        return g
+        if not mat_eq(mat_mul(self.matrix, inverse, n), mat_identity(tgt.rank, n)):
+            return None
+        return Morphism(tgt, src, inverse)
 
 
 # -- the degree-0 morphism solver ---------------------------------------------
@@ -535,8 +480,8 @@ def _pane_signature(m: Bimodule, span: tuple) -> tuple:
     return (degs, mats)
 
 
-def solve_morphisms(m: Bimodule, target: Bimodule, degree_shift: int = 0) -> list:
-    """A basis of the space of degree-``degree_shift`` morphisms ``m -> target``.
+def solve_morphisms(m: Bimodule, target: Bimodule) -> list:
+    """A basis of the space of degree-0 morphisms ``m -> target``.
 
     Unknown matrix entries are homogeneous of the degree the grading forces;
     the commutation with every right action gives an exact linear system over
@@ -549,25 +494,20 @@ def solve_morphisms(m: Bimodule, target: Bimodule, degree_shift: int = 0) -> lis
     basis = []
     for tspan in target.block_spans:
         for sspan in m.block_spans:
-            key = (
-                m.n,
-                degree_shift,
-                _pane_signature(m, sspan),
-                _pane_signature(target, tspan),
-            )
+            key = (m.n, _pane_signature(m, sspan), _pane_signature(target, tspan))
             local = _PANE_CACHE.get(key)
             if local is None:
-                local = _solve_pane(m, sspan, target, tspan, degree_shift)
+                local = _solve_pane(m, sspan, target, tspan)
                 _PANE_CACHE[key] = local
             for mat in local:
                 full = mat_zero(target.rank, m.rank, m.n)
                 for (k, l), poly in mat.items():
                     full[tspan[0] + k][sspan[0] + l] = poly
-                basis.append(Morphism(m, target, full, degree_shift))
+                basis.append(Morphism(m, target, full))
     return basis
 
 
-def _solve_pane(m, sspan, target, tspan, degree_shift):
+def _solve_pane(m, sspan, target, tspan):
     n = m.n
     ss, se = sspan
     ts, te = tspan
@@ -578,7 +518,7 @@ def _solve_pane(m, sspan, target, tspan, degree_shift):
     slots: list = []
     for k in range(te - ts):
         for l in range(se - ss):
-            delta = src_deg[ss + l] + degree_shift - tgt_deg[ts + k]
+            delta = src_deg[ss + l] - tgt_deg[ts + k]
             exps = monomial_exponents(n, delta)
             if exps:
                 entry_vars[(k, l)] = [(exp, len(slots) + i) for i, exp in enumerate(exps)]
@@ -738,10 +678,9 @@ def psi(n: int):
 
 def find_unit_preserving_iso(src: Bimodule, tgt: Bimodule):
     """Search the degree-0 morphism space for an invertible unit-preserving map."""
-    basis = solve_morphisms(src, tgt, 0)
+    basis = solve_morphisms(src, tgt)
     if not basis:
         return None
-    n = src.n
     # affine constraint: column 0 of the combination equals the unit column
     rows, rhs = affine_rows(
         [(i, [row[:1] for row in b.matrix], ONE) for i, b in enumerate(basis)],
@@ -753,11 +692,9 @@ def find_unit_preserving_iso(src: Bimodule, tgt: Bimodule):
     kernel = linalg.kernel_basis(rows, len(basis))
 
     def build(coeffs: dict):
-        mat = mat_zero(tgt.rank, src.rank, n)
-        for i, c in coeffs.items():
-            if c:
-                mat = mat_add(mat, mat_scale(basis[i].matrix, c))
-        return Morphism(src, tgt, mat)
+        return sum(
+            (basis[i].scale(c) for i, c in coeffs.items() if c), Morphism.zero(src, tgt)
+        )
 
     def combos():
         yield dict(particular)

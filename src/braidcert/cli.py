@@ -173,10 +173,8 @@ def _check_schema(name: str, items) -> None:
     One validator serves all the items; the first violation ends in a
     ``ValueError`` that names where it is.
     """
-    try:
-        import jsonschema
-    except ImportError:  # pragma: no cover
-        return
+    import jsonschema  # imported here: it takes about 0.1 s and only the verifier needs it
+
     schema = json.loads(
         resources.files("braidcert.schema").joinpath(name).read_text()
     )

@@ -30,7 +30,6 @@ from .bimodcalc import (
     direct_sum,
     id_tensor,
     mat_add,
-    mat_eq,
     mat_identity,
     mat_paste,
     mat_residuals,
@@ -249,26 +248,6 @@ def chain_map_failures(f: ChainMap) -> list:
     return failures
 
 
-def chain_iso_failures(f: ChainMap, g: ChainMap) -> list:
-    failures = chain_map_failures(f)
-    failures += chain_map_failures(g)
-    degrees = set(f.source.objects) | set(f.target.objects)
-    for k in sorted(degrees):
-        src = f.source.object_at(k)
-        tgt = f.target.object_at(k)
-        gf = g.component(k).compose(f.component(k))
-        if not mat_eq(gf.matrix, mat_identity(src.rank, f.source.n)):
-            failures.append((k, "g.f != id", None, None, "composite not identity"))
-        fg = f.component(k).compose(g.component(k))
-        if not mat_eq(fg.matrix, mat_identity(tgt.rank, f.source.n)):
-            failures.append((k, "f.g != id", None, None, "composite not identity"))
-    return failures
-
-
-def verify_chain_iso(f: ChainMap, g: ChainMap) -> bool:
-    return not chain_iso_failures(f, g)
-
-
 class HomotopyEquivalence:
     """Chain maps both ways plus homotopies contracting both composites.
 
@@ -286,54 +265,46 @@ class HomotopyEquivalence:
         self.h_target = h_target
 
 
-def _homotopy_side_failures(c: Complex, gf: dict, h: dict, side: str) -> list:
-    failures = []
-    n = c.n
-    for k in c.support():
-        rank = c.objects[k].rank
-        terms = [gf[k]] if k in gf else []
-        hk = h.get(k)
-        if hk is not None and c.object_at(k - 1).rank:
-            terms.append(c.diff_at(k - 1).compose(hk))
-        hk1 = h.get(k + 1)
-        if hk1 is not None and c.object_at(k + 1).rank:
-            terms.append(hk1.compose(c.diff_at(k)))
-        acc = mat_zero(rank, rank, n)
-        for term in terms:
-            acc = mat_add(acc, term.matrix)
-        failures += [
-            (k, f"{side}: g.f + dh + hd != id", *w)
-            for w in mat_residuals(acc, mat_identity(rank, n))
-        ]
-    return failures
-
-
 def homotopy_failures(cert: HomotopyEquivalence) -> list:
     f, g = cert.forward, cert.backward
     failures = chain_map_failures(f) + chain_map_failures(g)
-    for k, hk in cert.h_source.items():
-        for tag, row, col, res in hk.morphism_failures():
-            failures.append((k, f"h_source {tag}", row, col, res))
-    for k, hk in cert.h_target.items():
-        for tag, row, col, res in hk.morphism_failures():
-            failures.append((k, f"h_target {tag}", row, col, res))
-    gf = {
-        k: g.component(k).compose(f.component(k))
-        for k in f.source.support()
-        if f.target.object_at(k).rank
-    }
-    failures += _homotopy_side_failures(f.source, gf, cert.h_source, "source")
-    fg = {
-        k: f.component(k).compose(g.component(k))
-        for k in f.target.support()
-        if f.source.object_at(k).rank
-    }
-    failures += _homotopy_side_failures(f.target, fg, cert.h_target, "target")
+    for name, h in (("h_source", cert.h_source), ("h_target", cert.h_target)):
+        for k, hk in h.items():
+            failures += [(k, f"{name} {tag}", *w) for tag, *w in hk.morphism_failures()]
+    # g.f + dh + hd = id on the source complex, f.g + dh + hd = id on the target
+    sides = (("source: g.f", f, g, cert.h_source), ("target: f.g", g, f, cert.h_target))
+    for side, first, then, h in sides:
+        c = first.source
+        tag = f"{side} + dh + hd != id"
+        for k in c.support():
+            terms = []
+            if first.target.object_at(k).rank:
+                terms.append(then.component(k).compose(first.component(k)))
+            hk = h.get(k)
+            if hk is not None and c.object_at(k - 1).rank:
+                terms.append(c.diff_at(k - 1).compose(hk))
+            hk1 = h.get(k + 1)
+            if hk1 is not None and c.object_at(k + 1).rank:
+                terms.append(hk1.compose(c.diff_at(k)))
+            rank = c.objects[k].rank
+            acc = mat_zero(rank, rank, c.n)
+            for term in terms:
+                acc = mat_add(acc, term.matrix)
+            failures += [(k, tag, *w) for w in mat_residuals(acc, mat_identity(rank, c.n))]
     return failures
 
 
 def verify_homotopy(cert: HomotopyEquivalence) -> bool:
     return not homotopy_failures(cert)
+
+
+def chain_iso_failures(f: ChainMap, g: ChainMap) -> list:
+    """An isomorphism is a homotopy equivalence whose homotopies are zero."""
+    return homotopy_failures(HomotopyEquivalence(f, g, {}, {}))
+
+
+def verify_chain_iso(f: ChainMap, g: ChainMap) -> bool:
+    return not chain_iso_failures(f, g)
 
 
 # -- search -----------------------------------------------------------------------
@@ -429,8 +400,8 @@ def find_chain_iso(c: Complex, d: Complex, max_candidates: int = 4000):
     """A chain isomorphism with verified inverse, or None.
 
     Searches the finite-dimensional chain-map space for an element whose
-    every component inverts (decided degreewise through the scalar diagonal
-    blocks); deterministic order, first hit wins.
+    every component inverts (decided degreewise by its constant part);
+    deterministic order, first hit wins.
     """
     if not _graded_ranks_match(c, d):
         return None
@@ -563,68 +534,67 @@ def _components_from_json(data, source: Complex, target: Complex, shift_by: int 
     return comps
 
 
-def iso_certificate(label: str, n: int, lhs: BraidWord, rhs: BraidWord, f: ChainMap, g: ChainMap) -> dict:
+def _certificate(label: str, n: int, lhs: BraidWord, rhs: BraidWord, kind: str, **maps) -> dict:
+    """The certificate header, then each named map's components in the given order."""
     return {
         "format": CERTIFICATE_FORMAT,
         "relation": label,
-        "kind": "iso",
+        "kind": kind,
         "group": "vbB",
         "n": n,
         "words": [format_word(lhs), format_word(rhs)],
-        "forward": _components_to_json(f.components),
-        "inverse": _components_to_json(g.components),
+        **{key: _components_to_json(components) for key, components in maps.items()},
     }
+
+
+def iso_certificate(label: str, n: int, lhs: BraidWord, rhs: BraidWord, f: ChainMap, g: ChainMap) -> dict:
+    return _certificate(label, n, lhs, rhs, "iso", forward=f.components, inverse=g.components)
 
 
 def homotopy_certificate(label: str, n: int, lhs: BraidWord, rhs: BraidWord, cert: HomotopyEquivalence) -> dict:
-    return {
-        "format": CERTIFICATE_FORMAT,
-        "relation": label,
-        "kind": "homotopy",
-        "group": "vbB",
-        "n": n,
-        "words": [format_word(lhs), format_word(rhs)],
-        "forward": _components_to_json(cert.forward.components),
-        "backward": _components_to_json(cert.backward.components),
-        "homotopy_source": _components_to_json(cert.h_source),
-        "homotopy_target": _components_to_json(cert.h_target),
-    }
+    return _certificate(
+        label, n, lhs, rhs, "homotopy",
+        forward=cert.forward.components, backward=cert.backward.components,
+        homotopy_source=cert.h_source, homotopy_target=cert.h_target,
+    )
 
 
 def verify_certificate_dict(data: dict) -> tuple:
     """Re-verify a serialized certificate from scratch; (ok, failure list)."""
     if data.get("format") != CERTIFICATE_FORMAT:
         return False, [(None, "format", None, None, str(data.get("format")))]
+    kind = data.get("kind")
+    if kind not in ("iso", "homotopy"):
+        return False, [(None, "kind", None, None, str(kind))]
     n = data["n"]
     ab = Alphabet.vbB(n)
     lhs = F_word(parse_word(data["words"][0], ab), n)
     rhs = F_word(parse_word(data["words"][1], ab), n)
-    if data["kind"] == "iso":
-        f = ChainMap(lhs, rhs, _components_from_json(data["forward"], lhs, rhs))
-        g = ChainMap(rhs, lhs, _components_from_json(data["inverse"], rhs, lhs))
+    f = ChainMap(lhs, rhs, _components_from_json(data["forward"], lhs, rhs))
+    g = ChainMap(rhs, lhs, _components_from_json(data["inverse" if kind == "iso" else "backward"], rhs, lhs))
+    if kind == "iso":
         failures = chain_iso_failures(f, g)
-        return not failures, failures
-    if data["kind"] == "homotopy":
-        f = ChainMap(lhs, rhs, _components_from_json(data["forward"], lhs, rhs))
-        g = ChainMap(rhs, lhs, _components_from_json(data["backward"], rhs, lhs))
+    else:
         h_src = _components_from_json(data["homotopy_source"], lhs, lhs, -1)
         h_tgt = _components_from_json(data["homotopy_target"], rhs, rhs, -1)
-        cert = HomotopyEquivalence(f, g, h_src, h_tgt)
-        failures = homotopy_failures(cert)
-        return not failures, failures
-    return False, [(None, "kind", None, None, str(data.get("kind")))]
+        failures = homotopy_failures(HomotopyEquivalence(f, g, h_src, h_tgt))
+    return not failures, failures
 
 
-def certify_pair(lhs: BraidWord, rhs: BraidWord, n: int, kind: str = "auto", degree_bound: int = 8):
+def certify_pair(
+    lhs: BraidWord, rhs: BraidWord, n: int, kind: str = "auto", degree_bound: int = 8, label: str | None = None
+):
     """Certify that two words have isomorphic / homotopy equivalent complexes.
 
     Returns ``(kind, certificate dict)`` or ``(None, None)`` when neither an
     isomorphism nor (for kind 'auto'/'homotopy') a homotopy equivalence is
-    found.
+    found.  ``label`` names the relation in the certificate; it defaults to
+    ``"<lhs> ~ <rhs>"``.
     """
     c = F_word(lhs, n)
     d = F_word(rhs, n)
-    label = f"{format_word(lhs)} ~ {format_word(rhs)}"
+    if label is None:
+        label = f"{format_word(lhs)} ~ {format_word(rhs)}"
     if kind in ("auto", "iso"):
         found = find_chain_iso(c, d)
         if found is not None:
@@ -655,13 +625,7 @@ def relation_certificates(n: int) -> dict:
 
     def record(label, kind, lhs, rhs):
         nonlocal all_ok
-        c, d = F_word(lhs, n), F_word(rhs, n)
-        if kind == "iso":
-            found = find_chain_iso(c, d)
-            cert = None if found is None else iso_certificate(label, n, lhs, rhs, *found)
-        else:
-            found = find_homotopy_equiv(c, d)
-            cert = None if found is None else homotopy_certificate(label, n, lhs, rhs, found)
+        cert = certify_pair(lhs, rhs, n, kind, label=label)[1]
         ok = cert is not None
         all_ok = all_ok and ok
         results.append(

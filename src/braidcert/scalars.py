@@ -178,7 +178,10 @@ def _parse(text: str) -> QSqrt2:
             coeff = _ONE_Q * sign
             total_b += coeff
         else:
-            coeff = _Q(m.group("rat")) * sign
+            try:
+                coeff = _Q(m.group("rat")) * sign
+            except ZeroDivisionError:
+                raise ParseError("zero denominator", text, m.start("rat")) from None
             if m.group("star"):
                 total_b += coeff
             else:

@@ -1,7 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from braidcert import linalg
 from braidcert.bimodcalc import (
     Morphism,
     bimodule_Bs,
@@ -217,6 +219,27 @@ def test_graded_inverse_none_for_singular():
     B = bimodule_Bs(refl((0,), n))
     zero = Morphism.zero(B, B)
     assert zero.graded_inverse() is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(0, 0, 0), (0, 0, 1)]), st.data())
+def test_graded_inverse_exactly_when_constant_part_invertible(word, data):
+    # four distinct basis degrees, so the inverse can have terms of degree 2, 4 and 6
+    n = 2
+    m = tensor_many([bimodule_Bs(refl((i,), n)) for i in word])
+    basis = solve_morphisms(m, m)
+    coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=len(basis), max_size=len(basis)))
+    f = Morphism.zero(m, m)
+    for b, c in zip(basis, coeffs):
+        f = f + b.scale(QSqrt2(c))
+    constant = [[e.constant_term() for e in row] for row in f.matrix]
+    g = f.graded_inverse()
+    if linalg.dense_rank(constant) < m.rank:
+        assert g is None
+    else:
+        assert g is not None and g.is_morphism()
+        assert mat_eq(g.compose(f).matrix, mat_identity(m.rank, n))
+        assert mat_eq(f.compose(g).matrix, mat_identity(m.rank, n))
 
 
 # -- the named isomorphisms --------------------------------------------------------

@@ -167,54 +167,79 @@ def test_usage_error_exit_code():
 
 
 @pytest.mark.parametrize(
-    "payload",
+    "payload, message",
     [
-        {
-            "format": "braidcert.certificate.v1",
-            "relation": "z0 z0 ~ ",
-            "kind": "iso",
-            "group": "vbB",
-            "n": 2,
-            "words": ["z0 z0", ""],
-            "forward": [],
-        },
-        [1, 2],
-        {"format": "braidcert.report.v1", "kind": "invariant-relator-check", "results": []},
-        {
-            "format": "braidcert.report.v1",
-            "kind": "relation-certificates",
-            "group": "vbB",
-            "n": 2,
-            "all_certified": True,
-            "results": [
-                {
-                    "relation": "relWB0[0]",
-                    "kind": "iso",
-                    "status": "certified",
-                    "certificate": {
-                        "format": "braidcert.certificate.v1",
+        (
+            {
+                "format": "braidcert.certificate.v1",
+                "relation": "z0 z0 ~ ",
+                "kind": "iso",
+                "group": "vbB",
+                "n": 2,
+                "words": ["z0 z0", ""],
+                "forward": [],
+            },
+            "error: ",
+        ),
+        ([1, 2], "error: "),
+        ({"format": "braidcert.report.v1", "kind": "invariant-relator-check", "results": []}, "error: "),
+        (
+            {
+                "format": "braidcert.report.v1",
+                "kind": "relation-certificates",
+                "group": "vbB",
+                "n": 2,
+                "all_certified": True,
+                "results": [
+                    {
                         "relation": "relWB0[0]",
                         "kind": "iso",
-                        "group": "vbB",
-                        "n": 2,
-                        "words": ["z0 z0", ""],
-                        "inverse": [],
-                    },
-                }
-            ],
-        },
-        {
-            "format": "braidcert.report.v1",
-            "kind": "invariant-relator-check",
-            "all_pass": True,
-            "results": [{"relator_label": "relWB0[0]", "status": "pass"}],
-        },
-        {
-            "format": "braidcert.report.v1",
-            "kind": "relation-certificates",
-            "all_certified": True,
-            "results": [],
-        },
+                        "status": "certified",
+                        "certificate": {
+                            "format": "braidcert.certificate.v1",
+                            "relation": "relWB0[0]",
+                            "kind": "iso",
+                            "group": "vbB",
+                            "n": 2,
+                            "words": ["z0 z0", ""],
+                            "inverse": [],
+                        },
+                    }
+                ],
+            },
+            "error: ",
+        ),
+        (
+            {
+                "format": "braidcert.report.v1",
+                "kind": "invariant-relator-check",
+                "all_pass": True,
+                "results": [{"relator_label": "relWB0[0]", "status": "pass"}],
+            },
+            "error: ",
+        ),
+        (
+            {
+                "format": "braidcert.report.v1",
+                "kind": "relation-certificates",
+                "all_certified": True,
+                "results": [],
+            },
+            "error: ",
+        ),
+        (
+            {
+                "format": "braidcert.certificate.v1",
+                "relation": "z0 z0 ~ ",
+                "kind": "iso",
+                "group": "vbB",
+                "n": 2,
+                "words": ["z0 z0", ""],
+                "forward": [{"degree": 0, "matrix": [["1/0*X0"]]}],
+                "inverse": [{"degree": 0, "matrix": [["1"]]}],
+            },
+            "parse error: zero denominator at position 0: '1/0'",
+        ),
     ],
     ids=[
         "certificate-without-inverse",
@@ -223,15 +248,16 @@ def test_usage_error_exit_code():
         "inner-certificate-without-forward",
         "relator-check-report",
         "report-without-entries",
+        "zero-denominator",
     ],
 )
-def test_verify_certificate_malformed_file_is_usage_error(capsys, tmp_path, payload):
+def test_verify_certificate_malformed_file_is_usage_error(capsys, tmp_path, payload, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
     code, out, err = run(capsys, "verify-certificate", str(path))
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith(message) and err.count("\n") == 1
 
 
 def test_verify_certificate_null_entry_fails(capsys, tmp_path):

@@ -19,6 +19,7 @@ from braidcert.homotopy import (
     F_letter,
     F_one,
     F_word,
+    chain_iso_failures,
     chain_map_failures,
     chain_map_space,
     certify_pair,
@@ -372,6 +373,19 @@ def test_non_commuting_chain_map_witnesses():
     assert chain_map_failures(ChainMap(c, d, comps)) == [
         (-1, "square", 0, 0, "2*X0"),
         (-1, "square", 1, 0, "2"),
+    ]
+
+
+def test_broken_inverse_witnesses():
+    n = 3
+    f, g = find_chain_iso(FW("s0 s2", n), FW("s2 s0", n))
+    doubled = ChainMap(g.source, g.target, {k: m.scale(QSqrt2(2)) for k, m in g.components.items()})
+    # g.f = 2 id and f.g = 2 id, so every diagonal entry leaves residual 1
+    diagonal = [(-2, 0)] + [(k, i) for k in (-1, 0) for i in range(4)]
+    assert chain_iso_failures(f, doubled) == [
+        (k, f"{side}: {comp} + dh + hd != id", i, i, "1")
+        for side, comp in (("source", "g.f"), ("target", "f.g"))
+        for k, i in diagonal
     ]
 
 

@@ -52,6 +52,16 @@ def test_parse_error_carries_position():
         QSqrt2.parse("")
 
 
+def test_zero_denominator_is_parse_error():
+    with pytest.raises(ParseError) as exc:
+        QSqrt2.parse("1/0")
+    assert exc.value.position == 0
+    assert "zero denominator" in str(exc.value)
+    with pytest.raises(ParseError) as exc:
+        QSqrt2.parse("1 + 3/00*sqrt2")
+    assert exc.value.position == 4
+
+
 @given(scalars)
 def test_format_round_trip(x):
     assert QSqrt2.parse(str(x)) == x
