@@ -127,13 +127,13 @@ def id_tensor(left: Bimodule, matrix: Matrix) -> Matrix:
     return out
 
 
-def affine_rows(terms, target: Matrix | None = None) -> tuple:
-    """Equations saying a sum of coefficient-weighted matrices equals ``target``.
+def affine_slots(terms) -> dict:
+    """The left-hand sides of "a sum of coefficient-weighted matrices = target".
 
-    ``terms`` holds ``(variable, matrix, sign)`` triples and ``target=None``
-    stands for the zero matrix.  There is one equation per (row, column,
-    monomial) slot, in sorted slot order; slots that read ``0 = 0`` are
-    skipped.  Returns the parallel lists ``(rows, rhs)``.
+    ``terms`` holds ``(variable, matrix, sign)`` triples.  Returns one
+    equation ``{variable: coefficient}`` per (row, column, monomial) slot that
+    some term touches.  Slot dicts over disjoint variables add by merging
+    their equations.
     """
     slots: dict = {}
     for var, matrix, sign in terms:
@@ -150,6 +150,18 @@ def affine_rows(terms, target: Matrix | None = None) -> tuple:
                         eq[var] = cur
                     else:
                         eq.pop(var, None)
+    return slots
+
+
+def affine_rows(slots: dict, target: Matrix | None = None) -> tuple:
+    """The equations ``slots`` (see ``affine_slots``) with right-hand side ``target``.
+
+    ``target=None`` stands for the zero matrix.  There is one equation per
+    slot, in sorted slot order; slots that read ``0 = 0`` are skipped.
+    Returns the parallel lists ``(rows, rhs)``; the rows are ``slots``' own
+    dicts, not copies.
+    """
+    slots = dict(slots)
     for a, row in enumerate(target or ()):
         for b, poly in enumerate(row):
             for mono in poly.terms:
@@ -683,7 +695,7 @@ def find_unit_preserving_iso(src: Bimodule, tgt: Bimodule):
         return None
     # affine constraint: column 0 of the combination equals the unit column
     rows, rhs = affine_rows(
-        [(i, [row[:1] for row in b.matrix], ONE) for i, b in enumerate(basis)],
+        affine_slots([(i, [row[:1] for row in b.matrix], ONE) for i, b in enumerate(basis)]),
         [[u] for u in _unit_column(tgt)],
     )
     particular = linalg.solve_affine(rows, rhs)

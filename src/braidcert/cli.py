@@ -129,6 +129,10 @@ def cmd_certify_pair(args) -> int:
     return 0
 
 
+# witnesses printed per failed certificate; the rest are counted
+_SHOWN_WITNESSES = 5
+
+
 def cmd_verify_certificate(args) -> int:
     with open(args.file) as fh:
         data = json.load(fh)
@@ -162,8 +166,10 @@ def cmd_verify_certificate(args) -> int:
         print(f"[{tag}] {cert['relation']} ({cert['kind']})")
         if not ok:
             bad += 1
-            for degree, what, row, col, residual in failures[:5]:
+            for degree, what, row, col, residual in failures[:_SHOWN_WITNESSES]:
                 print(f"    degree {degree}: {what} at ({row},{col}): {residual}")
+            if len(failures) > _SHOWN_WITNESSES:
+                print(f"    ... and {len(failures) - _SHOWN_WITNESSES} more")
     return 0 if bad == 0 else 1
 
 

@@ -6,6 +6,7 @@ class ParseError(ValueError):
 
     def __init__(self, message: str, text: str, position: int) -> None:
         super().__init__(f"{message} at position {position}: {text!r}")
+        self.message = message
         self.text = text
         self.position = position
 

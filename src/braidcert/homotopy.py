@@ -24,6 +24,7 @@ from .bimodcalc import (
     Matrix,
     Morphism,
     affine_rows,
+    affine_slots,
     bimodule_R,
     bimodule_Rw,
     bimodule_Bs,
@@ -40,6 +41,7 @@ from .bimodcalc import (
     zero_bimodule,
 )
 from .coxeter import make_reflection
+from .errors import ParseError
 from .polyring import Poly, format_poly, parse_poly
 from .scalars import ONE, QSqrt2
 from .words import Alphabet, BraidWord, format_word, parse_word, relator_table
@@ -336,7 +338,7 @@ def chain_map_space(c: Complex, d: Complex) -> list:
         terms += [
             (v, b.compose(dc).matrix, QSqrt2(-1)) for v, b in per_degree.get(k + 1, [])
         ]
-        rows += affine_rows(terms)[0]
+        rows += affine_rows(affine_slots(terms))[0]
     return [
         ChainMap(c, d, _combine((vec.get(v), {k: b}) for k in degrees for v, b in per_degree[k]))
         for vec in linalg.kernel_basis(rows, nvars)
@@ -431,10 +433,29 @@ def find_homotopy_equiv(c: Complex, d: Complex, degree_bound: int = 8, max_candi
         return None
     fb = chain_map_space(c, d)
     gb = chain_map_space(d, c)
-    hc_basis = _homotopy_spaces(c)
-    hd_basis = _homotopy_spaces(d)
+    # unknowns: the coefficients of the backward basis ``gb``, then those of
+    # the source-side and the target-side homotopy bases, degree by degree.
+    # The ``dh + hd`` equations do not depend on the candidate, so they are
+    # built here once; each candidate only adds its ``g_j f`` / ``f g_j`` terms.
+    nvars = len(gb)
+    sides = []  # per side: (complex, degree -> [(variable, basis homotopy)], degree -> dh + hd slots)
+    for cx in (c, d):
+        h: dict = {}
+        for k in cx.support():
+            below = cx.object_at(k - 1)
+            basis = solve_morphisms(cx.objects[k], below) if below.rank else []
+            h[k] = list(enumerate(basis, nvars))
+            nvars += len(basis)
+        dh_hd = {
+            k: affine_slots(
+                [(v, cx.diff_at(k - 1).compose(hk).matrix, ONE) for v, hk in h.get(k, [])]
+                + [(v, hk.compose(cx.diff_at(k)).matrix, ONE) for v, hk in h.get(k + 1, [])]
+            )
+            for k in cx.support()
+        }
+        sides.append((cx, h, dh_hd))
     for f in _candidate_iter(fb, max_candidates):
-        cert = _solve_homotopy_for(c, d, f, gb, hc_basis, hd_basis)
+        cert = _solve_homotopy_for(f, gb, sides)
         if cert is not None:
             return cert
     return None
@@ -446,51 +467,34 @@ def _candidate_iter(basis: list, max_candidates: int):
         yield _build_chain_map(basis, coeffs)
 
 
-def _homotopy_spaces(c: Complex) -> dict:
-    out: dict = {}
-    for k in c.support():
-        if c.object_at(k - 1).rank:
-            out[k] = solve_morphisms(c.objects[k], c.objects[k - 1])
-        else:
-            out[k] = []
-    return out
-
-
-def _solve_homotopy_for(c, d, f, gb, hc_basis, hd_basis):
-    # unknowns: the coefficients of the backward basis ``gb``, then those of
-    # the source-side and the target-side homotopy bases, degree by degree
-    nvars = len(gb)
-    h_vars = []  # per side: degree -> [(variable, basis homotopy)]
-    for h_basis in (hc_basis, hd_basis):
-        side: dict = {}
-        for k, basis in h_basis.items():
-            side[k] = list(enumerate(basis, nvars))
-            nvars += len(basis)
-        h_vars.append(side)
+def _solve_homotopy_for(f: ChainMap, gb: list, sides: list):
+    """The homotopy equivalence with forward map ``f``, or None (see ``find_homotopy_equiv``)."""
     rows: list = []
     rhs: list = []
     # source side: sum_j y_j (g_j f)_k + (dh + hd)_k = id
     # target side: sum_j y_j (f g_j)_k + (dh + hd)_k = id
-    for cx, h, f_first in ((c, h_vars[0], False), (d, h_vars[1], True)):
-        for k in cx.support():
+    for (cx, _, dh_hd), f_first in zip(sides, (False, True)):
+        for k, fixed in dh_hd.items():
             fk = f.component(k)
             terms = []
             for j, g in enumerate(gb):
                 gk = g.component(k)
                 prod = fk.compose(gk) if f_first else gk.compose(fk)
                 terms.append((j, prod.matrix, ONE))
-            terms += [(v, cx.diff_at(k - 1).compose(hk).matrix, ONE) for v, hk in h.get(k, [])]
-            terms += [(v, hk.compose(cx.diff_at(k)).matrix, ONE) for v, hk in h.get(k + 1, [])]
-            eqs, want = affine_rows(terms, mat_identity(cx.objects[k].rank, cx.n))
+            slots = affine_slots(terms)
+            for key, eq in fixed.items():  # the variables are disjoint, so merging adds
+                slots[key] = {**slots[key], **eq} if key in slots else eq
+            eqs, want = affine_rows(slots, mat_identity(cx.objects[k].rank, cx.n))
             rows += eqs
             rhs += want
     solution = linalg.solve_affine(rows, rhs)
     if solution is None:
         return None
+    (c, _, _), (d, _, _) = sides
     g_map = ChainMap(d, c, _combine((solution.get(j), g.components) for j, g in enumerate(gb)))
     h_src, h_tgt = (
         _combine((solution.get(v), {k: hk}) for k, pairs in h.items() for v, hk in pairs)
-        for h in h_vars
+        for _, h, _ in sides
     )
     cert = HomotopyEquivalence(f, g_map, h_src, h_tgt)
     if homotopy_failures(cert):
@@ -521,17 +525,29 @@ def _components_to_json(components: dict) -> list:
     return out
 
 
-def _components_from_json(data, source: Complex, target: Complex, shift_by: int = 0):
+def _components_from_json(cert: dict, field: str, source: Complex, target: Complex, shift_by: int = 0):
+    """The morphisms stored under ``cert[field]``."""
     comps = {}
-    for item in data:
+    for item in cert[field]:
         k = item["degree"]
         src = source.object_at(k)
         tgt = target.object_at(k + shift_by)
-        matrix = [
-            [parse_poly(s, source.n) for s in row] for row in item["matrix"]
-        ]
-        comps[k] = Morphism(src, tgt, matrix)
+        where = f"certificate {cert['relation']!r}, {field}, degree {k}"
+        comps[k] = Morphism(src, tgt, _parse_matrix(item["matrix"], source.n, where))
     return comps
+
+
+def _parse_matrix(rows: list, n: int, where: str) -> Matrix:
+    """Parse every entry; a ``ParseError`` names ``where`` and the (row, col) of the entry."""
+    matrix: Matrix = []
+    try:
+        for i, row in enumerate(rows):
+            matrix.append([])
+            for j, text in enumerate(row):
+                matrix[i].append(parse_poly(text, n))
+    except ParseError as exc:
+        raise ParseError(f"{where}, entry ({i},{j}): {exc.message}", exc.text, exc.position) from None
+    return matrix
 
 
 def _certificate(label: str, n: int, lhs: BraidWord, rhs: BraidWord, kind: str, **maps) -> dict:
@@ -570,13 +586,13 @@ def verify_certificate_dict(data: dict) -> tuple:
     ab = Alphabet.vbB(n)
     lhs = F_word(parse_word(data["words"][0], ab), n)
     rhs = F_word(parse_word(data["words"][1], ab), n)
-    f = ChainMap(lhs, rhs, _components_from_json(data["forward"], lhs, rhs))
-    g = ChainMap(rhs, lhs, _components_from_json(data["inverse" if kind == "iso" else "backward"], rhs, lhs))
+    f = ChainMap(lhs, rhs, _components_from_json(data, "forward", lhs, rhs))
+    g = ChainMap(rhs, lhs, _components_from_json(data, "inverse" if kind == "iso" else "backward", rhs, lhs))
     if kind == "iso":
         failures = chain_iso_failures(f, g)
     else:
-        h_src = _components_from_json(data["homotopy_source"], lhs, lhs, -1)
-        h_tgt = _components_from_json(data["homotopy_target"], rhs, rhs, -1)
+        h_src = _components_from_json(data, "homotopy_source", lhs, lhs, -1)
+        h_tgt = _components_from_json(data, "homotopy_target", rhs, rhs, -1)
         failures = homotopy_failures(HomotopyEquivalence(f, g, h_src, h_tgt))
     return not failures, failures
 

@@ -8,6 +8,11 @@ in an incoming row.  The reduced row-echelon form of a row space is unique,
 so every output (kernel vectors, with free columns ascending; the solution
 with free variables at 0; the rank; the inverse) is canonical: it does not
 depend on the order in which rows are inserted, only the running time does.
+
+So ``_Echelon`` inserts its rows sparsest first (a stable sort on the number
+of non-zero entries, in the spirit of Markowitz's ordering).  Sparse rows
+make sparse pivot rows, which keep the fill-in of every later reduction
+small.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ class _Echelon:
 
     def __init__(self, rows=()) -> None:
         self.pivots: dict = {}  # pivot column -> normalized row
-        for row in rows:
+        for row in sorted(rows, key=len):  # sparsest first; see the module doc
             self.insert(row)
 
     def reduce(self, row: Row) -> Row:

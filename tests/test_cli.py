@@ -3,6 +3,8 @@ import json
 import pytest
 
 from braidcert.cli import main
+from braidcert.polyring import format_poly, parse_poly
+from braidcert.scalars import QSqrt2
 
 
 def run(capsys, *argv):
@@ -155,6 +157,31 @@ def test_verify_certificate_rejects_tampering(capsys, tmp_path):
     assert "FAIL" in out
 
 
+def test_verify_certificate_counts_witnesses_left_out(capsys, tmp_path):
+    out_path = tmp_path / "cert.json"
+    code, _, _ = run(
+        capsys, "certify-pair", "s0 s2", "s2 s0", "--n", "3", "--format", "json", "--out", str(out_path)
+    )
+    assert code == 0
+    data = json.loads(out_path.read_text())
+    assert data["kind"] == "iso"
+    # doubling the inverse gives g.f = 2 id and f.g = 2 id: 9 + 9 diagonal witnesses
+    for item in data["inverse"]:
+        item["matrix"] = [
+            [format_poly(parse_poly(e, 3).scale(QSqrt2(2))) for e in row] for row in item["matrix"]
+        ]
+    out_path.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "verify-certificate", str(out_path))
+    assert code == 1
+    tag = "source: g.f + dh + hd != id"
+    assert out.splitlines() == [
+        "[FAIL] s0 s2 ~ s2 s0 (iso)",
+        f"    degree -2: {tag} at (0,0): 1",
+        *(f"    degree -1: {tag} at ({i},{i}): 1" for i in range(4)),
+        "    ... and 13 more",
+    ]
+
+
 def test_n_out_of_range(capsys):
     with pytest.raises(SystemExit):
         main(["check-relations", "--group", "vbB", "--n", "9"])
@@ -238,7 +265,25 @@ def test_usage_error_exit_code():
                 "forward": [{"degree": 0, "matrix": [["1/0*X0"]]}],
                 "inverse": [{"degree": 0, "matrix": [["1"]]}],
             },
-            "parse error: zero denominator at position 0: '1/0'",
+            "parse error: certificate 'z0 z0 ~ ', forward, degree 0, entry (0,0): "
+            "zero denominator at position 0: '1/0'",
+        ),
+        (
+            {
+                "format": "braidcert.certificate.v1",
+                "relation": "s0 ~ s0",
+                "kind": "iso",
+                "group": "vbB",
+                "n": 2,
+                "words": ["s0", "s0"],
+                "forward": [
+                    {"degree": -1, "matrix": [["1"]]},
+                    {"degree": 0, "matrix": [["1", "0"], ["X7", "1"]]},
+                ],
+                "inverse": [{"degree": -1, "matrix": [["1"]]}],
+            },
+            "parse error: certificate 's0 ~ s0', forward, degree 0, entry (1,0): "
+            "variable X7 out of range for n=2 at position 0: 'X7'",
         ),
     ],
     ids=[
@@ -249,6 +294,7 @@ def test_usage_error_exit_code():
         "relator-check-report",
         "report-without-entries",
         "zero-denominator",
+        "bad-variable",
     ],
 )
 def test_verify_certificate_malformed_file_is_usage_error(capsys, tmp_path, payload, message):

@@ -167,3 +167,33 @@ def test_pivot_rows_hold_no_other_pivot_column(nrows, ncols, data):
         for col, prow in ech.pivots.items():
             assert prow[col] == q(1)
             assert not any(c in ech.pivots for c in prow if c != col)
+
+
+@given(st.integers(1, 6), st.integers(1, 5), st.booleans(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_outputs_do_not_depend_on_row_order(nrows, ncols, consistent, data):
+    # ``_Echelon`` reorders its rows for speed; this is the invariant that allows it
+    perm = data.draw(st.permutations(range(nrows)))
+    matrix = draw_matrix(data, nrows, ncols)
+    shuffled = [matrix[i] for i in perm]
+    if consistent:
+        b = mat_vec(matrix, {j: data.draw(mixed_entries) for j in range(ncols)})
+    else:
+        b = [data.draw(mixed_entries) for _ in range(nrows)]
+
+    def sparse(m):
+        return [{j: v for j, v in enumerate(row) if v} for row in m]
+
+    assert linalg.kernel_basis(sparse(shuffled), ncols) == linalg.kernel_basis(sparse(matrix), ncols)
+    assert linalg.solve_affine(sparse(shuffled), [b[i] for i in perm]) == linalg.solve_affine(
+        sparse(matrix), b
+    )
+    assert linalg.dense_rank(shuffled) == linalg.dense_rank(matrix)
+    # (P A)^-1 = A^-1 P^-1: the inverse's columns move with A's rows
+    square = draw_matrix(data, nrows, nrows)
+    inv = linalg.dense_inverse(square)
+    inv_shuffled = linalg.dense_inverse([square[i] for i in perm])
+    if inv is None:
+        assert inv_shuffled is None
+    else:
+        assert inv_shuffled == [[inv_row[p] for p in perm] for inv_row in inv]
