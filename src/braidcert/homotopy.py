@@ -526,14 +526,22 @@ def _components_to_json(components: dict) -> list:
 
 
 def _components_from_json(cert: dict, field: str, source: Complex, target: Complex, shift_by: int = 0):
-    """The morphisms stored under ``cert[field]``."""
+    """The morphisms stored under ``cert[field]``.
+
+    A repeated degree or a matrix of the wrong shape is a ``ValueError`` that
+    names the certificate, field and degree.
+    """
     comps = {}
     for item in cert[field]:
         k = item["degree"]
-        src = source.object_at(k)
-        tgt = target.object_at(k + shift_by)
         where = f"certificate {cert['relation']!r}, {field}, degree {k}"
-        comps[k] = Morphism(src, tgt, _parse_matrix(item["matrix"], source.n, where))
+        if k in comps:
+            raise ValueError(f"{where}: the degree appears more than once")
+        matrix = _parse_matrix(item["matrix"], source.n, where)
+        try:
+            comps[k] = Morphism(source.object_at(k), target.object_at(k + shift_by), matrix)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
     return comps
 
 

@@ -285,6 +285,47 @@ def test_usage_error_exit_code():
             "parse error: certificate 's0 ~ s0', forward, degree 0, entry (1,0): "
             "variable X7 out of range for n=2 at position 0: 'X7'",
         ),
+        (
+            {
+                "format": "braidcert.certificate.v1",
+                "relation": "z0 z0 ~ ",
+                "kind": "iso",
+                "group": "vbB",
+                "n": 2,
+                "words": ["z0 z0", ""],
+                "forward": [{"degree": 0, "matrix": [["2"]]}, {"degree": 0, "matrix": [["1"]]}],
+                "inverse": [{"degree": 0, "matrix": [["1"]]}],
+            },
+            "error: certificate 'z0 z0 ~ ', forward, degree 0: the degree appears more than once\n",
+        ),
+        (
+            {
+                "format": "braidcert.certificate.v1",
+                "relation": "z0 z0 ~ ",
+                "kind": "iso",
+                "group": "vbB",
+                "n": 2,
+                "words": ["z0 z0", ""],
+                "forward": [{"degree": 0, "matrix": [["1"], ["1"]]}],
+                "inverse": [{"degree": 0, "matrix": [["1"]]}],
+            },
+            "error: certificate 'z0 z0 ~ ', forward, degree 0: "
+            "matrix shape 2x1 does not map rank 1 into rank 1\n",
+        ),
+        (
+            {
+                "format": "braidcert.certificate.v1",
+                "relation": "z0 z0 ~ ",
+                "kind": "iso",
+                "group": "vbB",
+                "n": 2,
+                "words": ["z0 z0", ""],
+                "forward": [{"degree": 0, "matrix": [["1"]]}],
+                "inverse": [{"degree": 0, "matrix": [["1"]]}, {"degree": 5, "matrix": [["1"]]}],
+            },
+            "error: certificate 'z0 z0 ~ ', inverse, degree 5: "
+            "matrix shape 1x1 does not map rank 0 into rank 0\n",
+        ),
     ],
     ids=[
         "certificate-without-inverse",
@@ -295,6 +336,9 @@ def test_usage_error_exit_code():
         "report-without-entries",
         "zero-denominator",
         "bad-variable",
+        "repeated-degree",
+        "wrong-shape",
+        "component-where-both-complexes-are-zero",
     ],
 )
 def test_verify_certificate_malformed_file_is_usage_error(capsys, tmp_path, payload, message):

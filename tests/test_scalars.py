@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -88,3 +89,29 @@ def test_multiplicative_inverse(x):
 @given(scalars, scalars)
 def test_equality_iff_components(x, y):
     assert (x == y) == (x.a == y.a and x.b == y.b)
+
+
+def _in_normal_form(x):
+    return x.d > 0 and gcd(x.p, x.q, x.d) == 1
+
+
+@given(rationals, rationals, rationals, rationals)
+def test_operations_match_fraction_formulas(a1, b1, a2, b2):
+    # Oracle on Fraction pairs: the field axioms above also hold in Q(sqrt3),
+    # so they cannot catch a wrong constant in the product.
+    x, y = QSqrt2(a1, b1), QSqrt2(a2, b2)
+    expected = {
+        "add": (x + y, (a1 + a2, b1 + b2)),
+        "sub": (x - y, (a1 - a2, b1 - b2)),
+        "rsub": (1 - x, (1 - a1, -b1)),
+        "mul": (x * y, (a1 * a2 + 2 * b1 * b2, a1 * b2 + b1 * a2)),
+        "neg": (-x, (-a1, -b1)),
+    }
+    norm = a1 * a1 - 2 * b1 * b1
+    if norm:
+        expected["inverse"] = (x.inverse(), (a1 / norm, -b1 / norm))
+    for name, (got, (a, b)) in expected.items():
+        assert (got.a, got.b) == (a, b), name
+        assert _in_normal_form(got), name
+        assert hash(got) == hash((got.a, got.b)), name
+    assert _in_normal_form(x) and hash(x) == hash((a1, b1))
