@@ -7,6 +7,15 @@ matrix in the chosen left basis.  Matrices act on coordinate columns:
 ``basis[l] * X_j``, so the entry in row ``k``, column ``l`` is homogeneous of
 degree ``deg[l] + 2 - deg[k]``.
 
+A matrix is a list of rows, one per target basis element, and each row is a
+``{column: Poly}`` dict, the row format ``linalg`` uses for scalars.  No zero
+polynomial is ever stored, so two matrices are equal exactly when ``==`` says
+so, and every routine below visits only the stored entries.  Nothing in a
+matrix records its column count: that is the rank of the source, which the
+``Morphism`` or ``Bimodule`` holding the matrix carries.  Dense lists of
+lists appear only in ``from_dense``, for literal matrices, and at the JSON
+boundary of certificates.
+
 The two building blocks are the twisted bimodule ``R_w`` (rank one, right
 action through the word ``w``) and ``B_t`` for a reflection ``t`` (rank two
 with basis ``{1 (x) 1, 1 (x) root}``, right action computed by Demazure
@@ -25,7 +34,9 @@ from .coxeter import Reflection, demazure_decompose, make_reflection
 from .polyring import Poly, format_poly, monomial_exponents
 from .scalars import ONE, ZERO, QSqrt2
 
-Matrix = list  # list of rows of Poly
+Matrix = list  # list of {column: non-zero Poly} rows
+
+MINUS_ONE = QSqrt2(-1)
 
 
 @lru_cache(maxsize=None)
@@ -41,89 +52,96 @@ def _one(n: int) -> Poly:
 # -- polynomial matrices --------------------------------------------------------
 
 
-def mat_zero(rows: int, cols: int, n: int) -> Matrix:
-    z = _zero(n)
-    return [[z] * cols for _ in range(rows)]
+def from_dense(rows) -> Matrix:
+    """The matrix of a dense list of rows of ``Poly``; zero entries are dropped."""
+    return [{j: e for j, e in enumerate(row) if e} for row in rows]
+
+
+def mat_zero(rows: int) -> Matrix:
+    return [{} for _ in range(rows)]
 
 
 def mat_identity(rank: int, n: int) -> Matrix:
-    z, o = _zero(n), _one(n)
-    return [[o if i == j else z for j in range(rank)] for i in range(rank)]
+    return [{i: _one(n)} for i in range(rank)]
 
 
-def mat_mul(a: Matrix, b: Matrix, n: int) -> Matrix:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = [[_zero(n)] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            aik = ai[k]
-            if not aik:
-                continue
-            bk = b[k]
-            for j in range(cols):
-                if bk[j]:
-                    oi[j] = oi[j] + aik * bk[j]
+def _add_into(row: dict, j: int, x: Poly) -> None:
+    """``row[j] += x``, dropping the entry if the sum is zero."""
+    cur = row.get(j)
+    if cur is None:
+        row[j] = x
+        return
+    cur = cur + x
+    if cur:
+        row[j] = cur
+    else:
+        del row[j]
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    out = []
+    for ai in a:
+        oi: dict = {}
+        for k, aik in ai.items():
+            for j, bkj in b[k].items():
+                _add_into(oi, j, aik * bkj)
+        out.append(oi)
     return out
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    out = [dict(row) for row in a]
+    for oi, bi in zip(out, b):
+        for j, y in bi.items():
+            _add_into(oi, j, y)
+    return out
 
 
 def mat_scale(a: Matrix, c) -> Matrix:
-    return [[x.scale(c) if x else x for x in row] for row in a]
-
-
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
+    return [{j: y for j, x in row.items() if (y := x.scale(c))} for row in a]
 
 
 def mat_residuals(a: Matrix, b: Matrix) -> list:
-    """``(row, col, residual a - b)`` for every entry where ``a`` and ``b`` differ, row-major."""
-    return [
-        (i, j, format_poly(x - y))
-        for i, (ra, rb) in enumerate(zip(a, b))
-        for j, (x, y) in enumerate(zip(ra, rb))
-        if x != y
-    ]
+    """``(row, col, residual a - b)`` for every entry where ``a`` and ``b`` differ.
+
+    Row-major, with the columns of each row ascending.
+    """
+    out = []
+    for i, (ra, rb) in enumerate(zip(a, b)):
+        for j in sorted(ra.keys() | rb.keys()):
+            x, y = ra.get(j), rb.get(j)
+            if x is None:
+                out.append((i, j, format_poly(-y)))
+            elif y is None:
+                out.append((i, j, format_poly(x)))
+            elif x != y:
+                out.append((i, j, format_poly(x - y)))
+    return out
 
 
 def mat_paste(big: Matrix, block: Matrix, row_off: int, col_off: int) -> None:
-    """Copy the nonzero entries of ``block`` into ``big`` at the given offsets."""
+    """Copy the entries of ``block`` into ``big`` at the given offsets."""
     for i, row in enumerate(block):
-        target = big[row_off + i]
-        for j, entry in enumerate(row):
-            if entry:
-                target[col_off + j] = entry
+        big[row_off + i].update((col_off + j, e) for j, e in row.items())
 
 
-def id_tensor(left: Bimodule, matrix: Matrix) -> Matrix:
-    """Matrix of ``id (x) g`` for ``g`` given by ``matrix``; its entries cross ``left``.
+def id_tensor(left: Bimodule, matrix: Matrix, cols: int) -> Matrix:
+    """Matrix of ``id (x) g`` for ``g`` given by ``matrix`` with ``cols`` columns.
 
-    Basis element ``a (x) b`` sits at index ``a * rank_b + b`` on both sides.
+    The entries of ``matrix`` cross ``left``.  Basis element ``a (x) b`` sits
+    at index ``a * rank_b + b`` on both sides, so every output entry comes
+    from exactly one entry of ``matrix``.
     """
-    n = left.n
     rl = left.rank
-    tr, sr = len(matrix), len(matrix[0]) if matrix else 0
-    out = mat_zero(rl * tr, rl * sr, n)
-    for b2 in range(tr):
-        for b in range(sr):
-            entry = matrix[b2][b]
-            if not entry:
-                continue
+    tr = len(matrix)
+    out = mat_zero(rl * tr)
+    for b2, row in enumerate(matrix):
+        for b, entry in row.items():
             crossed = left.action_of(entry)
             for a2 in range(rl):
-                row = crossed[a2]
                 orow = out[a2 * tr + b2]
-                for a in range(rl):
-                    if row[a]:
-                        orow[a * sr + b] = orow[a * sr + b] + row[a]
+                for a, e in crossed[a2].items():
+                    orow[a * cols + b] = e
     return out
 
 
@@ -138,9 +156,7 @@ def affine_slots(terms) -> dict:
     slots: dict = {}
     for var, matrix, sign in terms:
         for a, row in enumerate(matrix):
-            for b, poly in enumerate(row):
-                if not poly:
-                    continue
+            for b, poly in row.items():
                 for mono, coeff in poly.terms.items():
                     eq = slots.setdefault((a, b, mono), {})
                     cur = eq.get(var)
@@ -163,13 +179,13 @@ def affine_rows(slots: dict, target: Matrix | None = None) -> tuple:
     """
     slots = dict(slots)
     for a, row in enumerate(target or ()):
-        for b, poly in enumerate(row):
+        for b, poly in row.items():
             for mono in poly.terms:
                 slots.setdefault((a, b, mono), {})
     rows: list = []
     rhs: list = []
     for (a, b, mono), eq in sorted(slots.items()):
-        want = target[a][b].coefficient(mono) if target else ZERO
+        want = target[a][b].coefficient(mono) if target and b in target[a] else ZERO
         if eq or want:
             rows.append(eq)
             rhs.append(want)
@@ -180,9 +196,8 @@ def mat_vec(a: Matrix, v: Sequence[Poly], n: int) -> list:
     out = []
     for row in a:
         acc = _zero(n)
-        for x, y in zip(row, v):
-            if x and y:
-                acc = acc + x * y
+        for j, x in row.items():
+            acc = acc + x * v[j]
         out.append(acc)
     return out
 
@@ -216,7 +231,7 @@ class Bimodule:
         return (
             self.n == other.n
             and self.basis_degrees == other.basis_degrees
-            and all(mat_eq(a, b) for a, b in zip(self.actions, other.actions))
+            and self.actions == other.actions
         )
 
     def __hash__(self) -> int:
@@ -232,30 +247,25 @@ class Bimodule:
         result = mat_identity(self.rank, self.n)
         for j, e in enumerate(exp):
             for _ in range(e):
-                result = mat_mul(self.actions[j], result, self.n)
+                result = mat_mul(self.actions[j], result)
         self._monomial_cache[exp] = result
         return result
 
     def action_of(self, p: Poly) -> Matrix:
         """Right multiplication by an arbitrary polynomial, in the left basis."""
-        out = mat_zero(self.rank, self.rank, self.n)
+        out = mat_zero(self.rank)
         for exp, c in p.terms.items():
-            mono = self._monomial_action(exp)
-            for i in range(self.rank):
-                row = mono[i]
-                oi = out[i]
-                for j in range(self.rank):
-                    if row[j]:
-                        oi[j] = oi[j] + row[j].scale(c)
+            for oi, row in zip(out, self._monomial_action(exp)):
+                for j, x in row.items():
+                    _add_into(oi, j, x.scale(c))
         return out
 
     def validate(self) -> None:
         """Check commuting right actions and the grading constraint."""
         for j, a in enumerate(self.actions):
-            for k in range(self.rank):
-                for l in range(self.rank):
-                    entry = a[k][l]
-                    if entry and not entry.is_homogeneous(
+            for k, row in enumerate(a):
+                for l, entry in sorted(row.items()):
+                    if not entry.is_homogeneous(
                         self.basis_degrees[l] + 2 - self.basis_degrees[k]
                     ):
                         raise ValueError(
@@ -263,20 +273,20 @@ class Bimodule:
                         )
         for i in range(self.n):
             for j in range(i + 1, self.n):
-                lhs = mat_mul(self.actions[i], self.actions[j], self.n)
-                rhs = mat_mul(self.actions[j], self.actions[i], self.n)
-                if not mat_eq(lhs, rhs):
+                lhs = mat_mul(self.actions[i], self.actions[j])
+                rhs = mat_mul(self.actions[j], self.actions[i])
+                if lhs != rhs:
                     raise ValueError(f"right actions {i} and {j} do not commute")
 
 
 def bimodule_R(n: int) -> Bimodule:
-    return Bimodule(n, [0], [[[Poly.variable(n, j)]] for j in range(n)])
+    return Bimodule(n, [0], [[{0: Poly.variable(n, j)}] for j in range(n)])
 
 
 def bimodule_Rw(word, n: int) -> Bimodule:
     """Rank one, with ``a`` acting on the right as multiplication by ``w(a)``."""
     word = tuple(word)
-    actions = [[[coxeter.act(word, Poly.variable(n, j))]] for j in range(n)]
+    actions = [[{0: coxeter.act(word, Poly.variable(n, j))}] for j in range(n)]
     return Bimodule(n, [0], actions)
 
 
@@ -288,7 +298,7 @@ def bimodule_Bs(t: Reflection) -> Bimodule:
         xj = Poly.variable(n, j)
         p0, q0 = demazure_decompose(t, xj)
         p1, q1 = demazure_decompose(t, xj * t.root)
-        actions.append([[p0, p1], [q0, q1]])
+        actions.append(from_dense([[p0, p1], [q0, q1]]))
     return Bimodule(n, [0, 2], actions)
 
 
@@ -320,7 +330,7 @@ def tensor(m: Bimodule, other: Bimodule) -> Bimodule:
         for a in range(rm)
         for b in range(ro)
     ]
-    actions = [id_tensor(m, a) for a in other.actions]
+    actions = [id_tensor(m, a, ro) for a in other.actions]
     if len(other.block_spans) == 1:
         spans = [(s * ro, e * ro) for s, e in m.block_spans]
     else:
@@ -353,7 +363,7 @@ def direct_sum(parts: Sequence[Bimodule]) -> Bimodule:
     rank = len(degrees)
     actions = []
     for j in range(n):
-        t = mat_zero(rank, rank, n)
+        t = mat_zero(rank)
         for p, off in zip(parts, offsets):
             mat_paste(t, p.actions[j], off, off)
         actions.append(t)
@@ -373,11 +383,8 @@ class Morphism:
     __slots__ = ("source", "target", "matrix")
 
     def __init__(self, source: Bimodule, target: Bimodule, matrix: Matrix) -> None:
-        if len(matrix) != target.rank or any(len(r) != source.rank for r in matrix):
-            raise ValueError(
-                f"matrix shape {len(matrix)}x{len(matrix[0]) if matrix else 0} "
-                f"does not map rank {source.rank} into rank {target.rank}"
-            )
+        if len(matrix) != target.rank or any(row and max(row) >= source.rank for row in matrix):
+            raise ValueError(f"the matrix does not map rank {source.rank} into rank {target.rank}")
         self.source = source
         self.target = target
         self.matrix = matrix
@@ -388,25 +395,22 @@ class Morphism:
 
     @classmethod
     def zero(cls, source: Bimodule, target: Bimodule) -> "Morphism":
-        return cls(source, target, mat_zero(target.rank, source.rank, source.n))
+        return cls(source, target, mat_zero(target.rank))
 
     def is_zero(self) -> bool:
-        return all(not e for row in self.matrix for e in row)
+        return not any(self.matrix)
 
     def morphism_failures(self) -> list:
         """Empty iff this is a degree-0 bimodule morphism; entries name violations."""
         failures = []
         src, tgt = self.source, self.target
-        for k in range(tgt.rank):
-            for l in range(src.rank):
-                entry = self.matrix[k][l]
-                if entry and not entry.is_homogeneous(
-                    src.basis_degrees[l] - tgt.basis_degrees[k]
-                ):
+        for k, row in enumerate(self.matrix):
+            for l, entry in sorted(row.items()):
+                if not entry.is_homogeneous(src.basis_degrees[l] - tgt.basis_degrees[k]):
                     failures.append(("grading", k, l, format_poly(entry)))
         for j in range(src.n):
-            lhs = mat_mul(self.matrix, src.actions[j], src.n)
-            rhs = mat_mul(tgt.actions[j], self.matrix, src.n)
+            lhs = mat_mul(self.matrix, src.actions[j])
+            rhs = mat_mul(tgt.actions[j], self.matrix)
             failures += [(f"action X{j}", *w) for w in mat_residuals(lhs, rhs)]
         return failures
 
@@ -417,11 +421,7 @@ class Morphism:
         """``self`` after ``other``."""
         if other.target is not self.source and other.target != self.source:
             raise ValueError("composition shape mismatch")
-        if self.source.rank == 0:
-            return Morphism.zero(other.source, self.target)
-        return Morphism(
-            other.source, self.target, mat_mul(self.matrix, other.matrix, self.source.n)
-        )
+        return Morphism(other.source, self.target, mat_mul(self.matrix, other.matrix))
 
     def __add__(self, other: "Morphism") -> "Morphism":
         return Morphism(self.source, self.target, mat_add(self.matrix, other.matrix))
@@ -435,7 +435,7 @@ class Morphism:
         return (
             self.source == other.source
             and self.target == other.target
-            and mat_eq(self.matrix, other.matrix)
+            and self.matrix == other.matrix
         )
 
     def __repr__(self) -> str:
@@ -459,19 +459,17 @@ class Morphism:
         if sorted(src.basis_degrees) != sorted(tgt.basis_degrees):
             return None
         d_inv = linalg.dense_inverse(
-            [[e.constant_term() for e in row] for row in self.matrix]
+            [[row[l].constant_term() if l in row else ZERO for l in range(src.rank)] for row in self.matrix]
         )
         if d_inv is None:
             return None
-        d_inv = [[Poly.constant(n, c) for c in row] for row in d_inv]
+        d_inv = [{l: Poly.constant(n, c) for l, c in enumerate(row) if c} for row in d_inv]
         ident = mat_identity(src.rank, n)
-        s = mat_sub(ident, mat_mul(d_inv, self.matrix, n))
+        s = mat_add(ident, mat_scale(mat_mul(d_inv, self.matrix), MINUS_ONE))
         inverse = d_inv
         for _ in range(len(set(src.basis_degrees)) - 1):
-            inverse = mat_add(d_inv, mat_mul(s, inverse, n))
-        if not mat_eq(mat_mul(inverse, self.matrix, n), ident):
-            return None
-        if not mat_eq(mat_mul(self.matrix, inverse, n), mat_identity(tgt.rank, n)):
+            inverse = mat_add(d_inv, mat_mul(s, inverse))
+        if mat_mul(inverse, self.matrix) != ident or mat_mul(self.matrix, inverse) != ident:
             return None
         return Morphism(tgt, src, inverse)
 
@@ -483,10 +481,11 @@ _PANE_CACHE: dict = {}
 
 
 def _pane_signature(m: Bimodule, span: tuple) -> tuple:
+    """The pane's degrees and action entries, in span-relative (row, column) order."""
     s, e = span
     degs = m.basis_degrees[s:e]
     mats = tuple(
-        tuple(tuple(format_poly(a[k][l]) for l in range(s, e)) for k in range(s, e))
+        tuple((k - s, l - s, format_poly(p)) for k in range(s, e) for l, p in sorted(a[k].items()))
         for a in m.actions
     )
     return (degs, mats)
@@ -512,7 +511,7 @@ def solve_morphisms(m: Bimodule, target: Bimodule) -> list:
                 local = _solve_pane(m, sspan, target, tspan)
                 _PANE_CACHE[key] = local
             for mat in local:
-                full = mat_zero(target.rank, m.rank, m.n)
+                full = mat_zero(target.rank)
                 for (k, l), poly in mat.items():
                     full[tspan[0] + k][sspan[0] + l] = poly
                 basis.append(Morphism(m, target, full))
@@ -538,25 +537,19 @@ def _solve_pane(m, sspan, target, tspan):
     if not slots:
         return []
     rows: list = []
-    minus_one = QSqrt2(-1)
     for j in range(n):
-        am = m.actions[j]
-        at = target.actions[j]
+        # (local k, local l) -> entry (k, l) of F*A_src - A_tgt*F, expanded over monomials
+        eqs: dict = {}
+        for mm in range(se - ss):
+            for l, a in sorted(m.actions[j][ss + mm].items()):
+                for k in range(te - ts):
+                    _accumulate(eqs.setdefault((k, l - ss), {}), entry_vars.get((k, mm)), a, ONE)
         for k in range(te - ts):
-            for l in range(se - ss):
-                # residual entry (k, l) of F*A_src - A_tgt*F, expanded over monomials
-                eq: dict = {}
-                for mm in range(se - ss):
-                    a = am[ss + mm][ss + l]
-                    if a:
-                        _accumulate(eq, entry_vars.get((k, mm)), a, ONE)
-                for mm in range(te - ts):
-                    b = at[ts + k][ts + mm]
-                    if b:
-                        _accumulate(eq, entry_vars.get((mm, l)), b, minus_one)
-                for row in eq.values():
-                    if row:
-                        rows.append(row)
+            for mm, b in sorted(target.actions[j][ts + k].items()):
+                for l in range(se - ss):
+                    _accumulate(eqs.setdefault((k, l), {}), entry_vars.get((mm - ts, l)), b, MINUS_ONE)
+        for kl in sorted(eqs):
+            rows += [row for row in eqs[kl].values() if row]
     kernel = linalg.kernel_basis(rows, len(slots))
     out = []
     for vec in kernel:
@@ -604,11 +597,7 @@ def iso_swap_Rw(word, t: Reflection, n: int):
     tgt = tensor(bimodule_Bs(t2), bimodule_Rw(word, n))
     image_of_root = coxeter.act(word, t.root)
     p, q = demazure_decompose(t2, image_of_root)
-    matrix = [
-        [_one(n), p],
-        [_zero(n), q],
-    ]
-    forward = Morphism(src, tgt, matrix)
+    forward = Morphism(src, tgt, from_dense([[_one(n), p], [_zero(n), q]]))
     failures = forward.morphism_failures()
     if failures:
         raise ValueError(f"swap map is not a morphism: {failures[:3]}")
@@ -646,7 +635,7 @@ def phi(n: int):
     col1 = mat_vec(act_beta, col0, n)
     col2 = mat_vec(act_x0, col0, n)
     col3 = mat_vec(act_beta, col2, n)
-    matrix = [[col0[k], col1[k], col2[k], col3[k]] for k in range(4)]
+    matrix = from_dense([col0[k], col1[k], col2[k], col3[k]] for k in range(4))
     morphism = Morphism(src, tgt, matrix)
     failures = morphism.morphism_failures()
     if failures:
@@ -695,8 +684,10 @@ def find_unit_preserving_iso(src: Bimodule, tgt: Bimodule):
         return None
     # affine constraint: column 0 of the combination equals the unit column
     rows, rhs = affine_rows(
-        affine_slots([(i, [row[:1] for row in b.matrix], ONE) for i, b in enumerate(basis)]),
-        [[u] for u in _unit_column(tgt)],
+        affine_slots(
+            [(i, [{0: row[0]} if 0 in row else {} for row in b.matrix], ONE) for i, b in enumerate(basis)]
+        ),
+        [{0: _one(tgt.n)}] + mat_zero(tgt.rank - 1),
     )
     particular = linalg.solve_affine(rows, rhs)
     if particular is None:
@@ -711,7 +702,7 @@ def find_unit_preserving_iso(src: Bimodule, tgt: Bimodule):
     def combos():
         yield dict(particular)
         for k in kernel:
-            for sgn in (ONE, QSqrt2(-1)):
+            for sgn in (ONE, MINUS_ONE):
                 combo = dict(particular)
                 for i, c in k.items():
                     combo[i] = combo.get(i, QSqrt2(0)) + c * sgn

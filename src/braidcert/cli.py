@@ -119,9 +119,7 @@ def cmd_certify_pair(args) -> int:
     ab = words.Alphabet.vbB(args.n)
     lhs = words.parse_word(args.word1, ab)
     rhs = words.parse_word(args.word2, ab)
-    kind, cert = homotopy.certify_pair(
-        lhs, rhs, args.n, kind=args.kind, degree_bound=args.degree_bound
-    )
+    kind, cert = homotopy.certify_pair(lhs, rhs, args.n, kind=args.kind)
     if cert is None:
         print("NONE: no certificate found", file=sys.stderr)
         return 1
@@ -232,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("word1")
     p.add_argument("word2")
     p.add_argument("--kind", choices=["auto", "iso", "homotopy"], default="auto")
-    p.add_argument("--degree-bound", type=int, default=8, dest="degree_bound")
     common(p, group=False)
     p.set_defaults(func=cmd_certify_pair)
 

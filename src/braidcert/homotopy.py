@@ -87,9 +87,8 @@ def complex_failures(c: Complex) -> list:
         d2 = c.diffs.get(k + 1)
         if d1 is None or d2 is None:
             continue
-        comp = d2.compose(d1)
-        zero = mat_zero(comp.target.rank, comp.source.rank, c.n)
-        failures += [(k, "d.d != 0", *w) for w in mat_residuals(comp.matrix, zero)]
+        dd = d2.compose(d1).matrix
+        failures += [(k, "d.d != 0", *w) for w in mat_residuals(dd, mat_zero(len(dd)))]
     return failures
 
 
@@ -109,11 +108,11 @@ def _letter_complex(kind: str, index: int, exp: int, n: int) -> Complex:
         xi = Poly.variable(n, index)
         if exp == 1:
             src = shift(bimodule_R(n), 2)
-            d = Morphism(src, b, [[xi], [Poly.one(n)]])
+            d = Morphism(src, b, [{0: xi}, {0: Poly.one(n)}])
             return Complex(n, {-1: src, 0: b}, {-1: d})
         src = shift(b, -2)
         tgt = shift(bimodule_R(n), -2)
-        d = Morphism(src, tgt, [[Poly.one(n), xi]])
+        d = Morphism(src, tgt, [{0: Poly.one(n), 1: xi}])
         return Complex(n, {0: src, 1: tgt}, {0: d})
     raise ValueError(f"no complex for letter kind {kind!r}")
 
@@ -129,9 +128,24 @@ def F_one(n: int) -> Complex:
     return Complex(n, {0: bimodule_R(n)}, {})
 
 
+# a word's complex has total rank 3^(number of braid letters); longer words are refused
+MAX_BRAID_LETTERS = 8
+
+
 def F_word(word, n: int) -> Complex:
-    """The complex of a type-B word: the tensor of its letter complexes."""
+    """The complex of a type-B word: the tensor of its letter complexes.
+
+    A word with more than ``MAX_BRAID_LETTERS`` braid letters is a
+    ``ValueError`` that names it, raised before any tensor product is built.
+    """
     letters = word.letters if isinstance(word, BraidWord) else tuple(word)
+    braid = sum(kind in ("s", "sig") for kind, _, _ in letters)
+    if braid > MAX_BRAID_LETTERS:
+        text = format_word(word) if isinstance(word, BraidWord) else str(letters)
+        raise ValueError(
+            f"word {text!r} has {braid} braid letters: its complex would have total rank "
+            f"3^{braid}, above the budget of 3^{MAX_BRAID_LETTERS}"
+        )
     result = F_one(n)
     for letter in letters:
         result = tensor_complex(result, F_letter(letter, n))
@@ -141,17 +155,11 @@ def F_word(word, n: int) -> Complex:
 def _morphism_tensor_id(f: Morphism, right: Bimodule) -> Matrix:
     """Matrix of ``f (x) id`` (plain Kronecker with the identity)."""
     r = right.rank
-    n = f.source.n
-    rows = f.target.rank * r
-    cols = f.source.rank * r
-    out = mat_zero(rows, cols, n)
-    for a2 in range(f.target.rank):
-        fa = f.matrix[a2]
-        for a in range(f.source.rank):
-            entry = fa[a]
-            if entry:
-                for b in range(r):
-                    out[a2 * r + b][a * r + b] = entry
+    out = mat_zero(f.target.rank * r)
+    for a2, row in enumerate(f.matrix):
+        for a, entry in row.items():
+            for b in range(r):
+                out[a2 * r + b][a * r + b] = entry
     return out
 
 
@@ -182,7 +190,7 @@ def tensor_complex(c: Complex, d: Complex) -> Complex:
         if k + 1 not in pairs:
             continue
         src, tgt = objects[k], objects[k + 1]
-        matrix = mat_zero(tgt.rank, src.rank, n)
+        matrix = mat_zero(tgt.rank)
         for p, q in pairs[k]:
             soff = offsets[k][(p, q)]
             # d_C (x) id into block (p+1, q)
@@ -192,9 +200,10 @@ def tensor_complex(c: Complex, d: Complex) -> Complex:
                 mat_paste(matrix, block, toff, soff)
             # (-1)^p id (x) d_D into block (p, q+1)
             if (p, q + 1) in offsets[k + 1] and (q in d.diffs):
-                block = id_tensor(c.objects[p], d.diffs[q].matrix)
+                dq = d.diffs[q]
+                block = id_tensor(c.objects[p], dq.matrix, dq.source.rank)
                 if p % 2:
-                    block = [[-e if e else e for e in row] for row in block]
+                    block = [{j: -e for j, e in row.items()} for row in block]
                 toff = offsets[k + 1][(p, q + 1)]
                 mat_paste(matrix, block, toff, soff)
         diffs[k] = Morphism(src, tgt, matrix)
@@ -289,7 +298,7 @@ def homotopy_failures(cert: HomotopyEquivalence) -> list:
             if hk1 is not None and c.object_at(k + 1).rank:
                 terms.append(hk1.compose(c.diff_at(k)))
             rank = c.objects[k].rank
-            acc = mat_zero(rank, rank, c.n)
+            acc = mat_zero(rank)
             for term in terms:
                 acc = mat_add(acc, term.matrix)
             failures += [(k, tag, *w) for w in mat_residuals(acc, mat_identity(rank, c.n))]
@@ -516,10 +525,11 @@ def _components_to_json(components: dict) -> list:
     out = []
     for k in sorted(components):
         m = components[k]
+        cols = range(m.source.rank)
         out.append(
             {
                 "degree": k,
-                "matrix": [[format_poly(e) for e in row] for row in m.matrix],
+                "matrix": [[format_poly(row[j]) if j in row else "0" for j in cols] for row in m.matrix],
             }
         )
     return out
@@ -528,8 +538,9 @@ def _components_to_json(components: dict) -> list:
 def _components_from_json(cert: dict, field: str, source: Complex, target: Complex, shift_by: int = 0):
     """The morphisms stored under ``cert[field]``.
 
-    A repeated degree or a matrix of the wrong shape is a ``ValueError`` that
-    names the certificate, field and degree.
+    The JSON matrices are dense lists of rows.  A repeated degree or a matrix
+    of the wrong shape is a ``ValueError`` that names the certificate, field
+    and degree.
     """
     comps = {}
     for item in cert[field]:
@@ -537,11 +548,15 @@ def _components_from_json(cert: dict, field: str, source: Complex, target: Compl
         where = f"certificate {cert['relation']!r}, {field}, degree {k}"
         if k in comps:
             raise ValueError(f"{where}: the degree appears more than once")
-        matrix = _parse_matrix(item["matrix"], source.n, where)
-        try:
-            comps[k] = Morphism(source.object_at(k), target.object_at(k + shift_by), matrix)
-        except ValueError as exc:
-            raise ValueError(f"{where}: {exc}") from None
+        rows = item["matrix"]
+        matrix = _parse_matrix(rows, source.n, where)
+        src, tgt = source.object_at(k), target.object_at(k + shift_by)
+        if len(rows) != tgt.rank or any(len(row) != src.rank for row in rows):
+            raise ValueError(
+                f"{where}: matrix shape {len(rows)}x{len(rows[0]) if rows else 0} "
+                f"does not map rank {src.rank} into rank {tgt.rank}"
+            )
+        comps[k] = Morphism(src, tgt, matrix)
     return comps
 
 
@@ -550,9 +565,11 @@ def _parse_matrix(rows: list, n: int, where: str) -> Matrix:
     matrix: Matrix = []
     try:
         for i, row in enumerate(rows):
-            matrix.append([])
+            matrix.append({})
             for j, text in enumerate(row):
-                matrix[i].append(parse_poly(text, n))
+                entry = parse_poly(text, n)
+                if entry:
+                    matrix[i][j] = entry
     except ParseError as exc:
         raise ParseError(f"{where}, entry ({i},{j}): {exc.message}", exc.text, exc.position) from None
     return matrix
@@ -605,9 +622,7 @@ def verify_certificate_dict(data: dict) -> tuple:
     return not failures, failures
 
 
-def certify_pair(
-    lhs: BraidWord, rhs: BraidWord, n: int, kind: str = "auto", degree_bound: int = 8, label: str | None = None
-):
+def certify_pair(lhs: BraidWord, rhs: BraidWord, n: int, kind: str = "auto", label: str | None = None):
     """Certify that two words have isomorphic / homotopy equivalent complexes.
 
     Returns ``(kind, certificate dict)`` or ``(None, None)`` when neither an
@@ -625,7 +640,7 @@ def certify_pair(
             return "iso", iso_certificate(label, n, lhs, rhs, *found)
         if kind == "iso":
             return None, None
-    cert = find_homotopy_equiv(c, d, degree_bound=degree_bound)
+    cert = find_homotopy_equiv(c, d)
     if cert is not None:
         return "homotopy", homotopy_certificate(label, n, lhs, rhs, cert)
     return None, None

@@ -17,7 +17,6 @@ from braidcert.bimodcalc import (
     bimodule_R,
     bimodule_Rw,
     iso_swap_Rw,
-    mat_eq,
     mat_identity,
     mat_vec,
     middle_coords,
@@ -25,6 +24,7 @@ from braidcert.bimodcalc import (
     psi,
     tensor,
 )
+from braidcert.cli import main
 from braidcert.coxeter import (
     act,
     alpha,
@@ -219,7 +219,7 @@ def test_criterion_4_bimodule_calculus():
             fwd, bwd = iso_swap_Rw(w, make_reflection(t, n), n)
             if not (fwd.is_morphism() and bwd.is_morphism()):
                 failures.append(f"swap ({w},{t}) fails at n={n}")
-            if not mat_eq(bwd.compose(fwd).matrix, mat_identity(2, n)):
+            if bwd.compose(fwd).matrix != mat_identity(2, n):
                 failures.append(f"swap inverse ({w},{t}) wrong at n={n}")
         # twisted tensor equals the composed twist
         if tensor(bimodule_Rw((0,), n), bimodule_Rw((1,), n)) != bimodule_Rw((0, 1), n):
@@ -245,7 +245,7 @@ def test_criterion_4_bimodule_calculus():
     fwd, bwd = psi(n)
     if not fwd.is_morphism() or bwd is None or not bwd.is_morphism():
         failures.append("psi not found or not verified")
-    elif not mat_eq(bwd.compose(fwd).matrix, mat_identity(4, n)):
+    elif bwd.compose(fwd).matrix != mat_identity(4, n):
         failures.append("psi inverse wrong")
     _report(4, "bimodule calculus: invariants, swaps, phi absorption checks, psi", failures)
 
@@ -290,12 +290,12 @@ def test_criterion_6_negative_controls():
         failures.append("contraction certificate missing")
     else:
         comp = cert.forward.components[0]
-        matrix = [row[:] for row in comp.matrix]
+        matrix = [dict(row) for row in comp.matrix]
         flipped = False
         for i, row in enumerate(matrix):
-            for j, e in enumerate(row):
-                if e and not flipped:
-                    matrix[i][j] = -e
+            for j in sorted(row):
+                if not flipped:
+                    matrix[i][j] = -row[j]
                     flipped = True
         bad = HomotopyEquivalence(
             ChainMap(
@@ -368,3 +368,134 @@ def test_certify_output_bytes_unchanged(certificates_n2, certificates_n3):
     for n, report in ((2, certificates_n2), (3, certificates_n3)):
         text = json.dumps(report, indent=1) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == CERTIFY_SHA256[n], f"n={n}"
+
+
+# ``verify-certificate`` output for single-entry tamperings of the n=3 report:
+# (relation, field, degree, row, col, new entry) -> the exact printed lines.
+# They pin the verdict, the witness order and the residual text, so a change
+# to the matrix routines cannot silently change what the verifier reports.
+_SRC_ID = "source: g.f + dh + hd != id"
+TAMPERINGS = [
+    (
+        ("relB1[0,2]", "forward", -1, 0, 2, "0"),
+        [
+            "[FAIL] relB1[0,2] (iso)",
+            "    degree -1: component action X0 at (0,3): -1*X0^2",
+            "    degree -1: component action X0 at (1,2): 1",
+            "    degree -1: component action X1 at (0,3): 1/2*sqrt2*X0^2",
+            "    degree -1: component action X1 at (1,2): -1/2*sqrt2",
+            "    degree -2: square at (0,0): -1*X0",
+            "    ... and 4 more",
+        ],
+    ),
+    (
+        ("relB1[0,2]", "inverse", -1, 0, 0, "1"),
+        [
+            "[FAIL] relB1[0,2] (iso)",
+            "    degree -1: component action X0 at (0,0): -1*X0",
+            "    degree -1: component action X0 at (0,1): X0^2",
+            "    degree -1: component action X1 at (0,0): 1/2*sqrt2*X0 + -1/2*X2",
+            "    degree -1: component action X1 at (0,1): -1/2*sqrt2*X0^2",
+            "    degree -1: component action X1 at (1,0): 1/2",
+            "    ... and 7 more",
+        ],
+    ),
+    (
+        ("relB2[1]", "backward", -1, 4, 0, "1 + X1"),
+        [
+            "[FAIL] relB2[1] (homotopy)",
+            "    degree -1: component grading at (4,0): X1 + 1",
+            "    degree -1: component action X0 at (4,2): -1/2*sqrt2*X1^3",
+            "    degree -1: component action X0 at (5,0): 1/2*sqrt2*X1",
+            "    degree -1: component action X1 at (4,0): 1/4*X1^2 + 1/2*X1*X2",
+            "    degree -1: component action X1 at (4,1): -1/4*X1^3 + -1/2*X1^2*X2 + -1/2*X1*X2^2",
+            "    ... and 16 more",
+        ],
+    ),
+    (
+        ("relB3", "homotopy_source", -1, 8, 12, "0"),
+        [
+            "[FAIL] relB3 (homotopy)",
+            "    degree -1: h_source action X0 at (8,13): -1/2*sqrt2*X0^2 + -1*X0*X1 + -1/2*sqrt2*X1^2",
+            "    degree -1: h_source action X0 at (8,14): 1/2*X0^2",
+            "    degree -1: h_source action X0 at (8,15): 1/2*sqrt2*X0^3 + X0^2*X1",
+            "    degree -1: h_source action X0 at (9,12): 1/2*sqrt2",
+            "    degree -1: h_source action X0 at (10,12): -1/2",
+            "    ... and 17 more",
+        ],
+    ),
+    (
+        ("relB3", "homotopy_target", 0, 8, 8, "sqrt2"),
+        [
+            "[FAIL] relB3 (homotopy)",
+            "    degree 0: h_target action X0 at (8,3): -2*sqrt2*X0^2 + -4*X0*X1 + -1*sqrt2*X1^2",
+            "    degree 0: h_target action X0 at (8,7): "
+            "2*sqrt2*X0^3 + 6*X0^2*X1 + 4*sqrt2*X0*X1^2 + 2*X1^3",
+            "    degree 0: h_target action X0 at (8,9): 2*sqrt2*X0^2 + 4*X0*X1 + 2*sqrt2*X1^2",
+            "    degree 0: h_target action X0 at (8,11): -2*X0*X1^2 + -1*sqrt2*X1^3",
+            "    degree 0: h_target action X0 at (8,15): -4*X0^2*X1^2 + -4*sqrt2*X0*X1^3 + -2*X1^4",
+            "    ... and 40 more",
+        ],
+    ),
+    (
+        ("relWB0[1]", "inverse", 0, 0, 0, "2"),
+        [
+            "[FAIL] relWB0[1] (iso)",
+            f"    degree 0: {_SRC_ID} at (0,0): 1",
+            "    degree 0: target: f.g + dh + hd != id at (0,0): 1",
+        ],
+    ),
+    (
+        ("reid2a[1]", "backward", 0, 3, 0, "X2"),
+        [
+            "[FAIL] reid2a[1] (homotopy)",
+            "    degree 0: component grading at (3,0): X2",
+            "    degree 0: component action X0 at (3,0): -1/2*sqrt2*X1*X2",
+            "    degree 0: component action X0 at (4,0): 1/2*sqrt2*X2",
+            "    degree 0: component action X1 at (3,0): X1*X2",
+            "    degree 0: component action X1 at (4,0): -1*X2",
+            "    ... and 7 more",
+        ],
+    ),
+    (
+        ("reid2a[0]", "homotopy_source", 1, 1, 0, "0"),
+        [
+            "[FAIL] reid2a[0] (homotopy)",
+            "    degree 1: h_source action X0 at (1,1): -1*X0^2",
+            "    degree 1: h_source action X0 at (2,0): 1",
+            "    degree 1: h_source action X1 at (1,1): 1/2*sqrt2*X0^2",
+            "    degree 1: h_source action X1 at (2,0): -1/2*sqrt2",
+            f"    degree 0: {_SRC_ID} at (1,0): -1*X0",
+            "    ... and 3 more",
+        ],
+    ),
+    (
+        ("remark_zszs", "forward", -2, 0, 0, "-1*sqrt2"),
+        [
+            "[FAIL] remark_zszs (iso)",
+            "    degree -2: square at (0,0): (-2 + 1*sqrt2)*X0 + (1 + -1*sqrt2)*X1",
+            "    degree -2: square at (1,0): (1 + -1*sqrt2)",
+            "    degree -2: square at (2,0): (-1 + 1*sqrt2)*X1",
+            "    degree -2: square at (3,0): (-1 + 1*sqrt2)",
+            f"    degree -2: {_SRC_ID} at (0,0): (-1 + 1*sqrt2)",
+            "    ... and 1 more",
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "tampering, expected", TAMPERINGS, ids=[f"{t[0]}-{t[1]}-{t[2]}" for t, _ in TAMPERINGS]
+)
+def test_verify_certificate_output_on_tampered_n3_entries(certificates_n3, tmp_path, capsys, tampering, expected):
+    relation, field, degree, row, col, text = tampering
+    [cert] = [r["certificate"] for r in certificates_n3["results"] if r["relation"] == relation]
+    cert = json.loads(json.dumps(cert))
+    [item] = [it for it in cert[field] if it["degree"] == degree]
+    assert item["matrix"][row][col] != text
+    item["matrix"][row][col] = text
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert main(["verify-certificate", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines() == expected

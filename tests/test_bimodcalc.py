@@ -11,9 +11,13 @@ from braidcert.bimodcalc import (
     bimodule_Rw,
     direct_sum,
     find_unit_preserving_iso,
+    from_dense,
+    id_tensor,
     iso_swap_Rw,
-    mat_eq,
+    mat_add,
     mat_identity,
+    mat_mul,
+    mat_residuals,
     mat_vec,
     middle_coords,
     phi,
@@ -66,12 +70,12 @@ def test_Bs0_right_action_matrices():
     B.validate()
     assert B.basis_degrees == (0, 2)
     x0sq = X(n, 0) * X(n, 0)
-    assert B.actions[0] == [[Poly.zero(n), x0sq], [Poly.one(n), Poly.zero(n)]]
+    assert B.actions[0] == [{1: x0sq}, {0: Poly.one(n)}]
     # oracle: columns of the X1 action from Demazure decomposition directly
     t = refl((0,), n)
     p0, q0 = demazure_decompose(t, X(n, 1))
     p1, q1 = demazure_decompose(t, X(n, 1) * X(n, 0))
-    assert B.actions[1] == [[p0, p1], [q0, q1]]
+    assert B.actions[1] == from_dense([[p0, p1], [q0, q1]])
     assert q0 == Poly.constant(n, QSqrt2(0, Fraction(-1, 2)))
 
 
@@ -164,14 +168,14 @@ def test_unit_to_Bs_map_is_morphism():
     n = 2
     B = bimodule_Bs(refl((0,), n))
     src = shift(bimodule_R(n), 2)
-    m = Morphism(src, B, [[X(n, 0)], [Poly.one(n)]])
+    m = Morphism(src, B, [{0: X(n, 0)}, {0: Poly.one(n)}])
     assert m.is_morphism()
 
 
 def test_basis_swap_without_twist_fails():
     n = 2
     B = bimodule_Bs(refl((0,), n))
-    bad = Morphism(B, B, [[Poly.zero(n), Poly.one(n)], [Poly.one(n), Poly.zero(n)]])
+    bad = Morphism(B, B, [{1: Poly.one(n)}, {0: Poly.one(n)}])
     failures = bad.morphism_failures()
     assert failures
     kinds = {f[0] for f in failures}
@@ -181,7 +185,7 @@ def test_basis_swap_without_twist_fails():
 def test_morphism_failure_witness_structure():
     n = 2
     B = bimodule_Bs(refl((0,), n))
-    bad = Morphism(B, B, [[Poly.one(n), Poly.zero(n)], [Poly.zero(n), -Poly.one(n)]])
+    bad = Morphism(B, B, [{0: Poly.one(n)}, {1: -Poly.one(n)}])
     failures = bad.morphism_failures()
     assert failures
     tag, row, col, residual = failures[0]
@@ -190,13 +194,13 @@ def test_morphism_failure_witness_structure():
 
 def test_non_morphism_action_witnesses():
     n = 2
-    twist = Morphism(bimodule_Rw((0,), n), bimodule_R(n), [[Poly.one(n)]])
+    twist = Morphism(bimodule_Rw((0,), n), bimodule_R(n), [{0: Poly.one(n)}])
     assert twist.morphism_failures() == [
         ("action X0", 0, 0, "-2*X0"),
         ("action X1", 0, 0, "1*sqrt2*X0"),
     ]
     B = bimodule_Bs(refl((0,), n))
-    sign = Morphism(B, B, [[Poly.one(n), Poly.zero(n)], [Poly.zero(n), -Poly.one(n)]])
+    sign = Morphism(B, B, [{0: Poly.one(n)}, {1: -Poly.one(n)}])
     assert sign.morphism_failures() == [
         ("action X0", 0, 1, "2*X0^2"),
         ("action X0", 1, 0, "-2"),
@@ -210,8 +214,8 @@ def test_graded_inverse_round_trip():
     f = phi(n)
     g = f.graded_inverse()
     assert g is not None and g.is_morphism()
-    assert mat_eq(g.compose(f).matrix, mat_identity(4, n))
-    assert mat_eq(f.compose(g).matrix, mat_identity(4, n))
+    assert g.compose(f).matrix == mat_identity(4, n)
+    assert f.compose(g).matrix == mat_identity(4, n)
 
 
 def test_graded_inverse_none_for_singular():
@@ -232,14 +236,14 @@ def test_graded_inverse_exactly_when_constant_part_invertible(word, data):
     f = Morphism.zero(m, m)
     for b, c in zip(basis, coeffs):
         f = f + b.scale(QSqrt2(c))
-    constant = [[e.constant_term() for e in row] for row in f.matrix]
+    constant = [[row[l].constant_term() if l in row else QSqrt2(0) for l in range(m.rank)] for row in f.matrix]
     g = f.graded_inverse()
     if linalg.dense_rank(constant) < m.rank:
         assert g is None
     else:
         assert g is not None and g.is_morphism()
-        assert mat_eq(g.compose(f).matrix, mat_identity(m.rank, n))
-        assert mat_eq(f.compose(g).matrix, mat_identity(m.rank, n))
+        assert g.compose(f).matrix == mat_identity(m.rank, n)
+        assert f.compose(g).matrix == mat_identity(m.rank, n)
 
 
 # -- the named isomorphisms --------------------------------------------------------
@@ -252,19 +256,19 @@ def test_iso_swap_mu():
     t0 = refl((0,), n)
     fwd, bwd = iso_swap_Rw((1, 0, 1), t0, n)
     assert fwd.is_morphism() and bwd.is_morphism()
-    assert mat_eq(bwd.compose(fwd).matrix, mat_identity(2, n))
-    assert mat_eq(fwd.compose(bwd).matrix, mat_identity(2, n))
+    assert bwd.compose(fwd).matrix == mat_identity(2, n)
+    assert fwd.compose(bwd).matrix == mat_identity(2, n)
     expected_target = tensor(bimodule_Bs(t0), bimodule_Rw((1, 0, 1), n))
     assert fwd.target == expected_target
     # the map is the identity on coordinates: 1 (x) w(X0) = 1 (x) X0
-    assert mat_eq(fwd.matrix, mat_identity(2, n))
+    assert fwd.matrix == mat_identity(2, n)
 
 
 def test_iso_swap_identity_word():
     n = 2
     t0 = refl((0,), n)
     fwd, bwd = iso_swap_Rw((), t0, n)
-    assert mat_eq(fwd.matrix, mat_identity(2, n))
+    assert fwd.matrix == mat_identity(2, n)
     assert fwd.source == tensor(bimodule_R(n), bimodule_Bs(t0))
 
 
@@ -274,7 +278,7 @@ def test_iso_swap_various_conjugates():
         t = refl(twort, n)
         fwd, bwd = iso_swap_Rw(word, t, n)
         assert fwd.is_morphism() and bwd.is_morphism()
-        assert mat_eq(bwd.compose(fwd).matrix, mat_identity(2, n))
+        assert bwd.compose(fwd).matrix == mat_identity(2, n)
 
 
 def test_phi_defining_values():
@@ -332,7 +336,7 @@ def test_phi_matches_solver_iso():
     f = phi(n)
     found = find_unit_preserving_iso(f.source, f.target)
     assert found is not None
-    assert mat_eq(found.matrix, f.matrix)
+    assert found.matrix == f.matrix
 
 
 def test_psi_found_and_verified():
@@ -340,8 +344,8 @@ def test_psi_found_and_verified():
     fwd, bwd = psi(n)
     assert fwd.is_morphism()
     assert bwd is not None and bwd.is_morphism()
-    assert mat_eq(bwd.compose(fwd).matrix, mat_identity(4, n))
-    assert mat_eq(fwd.compose(bwd).matrix, mat_identity(4, n))
+    assert bwd.compose(fwd).matrix == mat_identity(4, n)
+    assert fwd.compose(bwd).matrix == mat_identity(4, n)
     # unit-preserving, pulls s1-invariants left and pushes the conjugate
     # reflection's invariants right
     src, tgt = fwd.source, fwd.target
@@ -381,7 +385,7 @@ def test_solver_output_verifies_and_is_deterministic():
     b2 = solve_morphisms(src, tgt)
     assert len(b1) == len(b2) >= 1
     for m1, m2 in zip(b1, b2):
-        assert mat_eq(m1.matrix, m2.matrix)
+        assert m1.matrix == m2.matrix
         assert m1.is_morphism()
 
 
@@ -401,4 +405,101 @@ def test_end_of_Bs_is_scalar():
     B = bimodule_Bs(refl((0,), n))
     basis = solve_morphisms(B, B)
     assert len(basis) == 1
-    assert mat_eq(basis[0].matrix, mat_identity(2, n)) or basis[0].graded_inverse() is not None
+    assert basis[0].matrix == mat_identity(2, n) or basis[0].graded_inverse() is not None
+
+
+# -- sparse matrices against dense textbook formulas ----------------------------
+
+N = 2
+_ZERO = Poly.zero(N)
+_ENTRY = st.one_of(
+    st.just(_ZERO),
+    st.dictionaries(
+        st.sampled_from([(0, 0), (1, 0), (0, 1), (2, 0), (1, 1)]),
+        st.builds(QSqrt2, st.integers(-2, 2), st.integers(-1, 1)),
+        max_size=3,
+    ).map(lambda terms: Poly(N, terms)),
+)
+_LEFT = [
+    bimodule_R(N),
+    bimodule_Rw((1,), N),
+    bimodule_Bs(refl((0,), N)),
+    tensor(bimodule_Bs(refl((0,), N)), bimodule_Bs(refl((1,), N))),
+    direct_sum([bimodule_Bs(refl((1,), N)), bimodule_R(N)]),
+]
+
+
+def _dense(rows, cols):
+    return st.lists(st.lists(_ENTRY, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+def _to_dense(matrix, cols):
+    return [[row.get(j, _ZERO) for j in range(cols)] for row in matrix]
+
+
+def _dense_mul(a, b, cols):
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), _ZERO) for j in range(cols)] for i in range(len(a))]
+
+
+def _dense_action(m, p):
+    """Right multiplication by ``p``: the sum of ``c * A_0^e0 * A_1^e1`` over its terms."""
+    out = [[_ZERO] * m.rank for _ in range(m.rank)]
+    for exp, c in p.terms.items():
+        mono = [[Poly.one(N) if i == j else _ZERO for j in range(m.rank)] for i in range(m.rank)]
+        for j, e in enumerate(exp):
+            for _ in range(e):
+                mono = _dense_mul(_to_dense(m.actions[j], m.rank), mono, m.rank)
+        out = [[x + y.scale(c) for x, y in zip(ro, rm)] for ro, rm in zip(out, mono)]
+    return out
+
+
+def _stores_no_zero(matrix):
+    return all(e for row in matrix for e in row.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.booleans(), st.data())
+def test_sparse_matrices_match_dense_formulas(rows, inner, cols, cancel, data):
+    a = data.draw(_dense(rows, inner))
+    b = data.draw(_dense(inner, cols))
+    c = [[-x for x in row] for row in a] if cancel else data.draw(_dense(rows, inner))
+    sa, sb, sc = from_dense(a), from_dense(b), from_dense(c)
+    assert all(map(_stores_no_zero, (sa, sb, sc)))
+    assert _to_dense(sa, inner) == a
+
+    product = mat_mul(sa, sb)
+    assert _stores_no_zero(product) and len(product) == rows
+    assert _to_dense(product, cols) == _dense_mul(a, b, cols)
+
+    total = mat_add(sa, sc)
+    assert _stores_no_zero(total)
+    assert _to_dense(total, inner) == [[x + y for x, y in zip(ra, rc)] for ra, rc in zip(a, c)]
+
+    # wide rows, so that a column set does not iterate in ascending order by chance
+    wide = data.draw(st.integers(1, 12))
+    d, e = data.draw(_dense(rows, wide)), data.draw(_dense(rows, wide))
+    witnesses = mat_residuals(from_dense(d), from_dense(e))
+    assert witnesses == [
+        (i, j, format_poly(x - y))
+        for i, (rd, re) in enumerate(zip(d, e))
+        for j, (x, y) in enumerate(zip(rd, re))
+        if x != y
+    ]
+    assert [(i, j) for i, j, _ in witnesses] == sorted((i, j) for i, j, _ in witnesses)
+
+    left = data.draw(st.sampled_from(_LEFT))
+    p = a[0][0]
+    action = left.action_of(p)
+    assert _stores_no_zero(action) and len(action) == left.rank
+    assert _to_dense(action, left.rank) == _dense_action(left, p)
+
+    crossed = id_tensor(left, sb, cols)
+    assert _stores_no_zero(crossed) and len(crossed) == left.rank * inner
+    want = [[_ZERO] * (left.rank * cols) for _ in range(left.rank * inner)]
+    for b2 in range(inner):
+        for bb in range(cols):
+            act = _dense_action(left, b[b2][bb])
+            for a2 in range(left.rank):
+                for aa in range(left.rank):
+                    want[a2 * inner + b2][aa * cols + bb] = act[a2][aa]
+    assert _to_dense(crossed, left.rank * cols) == want

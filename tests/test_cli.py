@@ -182,6 +182,38 @@ def test_verify_certificate_counts_witnesses_left_out(capsys, tmp_path):
     ]
 
 
+def _over_budget(word, count):
+    return (
+        f"error: word '{word}' has {count} braid letters: its complex would have total rank "
+        f"3^{count}, above the budget of 3^8\n"
+    )
+
+
+def test_certify_pair_refuses_words_over_the_rank_budget(capsys):
+    word = " ".join(["s0", "s1"] * 4 + ["s0^-1"])
+    code, out, err = run(capsys, "certify-pair", "z0", word, "--n", "2")
+    assert (code, out, err) == (2, "", _over_budget(word, 9))
+
+
+def test_rank_budget_counts_braid_letters_only(capsys):
+    # twenty virtual letters have rank-one complexes: the pair is certified
+    word = " ".join(["z0"] * 20 + ["s1"])
+    code, _, _ = run(capsys, "certify-pair", word, "s1", "--n", "2")
+    assert code == 0
+
+
+def test_verify_certificate_refuses_words_over_the_rank_budget(capsys, tmp_path):
+    path = tmp_path / "cert.json"
+    code, _, _ = run(capsys, "certify-pair", "z0 z0", "", "--n", "2", "--format", "json", "--out", str(path))
+    assert code == 0
+    data = json.loads(path.read_text())
+    word = " ".join(["s0", "z1", "s1"] * 15)
+    data["words"][0] = word
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify-certificate", str(path))
+    assert (code, out, err) == (2, "", _over_budget(word, 30))
+
+
 def test_n_out_of_range(capsys):
     with pytest.raises(SystemExit):
         main(["check-relations", "--group", "vbB", "--n", "9"])
