@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 
 from . import coxeter, linalg
 from .coxeter import Reflection, demazure_decompose, make_reflection
-from .polyring import Poly, format_poly, monomial_exponents
+from .polyring import Poly, _from_sums, _mul_into, format_poly, monomial_exponents
 from .scalars import ONE, ZERO, QSqrt2
 
 Matrix = list  # list of {column: non-zero Poly} rows
@@ -79,13 +79,23 @@ def _add_into(row: dict, j: int, x: Poly) -> None:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """The product ``a * b``; each output entry is one ``Poly``, built once.
+
+    The term products of every ``a[i][k] * b[k][j]`` go into one
+    ``polyring._mul_into`` dict per entry ``(i, j)``; ``_from_sums`` then
+    builds the entry and an entry that cancelled to zero is not stored.
+    """
     out = []
     for ai in a:
-        oi: dict = {}
+        sums: dict = {}
         for k, aik in ai.items():
+            n, t1 = aik.n, aik.terms
             for j, bkj in b[k].items():
-                _add_into(oi, j, aik * bkj)
-        out.append(oi)
+                acc = sums.get(j)
+                if acc is None:
+                    acc = sums[j] = {}
+                _mul_into(acc, t1, bkj.terms)
+        out.append({j: p for j, acc in sums.items() if (p := _from_sums(n, acc))})
     return out
 
 
@@ -481,14 +491,26 @@ _PANE_CACHE: dict = {}
 
 
 def _pane_signature(m: Bimodule, span: tuple) -> tuple:
-    """The pane's degrees and action entries, in span-relative (row, column) order."""
+    """The pane's degrees and action entries, in span-relative (row, column) order.
+
+    Each action is one flat tuple of ints: per stored entry its row, column
+    and term count, then per term (sorted by exponent) the exponent and the
+    ``(p, q, d)`` of its coefficient.  With the variable count fixed, the
+    tuple reads back one way only, so equal keys mean equal panes.
+    """
     s, e = span
     degs = m.basis_degrees[s:e]
-    mats = tuple(
-        tuple((k - s, l - s, format_poly(p)) for k in range(s, e) for l, p in sorted(a[k].items()))
-        for a in m.actions
-    )
-    return (degs, mats)
+    mats = []
+    for a in m.actions:
+        flat: list = []
+        for k in range(s, e):
+            for l, poly in sorted(a[k].items()):
+                flat += (k - s, l - s, len(poly.terms))
+                for exp, c in sorted(poly.terms.items()):
+                    flat += exp
+                    flat += (c.p, c.q, c.d)
+        mats.append(tuple(flat))
+    return (degs, tuple(mats))
 
 
 def solve_morphisms(m: Bimodule, target: Bimodule) -> list:

@@ -561,15 +561,25 @@ def _components_from_json(cert: dict, field: str, source: Complex, target: Compl
 
 
 def _parse_matrix(rows: list, n: int, where: str) -> Matrix:
-    """Parse every entry; a ``ParseError`` names ``where`` and the (row, col) of the entry."""
+    """The sparse matrix of a dense JSON matrix of polynomial texts.
+
+    Each distinct text is parsed once and its ``Poly`` shared by every entry
+    that repeats it (most entries are ``"0"``); nothing mutates a ``Poly``
+    once built, so the sharing is safe.  A ``ParseError`` names ``where`` and
+    the (row, col) of the first bad entry in row-major order.
+    """
+    parsed: dict = {}
     matrix: Matrix = []
     try:
         for i, row in enumerate(rows):
-            matrix.append({})
+            out: dict = {}
             for j, text in enumerate(row):
-                entry = parse_poly(text, n)
+                entry = parsed.get(text)
+                if entry is None:
+                    entry = parsed[text] = parse_poly(text, n)
                 if entry:
-                    matrix[i][j] = entry
+                    out[j] = entry
+            matrix.append(out)
     except ParseError as exc:
         raise ParseError(f"{where}, entry ({i},{j}): {exc.message}", exc.text, exc.position) from None
     return matrix

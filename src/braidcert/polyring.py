@@ -4,22 +4,61 @@ The ring is ``k[X_0, ..., X_{n-1}]`` with every variable in degree 2 (so all
 degrees are even and "linear forms" have degree 2).  Monomials are dense
 exponent tuples of length ``n``; the canonical order is graded lexicographic
 with ``X_0 > X_1 > ...``, largest term first.
+
+Every polynomial product goes through one multiply-accumulate helper,
+``_mul_into``.  It adds term products, in ints, into an ``{exponent: sum}``
+dict, and ``_from_sums`` turns that dict into a ``Poly`` once, reducing each
+coefficient and dropping the ones that cancelled.  ``Poly.__mul__`` fills
+one dict; ``bimodcalc.mat_mul`` fills one per output entry, so a sum of
+products builds one ``Poly``, not one per product.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from operator import add
 from typing import Iterable, Iterator
 
 from .errors import ExactDivisionError, ParseError
-from .scalars import ONE, QSqrt2
+from .scalars import ONE, QSqrt2, reduced
 
 Monomial = tuple  # exponent tuple of length n
 
 
 def _monomial_key(exp: Monomial):
     return (sum(exp), exp)
+
+
+def _mul_into(acc: dict, terms1: dict, terms2: dict) -> None:
+    """Add every product of a term of ``terms1`` and a term of ``terms2`` into ``acc``.
+
+    ``terms1`` and ``terms2`` are ``Poly.terms`` dicts.  ``acc`` maps an
+    exponent to an unreduced sum ``(p, q, d)``, meaning ``(p + q*sqrt2)/d``
+    with ``d > 0``; only ``_from_sums`` reads it.
+    """
+    get = acc.get
+    for e1, c1 in terms1.items():
+        p1, q1, d1 = c1.p, c1.q, c1.d
+        for e2, c2 in terms2.items():
+            exp = tuple(map(add, e1, e2))
+            p2, q2, d = c2.p, c2.q, d1 * c2.d
+            p, q = p1 * p2 + 2 * q1 * q2, p1 * q2 + q1 * p2
+            s = get(exp)
+            if s is None:
+                acc[exp] = (p, q, d)
+            elif s[2] == d:
+                acc[exp] = (s[0] + p, s[1] + q, d)
+            else:
+                sd = s[2]
+                acc[exp] = (s[0] * d + p * sd, s[1] * d + q * sd, sd * d)
+
+
+def _from_sums(n: int, acc: dict) -> "Poly":
+    """The ``Poly`` of the sums ``_mul_into`` left in ``acc``, without the zero ones."""
+    out = Poly(n)
+    out.terms = {exp: reduced(p, q, d) for exp, (p, q, d) in acc.items() if p or q}
+    return out
 
 
 class Poly:
@@ -114,20 +153,9 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        terms: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                s = terms.get(exp)
-                s = c if s is None else s + c
-                if s:
-                    terms[exp] = s
-                else:
-                    terms.pop(exp, None)
-        out = Poly(self.n)
-        out.terms = terms
-        return out
+        acc: dict = {}
+        _mul_into(acc, self.terms, o.terms)
+        return _from_sums(self.n, acc)
 
     def __rmul__(self, other) -> "Poly":
         if isinstance(other, (int, QSqrt2)):

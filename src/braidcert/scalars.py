@@ -77,8 +77,8 @@ class QSqrt2:
                 return NotImplemented
         d1, d2 = self.d, other.d
         if d1 == d2:
-            return _normal(self.p + other.p, self.q + other.q, d1)
-        return _normal(self.p * d2 + other.p * d1, self.q * d2 + other.q * d1, d1 * d2)
+            return reduced(self.p + other.p, self.q + other.q, d1)
+        return reduced(self.p * d2 + other.p * d1, self.q * d2 + other.q * d1, d1 * d2)
 
     __radd__ = __add__
 
@@ -97,7 +97,7 @@ class QSqrt2:
         return _difference(other, self)
 
     def __neg__(self) -> "QSqrt2":
-        return _normal(-self.p, -self.q, self.d)
+        return reduced(-self.p, -self.q, self.d)
 
     def __mul__(self, other) -> "QSqrt2":
         if type(other) is not QSqrt2:
@@ -105,7 +105,7 @@ class QSqrt2:
             if other is None:
                 return NotImplemented
         p1, q1, p2, q2 = self.p, self.q, other.p, other.q
-        return _normal(p1 * p2 + 2 * q1 * q2, p1 * q2 + q1 * p2, self.d * other.d)
+        return reduced(p1 * p2 + 2 * q1 * q2, p1 * q2 + q1 * p2, self.d * other.d)
 
     __rmul__ = __mul__
 
@@ -118,7 +118,7 @@ class QSqrt2:
             raise ZeroDivisionError("division by zero in Q(sqrt2)")
         if norm < 0:
             d, norm = -d, -norm
-        return _normal(d * p, -d * q, norm)
+        return reduced(d * p, -d * q, norm)
 
     def __truediv__(self, other) -> "QSqrt2":
         o = self._coerce(other)
@@ -171,8 +171,12 @@ class QSqrt2:
         return _parse(text)
 
 
-def _normal(p: int, q: int, d: int) -> QSqrt2:
-    """``(p + q*sqrt2)/d`` for ``d > 0``, divided by ``gcd(p, q, d)``."""
+def reduced(p: int, q: int, d: int) -> QSqrt2:
+    """``(p + q*sqrt2)/d`` for ``d > 0``, divided by ``gcd(p, q, d)``.
+
+    Every operation ends here; ``polyring``'s product kernel sums products in
+    ints and calls it once per coefficient.
+    """
     if d != 1:
         g = gcd(p, q, d)
         if g != 1:
@@ -186,8 +190,8 @@ def _difference(x: QSqrt2, y: QSqrt2) -> QSqrt2:
     """``x - y``; shared by ``__sub__`` and ``__rsub__``."""
     d1, d2 = x.d, y.d
     if d1 == d2:
-        return _normal(x.p - y.p, x.q - y.q, d1)
-    return _normal(x.p * d2 - y.p * d1, x.q * d2 - y.q * d1, d1 * d2)
+        return reduced(x.p - y.p, x.q - y.q, d1)
+    return reduced(x.p * d2 - y.p * d1, x.q * d2 - y.q * d1, d1 * d2)
 
 
 ZERO = QSqrt2(0)

@@ -370,6 +370,44 @@ def test_certify_output_bytes_unchanged(certificates_n2, certificates_n3):
         assert hashlib.sha256(text.encode()).hexdigest() == CERTIFY_SHA256[n], f"n={n}"
 
 
+VERIFIED_N3 = [
+    "[ok] relB1[0,2] (iso)",
+    "[ok] relB2[1] (homotopy)",
+    "[ok] relB3 (homotopy)",
+    "[ok] relWB1[0,2] (iso)",
+    "[ok] relWB2[1] (iso)",
+    "[ok] relWB3 (iso)",
+    "[ok] relWB0[0] (iso)",
+    "[ok] relWB0[1] (iso)",
+    "[ok] relWB0[2] (iso)",
+    "[ok] relmixB1[0,2] (iso)",
+    "[ok] relmixB1[2,0] (iso)",
+    "[ok] relmixB2[1] (iso)",
+    "[ok] relmixB3 (iso)",
+    "[ok] relmixB4 (iso)",
+    "[ok] relmixB5 (iso)",
+    "[ok] reid2a[0] (homotopy)",
+    "[ok] reid2b[0] (homotopy)",
+    "[ok] reid2a[1] (homotopy)",
+    "[ok] reid2b[1] (homotopy)",
+    "[ok] reid2a[2] (homotopy)",
+    "[ok] reid2b[2] (homotopy)",
+    "[ok] remark_sz[0] (iso)",
+    "[ok] remark_sz[1] (iso)",
+    "[ok] remark_sz[2] (iso)",
+    "[ok] remark_zszs (iso)",
+]
+
+
+def test_verify_certificate_output_on_n3_report(certificates_n3, tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(certificates_n3, indent=1) + "\n")
+    capsys.readouterr()
+    assert main(["verify-certificate", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines() == VERIFIED_N3 and out.endswith("\n") and err == ""
+
+
 # ``verify-certificate`` output for single-entry tamperings of the n=3 report:
 # (relation, field, degree, row, col, new entry) -> the exact printed lines.
 # They pin the verdict, the witness order and the residual text, so a change

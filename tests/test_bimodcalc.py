@@ -19,6 +19,7 @@ from braidcert.bimodcalc import (
     mat_mul,
     mat_residuals,
     mat_vec,
+    mat_zero,
     middle_coords,
     phi,
     psi,
@@ -454,7 +455,8 @@ def _dense_action(m, p):
 
 
 def _stores_no_zero(matrix):
-    return all(e for row in matrix for e in row.values())
+    """No zero entry is stored, and no stored entry keeps a zero coefficient."""
+    return all(e and all(e.terms.values()) for row in matrix for e in row.values())
 
 
 @settings(max_examples=60, deadline=None)
@@ -470,6 +472,10 @@ def test_sparse_matrices_match_dense_formulas(rows, inner, cols, cancel, data):
     product = mat_mul(sa, sb)
     assert _stores_no_zero(product) and len(product) == rows
     assert _to_dense(product, cols) == _dense_mul(a, b, cols)
+    if cancel:
+        # [a | a] times [b ; -b]: every entry's products cancel to zero
+        doubled = mat_mul(from_dense(row + row for row in a), from_dense(b + [[-x for x in row] for row in b]))
+        assert doubled == mat_zero(rows)
 
     total = mat_add(sa, sc)
     assert _stores_no_zero(total)

@@ -320,6 +320,23 @@ def test_usage_error_exit_code():
         (
             {
                 "format": "braidcert.certificate.v1",
+                "relation": "s0 ~ s0",
+                "kind": "iso",
+                "group": "vbB",
+                "n": 2,
+                "words": ["s0", "s0"],
+                "forward": [
+                    {"degree": -1, "matrix": [["1"]]},
+                    {"degree": 0, "matrix": [["1", "1/0"], ["1/0", "1"]]},
+                ],
+                "inverse": [{"degree": -1, "matrix": [["1"]]}],
+            },
+            "parse error: certificate 's0 ~ s0', forward, degree 0, entry (0,1): "
+            "zero denominator at position 0: '1/0'",
+        ),
+        (
+            {
+                "format": "braidcert.certificate.v1",
                 "relation": "z0 z0 ~ ",
                 "kind": "iso",
                 "group": "vbB",
@@ -368,6 +385,7 @@ def test_usage_error_exit_code():
         "report-without-entries",
         "zero-denominator",
         "bad-variable",
+        "repeated-bad-text-names-the-first-entry",
         "repeated-degree",
         "wrong-shape",
         "component-where-both-complexes-are-zero",

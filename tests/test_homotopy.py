@@ -137,6 +137,11 @@ def test_every_word_complex_verifies_deterministic_sample():
         assert verify_complex(FW(text, 3)), text
 
 
+def test_six_braid_letter_complex_verifies():
+    # total rank 3^6: the longest word the certificates use is half of it
+    assert complex_failures(FW("s0 s1 s0 s1 s0 s1", 3)) == []
+
+
 # -- frozen structure of the mixed-relation complexes ----------------------------
 
 

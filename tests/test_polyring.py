@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from braidcert.errors import ExactDivisionError, ParseError
 from braidcert.polyring import (
@@ -47,6 +47,37 @@ def test_product_example():
         },
     )
     assert lhs == expected
+
+
+def _convolution(p, q, size):
+    """``p * q`` by the textbook rule, over dense exponent grids below ``size``.
+
+    Coefficients are ``(a, b)`` pairs of ``Fraction``s standing for
+    ``a + b*sqrt2``; the zero cells of the result are left out.
+    """
+    grid = list(itertools.product(range(size), repeat=p.n))
+    zero = QSqrt2(0)
+    out = {}
+    for e1 in grid:
+        c1 = p.terms.get(e1, zero)
+        for e2 in grid:
+            c2 = q.terms.get(e2, zero)
+            e = tuple(x + y for x, y in zip(e1, e2))
+            a, b = out.get(e, (Fraction(0), Fraction(0)))
+            out[e] = (a + c1.a * c2.a + 2 * c1.b * c2.b, b + c1.a * c2.b + c1.b * c2.a)
+    return {e: QSqrt2(a, b) for e, (a, b) in out.items() if a or b}
+
+
+@given(polys(2), polys(2), st.booleans())
+@example(X(2, 0), X(2, 1), True)
+@settings(max_examples=60, deadline=None)
+def test_product_matches_dense_convolution(p, q, cancel):
+    if cancel:
+        # (p + q) * (p - q): the cross products p*q and -q*p cancel
+        p, q = p + q, p - q
+    product = p * q
+    assert product.terms == _convolution(p, q, 4)
+    assert all(product.terms.values()), "a cancelled coefficient is stored"
 
 
 def test_add_cancels():
