@@ -27,12 +27,12 @@ Q(sqrt2).
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import coxeter, linalg
 from .coxeter import Reflection, demazure_decompose, make_reflection
 from .polyring import Poly, _from_sums, _mul_into, format_poly, monomial_exponents
-from .scalars import ONE, ZERO, QSqrt2
+from .scalars import ZERO, QSqrt2
 
 Matrix = list  # list of {column: non-zero Poly} rows
 
@@ -158,20 +158,20 @@ def id_tensor(left: Bimodule, matrix: Matrix, cols: int) -> Matrix:
 def affine_slots(terms) -> dict:
     """The left-hand sides of "a sum of coefficient-weighted matrices = target".
 
-    ``terms`` holds ``(variable, matrix, sign)`` triples.  Returns one
-    equation ``{variable: coefficient}`` per (row, column, monomial) slot that
-    some term touches.  Slot dicts over disjoint variables add by merging
-    their equations.
+    ``terms`` holds ``(variable, matrix)`` pairs; a term that is subtracted
+    carries the minus sign in its matrix.  Returns one equation
+    ``{variable: coefficient}`` per (row, column, monomial) slot that some
+    term touches.  Slot dicts over disjoint variables add by merging their
+    equations.
     """
     slots: dict = {}
-    for var, matrix, sign in terms:
+    for var, matrix in terms:
         for a, row in enumerate(matrix):
             for b, poly in row.items():
                 for mono, coeff in poly.terms.items():
                     eq = slots.setdefault((a, b, mono), {})
                     cur = eq.get(var)
-                    add = coeff * sign
-                    cur = add if cur is None else cur + add
+                    cur = coeff if cur is None else cur + coeff
                     if cur:
                         eq[var] = cur
                     else:
@@ -348,16 +348,6 @@ def tensor(m: Bimodule, other: Bimodule) -> Bimodule:
     return Bimodule(n, degrees, actions, spans)
 
 
-def tensor_many(factors: Iterable[Bimodule]) -> Bimodule:
-    factors = list(factors)
-    if not factors:
-        raise ValueError("empty tensor product")
-    out = factors[0]
-    for f in factors[1:]:
-        out = tensor(out, f)
-    return out
-
-
 def direct_sum(parts: Sequence[Bimodule]) -> Bimodule:
     parts = list(parts)
     if not parts:
@@ -423,9 +413,6 @@ class Morphism:
             rhs = mat_mul(tgt.actions[j], self.matrix)
             failures += [(f"action X{j}", *w) for w in mat_residuals(lhs, rhs)]
         return failures
-
-    def is_morphism(self) -> bool:
-        return not self.morphism_failures()
 
     def compose(self, other: "Morphism") -> "Morphism":
         """``self`` after ``other``."""
@@ -565,11 +552,12 @@ def _solve_pane(m, sspan, target, tspan):
         for mm in range(se - ss):
             for l, a in sorted(m.actions[j][ss + mm].items()):
                 for k in range(te - ts):
-                    _accumulate(eqs.setdefault((k, l - ss), {}), entry_vars.get((k, mm)), a, ONE)
+                    _accumulate(eqs.setdefault((k, l - ss), {}), entry_vars.get((k, mm)), a)
         for k in range(te - ts):
             for mm, b in sorted(target.actions[j][ts + k].items()):
+                minus_b = -b
                 for l in range(se - ss):
-                    _accumulate(eqs.setdefault((k, l), {}), entry_vars.get((mm - ts, l)), b, MINUS_ONE)
+                    _accumulate(eqs.setdefault((k, l), {}), entry_vars.get((mm - ts, l)), minus_b)
         for kl in sorted(eqs):
             rows += [row for row in eqs[kl].values() if row]
     kernel = linalg.kernel_basis(rows, len(slots))
@@ -585,15 +573,14 @@ def _solve_pane(m, sspan, target, tspan):
     return out
 
 
-def _accumulate(eq, variables, known_poly, sign):
-    """Add ``sign * known_poly * (unknown entry)`` to the residual equations."""
+def _accumulate(eq, variables, known_poly):
+    """Add ``known_poly * (unknown entry)`` to the residual equations."""
     if not variables:
         return
     for exp, var in variables:
-        for aexp, ac in known_poly.terms.items():
+        for aexp, c in known_poly.terms.items():
             mono = tuple(x + y for x, y in zip(exp, aexp))
             row = eq.setdefault(mono, {})
-            c = ac * sign
             prev = row.get(var)
             c = c if prev is None else prev + c
             if c:
@@ -683,8 +670,8 @@ def middle_coords(m: Bimodule, t_first: Reflection, p: Poly) -> list:
 def psi(n: int):
     """An invertible degree-0 morphism ``B_{s1} (x) B_{s0 s1 s0} -> B_{s0 s1 s0} (x) B_{s1}``.
 
-    Found by the solver inside the unit-preserving affine slice of the
-    degree-0 morphism space, then inverted and verified.
+    Found by ``find_unit_preserving_iso`` in the degree-0 morphism space,
+    then inverted.
     """
     if n < 3:
         raise ValueError("psi needs at least three variables")
@@ -700,38 +687,18 @@ def psi(n: int):
 
 
 def find_unit_preserving_iso(src: Bimodule, tgt: Bimodule):
-    """Search the degree-0 morphism space for an invertible unit-preserving map."""
-    basis = solve_morphisms(src, tgt)
-    if not basis:
-        return None
-    # affine constraint: column 0 of the combination equals the unit column
-    rows, rhs = affine_rows(
-        affine_slots(
-            [(i, [{0: row[0]} if 0 in row else {} for row in b.matrix], ONE) for i, b in enumerate(basis)]
-        ),
-        [{0: _one(tgt.n)}] + mat_zero(tgt.rank - 1),
-    )
-    particular = linalg.solve_affine(rows, rhs)
-    if particular is None:
-        return None
-    kernel = linalg.kernel_basis(rows, len(basis))
+    """The first invertible element of the degree-0 morphism basis, fixing the unit.
 
-    def build(coeffs: dict):
-        return sum(
-            (basis[i].scale(c) for i, c in coeffs.items() if c), Morphism.zero(src, tgt)
-        )
-
-    def combos():
-        yield dict(particular)
-        for k in kernel:
-            for sgn in (ONE, MINUS_ONE):
-                combo = dict(particular)
-                for i, c in k.items():
-                    combo[i] = combo.get(i, QSqrt2(0)) + c * sgn
-                yield combo
-
-    for coeffs in combos():
-        candidate = build(coeffs)
-        if candidate.graded_inverse() is not None and candidate.is_morphism():
+    A degree-0 map sends the unit (basis element 0, of degree 0) to a
+    constant times the unit, so the element is divided by that constant.
+    """
+    unit = [{0: _one(tgt.n)}] + mat_zero(tgt.rank - 1)
+    for b in solve_morphisms(src, tgt):
+        c = b.matrix[0][0].constant_term() if 0 in b.matrix[0] else ZERO
+        if not c or b.graded_inverse() is None:
+            continue
+        candidate = b.scale(c.inverse())
+        column = [{0: row[0]} if 0 in row else {} for row in candidate.matrix]
+        if column == unit and not candidate.morphism_failures():
             return candidate
     return None

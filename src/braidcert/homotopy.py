@@ -32,6 +32,7 @@ from .bimodcalc import (
     id_tensor,
     mat_add,
     mat_identity,
+    mat_mul,
     mat_paste,
     mat_residuals,
     mat_zero,
@@ -90,10 +91,6 @@ def complex_failures(c: Complex) -> list:
         dd = d2.compose(d1).matrix
         failures += [(k, "d.d != 0", *w) for w in mat_residuals(dd, mat_zero(len(dd)))]
     return failures
-
-
-def verify_complex(c: Complex) -> bool:
-    return not complex_failures(c)
 
 
 # -- the functor on letters and words ----------------------------------------------
@@ -231,10 +228,6 @@ class ChainMap:
             return Morphism.zero(self.source.object_at(k), self.target.object_at(k))
         return f
 
-    @classmethod
-    def identity(cls, c: Complex) -> "ChainMap":
-        return cls(c, c, {k: Morphism.identity(m) for k, m in c.objects.items()})
-
     def compose(self, other: "ChainMap") -> "ChainMap":
         degrees = set(self.components) | set(other.components)
         comps = {
@@ -305,20 +298,19 @@ def homotopy_failures(cert: HomotopyEquivalence) -> list:
     return failures
 
 
-def verify_homotopy(cert: HomotopyEquivalence) -> bool:
-    return not homotopy_failures(cert)
-
-
 def chain_iso_failures(f: ChainMap, g: ChainMap) -> list:
     """An isomorphism is a homotopy equivalence whose homotopies are zero."""
     return homotopy_failures(HomotopyEquivalence(f, g, {}, {}))
 
 
-def verify_chain_iso(f: ChainMap, g: ChainMap) -> bool:
-    return not chain_iso_failures(f, g)
-
-
 # -- search -----------------------------------------------------------------------
+
+# probe caps: how many combinations each search tries, how many basis elements
+# one combination mixes, and how many nonzero degrees the homotopy search takes
+MAX_ISO_CANDIDATES = 4000
+MAX_HOMOTOPY_CANDIDATES = 200
+MAX_SUPPORT = 3
+DEGREE_BOUND = 8
 
 
 def chain_map_space(c: Complex, d: Complex) -> list:
@@ -339,14 +331,13 @@ def chain_map_space(c: Complex, d: Complex) -> list:
         return []
     rows: list = []
     for k in degrees:
-        # d_D o f_k  =  f_{k+1} o d_C   as maps C_k -> D_{k+1}
+        # d_D o f_k + f_{k+1} o (-d_C) = 0   as maps C_k -> D_{k+1}
         if not (c.object_at(k).rank and d.object_at(k + 1).rank):
             continue
-        dd, dc = d.diff_at(k), c.diff_at(k)
-        terms = [(v, dd.compose(b).matrix, ONE) for v, b in per_degree[k]]
-        terms += [
-            (v, b.compose(dc).matrix, QSqrt2(-1)) for v, b in per_degree.get(k + 1, [])
-        ]
+        dd = d.diff_at(k)
+        minus_dc = [{j: -e for j, e in row.items()} for row in c.diff_at(k).matrix]
+        terms = [(v, dd.compose(b).matrix) for v, b in per_degree[k]]
+        terms += [(v, mat_mul(b.matrix, minus_dc)) for v, b in per_degree.get(k + 1, [])]
         rows += affine_rows(affine_slots(terms))[0]
     return [
         ChainMap(c, d, _combine((vec.get(v), {k: b}) for k in degrees for v, b in per_degree[k]))
@@ -372,7 +363,7 @@ def _combine(weighted) -> dict:
     return {k: m for k, m in totals.items() if not m.is_zero()}
 
 
-def _combo_candidates(dim: int, max_support: int = 3):
+def _combo_candidates(dim: int):
     """Deterministic coefficient vectors to probe a solution space with."""
     if dim == 0:
         return
@@ -383,7 +374,7 @@ def _combo_candidates(dim: int, max_support: int = 3):
         primes = [1, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
         yield {i: QSqrt2(primes[i % len(primes)]) for i in range(dim)}
     for size in (2, 3):
-        if size > min(dim, max_support):
+        if size > min(dim, MAX_SUPPORT):
             break
         for combo in itertools.combinations(range(dim), size):
             for signs in itertools.product((1, -1), repeat=size - 1):
@@ -391,11 +382,6 @@ def _combo_candidates(dim: int, max_support: int = 3):
                 for idx, sgn in zip(combo[1:], signs):
                     coeffs[idx] = QSqrt2(sgn)
                 yield coeffs
-
-
-def _build_chain_map(basis: list, coeffs: dict) -> ChainMap:
-    comps = _combine((coeff, basis[i].components) for i, coeff in coeffs.items())
-    return ChainMap(basis[0].source, basis[0].target, comps)
 
 
 def _graded_ranks_match(c: Complex, d: Complex) -> bool:
@@ -407,16 +393,16 @@ def _graded_ranks_match(c: Complex, d: Complex) -> bool:
     return True
 
 
-def find_chain_iso(c: Complex, d: Complex, max_candidates: int = 4000):
+def find_chain_iso(c: Complex, d: Complex):
     """A chain isomorphism with verified inverse, or None.
 
     Searches the finite-dimensional chain-map space for an element whose
     every component inverts (decided degreewise by its constant part);
-    deterministic order, first hit wins.
+    deterministic order, first hit wins among ``MAX_ISO_CANDIDATES`` probes.
     """
     if not _graded_ranks_match(c, d):
         return None
-    for f in _candidate_iter(chain_map_space(c, d), max_candidates):
+    for f in _candidate_iter(chain_map_space(c, d), MAX_ISO_CANDIDATES):
         inverses: dict = {}
         for k in sorted(c.objects):
             inv = f.component(k).graded_inverse()
@@ -425,20 +411,20 @@ def find_chain_iso(c: Complex, d: Complex, max_candidates: int = 4000):
             inverses[k] = inv
         else:
             g = ChainMap(d, c, inverses)
-            if verify_chain_iso(f, g):
+            if not chain_iso_failures(f, g):
                 return f, g
     return None
 
 
-def find_homotopy_equiv(c: Complex, d: Complex, degree_bound: int = 8, max_candidates: int = 200):
+def find_homotopy_equiv(c: Complex, d: Complex):
     """A verified homotopy equivalence certificate, or None.
 
-    For each candidate forward map the remaining data (backward map and both
-    homotopies) satisfies a linear system, solved exactly; the first
-    candidate admitting a solution wins.  ``degree_bound`` caps the number of
-    nonzero degrees considered.
+    For each of the first ``MAX_HOMOTOPY_CANDIDATES`` probe forward maps the
+    remaining data (backward map and both homotopies) satisfies a linear
+    system, solved exactly; the first candidate admitting a solution wins.
+    Pairs with more than ``DEGREE_BOUND`` nonzero degrees are not searched.
     """
-    if len(set(c.objects) | set(d.objects)) > degree_bound:
+    if len(set(c.objects) | set(d.objects)) > DEGREE_BOUND:
         return None
     fb = chain_map_space(c, d)
     gb = chain_map_space(d, c)
@@ -457,23 +443,24 @@ def find_homotopy_equiv(c: Complex, d: Complex, degree_bound: int = 8, max_candi
             nvars += len(basis)
         dh_hd = {
             k: affine_slots(
-                [(v, cx.diff_at(k - 1).compose(hk).matrix, ONE) for v, hk in h.get(k, [])]
-                + [(v, hk.compose(cx.diff_at(k)).matrix, ONE) for v, hk in h.get(k + 1, [])]
+                [(v, cx.diff_at(k - 1).compose(hk).matrix) for v, hk in h.get(k, [])]
+                + [(v, hk.compose(cx.diff_at(k)).matrix) for v, hk in h.get(k + 1, [])]
             )
             for k in cx.support()
         }
         sides.append((cx, h, dh_hd))
-    for f in _candidate_iter(fb, max_candidates):
+    for f in _candidate_iter(fb, MAX_HOMOTOPY_CANDIDATES):
         cert = _solve_homotopy_for(f, gb, sides)
         if cert is not None:
             return cert
     return None
 
 
-def _candidate_iter(basis: list, max_candidates: int):
-    """The first ``max_candidates`` probe combinations of ``basis``, built lazily."""
-    for coeffs in itertools.islice(_combo_candidates(len(basis)), max_candidates):
-        yield _build_chain_map(basis, coeffs)
+def _candidate_iter(basis: list, limit: int):
+    """The first ``limit`` probe combinations of ``basis``, built lazily."""
+    for coeffs in itertools.islice(_combo_candidates(len(basis)), limit):
+        comps = _combine((coeff, basis[i].components) for i, coeff in coeffs.items())
+        yield ChainMap(basis[0].source, basis[0].target, comps)
 
 
 def _solve_homotopy_for(f: ChainMap, gb: list, sides: list):
@@ -489,7 +476,7 @@ def _solve_homotopy_for(f: ChainMap, gb: list, sides: list):
             for j, g in enumerate(gb):
                 gk = g.component(k)
                 prod = fk.compose(gk) if f_first else gk.compose(fk)
-                terms.append((j, prod.matrix, ONE))
+                terms.append((j, prod.matrix))
             slots = affine_slots(terms)
             for key, eq in fixed.items():  # the variables are disjoint, so merging adds
                 slots[key] = {**slots[key], **eq} if key in slots else eq
@@ -619,8 +606,15 @@ def verify_certificate_dict(data: dict) -> tuple:
         return False, [(None, "kind", None, None, str(kind))]
     n = data["n"]
     ab = Alphabet.vbB(n)
-    lhs = F_word(parse_word(data["words"][0], ab), n)
-    rhs = F_word(parse_word(data["words"][1], ab), n)
+    sides = []
+    for i in (0, 1):
+        try:
+            word = parse_word(data["words"][i], ab)
+        except ParseError as exc:
+            where = f"certificate {data['relation']!r}, words[{i}]"
+            raise ParseError(f"{where}: {exc.message}", exc.text, exc.position) from None
+        sides.append(F_word(word, n))
+    lhs, rhs = sides
     f = ChainMap(lhs, rhs, _components_from_json(data, "forward", lhs, rhs))
     g = ChainMap(rhs, lhs, _components_from_json(data, "inverse" if kind == "iso" else "backward", rhs, lhs))
     if kind == "iso":

@@ -217,7 +217,7 @@ def test_criterion_4_bimodule_calculus():
         # twist swap isomorphisms with verified inverses
         for w, t in [((1, 0, 1), (0,)), ((1,), (0,)), ((0,), (1,))]:
             fwd, bwd = iso_swap_Rw(w, make_reflection(t, n), n)
-            if not (fwd.is_morphism() and bwd.is_morphism()):
+            if fwd.morphism_failures() or bwd.morphism_failures():
                 failures.append(f"swap ({w},{t}) fails at n={n}")
             if bwd.compose(fwd).matrix != mat_identity(2, n):
                 failures.append(f"swap inverse ({w},{t}) wrong at n={n}")
@@ -226,7 +226,7 @@ def test_criterion_4_bimodule_calculus():
             failures.append(f"R_w tensor composition fails at n={n}")
     n = 3
     f = phi(n)
-    if not f.is_morphism():
+    if f.morphism_failures():
         failures.append("phi not a morphism")
     t0 = make_reflection((0,), n)
     unit = [Poly.zero(n)] * 4
@@ -240,10 +240,10 @@ def test_criterion_4_bimodule_calculus():
         if f.apply(middle_coords(f.source, t0, p)) != mat_vec(f.target.action_of(p), unit, n):
             failures.append(f"invariant {p} not pushed right of phi")
     finv = f.graded_inverse()
-    if finv is None or not finv.is_morphism():
+    if finv is None or finv.morphism_failures():
         failures.append("phi not invertible")
     fwd, bwd = psi(n)
-    if not fwd.is_morphism() or bwd is None or not bwd.is_morphism():
+    if fwd.morphism_failures() or bwd is None or bwd.morphism_failures():
         failures.append("psi not found or not verified")
     elif bwd.compose(fwd).matrix != mat_identity(4, n):
         failures.append("psi inverse wrong")

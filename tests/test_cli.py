@@ -375,6 +375,20 @@ def test_usage_error_exit_code():
             "error: certificate 'z0 z0 ~ ', inverse, degree 5: "
             "matrix shape 1x1 does not map rank 0 into rank 0\n",
         ),
+        (
+            {
+                "format": "braidcert.certificate.v1",
+                "relation": "z0 z0 ~ ",
+                "kind": "iso",
+                "group": "vbB",
+                "n": 2,
+                "words": ["z0 z7", ""],
+                "forward": [{"degree": 0, "matrix": [["1"]]}],
+                "inverse": [{"degree": 0, "matrix": [["1"]]}],
+            },
+            "parse error: certificate 'z0 z0 ~ ', words[0]: "
+            "index 7 outside 0..1 at position 3: 'z0 z7'\n",
+        ),
     ],
     ids=[
         "certificate-without-inverse",
@@ -389,6 +403,7 @@ def test_usage_error_exit_code():
         "repeated-degree",
         "wrong-shape",
         "component-where-both-complexes-are-zero",
+        "bad-word",
     ],
 )
 def test_verify_certificate_malformed_file_is_usage_error(capsys, tmp_path, payload, message):
