@@ -27,6 +27,7 @@ Q(sqrt2).
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import add
 from typing import Sequence
 
 from . import coxeter, linalg
@@ -169,13 +170,19 @@ def affine_slots(terms) -> dict:
         for a, row in enumerate(matrix):
             for b, poly in row.items():
                 for mono, coeff in poly.terms.items():
-                    eq = slots.setdefault((a, b, mono), {})
+                    eq = slots.get((a, b, mono))
+                    if eq is None:
+                        slots[(a, b, mono)] = {var: coeff}
+                        continue
                     cur = eq.get(var)
-                    cur = coeff if cur is None else cur + coeff
-                    if cur:
-                        eq[var] = cur
+                    if cur is None:
+                        eq[var] = coeff
                     else:
-                        eq.pop(var, None)
+                        cur = cur + coeff
+                        if cur:
+                            eq[var] = cur
+                        else:
+                            del eq[var]
     return slots
 
 
@@ -567,8 +574,8 @@ def _solve_pane(m, sspan, target, tspan):
         for var, coeff in vec.items():
             k, l, exp = slots[var]
             poly = entries.get((k, l))
-            add = Poly.monomial(exp, coeff)
-            entries[(k, l)] = add if poly is None else poly + add
+            term = Poly.monomial(exp, coeff)
+            entries[(k, l)] = term if poly is None else poly + term
         out.append({kl: p for kl, p in entries.items() if p})
     return out
 
@@ -577,16 +584,23 @@ def _accumulate(eq, variables, known_poly):
     """Add ``known_poly * (unknown entry)`` to the residual equations."""
     if not variables:
         return
+    terms = known_poly.terms.items()
     for exp, var in variables:
-        for aexp, c in known_poly.terms.items():
-            mono = tuple(x + y for x, y in zip(exp, aexp))
-            row = eq.setdefault(mono, {})
+        for aexp, c in terms:
+            mono = tuple(map(add, exp, aexp))
+            row = eq.get(mono)
+            if row is None:
+                eq[mono] = {var: c}
+                continue
             prev = row.get(var)
-            c = c if prev is None else prev + c
-            if c:
+            if prev is None:
                 row[var] = c
             else:
-                row.pop(var, None)
+                c = prev + c
+                if c:
+                    row[var] = c
+                else:
+                    del row[var]
 
 
 # -- named isomorphisms -----------------------------------------------------------

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from importlib import resources
 
 from . import freegroup, homotopy, words
@@ -189,7 +190,9 @@ def _check_schema(name: str, items) -> None:
             raise ValueError(f"{where}does not match {name}: {error.message}")
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="braidcert",
         description=(

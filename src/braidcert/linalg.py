@@ -13,11 +13,16 @@ So ``_Echelon`` inserts its rows sparsest first (a stable sort on the number
 of non-zero entries, in the spirit of Markowitz's ordering).  Sparse rows
 make sparse pivot rows, which keep the fill-in of every later reduction
 small.
+
+Both ways a row changes (reducing an incoming row, and keeping the earlier
+pivot rows reduced against a new one) are one fused row update,
+``_sub_multiple``: ``row -= factor * pivot`` computed in ints on the
+``(p, q, d)`` triples, with one ``scalars.reduced`` call per entry.
 """
 
 from __future__ import annotations
 
-from .scalars import ONE, ZERO
+from .scalars import ONE, ZERO, reduced
 
 Row = dict
 
@@ -36,15 +41,9 @@ class _Echelon:
         One pass is enough: ``insert`` keeps every pivot row free of the other
         pivot columns, so subtracting one never brings a pivot column back.
         """
-        for col in sorted(c for c in row if c in self.pivots):
-            factor = row[col]
-            for c, v in self.pivots[col].items():
-                cur = row.get(c)
-                cur = -factor * v if cur is None else cur - factor * v
-                if cur:
-                    row[c] = cur
-                else:
-                    row.pop(c, None)
+        pivots = self.pivots
+        for col in sorted(c for c in row if c in pivots):
+            _sub_multiple(row, row[col], pivots[col])
         return row
 
     def insert(self, row: Row) -> bool:
@@ -58,17 +57,41 @@ class _Echelon:
         # keep earlier pivot rows fully reduced against the new one
         for prow in self.pivots.values():
             f = prow.get(col)
-            if f is None:
-                continue
-            for c, v in normalized.items():
-                cur = prow.get(c)
-                cur = -f * v if cur is None else cur - f * v
-                if cur:
-                    prow[c] = cur
-                else:
-                    prow.pop(c, None)
+            if f is not None:
+                _sub_multiple(prow, f, normalized)
         self.pivots[col] = normalized
         return True
+
+
+def _sub_multiple(row: Row, factor, pivot: Row) -> None:
+    """``row -= factor * pivot`` in place; entries that cancel are deleted.
+
+    Each entry is one int computation and one ``reduced`` call: the product
+    ``factor * v`` stays an unreduced ``(p, q, d)`` triple and is subtracted
+    from the current entry before the only gcd.  ``factor`` and the pivot
+    entries are non-zero, so an entry the row lacks never cancels.
+    """
+    fp, fq, fd = factor.p, factor.q, factor.d
+    fq2 = 2 * fq
+    get = row.get
+    for c, v in pivot.items():
+        vp, vq = v.p, v.q
+        pp = fp * vp + fq2 * vq
+        pq = fp * vq + fq * vp
+        pd = fd * v.d
+        cur = get(c)
+        if cur is None:
+            row[c] = reduced(-pp, -pq, pd)
+            continue
+        cd = cur.d
+        if cd == pd:
+            p, q = cur.p - pp, cur.q - pq
+        else:
+            p, q, pd = cur.p * pd - pp * cd, cur.q * pd - pq * cd, cd * pd
+        if p or q:
+            row[c] = reduced(p, q, pd)
+        else:
+            del row[c]
 
 
 def kernel_basis(rows, ncols: int) -> list:

@@ -175,7 +175,8 @@ def reduced(p: int, q: int, d: int) -> QSqrt2:
     """``(p + q*sqrt2)/d`` for ``d > 0``, divided by ``gcd(p, q, d)``.
 
     Every operation ends here; ``polyring``'s product kernel sums products in
-    ints and calls it once per coefficient.
+    ints and calls it once per coefficient, and ``linalg``'s row update
+    (``row -= factor * pivot``) calls it once per entry it touches.
     """
     if d != 1:
         g = gcd(p, q, d)

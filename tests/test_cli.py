@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import braidcert
 from braidcert.cli import main
 from braidcert.polyring import format_poly, parse_poly
 from braidcert.scalars import QSqrt2
@@ -223,6 +227,32 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_repeated_main_calls_match_fresh_processes(capsys):
+    # ``main`` reuses one parser per process; usage errors between calls must
+    # leave nothing behind that a later call could see
+    calls = [
+        ["distinguish", "z0 s1 z0 s1", "s1 z0 s1 z0", "--n", "2"],
+        [],
+        ["invariant", "zet1 sig1", "--group", "vbA", "--n", "3", "--format", "json"],
+        ["check-relations", "--group", "vbB", "--n", "9"],
+        ["invariant", "s9", "--n", "2"],
+        ["distinguish", "z0 s1 z0 s1", "s1 z0 s1 z0", "--n", "2"],
+        ["invariant", "zet1 sig1", "--group", "vbA", "--n", "3", "--format", "json"],
+    ]
+    src = os.path.dirname(os.path.dirname(braidcert.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    for argv in calls:
+        fresh = subprocess.run(
+            [sys.executable, "-m", "braidcert.cli", *argv], capture_output=True, text=True, env=env
+        )
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
 
 
 @pytest.mark.parametrize(
