@@ -1,11 +1,17 @@
 import json
 import os
+import re
 import subprocess
 import sys
+from functools import lru_cache
+from importlib import resources
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import braidcert
+from braidcert import cli, words
 from braidcert.cli import main
 from braidcert.polyring import format_poly, parse_poly
 from braidcert.scalars import QSqrt2
@@ -255,6 +261,19 @@ def test_repeated_main_calls_match_fresh_processes(capsys):
         assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
 
 
+# the certificate of ``z0 z0 ~ `` that ``certify-pair "z0 z0" "" --n 2`` writes
+_Z0Z0_CERT = {
+    "format": "braidcert.certificate.v1",
+    "relation": "z0 z0 ~ ",
+    "kind": "iso",
+    "group": "vbB",
+    "n": 2,
+    "words": ["z0 z0", ""],
+    "forward": [{"degree": 0, "matrix": [["1"]]}],
+    "inverse": [{"degree": 0, "matrix": [["1"]]}],
+}
+
+
 @pytest.mark.parametrize(
     "payload, message",
     [
@@ -419,6 +438,33 @@ def test_repeated_main_calls_match_fresh_processes(capsys):
             "parse error: certificate 'z0 z0 ~ ', words[0]: "
             "index 7 outside 0..1 at position 3: 'z0 z7'\n",
         ),
+        (
+            {**_Z0Z0_CERT, "n": 2.0},
+            "error: does not match certificate.schema.json: n: 2.0 is not of type 'integer'\n",
+        ),
+        (
+            {
+                "format": "braidcert.report.v1",
+                "kind": "relation-certificates",
+                "group": "vbB",
+                "n": 3.0,
+                "all_certified": True,
+                "results": [
+                    {
+                        "relation": "relWB0[0]",
+                        "kind": "iso",
+                        "status": "certified",
+                        "certificate": {**_Z0Z0_CERT, "n": 3.0},
+                    }
+                ],
+            },
+            "error: does not match report.schema.json: n: 3.0 is not of type 'integer'\n",
+        ),
+        (
+            {**_Z0Z0_CERT, "forward": [{"degree": 0.0, "matrix": [["1"]]}]},
+            "error: does not match certificate.schema.json: "
+            "forward[0].degree: 0.0 is not of type 'integer'\n",
+        ),
     ],
     ids=[
         "certificate-without-inverse",
@@ -434,6 +480,9 @@ def test_repeated_main_calls_match_fresh_processes(capsys):
         "wrong-shape",
         "component-where-both-complexes-are-zero",
         "bad-word",
+        "integral-float-n",
+        "integral-float-report-n",
+        "integral-float-degree",
     ],
 )
 def test_verify_certificate_malformed_file_is_usage_error(capsys, tmp_path, payload, message):
@@ -475,3 +524,154 @@ def test_verify_certificate_null_entry_fails(capsys, tmp_path):
         "[ok] z0 z0 ~  (iso)",
         "[FAIL] relWB0[1] (iso): no certificate",
     ]
+
+
+ROOT = Path(__file__).resolve().parents[1]
+REPORT_N3 = ROOT / "perfbench" / "data" / "certify_n3.json"
+
+
+def test_verify_report_with_a_bad_last_certificate_verifies_nothing(capsys, tmp_path):
+    # every certificate is checked against the schema before any is verified
+    report = json.loads(REPORT_N3.read_text())
+    report["results"][24]["certificate"]["forward"][2]["matrix"][3][1] = 5
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    code, out, err = run(capsys, "verify-certificate", str(path))
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: results[24].certificate does not match certificate.schema.json: "
+        "forward[2].matrix[3][1]: 5 is not of type 'string'\n"
+    )
+
+
+def test_verify_certificate_runs_without_jsonschema():
+    code = (
+        "import sys\n"
+        "sys.modules['jsonschema'] = None\n"
+        "from braidcert import cli\n"
+        "sys.exit(cli.main(['verify-certificate', 'perfbench/data/certify_n3.json']))\n"
+    )
+    src = os.path.dirname(os.path.dirname(braidcert.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.count("[ok]") == 25 and "[FAIL]" not in proc.stdout
+
+
+def _shipped_schema(name):
+    return json.loads(resources.files("braidcert.schema").joinpath(name).read_text())
+
+
+def _subschemas(schema):
+    yield schema
+    for key, arg in schema.items():
+        if key in ("properties", "$defs"):
+            subs = arg.values()
+        elif key == "allOf":
+            subs = arg
+        elif key in ("items", "if", "then"):
+            subs = [arg]
+        else:
+            continue
+        for sub in subs:
+            yield from _subschemas(sub)
+
+
+@pytest.mark.parametrize("name", ["certificate.schema.json", "report.schema.json"])
+def test_checker_knows_every_keyword_of_the_shipped_schemas(name):
+    root = _shipped_schema(name)
+    for node in _subschemas(root):
+        cli._compile(root, node)  # raises on a keyword or type it does not know
+
+
+@pytest.mark.parametrize(
+    "schema",
+    [
+        {"type": "string", "pattern": "^X"},
+        {"properties": {"words": {"items": {"minLength": 1}}}},
+        {"if": {"const": 1}, "then": {}, "else": {"required": ["a"]}},
+        {"type": "number"},
+        {"$ref": "https://example.org/schema.json"},
+    ],
+    ids=["pattern", "nested-minLength", "else", "type-number", "remote-ref"],
+)
+def test_checker_refuses_what_it_does_not_know(schema):
+    with pytest.raises(ValueError, match="unsupported schema"):
+        cli._compile(schema, schema)
+
+
+@lru_cache(maxsize=None)
+def _oracle_documents():
+    """``(schema name, JSON text)`` of real documents: the committed n=3 report,
+    each of its certificates, and a ``check-relations --format json`` report."""
+    report = REPORT_N3.read_text()
+    relations = json.dumps(words.check_relators_via_invariant("vbB", 3))
+    return (
+        ("report.schema.json", report),
+        ("report.schema.json", relations),
+        *(
+            ("certificate.schema.json", json.dumps(r["certificate"]))
+            for r in json.loads(report)["results"]
+        ),
+    )
+
+
+@lru_cache(maxsize=None)
+def _oracle(name):
+    import jsonschema
+
+    schema = _shipped_schema(name)
+    return jsonschema.validators.validator_for(schema)(schema)
+
+
+# what a mutation swaps in: every JSON type, integral and other floats, and
+# the enum and const values of both schemas
+_SWAPS = [
+    None, True, False, 0, 1, 2, 9, -1, 3.0, 2.5, "", "x", "1", [], ["a", "b"], [["1"]], {},
+    {"degree": 0, "matrix": []}, "iso", "homotopy", "vbB", "braidcert.certificate.v1",
+    "braidcert.report.v1", "relation-certificates", "invariant-relator-check", "pass",
+    "fail", "unequal", "certified", "failed",
+]
+
+
+def _mutate(data, doc):
+    """Delete, swap, duplicate or shorten one value at a drawn place in ``doc``."""
+    parent, depth = doc, data.draw(st.integers(0, 8))
+    while parent:
+        keys = sorted(parent) if type(parent) is dict else range(len(parent))
+        key = data.draw(st.sampled_from(keys))
+        child = parent[key]
+        if depth == 0 or type(child) not in (dict, list) or not child:
+            break
+        parent, depth = child, depth - 1
+    else:
+        return
+    op = data.draw(st.sampled_from(["delete", "swap", "duplicate", "shorten"]))
+    if op == "delete":
+        del parent[key]
+    elif op == "swap":
+        parent[key] = json.loads(json.dumps(data.draw(st.sampled_from(_SWAPS))))
+    elif op == "duplicate" and type(parent) is list:
+        parent.insert(key, json.loads(json.dumps(child)))
+    elif type(child) is list:
+        del child[data.draw(st.integers(0, len(child))):]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_checker_agrees_with_jsonschema_on_mutated_documents(data):
+    name, text = data.draw(st.sampled_from(_oracle_documents()))
+    doc = json.loads(text)
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(data, doc)
+    found = cli._schema(name)(doc)
+    if found is None:
+        assert _oracle(name).is_valid(doc)  # never looser than jsonschema
+    elif _oracle(name).is_valid(doc):
+        # the one difference: an integral float is not an integer here
+        assert re.fullmatch(r"-?\d+\.0 is not of type 'integer'", found[1]), found
