@@ -209,16 +209,6 @@ def affine_rows(slots: dict, target: Matrix | None = None) -> tuple:
     return rows, rhs
 
 
-def mat_vec(a: Matrix, v: Sequence[Poly], n: int) -> list:
-    out = []
-    for row in a:
-        acc = _zero(n)
-        for j, x in row.items():
-            acc = acc + x * v[j]
-        out.append(acc)
-    return out
-
-
 # -- bimodules -------------------------------------------------------------------
 
 
@@ -278,22 +268,15 @@ class Bimodule:
         return out
 
     def validate(self) -> None:
-        """Check commuting right actions and the grading constraint."""
+        """``ValueError`` unless each right action ``X_j`` is a bimodule map ``M -> M{-2}``.
+
+        That is the grading constraint on its entries together with its
+        commuting with every other right action.
+        """
         for j, a in enumerate(self.actions):
-            for k, row in enumerate(a):
-                for l, entry in sorted(row.items()):
-                    if not entry.is_homogeneous(
-                        self.basis_degrees[l] + 2 - self.basis_degrees[k]
-                    ):
-                        raise ValueError(
-                            f"action {j} entry ({k},{l}) = {entry} breaks the grading"
-                        )
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                lhs = mat_mul(self.actions[i], self.actions[j])
-                rhs = mat_mul(self.actions[j], self.actions[i])
-                if lhs != rhs:
-                    raise ValueError(f"right actions {i} and {j} do not commute")
+            failures = Morphism(self, shift(self, -2), a).morphism_failures()
+            if failures:
+                raise ValueError(f"right action {j} is not a bimodule map: {failures[:3]}")
 
 
 def bimodule_R(n: int) -> Bimodule:
@@ -444,9 +427,6 @@ class Morphism:
 
     def __repr__(self) -> str:
         return f"Morphism({self.source!r} -> {self.target!r})"
-
-    def apply(self, coords: Sequence[Poly]) -> list:
-        return mat_vec(self.matrix, coords, self.source.n)
 
     # -- graded inversion ---------------------------------------------------
 
@@ -604,66 +584,67 @@ def _accumulate(eq, variables, known_poly):
 
 
 # -- named isomorphisms -----------------------------------------------------------
+#
+# The paper's bimodule-level isomorphisms, all from one constructor whose
+# result is checked to be a bimodule map with a graded inverse, never trusted.
+
+
+def unit_anchored(src: Bimodule, tgt: Bimodule, images: Sequence[Poly]) -> Morphism:
+    """The left-linear map sending source basis element ``i`` to ``unit * images[i]``.
+
+    Basis element 0 is the unit, so column ``i`` is column 0 of
+    ``tgt.action_of(images[i])``.
+    """
+    matrix = mat_zero(tgt.rank)
+    for i, p in enumerate(images):
+        for row, acted in zip(matrix, tgt.action_of(p)):
+            if 0 in acted:
+                row[i] = acted[0]
+    return Morphism(src, tgt, matrix)
+
+
+def _checked_iso(forward: Morphism, name: str) -> tuple:
+    """``(forward, inverse)``, or ``ValueError`` unless ``forward`` is an invertible bimodule map."""
+    failures = forward.morphism_failures()
+    if failures:
+        raise ValueError(f"{name} is not a bimodule map: {failures[:3]}")
+    inverse = forward.graded_inverse()
+    if inverse is None:
+        raise ValueError(f"{name} is not invertible")
+    return forward, inverse
 
 
 def iso_swap_Rw(word, t: Reflection, n: int):
     """The swap ``R_w (x) B_t -> B_{w t w^-1} (x) R_w``, with its inverse.
 
-    On elements the map sends ``a (x) b`` to ``a (x) w(b)``; on the chosen
-    bases that is Demazure bookkeeping because the conjugate reflection's
-    root is exactly ``w(root of t)``.
+    On elements the map sends ``a (x) b`` to ``a (x) w(b)``: it fixes the unit
+    and the source basis is ``{unit, unit * root_t}``.
     """
     word = tuple(word)
     src = tensor(bimodule_Rw(word, n), bimodule_Bs(t))
-    conj_word = word + t.word + tuple(reversed(word))
-    t2 = make_reflection(conj_word, n)
+    t2 = make_reflection(word + t.word + tuple(reversed(word)), n)
     tgt = tensor(bimodule_Bs(t2), bimodule_Rw(word, n))
-    image_of_root = coxeter.act(word, t.root)
-    p, q = demazure_decompose(t2, image_of_root)
-    forward = Morphism(src, tgt, from_dense([[_one(n), p], [_zero(n), q]]))
-    failures = forward.morphism_failures()
-    if failures:
-        raise ValueError(f"swap map is not a morphism: {failures[:3]}")
-    inverse = forward.graded_inverse()
-    if inverse is None:
-        raise ValueError("swap map is not invertible")
-    return forward, inverse
+    return _checked_iso(unit_anchored(src, tgt, [_one(n), t.root]), "the swap")
 
 
-def _unit_column(m: Bimodule) -> list:
-    """Coordinates of the everywhere-1 basis element (index 0 by construction)."""
-    col = [_zero(m.n)] * m.rank
-    col[0] = _one(m.n)
-    return col
+def _exchange(a: tuple, b: tuple, n: int, name: str) -> tuple:
+    """``B_a (x) B_b -> B_b (x) B_a`` sending ``1 (x) alpha_a (x) 1`` to ``1 (x) 1 (x) alpha_a``.
 
-
-def phi(n: int):
-    """The degree-0 isomorphism ``B_{s0} (x) B_{s1 s0 s1} -> B_{s1 s0 s1} (x) B_{s0}``.
-
-    Anchored to its two defining values ``1(x)1(x)1 -> 1(x)1(x)1`` and
-    ``1(x)X0(x)1 -> 1(x)1(x)X0`` and extended by right-linearity over the
-    second factor's basis; everything else about it is then forced.
-    Undefined for n = 2 in this anchored form (the defining data lives in
-    three variables).
+    It fixes the unit; ``alpha_a`` is the root of ``a``.  Needs n >= 3 (the
+    defining data lives in three variables).  Returns ``(forward, inverse)``.
     """
     if n < 3:
-        raise ValueError("phi needs at least three variables")
-    t0 = make_reflection((0,), n)
-    t101 = make_reflection((1, 0, 1), n)
-    src = tensor(bimodule_Bs(t0), bimodule_Bs(t101))
-    tgt = tensor(bimodule_Bs(t101), bimodule_Bs(t0))
-    act_beta = tgt.action_of(t101.root)
-    act_x0 = tgt.action_of(Poly.variable(n, 0))
-    col0 = _unit_column(tgt)
-    col1 = mat_vec(act_beta, col0, n)
-    col2 = mat_vec(act_x0, col0, n)
-    col3 = mat_vec(act_beta, col2, n)
-    matrix = from_dense([col0[k], col1[k], col2[k], col3[k]] for k in range(4))
-    morphism = Morphism(src, tgt, matrix)
-    failures = morphism.morphism_failures()
-    if failures:
-        raise ValueError(f"phi failed the bimodule-map check: {failures[:3]}")
-    return morphism
+        raise ValueError(f"{name} needs at least three variables")
+    ta, tb = make_reflection(a, n), make_reflection(b, n)
+    src = tensor(bimodule_Bs(ta), bimodule_Bs(tb))
+    tgt = tensor(bimodule_Bs(tb), bimodule_Bs(ta))
+    images = [_one(n), tb.root, ta.root, ta.root * tb.root]
+    return _checked_iso(unit_anchored(src, tgt, images), name)
+
+
+def phi(n: int) -> Morphism:
+    """The degree-0 isomorphism ``B_{s0} (x) B_{s1 s0 s1} -> B_{s1 s0 s1} (x) B_{s0}``."""
+    return _exchange((0,), (1, 0, 1), n, "phi")[0]
 
 
 def middle_coords(m: Bimodule, t_first: Reflection, p: Poly) -> list:
@@ -682,37 +663,5 @@ def middle_coords(m: Bimodule, t_first: Reflection, p: Poly) -> list:
 
 
 def psi(n: int):
-    """An invertible degree-0 morphism ``B_{s1} (x) B_{s0 s1 s0} -> B_{s0 s1 s0} (x) B_{s1}``.
-
-    Found by ``find_unit_preserving_iso`` in the degree-0 morphism space,
-    then inverted.
-    """
-    if n < 3:
-        raise ValueError("psi needs at least three variables")
-    t1 = make_reflection((1,), n)
-    t010 = make_reflection((0, 1, 0), n)
-    src = tensor(bimodule_Bs(t1), bimodule_Bs(t010))
-    tgt = tensor(bimodule_Bs(t010), bimodule_Bs(t1))
-    forward = find_unit_preserving_iso(src, tgt)
-    if forward is None:
-        raise RuntimeError("no unit-preserving isomorphism found for psi")
-    inverse = forward.graded_inverse()
-    return forward, inverse
-
-
-def find_unit_preserving_iso(src: Bimodule, tgt: Bimodule):
-    """The first invertible element of the degree-0 morphism basis, fixing the unit.
-
-    A degree-0 map sends the unit (basis element 0, of degree 0) to a
-    constant times the unit, so the element is divided by that constant.
-    """
-    unit = [{0: _one(tgt.n)}] + mat_zero(tgt.rank - 1)
-    for b in solve_morphisms(src, tgt):
-        c = b.matrix[0][0].constant_term() if 0 in b.matrix[0] else ZERO
-        if not c or b.graded_inverse() is None:
-            continue
-        candidate = b.scale(c.inverse())
-        column = [{0: row[0]} if 0 in row else {} for row in candidate.matrix]
-        if column == unit and not candidate.morphism_failures():
-            return candidate
-    return None
+    """The mirror of ``phi``, ``B_{s1} (x) B_{s0 s1 s0} -> B_{s0 s1 s0} (x) B_{s1}``, with its inverse."""
+    return _exchange((1,), (0, 1, 0), n, "psi")

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import reprlib
 import sys
 from functools import lru_cache
 from importlib import resources
@@ -134,7 +135,10 @@ _SHOWN_WITNESSES = 5
 
 def cmd_verify_certificate(args) -> int:
     with open(args.file) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{args.file}: JSON nested too deeply to read") from None
     if not isinstance(data, dict):
         raise ValueError(f"{args.file}: expected a JSON object, not {type(data).__name__}")
     if data.get("format") == homotopy.REPORT_FORMAT:
@@ -210,6 +214,12 @@ _TYPES = {
 }
 # annotations, ``$defs`` (read through ``$ref``) and ``then`` (read by its ``if``)
 _SKIPPED = frozenset({"$schema", "$id", "title", "$defs", "then"})
+# the offending value in a message, cut in length and depth so that one error
+# line stays short whatever the file holds (dict keys come out sorted)
+_SHOWN = reprlib.Repr()
+_SHOWN.maxlevel = 2
+_SHOWN.maxlist = _SHOWN.maxdict = 4
+_shown = _SHOWN.repr
 
 
 def _compile(root: dict, schema: dict):
@@ -248,27 +258,27 @@ def _keyword(root: dict, schema: dict, key: str):
             raise ValueError(f"unsupported schema type {arg!r}")
         types = tuple(_TYPES[t] for t in names)
         expected = ", ".join(map(repr, names))
-        return lambda v: None if type(v) in types else ("", f"{v!r} is not of type {expected}")
+        return lambda v: None if type(v) in types else ("", f"{_shown(v)} is not of type {expected}")
     if key == "const":
         text = _canonical(arg)
         return lambda v: None if _canonical(v) == text else ("", f"{arg!r} was expected")
     if key == "enum":
         texts = {_canonical(a) for a in arg}
-        return lambda v: None if _canonical(v) in texts else ("", f"{v!r} is not one of {arg!r}")
+        return lambda v: None if _canonical(v) in texts else ("", f"{_shown(v)} is not one of {arg!r}")
     if key == "minimum":
         return lambda v: (
-            ("", f"{v!r} is less than the minimum of {arg!r}")
+            ("", f"{_shown(v)} is less than the minimum of {arg!r}")
             if type(v) in (int, float) and v < arg else None
         )
     if key == "maximum":
         return lambda v: (
-            ("", f"{v!r} is greater than the maximum of {arg!r}")
+            ("", f"{_shown(v)} is greater than the maximum of {arg!r}")
             if type(v) in (int, float) and v > arg else None
         )
     if key == "minItems":
-        return lambda v: ("", f"{v!r} is too short") if type(v) is list and len(v) < arg else None
+        return lambda v: ("", f"{_shown(v)} is too short") if type(v) is list and len(v) < arg else None
     if key == "maxItems":
-        return lambda v: ("", f"{v!r} is too long") if type(v) is list and len(v) > arg else None
+        return lambda v: ("", f"{_shown(v)} is too long") if type(v) is list and len(v) > arg else None
     if key == "required":
 
         def required(v):

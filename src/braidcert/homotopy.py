@@ -45,7 +45,7 @@ from .coxeter import make_reflection
 from .errors import ParseError
 from .polyring import Poly, format_poly, parse_poly
 from .scalars import ONE, QSqrt2
-from .words import Alphabet, BraidWord, format_word, parse_word, relator_table
+from .words import REPORT_FORMAT, Alphabet, BraidWord, format_word, parse_word, relator_table
 
 
 class Complex:
@@ -305,11 +305,10 @@ def chain_iso_failures(f: ChainMap, g: ChainMap) -> list:
 
 # -- search -----------------------------------------------------------------------
 
-# probe caps: how many combinations each search tries, how many basis elements
-# one combination mixes, and how many nonzero degrees the homotopy search takes
+# probe caps: how many combinations each search tries, and how many nonzero
+# degrees the homotopy search takes
 MAX_ISO_CANDIDATES = 4000
 MAX_HOMOTOPY_CANDIDATES = 200
-MAX_SUPPORT = 3
 DEGREE_BOUND = 8
 
 
@@ -374,7 +373,7 @@ def _combo_candidates(dim: int):
         primes = [1, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
         yield {i: QSqrt2(primes[i % len(primes)]) for i in range(dim)}
     for size in (2, 3):
-        if size > min(dim, MAX_SUPPORT):
+        if size > dim:
             break
         for combo in itertools.combinations(range(dim), size):
             for signs in itertools.product((1, -1), repeat=size - 1):
@@ -501,7 +500,6 @@ def _solve_homotopy_for(f: ChainMap, gb: list, sides: list):
 # -- certificates -------------------------------------------------------------------
 
 CERTIFICATE_FORMAT = "braidcert.certificate.v1"
-REPORT_FORMAT = "braidcert.report.v1"
 
 # which defining relations need the homotopy search rather than an on-the-nose
 # isomorphism: the braid relations among the positive crossings

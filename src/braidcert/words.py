@@ -351,6 +351,10 @@ def invariant(word: BraidWord) -> freegroup.FreeAutomorphism:
     return freegroup.manturov_image(word.letters, ab.lo, ab.hi)
 
 
+# the format tag of every report, here and in ``homotopy``
+REPORT_FORMAT = "braidcert.report.v1"
+
+
 def check_relators_via_invariant(group: str, n: int) -> dict:
     """Check every defining relator under the invariant.
 
@@ -383,7 +387,7 @@ def check_relators_via_invariant(group: str, n: int) -> dict:
                 }
             )
     return {
-        "format": "braidcert.report.v1",
+        "format": REPORT_FORMAT,
         "kind": "invariant-relator-check",
         "group": group,
         "n": n,

@@ -18,7 +18,7 @@ from braidcert.bimodcalc import (
     bimodule_Rw,
     iso_swap_Rw,
     mat_identity,
-    mat_vec,
+    mat_mul,
     middle_coords,
     phi,
     psi,
@@ -199,6 +199,12 @@ def test_criterion_3_doubling_necessary_condition():
     _report(3, "doubling map: relators pass (n = 2..4), inequalities witnessed", failures)
 
 
+def _on_column(matrix, coords):
+    """``matrix`` times the coordinate column ``coords``: ``mat_mul`` with a one-column matrix."""
+    n = coords[0].n
+    return [row.get(0, Poly.zero(n)) for row in mat_mul(matrix, [{0: c} if c else {} for c in coords])]
+
+
 def test_criterion_4_bimodule_calculus():
     failures = []
     for n in (2, 3):
@@ -234,10 +240,10 @@ def test_criterion_4_bimodule_calculus():
     for p in invariant_generator_table((0,), n):
         want = [Poly.zero(n)] * 4
         want[0] = p
-        if f.apply(middle_coords(f.source, t0, p)) != want:
+        if _on_column(f.matrix, middle_coords(f.source, t0, p)) != want:
             failures.append(f"invariant {p} not pulled left of phi")
     for p in invariant_generator_table((1, 0, 1), n):
-        if f.apply(middle_coords(f.source, t0, p)) != mat_vec(f.target.action_of(p), unit, n):
+        if _on_column(f.matrix, middle_coords(f.source, t0, p)) != _on_column(f.target.action_of(p), unit):
             failures.append(f"invariant {p} not pushed right of phi")
     finv = f.graded_inverse()
     if finv is None or finv.morphism_failures():

@@ -6,12 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from braidcert import linalg
 from braidcert.bimodcalc import (
+    Bimodule,
     Morphism,
     bimodule_Bs,
     bimodule_R,
     bimodule_Rw,
     direct_sum,
-    find_unit_preserving_iso,
     from_dense,
     id_tensor,
     iso_swap_Rw,
@@ -19,7 +19,6 @@ from braidcert.bimodcalc import (
     mat_identity,
     mat_mul,
     mat_residuals,
-    mat_vec,
     mat_zero,
     middle_coords,
     phi,
@@ -50,6 +49,12 @@ def unit_coords(m):
     coords = [Poly.zero(m.n)] * m.rank
     coords[0] = Poly.one(m.n)
     return coords
+
+
+def on_column(matrix, coords):
+    """``matrix`` times the coordinate column ``coords``: ``mat_mul`` with a one-column matrix."""
+    n = coords[0].n
+    return [row.get(0, Poly.zero(n)) for row in mat_mul(matrix, [{0: c} if c else {} for c in coords])]
 
 
 # -- construction ----------------------------------------------------------------
@@ -87,6 +92,24 @@ def test_constructed_bimodules_validate(word):
     B.validate()
     T = tensor(B, bimodule_Rw((0,), n))
     T.validate()
+
+
+def test_validate_raises_on_broken_bimodules():
+    n = 2
+    x0, x1 = X(n, 0), X(n, 1)
+    # a diagonal entry of degree 4 where the grading asks for 2 (the actions still commute)
+    with pytest.raises(ValueError):
+        Bimodule(n, [0], [[{0: x0 * x0}], [{0: x1}]]).validate()
+    # B_{s0} with the off-diagonal X0^2 of its X0 action replaced by X0
+    B = bimodule_Bs(refl((0,), n))
+    with pytest.raises(ValueError):
+        Bimodule(n, B.basis_degrees, [[{1: x0}, B.actions[0][1]], B.actions[1]]).validate()
+    # well graded, but the two actions do not commute
+    a0 = [{0: x0, 1: x1}, {1: x0}]
+    a1 = [{0: x1}, {0: x0, 1: x1}]
+    with pytest.raises(ValueError):
+        Bimodule(n, [0, 0], [a0, a1]).validate()
+    Bimodule(n, [0, 0], [a0, a0]).validate()
 
 
 def test_tensor_unit():
@@ -248,6 +271,25 @@ def test_graded_inverse_exactly_when_constant_part_invertible(word, data):
 # -- the named isomorphisms --------------------------------------------------------
 
 
+SWAP_WORDS = [(), (0,), (1,), (0, 1), (1, 0, 1)]
+SWAP_REFLECTIONS = [(0,), (1,), (1, 0, 1)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_iso_swap_matches_demazure_formula(n):
+    # oracle: a (x) b -> a (x) w(b) sends 1 (x) root_t to the Demazure split
+    # p + q * root' of w(root_t) over the conjugate reflection t' = w t w^-1
+    for word in SWAP_WORDS:
+        for tword in SWAP_REFLECTIONS:
+            t = refl(tword, n)
+            t2 = refl(word + tword + tuple(reversed(word)), n)
+            p, q = demazure_decompose(t2, act(word, t.root))
+            fwd, bwd = iso_swap_Rw(word, t, n)
+            assert fwd.matrix == from_dense([[Poly.one(n), p], [Poly.zero(n), q]]), (word, tword)
+            assert bwd.compose(fwd).matrix == mat_identity(2, n)
+            assert fwd.compose(bwd).matrix == mat_identity(2, n)
+
+
 def test_iso_swap_mu():
     # swapping the twist of s1 s0 s1 across B_{s0} lands in a presentation
     # equal to B_{s0} (x) R_{s1 s0 s1}; both directions verify
@@ -287,17 +329,17 @@ def test_phi_defining_values():
     t0 = refl((0,), n)
     unit = unit_coords(tgt)
     # 1 (x) 1 (x) 1 -> 1 (x) 1 (x) 1
-    assert f.apply(unit_coords(src)) == unit
+    assert on_column(f.matrix, unit_coords(src)) == unit
     # 1 (x) X0 (x) 1 -> 1 (x) 1 (x) X0
-    got = f.apply(middle_coords(src, t0, X(n, 0)))
-    assert got == mat_vec(tgt.action_of(X(n, 0)), unit, n)
+    got = on_column(f.matrix, middle_coords(src, t0, X(n, 0)))
+    assert got == on_column(tgt.action_of(X(n, 0)), unit)
     # 1 (x) X1 (x) 1 -> -X2 (x) 1 (x) 1 + 1 (x) 1 (x) (X1 + X2)
-    got = f.apply(middle_coords(src, t0, X(n, 1)))
-    want = mat_vec(tgt.action_of(X(n, 1) + X(n, 2)), unit, n)
+    got = on_column(f.matrix, middle_coords(src, t0, X(n, 1)))
+    want = on_column(tgt.action_of(X(n, 1) + X(n, 2)), unit)
     want[0] = want[0] - X(n, 2)
     assert got == want
     # 1 (x) Xi (x) 1 -> Xi (x) 1 (x) 1 for i > 1
-    got = f.apply(middle_coords(src, t0, X(n, 2)))
+    got = on_column(f.matrix, middle_coords(src, t0, X(n, 2)))
     assert got == [X(n, 2), Poly.zero(n), Poly.zero(n), Poly.zero(n)]
 
 
@@ -308,13 +350,13 @@ def test_phi_absorbs_invariant_generators():
     t0 = refl((0,), n)
     unit = unit_coords(tgt)
     for p in invariant_generator_table((0,), n):
-        got = f.apply(middle_coords(src, t0, p))
+        got = on_column(f.matrix, middle_coords(src, t0, p))
         want = [Poly.zero(n)] * 4
         want[0] = p
         assert got == want, f"first-factor invariant {format_poly(p)} not pulled left"
     for p in invariant_generator_table((1, 0, 1), n):
-        got = f.apply(middle_coords(src, t0, p))
-        assert got == mat_vec(tgt.action_of(p), unit, n), f"second-factor invariant {format_poly(p)} not pushed right"
+        got = on_column(f.matrix, middle_coords(src, t0, p))
+        assert got == on_column(tgt.action_of(p), unit), f"second-factor invariant {format_poly(p)} not pushed right"
 
 
 def test_phi_also_at_n4():
@@ -330,12 +372,36 @@ def test_phi_refuses_n2():
         psi(2)
 
 
+def _solver_iso(src, tgt):
+    """The first invertible element of the degree-0 morphism basis, scaled to fix the unit.
+
+    A degree-0 map sends the unit (basis element 0, of degree 0) to a
+    constant times the unit, so the element is divided by that constant.
+    """
+    unit = [{0: Poly.one(tgt.n)}] + mat_zero(tgt.rank - 1)
+    for b in solve_morphisms(src, tgt):
+        c = b.matrix[0][0].constant_term() if 0 in b.matrix[0] else QSqrt2(0)
+        if not c or b.graded_inverse() is None:
+            continue
+        candidate = b.scale(c.inverse())
+        column = [{0: row[0]} if 0 in row else {} for row in candidate.matrix]
+        if column == unit and not candidate.morphism_failures():
+            return candidate
+    return None
+
+
 def test_phi_matches_solver_iso():
-    n = 3
-    f = phi(n)
-    found = find_unit_preserving_iso(f.source, f.target)
-    assert found is not None
-    assert found.matrix == f.matrix
+    # oracle: the unit-fixing isomorphism the degree-0 solver finds
+    for n in (3, 4):
+        f = phi(n)
+        found = _solver_iso(f.source, f.target)
+        assert found is not None
+        assert found.matrix == f.matrix
+        fwd, bwd = psi(n)
+        found = _solver_iso(fwd.source, fwd.target)
+        assert found is not None
+        assert found.matrix == fwd.matrix
+        assert bwd.compose(fwd).matrix == mat_identity(4, n)
 
 
 def test_psi_found_and_verified():
@@ -349,15 +415,15 @@ def test_psi_found_and_verified():
     # reflection's invariants right
     src, tgt = fwd.source, fwd.target
     t1 = refl((1,), n)
-    assert fwd.apply(unit_coords(src)) == unit_coords(tgt)
+    assert on_column(fwd.matrix, unit_coords(src)) == unit_coords(tgt)
     for p in invariant_generator_table((1,), n):
-        got = fwd.apply(middle_coords(src, t1, p))
+        got = on_column(fwd.matrix, middle_coords(src, t1, p))
         want = [Poly.zero(n)] * 4
         want[0] = p
         assert got == want
     for p in invariant_generator_table((0, 1, 0), n):
-        got = fwd.apply(middle_coords(src, t1, p))
-        assert got == mat_vec(tgt.action_of(p), unit_coords(tgt), n)
+        got = on_column(fwd.matrix, middle_coords(src, t1, p))
+        assert got == on_column(tgt.action_of(p), unit_coords(tgt))
 
 
 def test_psi_forward_entries_pinned():

@@ -262,6 +262,8 @@ def test_repeated_main_calls_match_fresh_processes(capsys):
 
 
 # the certificate of ``z0 z0 ~ `` that ``certify-pair "z0 z0" "" --n 2`` writes
+_TOO_DEEP = 100_000
+
 _Z0Z0_CERT = {
     "format": "braidcert.certificate.v1",
     "relation": "z0 z0 ~ ",
@@ -465,6 +467,12 @@ _Z0Z0_CERT = {
             "error: does not match certificate.schema.json: "
             "forward[0].degree: 0.0 is not of type 'integer'\n",
         ),
+        # raw JSON text nested deeper than any Python's parser recursion limit
+        ("[" * _TOO_DEEP + "]" * _TOO_DEEP, "error: <file>: JSON nested too deeply to read\n"),
+        (
+            json.dumps({**_Z0Z0_CERT, "forward": "DEEP"}).replace('"DEEP"', "[" * _TOO_DEEP + "]" * _TOO_DEEP),
+            "error: <file>: JSON nested too deeply to read\n",
+        ),
     ],
     ids=[
         "certificate-without-inverse",
@@ -483,15 +491,18 @@ _Z0Z0_CERT = {
         "integral-float-n",
         "integral-float-report-n",
         "integral-float-degree",
+        "deeply-nested-brackets",
+        "deeply-nested-forward",
     ],
 )
 def test_verify_certificate_malformed_file_is_usage_error(capsys, tmp_path, payload, message):
+    # a ``str`` payload is the file's text; ``<file>`` in ``message`` is its path
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(payload))
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     code, out, err = run(capsys, "verify-certificate", str(path))
     assert code == 2
     assert out == ""
-    assert err.startswith(message) and err.count("\n") == 1
+    assert err.startswith(message.replace("<file>", str(path))) and err.count("\n") == 1
 
 
 def test_verify_certificate_null_entry_fails(capsys, tmp_path):
@@ -542,6 +553,25 @@ def test_verify_report_with_a_bad_last_certificate_verifies_nothing(capsys, tmp_
         "error: results[24].certificate does not match certificate.schema.json: "
         "forward[2].matrix[3][1]: 5 is not of type 'string'\n"
     )
+
+
+def test_schema_errors_cut_the_offending_value(capsys, tmp_path):
+    # a whole certificate component list, or a deeply nested one, in the wrong
+    # place: the one error line shows a cut value and still says where it is
+    report = json.loads(REPORT_N3.read_text())
+    cert = report["results"][2]["certificate"]
+    cert["homotopy_source"] = {"components": cert["homotopy_source"]}
+    deep = json.dumps({**_Z0Z0_CERT, "forward": "DEEP"}).replace('"DEEP"', "[" * 500 + "]" * 500)
+    cases = [
+        (json.dumps(report), "results[2].certificate does not match", "homotopy_source: "),
+        (deep, "does not match", "forward[0]: "),
+    ]
+    for text, where, path in cases:
+        (tmp_path / "bad.json").write_text(text)
+        code, out, err = run(capsys, "verify-certificate", str(tmp_path / "bad.json"))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and len(err) < 200, err
+        assert err.startswith(f"error: {where} certificate.schema.json: {path}"), err
 
 
 def test_verify_certificate_runs_without_jsonschema():
