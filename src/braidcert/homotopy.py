@@ -11,6 +11,18 @@ negative ones in {0, 1}.
 Certificates are explicit per-degree matrices (a chain isomorphism with its
 inverse, or a homotopy equivalence with both homotopies) whose defining
 identities are re-verified exactly, entry by entry.
+
+The homotopy search is screened through the reduced functor
+``k (x)_R - (x)_R k`` (``k = Q(sqrt2)``, every ``X_j`` acting by 0), which
+sends each complex to a complex of finite-dimensional vector spaces
+(``reduced_complex``).  An additive functor preserves homotopy equivalences,
+so the reduced map of a forward map that is part of one is a
+quasi-isomorphism, that is, its cone is acyclic.  A probe whose reduced cone
+is not acyclic therefore cannot succeed, and is never solved; and two
+complexes whose reduced homologies differ are not homotopy equivalent.  The
+screen only rejects what the exact solve would reject, so the search picks
+the same certificate.  A search that finds nothing still proves nothing:
+"not found" never means "does not exist".
 """
 
 from __future__ import annotations
@@ -44,7 +56,7 @@ from .bimodcalc import (
 from .coxeter import make_reflection
 from .errors import ParseError
 from .polyring import Poly, format_poly, parse_poly
-from .scalars import ONE, QSqrt2
+from .scalars import ONE, ZERO, QSqrt2
 from .words import REPORT_FORMAT, Alphabet, BraidWord, format_word, parse_word, relator_table
 
 
@@ -303,6 +315,89 @@ def chain_iso_failures(f: ChainMap, g: ChainMap) -> list:
     return homotopy_failures(HomotopyEquivalence(f, g, {}, {}))
 
 
+# -- the reduced functor k (x)_R - (x)_R k ------------------------------------------
+
+
+def reduced_complex(c: Complex) -> dict:
+    """The image of ``c`` under ``k (x)_R - (x)_R k``, where every ``X_j`` acts by 0.
+
+    ``C_k`` becomes ``V_k = k^rank / S_k``, with ``S_k`` spanned by the
+    constant parts of every column of every right action, and ``d_k`` the
+    map ``V_k -> V_{k+1}`` induced by its constant part.  Returns
+    ``{k: (span, free, dbar)}``: ``span`` is the echelon form of ``S_k``,
+    ``free`` the coordinates that are not its pivots (their classes are a
+    basis of ``V_k``), and ``dbar`` the dense matrix of ``d_k`` in those
+    bases, one row per basis element of ``V_{k+1}``.
+    """
+    quotients = {}
+    for k, obj in c.objects.items():
+        every = range(obj.rank)
+        span = linalg._Echelon(v for action in obj.actions for v in _constant_columns(action, every))
+        quotients[k] = (span, [i for i in every if i not in span.pivots])
+    return {
+        k: (span, free, _reduced_map(c.diff_at(k).matrix, free, *quotients.get(k + 1, (None, []))))
+        for k, (span, free) in quotients.items()
+    }
+
+
+def _constant_columns(matrix: Matrix, cols) -> list:
+    """The constant parts of the columns ``cols`` of ``matrix``, as ``{row: QSqrt2}`` dicts."""
+    index = {j: pos for pos, j in enumerate(cols)}
+    out = [{} for _ in index]
+    for i, row in enumerate(matrix):
+        for j, entry in row.items():
+            pos = index.get(j)
+            if pos is not None and (t := entry.constant_term()):
+                out[pos][i] = t
+    return out
+
+
+def _reduced_map(matrix: Matrix, free: list, span, target_free: list) -> list:
+    """The dense matrix of the map that ``matrix`` induces from the classes of
+    ``free`` to the quotient by ``span``, whose basis is ``target_free``."""
+    pos = {i: r for r, i in enumerate(target_free)}
+    out = [[ZERO] * len(free) for _ in target_free]
+    if out:
+        for col, vec in enumerate(_constant_columns(matrix, free)):
+            for i, t in span.reduce(vec).items():
+                out[pos[i]][col] = t
+    return out
+
+
+def reduced_homology(r: dict) -> dict:
+    """``{k: dim H_k}`` of a ``reduced_complex``, nonzero dimensions only."""
+    ranks = {k: linalg.dense_rank(dbar) for k, (_, _, dbar) in r.items()}
+    dims = {k: len(free) - ranks[k] - ranks.get(k - 1, 0) for k, (_, free, _) in r.items()}
+    return {k: h for k, h in dims.items() if h}
+
+
+def _cone_acyclic(f: ChainMap, rc: dict, rd: dict) -> bool:
+    """Whether the cone of ``f``'s reduced map ``fbar`` is acyclic.
+
+    ``rc`` and ``rd`` are the reduced complexes of ``f``'s source and
+    target.  The cone has ``V_{k+1}(c) (+) V_k(d)`` in degree ``k`` and the
+    differential ``(x, y) -> (-dbar x, fbar x + dbar y)``; it is acyclic
+    exactly when each degree's dimension is the rank of the differential out
+    of it plus that of the one into it.
+    """
+    empty = (None, [], [])
+    degrees = {k - 1 for k in rc} | set(rd)
+    into = 0  # rank of the cone differential into degree k
+    for k in range(min(degrees), max(degrees) + 1):
+        _, free_c, dc = rc.get(k + 1, empty)
+        _, free_d, dd = rd.get(k, empty)
+        span, target_free, _ = rd.get(k + 1, empty)
+        fk = f.components.get(k + 1)
+        fbar = _reduced_map(fk.matrix if fk else [], free_c, span, target_free)
+        rows = [[-x for x in row] + [ZERO] * len(free_d) for row in dc]
+        rows += [x + y for x, y in zip(fbar, dd or [[]] * len(fbar))]
+        out = linalg.dense_rank(rows)
+        if len(free_c) + len(free_d) != out + into:
+            return False
+        into = out
+    return True
+
+
 # -- search -----------------------------------------------------------------------
 
 # probe caps: how many combinations each search tries, and how many nonzero
@@ -392,16 +487,21 @@ def _graded_ranks_match(c: Complex, d: Complex) -> bool:
     return True
 
 
-def find_chain_iso(c: Complex, d: Complex):
+def _within_degree_bound(c: Complex, d: Complex) -> bool:
+    return len(set(c.objects) | set(d.objects)) <= DEGREE_BOUND
+
+
+def find_chain_iso(c: Complex, d: Complex, fb: list):
     """A chain isomorphism with verified inverse, or None.
 
-    Searches the finite-dimensional chain-map space for an element whose
-    every component inverts (decided degreewise by its constant part);
+    ``fb`` is ``chain_map_space(c, d)``.  Searches that space for an element
+    whose every component inverts (decided degreewise by its constant part);
     deterministic order, first hit wins among ``MAX_ISO_CANDIDATES`` probes.
+    Pairs whose graded ranks differ are not searched.
     """
     if not _graded_ranks_match(c, d):
         return None
-    for f in _candidate_iter(chain_map_space(c, d), MAX_ISO_CANDIDATES):
+    for f in _candidate_iter(fb, MAX_ISO_CANDIDATES):
         inverses: dict = {}
         for k in sorted(c.objects):
             inv = f.component(k).graded_inverse()
@@ -415,23 +515,48 @@ def find_chain_iso(c: Complex, d: Complex):
     return None
 
 
-def find_homotopy_equiv(c: Complex, d: Complex):
+def find_homotopy_equiv(c: Complex, d: Complex, fb: list):
     """A verified homotopy equivalence certificate, or None.
 
-    For each of the first ``MAX_HOMOTOPY_CANDIDATES`` probe forward maps the
-    remaining data (backward map and both homotopies) satisfies a linear
-    system, solved exactly; the first candidate admitting a solution wins.
-    Pairs with more than ``DEGREE_BOUND`` nonzero degrees are not searched.
+    ``fb`` is ``chain_map_space(c, d)``.  For each of its first
+    ``MAX_HOMOTOPY_CANDIDATES`` probe forward maps the remaining data
+    (backward map and both homotopies) satisfies a linear system, solved
+    exactly; the first candidate admitting a solution wins.  Pairs with more
+    than ``DEGREE_BOUND`` nonzero degrees are not searched.
+
+    Once the first probe has failed, later probes are screened through
+    ``k (x)_R - (x)_R k`` (see the module doc): a probe is solved only if
+    the cone of its reduced map is acyclic, and if the reduced homologies of
+    ``c`` and ``d`` differ, no probe can pass and the search stops.  Every
+    probe the screen rejects would have failed its solve, so the winner is
+    the same as without the screen.  None still means only "not found".
     """
-    if len(set(c.objects) | set(d.objects)) > DEGREE_BOUND:
+    if not _within_degree_bound(c, d):
         return None
-    fb = chain_map_space(c, d)
     gb = chain_map_space(d, c)
-    # unknowns: the coefficients of the backward basis ``gb``, then those of
-    # the source-side and the target-side homotopy bases, degree by degree.
-    # The ``dh + hd`` equations do not depend on the candidate, so they are
-    # built here once; each candidate only adds its ``g_j f`` / ``f g_j`` terms.
-    nvars = len(gb)
+    sides = _homotopy_sides(c, d, len(gb))
+    screen = None  # built when the first probe fails, so a first-probe win pays nothing
+    for f in _candidate_iter(fb, MAX_HOMOTOPY_CANDIDATES):
+        if screen is not None and not _cone_acyclic(f, *screen):
+            continue
+        cert = _solve_homotopy_for(f, gb, sides)
+        if cert is not None:
+            return cert
+        if screen is None:
+            screen = reduced_complex(c), reduced_complex(d)
+            if reduced_homology(screen[0]) != reduced_homology(screen[1]):
+                return None
+    return None
+
+
+def _homotopy_sides(c: Complex, d: Complex, nvars: int) -> list:
+    """The candidate-independent half of ``_solve_homotopy_for``'s system.
+
+    The unknowns are the ``nvars`` coefficients of the backward basis, then
+    those of the source-side and the target-side homotopy bases, degree by
+    degree.  The ``dh + hd`` equations do not depend on the candidate, so they
+    are built once; each candidate only adds its ``g_j f`` / ``f g_j`` terms.
+    """
     sides = []  # per side: (complex, degree -> [(variable, basis homotopy)], degree -> dh + hd slots)
     for cx in (c, d):
         h: dict = {}
@@ -448,11 +573,7 @@ def find_homotopy_equiv(c: Complex, d: Complex):
             for k in cx.support()
         }
         sides.append((cx, h, dh_hd))
-    for f in _candidate_iter(fb, MAX_HOMOTOPY_CANDIDATES):
-        cert = _solve_homotopy_for(f, gb, sides)
-        if cert is not None:
-            return cert
-    return None
+    return sides
 
 
 def _candidate_iter(basis: list, limit: int):
@@ -636,13 +757,18 @@ def certify_pair(lhs: BraidWord, rhs: BraidWord, n: int, kind: str = "auto", lab
     d = F_word(rhs, n)
     if label is None:
         label = f"{format_word(lhs)} ~ {format_word(rhs)}"
+    fb = None  # chain_map_space(c, d): built at most once, and only for a search that runs
     if kind in ("auto", "iso"):
-        found = find_chain_iso(c, d)
-        if found is not None:
-            return "iso", iso_certificate(label, n, lhs, rhs, *found)
+        if _graded_ranks_match(c, d):
+            fb = chain_map_space(c, d)
+            found = find_chain_iso(c, d, fb)
+            if found is not None:
+                return "iso", iso_certificate(label, n, lhs, rhs, *found)
         if kind == "iso":
             return None, None
-    cert = find_homotopy_equiv(c, d)
+    if not _within_degree_bound(c, d):
+        return None, None
+    cert = find_homotopy_equiv(c, d, chain_map_space(c, d) if fb is None else fb)
     if cert is not None:
         return "homotopy", homotopy_certificate(label, n, lhs, rhs, cert)
     return None, None

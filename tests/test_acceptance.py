@@ -36,6 +36,7 @@ from braidcert.coxeter import (
 from braidcert.homotopy import (
     F_one,
     F_word,
+    chain_map_space,
     find_chain_iso,
     find_homotopy_equiv,
     homotopy_failures,
@@ -286,12 +287,13 @@ def test_criterion_6_negative_controls():
     ab = Alphabet.vbB(n)
     s0 = F_word(parse_word("s0", ab), n)
     z0 = F_word(parse_word("z0", ab), n)
-    if find_homotopy_equiv(s0, z0) is not None:
+    if find_homotopy_equiv(s0, z0, chain_map_space(s0, z0)) is not None:
         failures.append("F(s0) ~ F(z0) unexpectedly homotopy equivalent")
-    if find_chain_iso(s0, z0) is not None:
+    if find_chain_iso(s0, z0, chain_map_space(s0, z0)) is not None:
         failures.append("F(s0) ~ F(z0) unexpectedly isomorphic")
     # corrupting one sign in a verified certificate must produce a witness
-    cert = find_homotopy_equiv(F_word(parse_word("s0 s0^-1", ab), n), F_one(n))
+    contraction = F_word(parse_word("s0 s0^-1", ab), n)
+    cert = find_homotopy_equiv(contraction, F_one(n), chain_map_space(contraction, F_one(n)))
     if cert is None:
         failures.append("contraction certificate missing")
     else:

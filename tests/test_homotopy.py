@@ -1,5 +1,8 @@
+import itertools
 import json
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from braidcert.bimodcalc import (
@@ -10,7 +13,7 @@ from braidcert.bimodcalc import (
     mat_identity,
     shift,
 )
-from braidcert import homotopy
+from braidcert import homotopy, linalg
 from braidcert.coxeter import make_reflection
 from braidcert.homotopy import (
     ChainMap,
@@ -27,6 +30,9 @@ from braidcert.homotopy import (
     find_chain_iso,
     find_homotopy_equiv,
     homotopy_failures,
+    reduced_complex,
+    reduced_homology,
+    relation_certificates,
     tensor_complex,
     verify_certificate_dict,
 )
@@ -41,6 +47,14 @@ def W(text, n):
 
 def FW(text, n):
     return F_word(W(text, n), n)
+
+
+def iso(c, d):
+    return find_chain_iso(c, d, chain_map_space(c, d))
+
+
+def heq(c, d):
+    return find_homotopy_equiv(c, d, chain_map_space(c, d))
 
 
 # -- letter complexes ---------------------------------------------------------------
@@ -209,7 +223,7 @@ def test_relmixB5_iso_found_with_sign_flip_in_bottom_degree():
     n = 3
     c = FW("s0 z1 s0 z1", n)
     d = FW("z1 s0 z1 s0", n)
-    found = find_chain_iso(c, d)
+    found = iso(c, d)
     assert found is not None
     f, g = found
     assert not chain_iso_failures(f, g)
@@ -251,29 +265,29 @@ def test_chain_map_space_endomorphisms_are_chain_maps(letters):
 def test_find_chain_iso_simple_cases():
     n = 2
     # involution relation: F(z0 z0) vs F(1)
-    found = find_chain_iso(FW("z0 z0", n), F_one(n))
+    found = iso(FW("z0 z0", n), F_one(n))
     assert found is not None and not chain_iso_failures(*found)
     # virtual order-4 relation
-    found = find_chain_iso(FW("z0 z1 z0 z1", n), FW("z1 z0 z1 z0", n))
+    found = iso(FW("z0 z1 z0 z1", n), FW("z1 z0 z1 z0", n))
     assert found is not None and not chain_iso_failures(*found)
 
 
 def test_find_chain_iso_negative_controls():
     n = 2
-    assert find_chain_iso(FW("s0", n), FW("z0", n)) is None
-    assert find_chain_iso(FW("s0", n), FW("s0^-1", n)) is None
+    assert iso(FW("s0", n), FW("z0", n)) is None
+    assert iso(FW("s0", n), FW("s0^-1", n)) is None
 
 
 def test_find_homotopy_negative_control():
     n = 2
-    assert find_homotopy_equiv(FW("s0", n), FW("z0", n)) is None
+    assert heq(FW("s0", n), FW("z0", n)) is None
 
 
 def test_reidemeister_two_contraction():
     n = 2
     c = FW("s0 s0^-1", n)
     assert sorted(c.objects) == [-1, 0, 1]
-    cert = find_homotopy_equiv(c, F_one(n))
+    cert = heq(c, F_one(n))
     assert cert is not None
     # independent oracle for the found certificate: the verifier recomputes
     # every identity from scratch
@@ -284,18 +298,18 @@ def test_degree_bound_caps_search(monkeypatch):
     n = 2
     c = FW("s0 s0^-1", n)
     monkeypatch.setattr(homotopy, "DEGREE_BOUND", 2)
-    assert find_homotopy_equiv(c, F_one(n)) is None
+    assert heq(c, F_one(n)) is None
 
 
 def test_relB2_homotopy_at_n3():
     n = 3
-    cert = find_homotopy_equiv(FW("s1 s2 s1", n), FW("s2 s1 s2", n))
+    cert = heq(FW("s1 s2 s1", n), FW("s2 s1 s2", n))
     assert cert is not None and not homotopy_failures(cert)
 
 
 def test_corrupted_homotopy_certificate_fails_with_witness():
     n = 2
-    cert = find_homotopy_equiv(FW("s0 s0^-1", n), F_one(n))
+    cert = heq(FW("s0 s0^-1", n), F_one(n))
     assert cert is not None
     # flip one sign inside a forward component
     comp = cert.forward.components[0]
@@ -362,9 +376,9 @@ def test_certificate_tamper_detected_after_round_trip():
 def test_remark_isos_at_n3():
     n = 3
     for i in range(n):
-        found = find_chain_iso(FW(f"s{i} z{i}", n), FW(f"z{i} s{i}", n))
+        found = iso(FW(f"s{i} z{i}", n), FW(f"z{i} s{i}", n))
         assert found is not None and not chain_iso_failures(*found), i
-    found = find_chain_iso(FW("z0 s1 z0 s1", n), FW("s1 z0 s1 z0", n))
+    found = iso(FW("z0 s1 z0 s1", n), FW("s1 z0 s1 z0", n))
     assert found is not None and not chain_iso_failures(*found)
 
 
@@ -401,7 +415,7 @@ def test_non_commuting_chain_map_witnesses():
 
 def test_broken_inverse_witnesses():
     n = 3
-    f, g = find_chain_iso(FW("s0 s2", n), FW("s2 s0", n))
+    f, g = iso(FW("s0 s2", n), FW("s2 s0", n))
     doubled = ChainMap(g.source, g.target, {k: m.scale(QSqrt2(2)) for k, m in g.components.items()})
     # g.f = 2 id and f.g = 2 id, so every diagonal entry leaves residual 1
     diagonal = [(-2, 0)] + [(k, i) for k in (-1, 0) for i in range(4)]
@@ -414,7 +428,7 @@ def test_broken_inverse_witnesses():
 
 def test_tampered_homotopy_witnesses():
     n = 2
-    cert = find_homotopy_equiv(FW("s0 s0^-1", n), F_one(n))
+    cert = heq(FW("s0 s0^-1", n), F_one(n))
     h_source = dict(cert.h_source)
     h_source[0] = h_source[0].scale(QSqrt2(2))
     tampered = HomotopyEquivalence(cert.forward, cert.backward, h_source, cert.h_target)
@@ -429,3 +443,113 @@ def test_tampered_homotopy_witnesses():
         (0, tag, 3, 3, "1"),
         (0, tag, 4, 4, "1"),
     ]
+
+
+# -- the reduced functor k (x)_R - (x)_R k and the probe screen ---------------------
+
+REPORT_N3 = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "certify_n3.json"
+
+
+def screen_passes(f):
+    return homotopy._cone_acyclic(f, reduced_complex(f.source), reduced_complex(f.target))
+
+
+@pytest.mark.parametrize(
+    "text, dims",
+    [
+        ("s0", {-1: 1, 0: 1}),
+        ("z0", {0: 1}),
+        ("s0^-1", {0: 1, 1: 1}),
+        ("s0 s0^-1", {-1: 1, 0: 3, 1: 1}),
+        ("s0 s1 s0 s1", {-4: 1, -3: 4, -2: 8, -1: 8, 0: 3}),
+    ],
+)
+def test_reduced_complex_dimensions(text, dims):
+    r = reduced_complex(FW(text, 2))
+    assert {k: len(free) for k, (_, free, _) in r.items()} == dims
+
+
+def test_reduced_homology_is_a_homotopy_invariant_on_known_pairs():
+    n = 2
+    assert reduced_homology(reduced_complex(FW("s0 s0^-1", n))) == {0: 1}
+    assert reduced_homology(reduced_complex(F_one(n))) == {0: 1}
+    relb3 = [reduced_homology(reduced_complex(FW(w, n))) for w in ("s0 s1 s0 s1", "s1 s0 s1 s0")]
+    assert relb3[0] == relb3[1] == {-4: 1, -3: 2, -2: 2, -1: 2, 0: 1}
+    # F(s0) and F(z0) differ after the functor, so they are not homotopy equivalent
+    assert reduced_homology(reduced_complex(FW("s0", n))) == {-1: 1, 0: 1}
+    assert reduced_homology(reduced_complex(FW("z0", n))) == {0: 1}
+
+
+def _forward_maps(report):
+    for result in report["results"]:
+        cert = result["certificate"]
+        n = cert["n"]
+        lhs, rhs = (FW(w, n) for w in cert["words"])
+        yield cert["relation"], ChainMap(lhs, rhs, homotopy._components_from_json(cert, "forward", lhs, rhs))
+
+
+def test_every_certified_forward_map_passes_the_screen():
+    with open(REPORT_N3) as fh:
+        n3 = json.load(fh)
+    for report in (relation_certificates(2), n3):
+        for label, f in _forward_maps(report):
+            assert screen_passes(f), (report["n"], label)
+
+
+def test_screen_agrees_with_the_solve_on_the_relB3_probes():
+    n = 2
+    c, d = FW("s0 s1 s0 s1", n), FW("s1 s0 s1 s0", n)
+    fb, gb = chain_map_space(c, d), chain_map_space(d, c)
+    sides = homotopy._homotopy_sides(c, d, len(gb))
+    rc, rd = reduced_complex(c), reduced_complex(d)
+    probes = list(itertools.islice(homotopy._candidate_iter(fb, homotopy.MAX_HOMOTOPY_CANDIDATES), 13))
+    screened = [homotopy._cone_acyclic(f, rc, rd) for f in probes]
+    solved = [homotopy._solve_homotopy_for(f, gb, sides) is not None for f in probes]
+    assert screened == solved == [False] * 12 + [True]
+
+
+@given(short_words_st)
+@settings(max_examples=15, deadline=None)
+def test_identity_chain_map_passes_the_screen(letters):
+    c = F_word(letters, 3)
+    assert screen_passes(ChainMap(c, c, {k: Morphism.identity(m) for k, m in c.objects.items()}))
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_screened_probes_never_reach_the_solver(monkeypatch):
+    # every probe after the first is rejected by the screen, so only the
+    # first one is solved (it was 200 full solves before the screen)
+    n = 3
+    solves = count_calls(monkeypatch, linalg, "solve_affine")
+    assert heq(FW("s1 s2 s1 s2", n), FW("s2 s1 s2 s1", n)) is None
+    assert len(solves) <= 1
+
+
+def test_differing_reduced_homologies_stop_the_search(monkeypatch):
+    n = 2
+    solves = count_calls(monkeypatch, linalg, "solve_affine")
+    screens = count_calls(monkeypatch, homotopy, "_cone_acyclic")
+    assert heq(FW("s0", n), FW("s0^-1", n)) is None
+    assert len(solves) == 1 and not screens
+
+
+def test_certify_pair_builds_the_chain_map_space_once(monkeypatch):
+    # relB2 at n=3 has matching graded ranks but no isomorphism, so auto mode
+    # runs both searches: c -> d once, shared by the two, and d -> c once
+    n = 3
+    spaces = count_calls(monkeypatch, homotopy, "chain_map_space")
+    kind, cert = certify_pair(W("s1 s2 s1", n), W("s2 s1 s2", n), n)
+    assert kind == "homotopy" and verify_certificate_dict(cert)[0]
+    (c, d), backward = spaces
+    assert backward == (d, c)
