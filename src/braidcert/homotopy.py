@@ -12,17 +12,19 @@ Certificates are explicit per-degree matrices (a chain isomorphism with its
 inverse, or a homotopy equivalence with both homotopies) whose defining
 identities are re-verified exactly, entry by entry.
 
-The homotopy search is screened through the reduced functor
-``k (x)_R - (x)_R k`` (``k = Q(sqrt2)``, every ``X_j`` acting by 0), which
-sends each complex to a complex of finite-dimensional vector spaces
-(``reduced_complex``).  An additive functor preserves homotopy equivalences,
-so the reduced map of a forward map that is part of one is a
-quasi-isomorphism, that is, its cone is acyclic.  A probe whose reduced cone
-is not acyclic therefore cannot succeed, and is never solved; and two
-complexes whose reduced homologies differ are not homotopy equivalent.  The
-screen only rejects what the exact solve would reject, so the search picks
-the same certificate.  A search that finds nothing still proves nothing:
-"not found" never means "does not exist".
+The homotopy search is decided by ``H^0 Hom(c, d)``: the degree-0 chain maps
+``Z^0`` modulo the null-homotopic ones ``B^0`` (``homotopy_classes``).  Every
+word goes to an invertible complex, so ``H^0 End(F(w)) = End^0(R) = Q(sqrt2)``
+is 1-dimensional (a test pins this for every short word).  If ``c`` and ``d``
+are homotopy equivalent, ``H^0 Hom(c, d)`` is isomorphic to ``H^0 End(c)``, so
+a pair whose ``H^0`` is not 1-dimensional is not homotopy equivalent.  When it
+is, every chain map outside ``B^0`` is ``lambda f0`` plus a null-homotopic map
+with ``lambda != 0``, so one exact solve on any of them decides: a solution
+is the certificate, and an inconsistent system proves that ``c`` and ``d``
+are not homotopy equivalent.  So a None from ``find_homotopy_equiv`` means
+"not homotopy equivalent", except past ``DEGREE_BOUND``, where it means "not
+searched".  ``find_chain_iso`` stays a bounded probe search: its None means
+only "not found".
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from .bimodcalc import (
 from .coxeter import make_reflection
 from .errors import ParseError
 from .polyring import Poly, format_poly, parse_poly
-from .scalars import ONE, ZERO, QSqrt2
+from .scalars import ONE, QSqrt2
 from .words import REPORT_FORMAT, Alphabet, BraidWord, format_word, parse_word, relator_table
 
 
@@ -315,95 +317,11 @@ def chain_iso_failures(f: ChainMap, g: ChainMap) -> list:
     return homotopy_failures(HomotopyEquivalence(f, g, {}, {}))
 
 
-# -- the reduced functor k (x)_R - (x)_R k ------------------------------------------
-
-
-def reduced_complex(c: Complex) -> dict:
-    """The image of ``c`` under ``k (x)_R - (x)_R k``, where every ``X_j`` acts by 0.
-
-    ``C_k`` becomes ``V_k = k^rank / S_k``, with ``S_k`` spanned by the
-    constant parts of every column of every right action, and ``d_k`` the
-    map ``V_k -> V_{k+1}`` induced by its constant part.  Returns
-    ``{k: (span, free, dbar)}``: ``span`` is the echelon form of ``S_k``,
-    ``free`` the coordinates that are not its pivots (their classes are a
-    basis of ``V_k``), and ``dbar`` the dense matrix of ``d_k`` in those
-    bases, one row per basis element of ``V_{k+1}``.
-    """
-    quotients = {}
-    for k, obj in c.objects.items():
-        every = range(obj.rank)
-        span = linalg._Echelon(v for action in obj.actions for v in _constant_columns(action, every))
-        quotients[k] = (span, [i for i in every if i not in span.pivots])
-    return {
-        k: (span, free, _reduced_map(c.diff_at(k).matrix, free, *quotients.get(k + 1, (None, []))))
-        for k, (span, free) in quotients.items()
-    }
-
-
-def _constant_columns(matrix: Matrix, cols) -> list:
-    """The constant parts of the columns ``cols`` of ``matrix``, as ``{row: QSqrt2}`` dicts."""
-    index = {j: pos for pos, j in enumerate(cols)}
-    out = [{} for _ in index]
-    for i, row in enumerate(matrix):
-        for j, entry in row.items():
-            pos = index.get(j)
-            if pos is not None and (t := entry.constant_term()):
-                out[pos][i] = t
-    return out
-
-
-def _reduced_map(matrix: Matrix, free: list, span, target_free: list) -> list:
-    """The dense matrix of the map that ``matrix`` induces from the classes of
-    ``free`` to the quotient by ``span``, whose basis is ``target_free``."""
-    pos = {i: r for r, i in enumerate(target_free)}
-    out = [[ZERO] * len(free) for _ in target_free]
-    if out:
-        for col, vec in enumerate(_constant_columns(matrix, free)):
-            for i, t in span.reduce(vec).items():
-                out[pos[i]][col] = t
-    return out
-
-
-def reduced_homology(r: dict) -> dict:
-    """``{k: dim H_k}`` of a ``reduced_complex``, nonzero dimensions only."""
-    ranks = {k: linalg.dense_rank(dbar) for k, (_, _, dbar) in r.items()}
-    dims = {k: len(free) - ranks[k] - ranks.get(k - 1, 0) for k, (_, free, _) in r.items()}
-    return {k: h for k, h in dims.items() if h}
-
-
-def _cone_acyclic(f: ChainMap, rc: dict, rd: dict) -> bool:
-    """Whether the cone of ``f``'s reduced map ``fbar`` is acyclic.
-
-    ``rc`` and ``rd`` are the reduced complexes of ``f``'s source and
-    target.  The cone has ``V_{k+1}(c) (+) V_k(d)`` in degree ``k`` and the
-    differential ``(x, y) -> (-dbar x, fbar x + dbar y)``; it is acyclic
-    exactly when each degree's dimension is the rank of the differential out
-    of it plus that of the one into it.
-    """
-    empty = (None, [], [])
-    degrees = {k - 1 for k in rc} | set(rd)
-    into = 0  # rank of the cone differential into degree k
-    for k in range(min(degrees), max(degrees) + 1):
-        _, free_c, dc = rc.get(k + 1, empty)
-        _, free_d, dd = rd.get(k, empty)
-        span, target_free, _ = rd.get(k + 1, empty)
-        fk = f.components.get(k + 1)
-        fbar = _reduced_map(fk.matrix if fk else [], free_c, span, target_free)
-        rows = [[-x for x in row] + [ZERO] * len(free_d) for row in dc]
-        rows += [x + y for x, y in zip(fbar, dd or [[]] * len(fbar))]
-        out = linalg.dense_rank(rows)
-        if len(free_c) + len(free_d) != out + into:
-            return False
-        into = out
-    return True
-
-
 # -- search -----------------------------------------------------------------------
 
-# probe caps: how many combinations each search tries, and how many nonzero
+# how many combinations the isomorphism search tries, and how many nonzero
 # degrees the homotopy search takes
 MAX_ISO_CANDIDATES = 4000
-MAX_HOMOTOPY_CANDIDATES = 200
 DEGREE_BOUND = 8
 
 
@@ -516,64 +434,57 @@ def find_chain_iso(c: Complex, d: Complex, fb: list):
 
 
 def find_homotopy_equiv(c: Complex, d: Complex, fb: list):
-    """A verified homotopy equivalence certificate, or None.
+    """A verified homotopy equivalence, or None when ``c`` and ``d`` are not
+    homotopy equivalent.
 
-    ``fb`` is ``chain_map_space(c, d)``.  For each of its first
-    ``MAX_HOMOTOPY_CANDIDATES`` probe forward maps the remaining data
-    (backward map and both homotopies) satisfies a linear system, solved
-    exactly; the first candidate admitting a solution wins.  Pairs with more
-    than ``DEGREE_BOUND`` nonzero degrees are not searched.
-
-    Once the first probe has failed, later probes are screened through
-    ``k (x)_R - (x)_R k`` (see the module doc): a probe is solved only if
-    the cone of its reduced map is acyclic, and if the reduced homologies of
-    ``c`` and ``d`` differ, no probe can pass and the search stops.  Every
-    probe the screen rejects would have failed its solve, so the winner is
-    the same as without the screen.  None still means only "not found".
+    ``fb`` is ``chain_map_space(c, d)``.  The search is decided by
+    ``H^0 Hom(c, d)`` (see the module doc).  If it is not 1-dimensional, no
+    forward map exists and nothing is solved.  Otherwise the forward map is
+    the first basis map outside ``B^0``, and one exact solve for the backward
+    map and both homotopies decides.  ``_combo_candidates`` starts with the
+    basis maps themselves, so this map is also its first probe that is not
+    null-homotopic.  Pairs with more than ``DEGREE_BOUND`` nonzero degrees
+    are not searched: their None means "not searched".
     """
     if not _within_degree_bound(c, d):
         return None
-    gb = chain_map_space(d, c)
-    sides = _homotopy_sides(c, d, len(gb))
-    screen = None  # built when the first probe fails, so a first-probe win pays nothing
-    for f in _candidate_iter(fb, MAX_HOMOTOPY_CANDIDATES):
-        if screen is not None and not _cone_acyclic(f, *screen):
-            continue
-        cert = _solve_homotopy_for(f, gb, sides)
-        if cert is not None:
-            return cert
-        if screen is None:
-            screen = reduced_complex(c), reduced_complex(d)
-            if reduced_homology(screen[0]) != reduced_homology(screen[1]):
-                return None
-    return None
+    classes, dim = homotopy_classes(c, d, fb)
+    if dim != 1:
+        return None
+    f = next(f for f, cls in zip(fb, classes) if cls)
+    return _solve_homotopy_for(f, chain_map_space(d, c))
 
 
-def _homotopy_sides(c: Complex, d: Complex, nvars: int) -> list:
-    """The candidate-independent half of ``_solve_homotopy_for``'s system.
+def homotopy_classes(c: Complex, d: Complex, fb: list) -> tuple:
+    """The classes in ``H^0 Hom(c, d)`` of the chain maps ``fb``, and its dimension.
 
-    The unknowns are the ``nvars`` coefficients of the backward basis, then
-    those of the source-side and the target-side homotopy bases, degree by
-    degree.  The ``dh + hd`` equations do not depend on the candidate, so they
-    are built once; each candidate only adds its ``g_j f`` / ``f g_j`` terms.
+    ``fb`` is ``chain_map_space(c, d)``, a basis of the degree-0 chain maps
+    ``Z^0``.  The null-homotopic ones ``B^0`` are spanned by ``d h + h d``
+    for ``h`` in a basis of the degree-0 morphisms ``c_k -> d_{k-1}``.  A map
+    is the slot vector ``{(degree, row, col, monomial): coefficient}`` of its
+    components, and its class is that vector reduced modulo ``B^0``: empty
+    exactly when the map is null-homotopic.  The dimension of ``H^0`` is the
+    rank of the classes.
     """
-    sides = []  # per side: (complex, degree -> [(variable, basis homotopy)], degree -> dh + hd slots)
-    for cx in (c, d):
-        h: dict = {}
-        for k in cx.support():
-            below = cx.object_at(k - 1)
-            basis = solve_morphisms(cx.objects[k], below) if below.rank else []
-            h[k] = list(enumerate(basis, nvars))
-            nvars += len(basis)
-        dh_hd = {
-            k: affine_slots(
-                [(v, cx.diff_at(k - 1).compose(hk).matrix) for v, hk in h.get(k, [])]
-                + [(v, hk.compose(cx.diff_at(k)).matrix) for v, hk in h.get(k + 1, [])]
-            )
-            for k in cx.support()
-        }
-        sides.append((cx, h, dh_hd))
-    return sides
+    nulls = []
+    for k in c.support():
+        below = d.object_at(k - 1)
+        for h in solve_morphisms(c.objects[k], below) if below.rank else []:
+            nulls.append({k: d.diff_at(k - 1).compose(h), k - 1: h.compose(c.diff_at(k - 1))})
+    ech = linalg._Echelon(_slot_vector(m) for m in nulls)
+    classes = [ech.reduce(_slot_vector(f.components)) for f in fb]
+    return classes, sum(ech.insert(dict(v)) for v in classes)
+
+
+def _slot_vector(components: dict) -> dict:
+    """``{(degree, row, col, monomial): coefficient}`` of per-degree morphisms."""
+    return {
+        (k, a, b, mono): coeff
+        for k, m in components.items()
+        for a, row in enumerate(m.matrix)
+        for b, poly in row.items()
+        for mono, coeff in poly.terms.items()
+    }
 
 
 def _candidate_iter(basis: list, limit: int):
@@ -583,34 +494,46 @@ def _candidate_iter(basis: list, limit: int):
         yield ChainMap(basis[0].source, basis[0].target, comps)
 
 
-def _solve_homotopy_for(f: ChainMap, gb: list, sides: list):
-    """The homotopy equivalence with forward map ``f``, or None (see ``find_homotopy_equiv``)."""
+def _solve_homotopy_for(f: ChainMap, gb: list):
+    """The homotopy equivalence with forward map ``f``, or None.
+
+    ``gb`` is ``chain_map_space(f.target, f.source)``.  The unknowns are the
+    coefficients of ``gb``, then those of the source-side and the target-side
+    homotopy bases, degree by degree; one exact solve finds them all.
+    """
+    nvars = len(gb)
     rows: list = []
     rhs: list = []
+    homotopies = []  # per side: degree -> [(variable, basis homotopy)]
     # source side: sum_j y_j (g_j f)_k + (dh + hd)_k = id
     # target side: sum_j y_j (f g_j)_k + (dh + hd)_k = id
-    for (cx, _, dh_hd), f_first in zip(sides, (False, True)):
-        for k, fixed in dh_hd.items():
+    for cx, f_first in ((f.source, False), (f.target, True)):
+        h: dict = {}
+        for k in cx.support():
+            below = cx.object_at(k - 1)
+            basis = solve_morphisms(cx.objects[k], below) if below.rank else []
+            h[k] = list(enumerate(basis, nvars))
+            nvars += len(basis)
+        homotopies.append(h)
+        for k in cx.support():
             fk = f.component(k)
             terms = []
             for j, g in enumerate(gb):
                 gk = g.component(k)
                 prod = fk.compose(gk) if f_first else gk.compose(fk)
                 terms.append((j, prod.matrix))
-            slots = affine_slots(terms)
-            for key, eq in fixed.items():  # the variables are disjoint, so merging adds
-                slots[key] = {**slots[key], **eq} if key in slots else eq
-            eqs, want = affine_rows(slots, mat_identity(cx.objects[k].rank, cx.n))
+            terms += [(v, cx.diff_at(k - 1).compose(hk).matrix) for v, hk in h[k]]
+            terms += [(v, hk.compose(cx.diff_at(k)).matrix) for v, hk in h.get(k + 1, [])]
+            eqs, want = affine_rows(affine_slots(terms), mat_identity(cx.objects[k].rank, cx.n))
             rows += eqs
             rhs += want
     solution = linalg.solve_affine(rows, rhs)
     if solution is None:
         return None
-    (c, _, _), (d, _, _) = sides
-    g_map = ChainMap(d, c, _combine((solution.get(j), g.components) for j, g in enumerate(gb)))
+    g_map = ChainMap(f.target, f.source, _combine((solution.get(j), g.components) for j, g in enumerate(gb)))
     h_src, h_tgt = (
         _combine((solution.get(v), {k: hk}) for k, pairs in h.items() for v, hk in pairs)
-        for _, h, _ in sides
+        for h in homotopies
     )
     cert = HomotopyEquivalence(f, g_map, h_src, h_tgt)
     if homotopy_failures(cert):
@@ -750,8 +673,11 @@ def certify_pair(lhs: BraidWord, rhs: BraidWord, n: int, kind: str = "auto", lab
 
     Returns ``(kind, certificate dict)`` or ``(None, None)`` when neither an
     isomorphism nor (for kind 'auto'/'homotopy') a homotopy equivalence is
-    found.  ``label`` names the relation in the certificate; it defaults to
-    ``"<lhs> ~ <rhs>"``.
+    found.  For kind 'auto'/'homotopy', ``(None, None)`` means the complexes
+    are not homotopy equivalent, unless they span more than ``DEGREE_BOUND``
+    degrees (not searched); for kind 'iso' it means only "not found" (see
+    ``find_homotopy_equiv`` and ``find_chain_iso``).  ``label`` names the
+    relation in the certificate; it defaults to ``"<lhs> ~ <rhs>"``.
     """
     c = F_word(lhs, n)
     d = F_word(rhs, n)

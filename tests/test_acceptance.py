@@ -12,6 +12,7 @@ import json
 import pytest
 
 from braidcert import freegroup as fg
+from braidcert import linalg
 from braidcert.bimodcalc import (
     bimodule_Bs,
     bimodule_R,
@@ -39,6 +40,7 @@ from braidcert.homotopy import (
     chain_map_space,
     find_chain_iso,
     find_homotopy_equiv,
+    homotopy_classes,
     homotopy_failures,
     verify_certificate_dict,
     relation_certificates,
@@ -281,14 +283,27 @@ def test_criterion_5_relation_certificates(certificates_n2, certificates_n3):
     _report(5, "certificates for every defining relation at n = 2 and n = 3", failures)
 
 
-def test_criterion_6_negative_controls():
+def test_criterion_6_negative_controls(monkeypatch):
     failures = []
     n = 2
     ab = Alphabet.vbB(n)
     s0 = F_word(parse_word("s0", ab), n)
+    # H^0 Hom is 1-dimensional, so the one solve on the map outside B^0
+    # decides: an inconsistent system proves the pair is not equivalent
+    solves = []
+    solve_affine = linalg.solve_affine
+    monkeypatch.setattr(linalg, "solve_affine", lambda rows, rhs: solves.append(solve_affine(rows, rhs)) or solves[-1])
+    for other in ("z0", "s0^-1"):
+        d = F_word(parse_word(other, ab), n)
+        fb = chain_map_space(s0, d)
+        if homotopy_classes(s0, d, fb)[1] != 1:
+            failures.append(f"H^0 Hom(F(s0), F({other})) is not 1-dimensional")
+        solves.clear()
+        if find_homotopy_equiv(s0, d, fb) is not None:
+            failures.append(f"F(s0) ~ F({other}) unexpectedly homotopy equivalent")
+        if solves != [None]:
+            failures.append(f"F(s0) vs F({other}): expected one inconsistent solve, got {solves}")
     z0 = F_word(parse_word("z0", ab), n)
-    if find_homotopy_equiv(s0, z0, chain_map_space(s0, z0)) is not None:
-        failures.append("F(s0) ~ F(z0) unexpectedly homotopy equivalent")
     if find_chain_iso(s0, z0, chain_map_space(s0, z0)) is not None:
         failures.append("F(s0) ~ F(z0) unexpectedly isomorphic")
     # corrupting one sign in a verified certificate must produce a witness
@@ -322,7 +337,7 @@ def test_criterion_6_negative_controls():
             degree, what, row, col, residual = wits[0]
             if residual == "0":
                 failures.append("witness residual is empty")
-    _report(6, "negative controls: no equivalence F(s0) ~ F(z0); tamper detected", failures)
+    _report(6, "negative controls: F(s0) not equivalent to F(z0) or F(s0^-1), decided; tamper detected", failures)
 
 
 def test_criterion_7_remark_isomorphisms(certificates_n3):

@@ -1,4 +1,3 @@
-import itertools
 import json
 from pathlib import Path
 
@@ -29,9 +28,9 @@ from braidcert.homotopy import (
     complex_failures,
     find_chain_iso,
     find_homotopy_equiv,
+    homotopy_certificate,
+    homotopy_classes,
     homotopy_failures,
-    reduced_complex,
-    reduced_homology,
     relation_certificates,
     tensor_complex,
     verify_certificate_dict,
@@ -445,74 +444,9 @@ def test_tampered_homotopy_witnesses():
     ]
 
 
-# -- the reduced functor k (x)_R - (x)_R k and the probe screen ---------------------
+# -- H^0 Hom: degree-0 chain maps modulo null-homotopic ones -------------------------
 
 REPORT_N3 = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "certify_n3.json"
-
-
-def screen_passes(f):
-    return homotopy._cone_acyclic(f, reduced_complex(f.source), reduced_complex(f.target))
-
-
-@pytest.mark.parametrize(
-    "text, dims",
-    [
-        ("s0", {-1: 1, 0: 1}),
-        ("z0", {0: 1}),
-        ("s0^-1", {0: 1, 1: 1}),
-        ("s0 s0^-1", {-1: 1, 0: 3, 1: 1}),
-        ("s0 s1 s0 s1", {-4: 1, -3: 4, -2: 8, -1: 8, 0: 3}),
-    ],
-)
-def test_reduced_complex_dimensions(text, dims):
-    r = reduced_complex(FW(text, 2))
-    assert {k: len(free) for k, (_, free, _) in r.items()} == dims
-
-
-def test_reduced_homology_is_a_homotopy_invariant_on_known_pairs():
-    n = 2
-    assert reduced_homology(reduced_complex(FW("s0 s0^-1", n))) == {0: 1}
-    assert reduced_homology(reduced_complex(F_one(n))) == {0: 1}
-    relb3 = [reduced_homology(reduced_complex(FW(w, n))) for w in ("s0 s1 s0 s1", "s1 s0 s1 s0")]
-    assert relb3[0] == relb3[1] == {-4: 1, -3: 2, -2: 2, -1: 2, 0: 1}
-    # F(s0) and F(z0) differ after the functor, so they are not homotopy equivalent
-    assert reduced_homology(reduced_complex(FW("s0", n))) == {-1: 1, 0: 1}
-    assert reduced_homology(reduced_complex(FW("z0", n))) == {0: 1}
-
-
-def _forward_maps(report):
-    for result in report["results"]:
-        cert = result["certificate"]
-        n = cert["n"]
-        lhs, rhs = (FW(w, n) for w in cert["words"])
-        yield cert["relation"], ChainMap(lhs, rhs, homotopy._components_from_json(cert, "forward", lhs, rhs))
-
-
-def test_every_certified_forward_map_passes_the_screen():
-    with open(REPORT_N3) as fh:
-        n3 = json.load(fh)
-    for report in (relation_certificates(2), n3):
-        for label, f in _forward_maps(report):
-            assert screen_passes(f), (report["n"], label)
-
-
-def test_screen_agrees_with_the_solve_on_the_relB3_probes():
-    n = 2
-    c, d = FW("s0 s1 s0 s1", n), FW("s1 s0 s1 s0", n)
-    fb, gb = chain_map_space(c, d), chain_map_space(d, c)
-    sides = homotopy._homotopy_sides(c, d, len(gb))
-    rc, rd = reduced_complex(c), reduced_complex(d)
-    probes = list(itertools.islice(homotopy._candidate_iter(fb, homotopy.MAX_HOMOTOPY_CANDIDATES), 13))
-    screened = [homotopy._cone_acyclic(f, rc, rd) for f in probes]
-    solved = [homotopy._solve_homotopy_for(f, gb, sides) is not None for f in probes]
-    assert screened == solved == [False] * 12 + [True]
-
-
-@given(short_words_st)
-@settings(max_examples=15, deadline=None)
-def test_identity_chain_map_passes_the_screen(letters):
-    c = F_word(letters, 3)
-    assert screen_passes(ChainMap(c, c, {k: Morphism.identity(m) for k, m in c.objects.items()}))
 
 
 def count_calls(monkeypatch, module, name):
@@ -527,21 +461,138 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
-def test_screened_probes_never_reach_the_solver(monkeypatch):
-    # every probe after the first is rejected by the screen, so only the
-    # first one is solved (it was 200 full solves before the screen)
-    n = 3
-    solves = count_calls(monkeypatch, linalg, "solve_affine")
-    assert heq(FW("s1 s2 s1 s2", n), FW("s2 s1 s2 s1", n)) is None
-    assert len(solves) <= 1
+def h0(c, d):
+    """``(dim Z^0, dim H^0)`` of ``Hom(c, d)``."""
+    fb = chain_map_space(c, d)
+    return len(fb), homotopy_classes(c, d, fb)[1]
 
 
-def test_differing_reduced_homologies_stop_the_search(monkeypatch):
+def outside_b0(maps):
+    """For each chain map, whether it is not null-homotopic."""
+    f = maps[0]
+    return [bool(cls) for cls in homotopy_classes(f.source, f.target, maps)[0]]
+
+
+@pytest.mark.parametrize(
+    "lhs, rhs, n, dims",
+    [
+        ("s0 s1 s0 s1", "s1 s0 s1 s0", 2, (13, 1)),
+        ("s1 s2 s1", "s2 s1 s2", 3, (2, 1)),
+        ("s1 s2 s1 s2", "s2 s1 s2 s1", 3, (16, 0)),
+        ("s1", "s2", 3, (0, 0)),
+        ("z0", "z1", 3, (0, 0)),
+        ("s0 s0^-1", "", 2, (1, 1)),
+    ],
+)
+def test_degree_zero_hom_dimensions(lhs, rhs, n, dims):
+    assert h0(FW(lhs, n), FW(rhs, n)) == dims
+
+
+def _forward_maps(report):
+    for result in report["results"]:
+        cert = result["certificate"]
+        n = cert["n"]
+        lhs, rhs = (FW(w, n) for w in cert["words"])
+        yield cert["relation"], ChainMap(lhs, rhs, homotopy._components_from_json(cert, "forward", lhs, rhs))
+
+
+def test_every_certified_forward_map_lies_outside_b0():
+    with open(REPORT_N3) as fh:
+        n3 = json.load(fh)
+    for report in (relation_certificates(2), n3):
+        for label, f in _forward_maps(report):
+            assert outside_b0([f]) == [True], (report["n"], label)
+
+
+def test_outside_b0_agrees_with_the_solve_on_the_relB3_probes():
+    # the first 13 probes are the 13 basis maps; only the last is outside B^0,
+    # and it is the only one whose solve succeeds
     n = 2
+    c, d = FW("s0 s1 s0 s1", n), FW("s1 s0 s1 s0", n)
+    fb, gb = chain_map_space(c, d), chain_map_space(d, c)
+    probes = list(homotopy._candidate_iter(fb, 13))
+    outside = outside_b0(probes)
+    solved = [homotopy._solve_homotopy_for(f, gb) is not None for f in probes]
+    assert outside == solved == [False] * 12 + [True]
+
+
+def test_relB3_search_makes_one_solve(monkeypatch):
+    n = 2
+    c, d = FW("s0 s1 s0 s1", n), FW("s1 s0 s1 s0", n)
+    fb = chain_map_space(c, d)
     solves = count_calls(monkeypatch, linalg, "solve_affine")
-    screens = count_calls(monkeypatch, homotopy, "_cone_acyclic")
-    assert heq(FW("s0", n), FW("s0^-1", n)) is None
-    assert len(solves) == 1 and not screens
+    probes = count_calls(monkeypatch, homotopy, "_candidate_iter")
+    cert = find_homotopy_equiv(c, d, fb)
+    assert cert is not None and not homotopy_failures(cert)
+    assert cert.forward.components == fb[12].components
+    assert len(solves) == 1 and not probes
+
+
+def test_h0_zero_pair_is_decided_without_a_solve(monkeypatch):
+    # H^0 = 0: no backward space, no probe and no solve (the parent built
+    # 200 probes in full here)
+    n = 3
+    c, d = FW("s1 s2 s1 s2", n), FW("s2 s1 s2 s1", n)
+    fb = chain_map_space(c, d)
+    solves = count_calls(monkeypatch, linalg, "solve_affine")
+    spaces = count_calls(monkeypatch, homotopy, "chain_map_space")
+    probes = count_calls(monkeypatch, homotopy, "_candidate_iter")
+    assert find_homotopy_equiv(c, d, fb) is None
+    assert not solves and not spaces and not probes
+
+
+WORDS_N3 = ["s0", "s1", "s2", "s0^-1", "s1^-1", "s2^-1", "z0", "z1", "z2"]
+
+
+def test_endomorphism_h0_is_one_dimensional_on_short_words():
+    # F(w) is invertible up to homotopy, so H^0 End(F(w)) = Q(sqrt2): the
+    # fact that makes H^0 decide the homotopy search
+    n = 3
+    words = WORDS_N3 + [f"{a} {b}" for a in WORDS_N3 for b in WORDS_N3]
+    assert len(words) == 90
+    for w in words:
+        c = FW(w, n)
+        assert h0(c, c)[1] == 1, w
+
+
+words_up_to_4_braid_letters_st = st.lists(
+    st.one_of(
+        st.tuples(st.just("s"), st.integers(0, 2), st.sampled_from([1, -1])),
+        st.tuples(st.just("z"), st.integers(0, 2), st.just(1)),
+    ),
+    max_size=6,
+).filter(lambda letters: sum(kind == "s" for kind, _, _ in letters) <= 4)
+
+
+@given(words_up_to_4_braid_letters_st)
+@settings(max_examples=15, deadline=None)
+def test_endomorphism_h0_is_one_dimensional(letters):
+    c = F_word(letters, 3)
+    identity = ChainMap(c, c, {k: Morphism.identity(m) for k, m in c.objects.items()})
+    assert h0(c, c)[1] == 1
+    assert outside_b0([identity]) == [True]
+
+
+virtual_words_st = st.lists(st.integers(0, 2).map(lambda i: f"z{i}"), max_size=2).map(" ".join)
+
+
+@given(
+    st.sampled_from([f"s{i} s{i}^-1|" for i in range(3)] + [f"s{i}^-1 s{i}|" for i in range(3)] + ["s1 s2 s1|s2 s1 s2"]),
+    virtual_words_st,
+    virtual_words_st,
+)
+@settings(max_examples=15, deadline=None)
+def test_whiskered_relations_are_certified(relation, u, v):
+    # reid2a/b[i] and relB2, wrapped as u.lhs.v ~ u.rhs.v: the search never
+    # answers "not equivalent" for a pair the paper's relations make equivalent
+    n = 3
+    lhs, rhs = (" ".join(part for part in (u, side, v) if part) for side in relation.split("|"))
+    c, d = FW(lhs, n), FW(rhs, n)
+    assert h0(c, d)[1] == 1
+    cert = find_homotopy_equiv(c, d, chain_map_space(c, d))
+    assert cert is not None
+    data = homotopy_certificate("whiskered", n, W(lhs, n), W(rhs, n), cert)
+    assert verify_certificate_dict(data) == (True, [])
 
 
 def test_certify_pair_builds_the_chain_map_space_once(monkeypatch):
