@@ -541,6 +541,18 @@ def test_h0_zero_pair_is_decided_without_a_solve(monkeypatch):
     assert not solves and not spaces and not probes
 
 
+def test_differing_reduced_homologies_stop_the_search(monkeypatch):
+    # s0 vs s0^-1: H^0 = 1, so the one solve on the map outside B^0 decides,
+    # and its inconsistency stops the search without a probe
+    n = 2
+    c, d = FW("s0", n), FW("s0^-1", n)
+    assert h0(c, d)[1] == 1
+    solves = count_calls(monkeypatch, linalg, "solve_affine")
+    probes = count_calls(monkeypatch, homotopy, "_candidate_iter")
+    assert heq(c, d) is None
+    assert len(solves) == 1 and not probes
+
+
 WORDS_N3 = ["s0", "s1", "s2", "s0^-1", "s1^-1", "s2^-1", "z0", "z1", "z2"]
 
 
