@@ -31,7 +31,7 @@ def _emit(payload, args) -> None:
     out = getattr(args, "out", None)
     if out:
         with open(out, "w") as fh:
-            fh.write(text if isinstance(text, str) else str(text))
+            fh.write(text)
             fh.write("\n")
     else:
         print(text)

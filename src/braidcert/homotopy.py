@@ -23,13 +23,13 @@ with ``lambda != 0``, so one exact solve on any of them decides: a solution
 is the certificate, and an inconsistent system proves that ``c`` and ``d``
 are not homotopy equivalent.  So a None from ``find_homotopy_equiv`` means
 "not homotopy equivalent", except past ``DEGREE_BOUND``, where it means "not
-searched".  ``find_chain_iso`` stays a bounded probe search: its None means
-only "not found".
+searched".  ``find_chain_iso`` probes each basis map of ``Z^0``, then one
+weighted sum of them: ``dim Z^0 + 1`` probes at most, and its None means only
+"not found".
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 
 from . import linalg
@@ -58,7 +58,7 @@ from .bimodcalc import (
 from .coxeter import make_reflection
 from .errors import ParseError
 from .polyring import Poly, format_poly, parse_poly
-from .scalars import ONE, QSqrt2
+from .scalars import QSqrt2
 from .words import REPORT_FORMAT, Alphabet, BraidWord, format_word, parse_word, relator_table
 
 
@@ -319,9 +319,7 @@ def chain_iso_failures(f: ChainMap, g: ChainMap) -> list:
 
 # -- search -----------------------------------------------------------------------
 
-# how many combinations the isomorphism search tries, and how many nonzero
-# degrees the homotopy search takes
-MAX_ISO_CANDIDATES = 4000
+# how many nonzero degrees the homotopy search takes
 DEGREE_BOUND = 8
 
 
@@ -331,30 +329,37 @@ def chain_map_space(c: Complex, d: Complex) -> list:
     Per-degree morphism spaces are solved first; the commutation with the
     differentials is then a small linear system over their coefficients.
     """
-    degrees = sorted(set(c.objects) | set(d.objects))
-    per_degree: dict = {}  # degree -> [(variable, basis morphism)]
-    nvars = 0
-    for k in degrees:
-        ck, dk = c.object_at(k), d.object_at(k)
-        basis = solve_morphisms(ck, dk) if ck.rank and dk.rank else []
-        per_degree[k] = list(enumerate(basis, nvars))
-        nvars += len(basis)
-    if nvars == 0:
-        return []
+    per_degree, nvars = _hom_basis(c, d, 0, 0)
     rows: list = []
-    for k in degrees:
+    for k, pairs in per_degree.items():
         # d_D o f_k + f_{k+1} o (-d_C) = 0   as maps C_k -> D_{k+1}
-        if not (c.object_at(k).rank and d.object_at(k + 1).rank):
+        if not d.object_at(k + 1).rank:
             continue
         dd = d.diff_at(k)
         minus_dc = [{j: -e for j, e in row.items()} for row in c.diff_at(k).matrix]
-        terms = [(v, dd.compose(b).matrix) for v, b in per_degree[k]]
+        terms = [(v, dd.compose(b).matrix) for v, b in pairs]
         terms += [(v, mat_mul(b.matrix, minus_dc)) for v, b in per_degree.get(k + 1, [])]
         rows += affine_rows(affine_slots(terms))[0]
     return [
-        ChainMap(c, d, _combine((vec.get(v), {k: b}) for k in degrees for v, b in per_degree[k]))
+        ChainMap(c, d, _combine((vec.get(v), {k: b}) for k, pairs in per_degree.items() for v, b in pairs))
         for vec in linalg.kernel_basis(rows, nvars)
     ]
+
+
+def _hom_basis(x: Complex, y: Complex, offset: int, start: int) -> tuple:
+    """Numbered bases of the degree-0 morphisms ``x_k -> y_{k+offset}``.
+
+    Returns ``{k: [(variable, morphism)]}`` over the support of ``x`` in
+    degree order, with variables counted up from ``start``, and the next free
+    variable.
+    """
+    per_degree: dict = {}
+    for k in x.support():
+        target = y.object_at(k + offset)
+        basis = solve_morphisms(x.objects[k], target) if target.rank else []
+        per_degree[k] = list(enumerate(basis, start))
+        start += len(basis)
+    return per_degree, start
 
 
 def _combine(weighted) -> dict:
@@ -375,27 +380,6 @@ def _combine(weighted) -> dict:
     return {k: m for k, m in totals.items() if not m.is_zero()}
 
 
-def _combo_candidates(dim: int):
-    """Deterministic coefficient vectors to probe a solution space with."""
-    if dim == 0:
-        return
-    for i in range(dim):
-        yield {i: ONE}
-    if dim > 1:
-        # a generic-looking weighted combination often hits the invertible locus
-        primes = [1, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
-        yield {i: QSqrt2(primes[i % len(primes)]) for i in range(dim)}
-    for size in (2, 3):
-        if size > dim:
-            break
-        for combo in itertools.combinations(range(dim), size):
-            for signs in itertools.product((1, -1), repeat=size - 1):
-                coeffs = {combo[0]: ONE}
-                for idx, sgn in zip(combo[1:], signs):
-                    coeffs[idx] = QSqrt2(sgn)
-                yield coeffs
-
-
 def _graded_ranks_match(c: Complex, d: Complex) -> bool:
     if set(c.objects) != set(d.objects):
         return False
@@ -412,14 +396,14 @@ def _within_degree_bound(c: Complex, d: Complex) -> bool:
 def find_chain_iso(c: Complex, d: Complex, fb: list):
     """A chain isomorphism with verified inverse, or None.
 
-    ``fb`` is ``chain_map_space(c, d)``.  Searches that space for an element
-    whose every component inverts (decided degreewise by its constant part);
-    deterministic order, first hit wins among ``MAX_ISO_CANDIDATES`` probes.
-    Pairs whose graded ranks differ are not searched.
+    ``fb`` is ``chain_map_space(c, d)``.  Probes each basis map, then one
+    weighted sum of them (``_candidate_iter``), for a map whose every
+    component inverts (decided degreewise by its constant part); the first
+    hit wins.  Pairs whose graded ranks differ are not searched.
     """
     if not _graded_ranks_match(c, d):
         return None
-    for f in _candidate_iter(fb, MAX_ISO_CANDIDATES):
+    for f in _candidate_iter(fb):
         inverses: dict = {}
         for k in sorted(c.objects):
             inv = f.component(k).graded_inverse()
@@ -441,7 +425,7 @@ def find_homotopy_equiv(c: Complex, d: Complex, fb: list):
     ``H^0 Hom(c, d)`` (see the module doc).  If it is not 1-dimensional, no
     forward map exists and nothing is solved.  Otherwise the forward map is
     the first basis map outside ``B^0``, and one exact solve for the backward
-    map and both homotopies decides.  ``_combo_candidates`` starts with the
+    map and both homotopies decides.  ``_candidate_iter`` starts with the
     basis maps themselves, so this map is also its first probe that is not
     null-homotopic.  Pairs with more than ``DEGREE_BOUND`` nonzero degrees
     are not searched: their None means "not searched".
@@ -466,11 +450,11 @@ def homotopy_classes(c: Complex, d: Complex, fb: list) -> tuple:
     exactly when the map is null-homotopic.  The dimension of ``H^0`` is the
     rank of the classes.
     """
-    nulls = []
-    for k in c.support():
-        below = d.object_at(k - 1)
-        for h in solve_morphisms(c.objects[k], below) if below.rank else []:
-            nulls.append({k: d.diff_at(k - 1).compose(h), k - 1: h.compose(c.diff_at(k - 1))})
+    nulls = [
+        {k: d.diff_at(k - 1).compose(h), k - 1: h.compose(c.diff_at(k - 1))}
+        for k, pairs in _hom_basis(c, d, -1, 0)[0].items()
+        for _, h in pairs
+    ]
     ech = linalg._Echelon(_slot_vector(m) for m in nulls)
     classes = [ech.reduce(_slot_vector(f.components)) for f in fb]
     return classes, sum(ech.insert(dict(v)) for v in classes)
@@ -487,10 +471,13 @@ def _slot_vector(components: dict) -> dict:
     }
 
 
-def _candidate_iter(basis: list, limit: int):
-    """The first ``limit`` probe combinations of ``basis``, built lazily."""
-    for coeffs in itertools.islice(_combo_candidates(len(basis)), limit):
-        comps = _combine((coeff, basis[i].components) for i, coeff in coeffs.items())
+def _candidate_iter(basis: list):
+    """The isomorphism probes: each map of ``basis``, then their weighted sum."""
+    yield from basis
+    if len(basis) > 1:
+        # a generic-looking weighted combination often hits the invertible locus
+        primes = [1, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+        comps = _combine((QSqrt2(primes[i % len(primes)]), b.components) for i, b in enumerate(basis))
         yield ChainMap(basis[0].source, basis[0].target, comps)
 
 
@@ -508,12 +495,7 @@ def _solve_homotopy_for(f: ChainMap, gb: list):
     # source side: sum_j y_j (g_j f)_k + (dh + hd)_k = id
     # target side: sum_j y_j (f g_j)_k + (dh + hd)_k = id
     for cx, f_first in ((f.source, False), (f.target, True)):
-        h: dict = {}
-        for k in cx.support():
-            below = cx.object_at(k - 1)
-            basis = solve_morphisms(cx.objects[k], below) if below.rank else []
-            h[k] = list(enumerate(basis, nvars))
-            nvars += len(basis)
+        h, nvars = _hom_basis(cx, cx, -1, nvars)
         homotopies.append(h)
         for k in cx.support():
             fk = f.component(k)

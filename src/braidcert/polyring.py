@@ -170,14 +170,6 @@ class Poly:
         out.terms = {exp: k * c for exp, k in self.terms.items()}
         return out
 
-    def __pow__(self, k: int) -> "Poly":
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        result = Poly.one(self.n)
-        for _ in range(k):
-            result = result * self
-        return result
-
     def __eq__(self, other) -> bool:
         o = self._coerce(other)
         if o is None:

@@ -92,9 +92,6 @@ class BraidWord:
     def __str__(self) -> str:
         return format_word(self)
 
-    def text(self) -> str:
-        return format_word(self)
-
 
 def make_word(alphabet: Alphabet, letters: Iterable) -> BraidWord:
     return BraidWord(alphabet, tuple(letters))

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 from pathlib import Path
 
@@ -31,6 +33,7 @@ from braidcert.homotopy import (
     homotopy_certificate,
     homotopy_classes,
     homotopy_failures,
+    iso_certificate,
     relation_certificates,
     tensor_complex,
     verify_certificate_dict,
@@ -510,9 +513,9 @@ def test_outside_b0_agrees_with_the_solve_on_the_relB3_probes():
     n = 2
     c, d = FW("s0 s1 s0 s1", n), FW("s1 s0 s1 s0", n)
     fb, gb = chain_map_space(c, d), chain_map_space(d, c)
-    probes = list(homotopy._candidate_iter(fb, 13))
-    outside = outside_b0(probes)
-    solved = [homotopy._solve_homotopy_for(f, gb) is not None for f in probes]
+    assert list(homotopy._candidate_iter(fb))[:13] == fb
+    outside = outside_b0(fb)
+    solved = [homotopy._solve_homotopy_for(f, gb) is not None for f in fb]
     assert outside == solved == [False] * 12 + [True]
 
 
@@ -539,6 +542,64 @@ def test_h0_zero_pair_is_decided_without_a_solve(monkeypatch):
     probes = count_calls(monkeypatch, homotopy, "_candidate_iter")
     assert find_homotopy_equiv(c, d, fb) is None
     assert not solves and not spaces and not probes
+
+
+def count_probes(monkeypatch):
+    """The isomorphism probes ``_candidate_iter`` yields, recorded as they go."""
+    probes = []
+    original = homotopy._candidate_iter
+
+    def counted(basis):
+        for f in original(basis):
+            probes.append(f)
+            yield f
+
+    monkeypatch.setattr(homotopy, "_candidate_iter", counted)
+    return probes
+
+
+def test_h0_zero_pair_iso_search_probes_each_basis_map_then_the_sum(monkeypatch):
+    # Z^0 is 16-dimensional and holds no isomorphism: 16 basis maps, the
+    # weighted sum, and the search stops
+    n = 3
+    c, d = FW("s1 s2 s1 s2", n), FW("s2 s1 s2 s1", n)
+    fb = chain_map_space(c, d)
+    probes = count_probes(monkeypatch)
+    assert certify_pair(W("s1 s2 s1 s2", n), W("s2 s1 s2 s1", n), n) == (None, None)
+    assert len(fb) == 16 and len(probes) == 17
+    assert [f.components for f in probes[:16]] == [f.components for f in fb]
+    assert all(probes[16].components != f.components for f in fb)
+
+
+SHORT_LETTERS_N2 = ["s0", "s0^-1", "s1", "s1^-1", "z0", "z1"]
+SHORT_PAIRS_N2_SHA256 = "5d0c5a5a1cb7772b786ddc509ebe0c5c4798502608a145458a959a3155498635"
+
+
+def test_iso_search_on_all_short_word_pairs_at_n2():
+    # every pair of vbB words of <= 2 letters at n = 2 whose graded ranks
+    # match: which isomorphisms are found, how many are basis maps (the rest
+    # are the weighted sum), and the certificate bytes, which equal those of
+    # a search that also probed 2- and 3-term signed combinations
+    n = 2
+    words = [W(" ".join(w), n) for k in range(3) for w in itertools.product(SHORT_LETTERS_N2, repeat=k)]
+    complexes = [F_word(w, n) for w in words]
+    pairs = isos = basis_hits = 0
+    digest = hashlib.sha256()
+    for i, j in itertools.combinations_with_replacement(range(len(words)), 2):
+        c, d = complexes[i], complexes[j]
+        if not homotopy._graded_ranks_match(c, d):
+            continue
+        pairs += 1
+        fb = chain_map_space(c, d)
+        found = find_chain_iso(c, d, fb)
+        if found is None:
+            continue
+        isos += 1
+        basis_hits += any(found[0].components == f.components for f in fb)
+        cert = iso_certificate(f"{words[i]} ~ {words[j]}", n, words[i], words[j], *found)
+        digest.update(json.dumps(cert, sort_keys=True).encode() + b"\n")
+    assert (pairs, isos, basis_hits) == (194, 52, 44)
+    assert digest.hexdigest() == SHORT_PAIRS_N2_SHA256
 
 
 def test_differing_reduced_homologies_stop_the_search(monkeypatch):
