@@ -156,59 +156,6 @@ def id_tensor(left: Bimodule, matrix: Matrix, cols: int) -> Matrix:
     return out
 
 
-def affine_slots(terms) -> dict:
-    """The left-hand sides of "a sum of coefficient-weighted matrices = target".
-
-    ``terms`` holds ``(variable, matrix)`` pairs; a term that is subtracted
-    carries the minus sign in its matrix.  Returns one equation
-    ``{variable: coefficient}`` per (row, column, monomial) slot that some
-    term touches.  Slot dicts over disjoint variables add by merging their
-    equations.
-    """
-    slots: dict = {}
-    for var, matrix in terms:
-        for a, row in enumerate(matrix):
-            for b, poly in row.items():
-                for mono, coeff in poly.terms.items():
-                    eq = slots.get((a, b, mono))
-                    if eq is None:
-                        slots[(a, b, mono)] = {var: coeff}
-                        continue
-                    cur = eq.get(var)
-                    if cur is None:
-                        eq[var] = coeff
-                    else:
-                        cur = cur + coeff
-                        if cur:
-                            eq[var] = cur
-                        else:
-                            del eq[var]
-    return slots
-
-
-def affine_rows(slots: dict, target: Matrix | None = None) -> tuple:
-    """The equations ``slots`` (see ``affine_slots``) with right-hand side ``target``.
-
-    ``target=None`` stands for the zero matrix.  There is one equation per
-    slot, in sorted slot order; slots that read ``0 = 0`` are skipped.
-    Returns the parallel lists ``(rows, rhs)``; the rows are ``slots``' own
-    dicts, not copies.
-    """
-    slots = dict(slots)
-    for a, row in enumerate(target or ()):
-        for b, poly in row.items():
-            for mono in poly.terms:
-                slots.setdefault((a, b, mono), {})
-    rows: list = []
-    rhs: list = []
-    for (a, b, mono), eq in sorted(slots.items()):
-        want = target[a][b].coefficient(mono) if target and b in target[a] else ZERO
-        if eq or want:
-            rows.append(eq)
-            rhs.append(want)
-    return rows, rhs
-
-
 # -- bimodules -------------------------------------------------------------------
 
 

@@ -12,8 +12,15 @@ Certificates are explicit per-degree matrices (a chain isomorphism with its
 inverse, or a homotopy equivalence with both homotopies) whose defining
 identities are re-verified exactly, entry by entry.
 
-The homotopy search is decided by ``H^0 Hom(c, d)``: the degree-0 chain maps
-``Z^0`` modulo the null-homotopic ones ``B^0`` (``homotopy_classes``).  Every
+Morphisms up to homotopy are ``H^0`` of the Hom complex: ``Hom^p(c, d)``
+holds the degree-0 morphisms ``c_k -> d_{k+p}``, with differential
+``delta h = d h - (-1)^p h d`` (``_delta``).  The search writes ``delta``
+once, and ``_slot_vector`` and ``_equations`` make its three linear problems:
+the chain maps ``Z^0 = ker delta`` on ``Hom^0`` (``chain_map_space``), the
+null-homotopic maps ``B^0 = delta(Hom^-1)`` (``homotopy_classes``) and the
+solve of ``g f + delta h = id`` (``_solve_homotopy_for``).
+
+The homotopy search is decided by ``H^0 Hom(c, d) = Z^0 / B^0``.  Every
 word goes to an invertible complex, so ``H^0 End(F(w)) = End^0(R) = Q(sqrt2)``
 is 1-dimensional (a test pins this for every short word).  If ``c`` and ``d``
 are homotopy equivalent, ``H^0 Hom(c, d)`` is isomorphic to ``H^0 End(c)``, so
@@ -30,6 +37,7 @@ weighted sum of them: ``dim Z^0 + 1`` probes at most, and its None means only
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 
 from . import linalg
@@ -37,8 +45,6 @@ from .bimodcalc import (
     Bimodule,
     Matrix,
     Morphism,
-    affine_rows,
-    affine_slots,
     bimodule_R,
     bimodule_Rw,
     bimodule_Bs,
@@ -46,7 +52,6 @@ from .bimodcalc import (
     id_tensor,
     mat_add,
     mat_identity,
-    mat_mul,
     mat_paste,
     mat_residuals,
     mat_zero,
@@ -58,7 +63,7 @@ from .bimodcalc import (
 from .coxeter import make_reflection
 from .errors import ParseError
 from .polyring import Poly, format_poly, parse_poly
-from .scalars import QSqrt2
+from .scalars import ZERO, QSqrt2
 from .words import REPORT_FORMAT, Alphabet, BraidWord, format_word, parse_word, relator_table
 
 
@@ -324,42 +329,73 @@ DEGREE_BOUND = 8
 
 
 def chain_map_space(c: Complex, d: Complex) -> list:
-    """A basis of the space of degree-0 chain maps ``c -> d``.
+    """A basis of the space of degree-0 chain maps ``c -> d``: ``Z^0 = ker delta``.
 
-    Per-degree morphism spaces are solved first; the commutation with the
-    differentials is then a small linear system over their coefficients.
+    Per-degree morphism spaces are solved first; ``delta f = 0`` is then a
+    small linear system over their coefficients.
     """
-    per_degree, nvars = _hom_basis(c, d, 0, 0)
-    rows: list = []
-    for k, pairs in per_degree.items():
-        # d_D o f_k + f_{k+1} o (-d_C) = 0   as maps C_k -> D_{k+1}
-        if not d.object_at(k + 1).rank:
-            continue
-        dd = d.diff_at(k)
-        minus_dc = [{j: -e for j, e in row.items()} for row in c.diff_at(k).matrix]
-        terms = [(v, dd.compose(b).matrix) for v, b in pairs]
-        terms += [(v, mat_mul(b.matrix, minus_dc)) for v, b in per_degree.get(k + 1, [])]
-        rows += affine_rows(affine_slots(terms))[0]
+    basis, nvars = _hom_basis(c, d, 0, 0)
+    rows = _equations((v, _delta(c, d, 0, k, b)) for v, k, b in basis)[0]
     return [
-        ChainMap(c, d, _combine((vec.get(v), {k: b}) for k, pairs in per_degree.items() for v, b in pairs))
+        ChainMap(c, d, _combine((vec.get(v), {k: b}) for v, k, b in basis))
         for vec in linalg.kernel_basis(rows, nvars)
     ]
 
 
 def _hom_basis(x: Complex, y: Complex, offset: int, start: int) -> tuple:
-    """Numbered bases of the degree-0 morphisms ``x_k -> y_{k+offset}``.
+    """A numbered basis of ``Hom^offset(x, y)``: the morphisms ``x_k -> y_{k+offset}``.
 
-    Returns ``{k: [(variable, morphism)]}`` over the support of ``x`` in
-    degree order, with variables counted up from ``start``, and the next free
+    Returns ``[(variable, k, morphism)]`` over the support of ``x`` in degree
+    order, with variables counted up from ``start``, and the next free
     variable.
     """
-    per_degree: dict = {}
+    basis: list = []
     for k in x.support():
         target = y.object_at(k + offset)
-        basis = solve_morphisms(x.objects[k], target) if target.rank else []
-        per_degree[k] = list(enumerate(basis, start))
-        start += len(basis)
-    return per_degree, start
+        if target.rank:
+            for b in solve_morphisms(x.objects[k], target):
+                basis.append((start + len(basis), k, b))
+    return basis, start + len(basis)
+
+
+def _delta(x: Complex, y: Complex, p: int, k: int, h: Morphism) -> dict:
+    """``delta h = d h - (-1)^p h d`` for ``h: x_k -> y_{k+p}`` in ``Hom^p(x, y)``.
+
+    Returns ``{source degree: matrix}``: ``d h`` starts in degree ``k`` and
+    ``h d`` in degree ``k - 1``.
+    """
+    hd = h.compose(x.diff_at(k - 1)).matrix
+    if p % 2 == 0:
+        hd = [{j: -e for j, e in row.items()} for row in hd]
+    return {k: y.diff_at(k + p).compose(h).matrix, k - 1: hd}
+
+
+def _slot_vector(matrices: dict) -> dict:
+    """``{(degree, row, col, monomial): coefficient}`` of ``{degree: matrix}``."""
+    return {
+        (k, a, b, mono): coeff
+        for k, m in matrices.items()
+        for a, row in enumerate(m)
+        for b, poly in row.items()
+        for mono, coeff in poly.terms.items()
+    }
+
+
+def _equations(terms, target: dict | None = None) -> tuple:
+    """The system "sum of variable-weighted per-degree matrices = ``target``".
+
+    ``terms`` yields ``(variable, {degree: matrix})``, one term per variable;
+    ``target`` is ``{degree: matrix}`` or None for zero.  Returns the parallel
+    lists ``(rows, rhs)``: one equation ``{variable: coefficient}`` per slot
+    (``_slot_vector``) that a term or the target touches, in slot order.
+    """
+    slots: dict = {}
+    for var, matrices in terms:
+        for slot, coeff in _slot_vector(matrices).items():
+            slots.setdefault(slot, {})[var] = coeff
+    want = _slot_vector(target or {})
+    order = sorted(slots.keys() | want.keys())
+    return [slots.get(s, {}) for s in order], [want.get(s, ZERO) for s in order]
 
 
 def _combine(weighted) -> dict:
@@ -443,32 +479,15 @@ def homotopy_classes(c: Complex, d: Complex, fb: list) -> tuple:
     """The classes in ``H^0 Hom(c, d)`` of the chain maps ``fb``, and its dimension.
 
     ``fb`` is ``chain_map_space(c, d)``, a basis of the degree-0 chain maps
-    ``Z^0``.  The null-homotopic ones ``B^0`` are spanned by ``d h + h d``
-    for ``h`` in a basis of the degree-0 morphisms ``c_k -> d_{k-1}``.  A map
-    is the slot vector ``{(degree, row, col, monomial): coefficient}`` of its
-    components, and its class is that vector reduced modulo ``B^0``: empty
-    exactly when the map is null-homotopic.  The dimension of ``H^0`` is the
-    rank of the classes.
+    ``Z^0``.  The null-homotopic ones ``B^0`` are spanned by ``delta h`` for
+    ``h`` in a basis of ``Hom^-1(c, d)``.  A map is the slot vector of its
+    components (see ``_slot_vector``), and its class is that vector reduced
+    modulo ``B^0``: empty exactly when the map is null-homotopic.  The
+    dimension of ``H^0`` is the rank of the classes.
     """
-    nulls = [
-        {k: d.diff_at(k - 1).compose(h), k - 1: h.compose(c.diff_at(k - 1))}
-        for k, pairs in _hom_basis(c, d, -1, 0)[0].items()
-        for _, h in pairs
-    ]
-    ech = linalg._Echelon(_slot_vector(m) for m in nulls)
-    classes = [ech.reduce(_slot_vector(f.components)) for f in fb]
+    ech = linalg._Echelon(_slot_vector(_delta(c, d, -1, k, h)) for _, k, h in _hom_basis(c, d, -1, 0)[0])
+    classes = [ech.reduce(_slot_vector({k: m.matrix for k, m in f.components.items()})) for f in fb]
     return classes, sum(ech.insert(dict(v)) for v in classes)
-
-
-def _slot_vector(components: dict) -> dict:
-    """``{(degree, row, col, monomial): coefficient}`` of per-degree morphisms."""
-    return {
-        (k, a, b, mono): coeff
-        for k, m in components.items()
-        for a, row in enumerate(m.matrix)
-        for b, poly in row.items()
-        for mono, coeff in poly.terms.items()
-    }
 
 
 def _candidate_iter(basis: list):
@@ -485,38 +504,28 @@ def _solve_homotopy_for(f: ChainMap, gb: list):
     """The homotopy equivalence with forward map ``f``, or None.
 
     ``gb`` is ``chain_map_space(f.target, f.source)``.  The unknowns are the
-    coefficients of ``gb``, then those of the source-side and the target-side
-    homotopy bases, degree by degree; one exact solve finds them all.
+    coefficients ``y_j`` of ``gb``, then those of the source-side and the
+    target-side bases of ``Hom^-1``; one exact solve of
+    ``sum_j y_j (g_j f) + delta h = id`` on the source and
+    ``sum_j y_j (f g_j) + delta h = id`` on the target finds them all.
     """
-    nvars = len(gb)
+    src_basis, nvars = _hom_basis(f.source, f.source, -1, len(gb))
+    tgt_basis = _hom_basis(f.target, f.target, -1, nvars)[0]
     rows: list = []
     rhs: list = []
-    homotopies = []  # per side: degree -> [(variable, basis homotopy)]
-    # source side: sum_j y_j (g_j f)_k + (dh + hd)_k = id
-    # target side: sum_j y_j (f g_j)_k + (dh + hd)_k = id
-    for cx, f_first in ((f.source, False), (f.target, True)):
-        h, nvars = _hom_basis(cx, cx, -1, nvars)
-        homotopies.append(h)
-        for k in cx.support():
-            fk = f.component(k)
-            terms = []
-            for j, g in enumerate(gb):
-                gk = g.component(k)
-                prod = fk.compose(gk) if f_first else gk.compose(fk)
-                terms.append((j, prod.matrix))
-            terms += [(v, cx.diff_at(k - 1).compose(hk).matrix) for v, hk in h[k]]
-            terms += [(v, hk.compose(cx.diff_at(k)).matrix) for v, hk in h.get(k + 1, [])]
-            eqs, want = affine_rows(affine_slots(terms), mat_identity(cx.objects[k].rank, cx.n))
-            rows += eqs
-            rhs += want
+    for cx, basis, composite in ((f.source, src_basis, lambda g: g.compose(f)), (f.target, tgt_basis, f.compose)):
+        terms = itertools.chain(
+            ((j, {k: m.matrix for k, m in composite(g).components.items()}) for j, g in enumerate(gb)),
+            ((v, _delta(cx, cx, -1, k, h)) for v, k, h in basis),
+        )
+        eqs, want = _equations(terms, {k: mat_identity(obj.rank, cx.n) for k, obj in cx.objects.items()})
+        rows += eqs
+        rhs += want
     solution = linalg.solve_affine(rows, rhs)
     if solution is None:
         return None
     g_map = ChainMap(f.target, f.source, _combine((solution.get(j), g.components) for j, g in enumerate(gb)))
-    h_src, h_tgt = (
-        _combine((solution.get(v), {k: hk}) for k, pairs in h.items() for v, hk in pairs)
-        for h in homotopies
-    )
+    h_src, h_tgt = (_combine((solution.get(v), {k: h}) for v, k, h in basis) for basis in (src_basis, tgt_basis))
     cert = HomotopyEquivalence(f, g_map, h_src, h_tgt)
     if homotopy_failures(cert):
         return None

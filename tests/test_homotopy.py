@@ -4,7 +4,7 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from braidcert.bimodcalc import (
     Morphism,
@@ -261,6 +261,31 @@ def test_chain_map_space_endomorphisms_are_chain_maps(letters):
     basis = chain_map_space(c, c)
     assert basis
     for f in basis:
+        assert chain_map_failures(f) == []
+
+
+@st.composite
+def word_pairs_up_to_2_braid_letters(draw):
+    n = draw(st.integers(2, 3))
+    letter = st.one_of(
+        st.tuples(st.just("s"), st.integers(0, n - 1), st.sampled_from([1, -1])),
+        st.tuples(st.just("z"), st.integers(0, n - 1), st.just(1)),
+    )
+    word = st.lists(letter, max_size=3).filter(lambda letters: sum(kind == "s" for kind, _, _ in letters) <= 2)
+    return n, draw(word), draw(word)
+
+
+@given(word_pairs_up_to_2_braid_letters())
+@example((2, [("s", 0, 1), ("s", 0, -1)], [("s", 0, -1), ("s", 0, 1)]))
+@settings(max_examples=40, deadline=None)
+def test_delta_of_a_homotopy_is_a_chain_map(pair):
+    # delta o delta = 0, so B^0 = delta(Hom^-1) lies in Z^0; at p = -1 this
+    # needs the sign in delta h = d h - (-1)^p h d to read d h + h d
+    n, u, v = pair
+    c, d = F_word(u, n), F_word(v, n)
+    for _, k, h in homotopy._hom_basis(c, d, -1, 0)[0]:
+        dh = homotopy._delta(c, d, -1, k, h)
+        f = ChainMap(c, d, {j: Morphism(c.object_at(j), d.object_at(j), m) for j, m in dh.items()})
         assert chain_map_failures(f) == []
 
 

@@ -252,8 +252,8 @@ def test_echelon_stores_only_canonical_nonzero_values(nrows, ncols, data):
 @given(st.integers(1, 5), st.integers(1, 5), st.data())
 @settings(max_examples=60, deadline=None)
 def test_solvers_leave_their_inputs_unchanged(nrows, ncols, data):
-    # the benchmark tracer reads the rows after the call, and ``affine_rows``
-    # hands the solvers its slot dicts themselves
+    # the benchmark tracer reads the rows after the call, and
+    # ``homotopy._equations`` hands the solvers its slot dicts themselves
     rows = [{j: v for j, v in enumerate(row) if v} for row in draw_matrix(data, nrows, ncols)]
     rhs = [data.draw(mixed_entries) for _ in range(nrows)]
     before = copy.deepcopy((rows, rhs))
