@@ -38,9 +38,9 @@ def _emit(payload, args) -> None:
 
 
 def _invariant_table(auto) -> dict:
-    gens = sorted(auto.gens, key=lambda g: (1, 0) if g == "t" else (0, g))
     return {
-        freegroup.format_gen(g): freegroup.format_word(auto.image(g)) for g in gens
+        freegroup.format_gen(g): freegroup.format_word(auto.image(g))
+        for g in sorted(auto.gens, key=freegroup.gen_sort_key)
     }
 
 

@@ -11,6 +11,14 @@ class ParseError(ValueError):
         self.position = position
 
 
+def parse_int(digits: str, text: str, position: int) -> int:
+    """``int(digits)``; more digits than Python converts end in a ``ParseError`` at ``position``."""
+    try:
+        return int(digits)
+    except ValueError:  # over sys.get_int_max_str_digits()
+        raise ParseError(f"number too long ({len(digits)} digits)", text, position) from None
+
+
 class ExactDivisionError(ArithmeticError):
     """Exact polynomial division failed (the divisor does not divide the dividend)."""
 

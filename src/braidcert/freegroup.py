@@ -5,6 +5,10 @@ indices appear for the doubled braid groups) plus one extra stable generator
 ``t``.  A letter is ``(gen, exp)`` with ``exp`` +1 or -1 and ``gen`` either an
 int (meaning ``a_gen``) or the string ``"t"``.
 
+An automorphism stores only the generators it moves, each image freely
+reduced once, where it is made: by ``apply``, the letter tables or
+``specialize_t1``.
+
 The invariant of a virtual braid word is the composite of the letter
 automorphisms with the rightmost letter applied first, i.e.
 ``image(uv) = image(u) o image(v)``; that composition order is the one that
@@ -17,7 +21,7 @@ from __future__ import annotations
 import re
 from typing import Iterable
 
-from .errors import ParseError
+from .errors import ParseError, parse_int
 
 T = "t"
 Letter = tuple  # (gen, exp)
@@ -39,42 +43,36 @@ def invert_word(word: Iterable[Letter]) -> FreeWord:
     return tuple((g, -e) for g, e in reversed(list(word)))
 
 
-def concat(*words: Iterable[Letter]) -> FreeWord:
-    out: list = []
-    for w in words:
-        out.extend(w)
-    return reduce_word(out)
-
-
-def _gen_sort_key(gen):
+def gen_sort_key(gen):
+    """Generator order: a-indices ascending, then t."""
     return (1, 0) if gen == T else (0, gen)
 
 
 class FreeAutomorphism:
-    """An endomorphism of the free group given by images of the generators.
+    """An endomorphism of the free group on ``gens``, stored sparsely.
 
-    All stored images are freely reduced.  Equality is decided on generator
-    images, which is sound and complete for endomorphisms.
+    ``images`` holds the reduced image of each moved generator; the others
+    are fixed.  The constructor stores images as given (their maker reduced
+    them) and drops any equal to its generator, so equality is on ``images``.
     """
 
     __slots__ = ("gens", "images")
 
     def __init__(self, gens, images: dict) -> None:
         self.gens = tuple(gens)
-        self.images = {g: reduce_word(images.get(g, ((g, 1),))) for g in self.gens}
-        unknown = set(images) - set(self.gens)
+        unknown = images.keys() - set(self.gens)
         if unknown:
-            raise ValueError(f"images given for unknown generators {sorted(unknown, key=_gen_sort_key)}")
+            raise ValueError(f"images given for unknown generators {sorted(unknown, key=gen_sort_key)}")
+        self.images = {g: img for g, img in images.items() if img != ((g, 1),)}
 
     @classmethod
     def identity(cls, gens) -> "FreeAutomorphism":
         return cls(gens, {})
 
     def image(self, gen) -> FreeWord:
-        try:
-            return self.images[gen]
-        except KeyError:
-            raise KeyError(f"unknown generator {gen!r}") from None
+        if gen not in self.gens:
+            raise KeyError(f"unknown generator {gen!r}")
+        return self.images.get(gen, ((gen, 1),))
 
     def apply(self, word: Iterable[Letter]) -> FreeWord:
         out: list = []
@@ -84,12 +82,14 @@ class FreeAutomorphism:
         return reduce_word(out)
 
     def compose(self, other: "FreeAutomorphism") -> "FreeAutomorphism":
-        """``self`` after ``other``: (f.compose(g)).apply(w) == f.apply(g.apply(w))."""
+        """``self`` after ``other``: (f.compose(g)).apply(w) == f.apply(g.apply(w)).
+
+        Only the generators ``other`` moves get a new image.
+        """
         if self.gens != other.gens:
             raise ValueError("automorphisms over different generator sets")
-        return FreeAutomorphism(
-            self.gens, {g: self.apply(img) for g, img in other.images.items()}
-        )
+        moved = {g: self.apply(img) for g, img in other.images.items()}
+        return FreeAutomorphism(self.gens, {**self.images, **moved})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FreeAutomorphism):
@@ -97,19 +97,21 @@ class FreeAutomorphism:
         return self.gens == other.gens and self.images == other.images
 
     def __hash__(self) -> int:
-        return hash((self.gens, tuple(sorted(self.images.items(), key=lambda kv: _gen_sort_key(kv[0])))))
+        return hash((self.gens, frozenset(self.images.items())))
 
     def is_identity(self) -> bool:
-        return all(img == ((g, 1),) for g, img in self.images.items())
+        return not self.images
 
     def fixes_t(self) -> bool:
-        return T not in self.gens or self.images[T] == ((T, 1),)
+        return T not in self.images
 
     def specialize_t1(self) -> "FreeAutomorphism":
-        """Erase every t-letter from every image and re-reduce."""
+        """Erase every t-letter from every image and reduce what is left."""
         gens = tuple(g for g in self.gens if g != T)
         images = {
-            g: tuple(l for l in self.images[g] if l[0] != T) for g in gens
+            g: reduce_word(l for l in img if l[0] != T)
+            for g, img in self.images.items()
+            if g != T
         }
         return FreeAutomorphism(gens, images)
 
@@ -120,14 +122,10 @@ class FreeAutomorphism:
         return f"FreeAutomorphism({parts})"
 
 
-def auto_equal(phi: FreeAutomorphism, psi: FreeAutomorphism) -> bool:
-    return phi == psi
-
-
 def first_difference(phi: FreeAutomorphism, psi: FreeAutomorphism):
     """First generator (a-indices ascending, then t) where the images differ."""
-    for g in sorted(phi.gens, key=_gen_sort_key):
-        if phi.images[g] != psi.images.get(g):
+    for g in sorted(phi.images.keys() | psi.images.keys(), key=gen_sort_key):
+        if phi.images.get(g) != psi.images.get(g):
             return g
     return None
 
@@ -223,7 +221,7 @@ def parse_word(text: str) -> FreeWord:
         m = _LETTER_RE.match(token)
         if m is None:
             raise ParseError(f"bad free-group letter {token!r}", text, start)
-        gen = T if m.group(1) is None else int(m.group(1))
+        gen = T if m.group(1) is None else parse_int(m.group(1), text, start)
         exp = -1 if m.group(2) == "-1" else 1
         letters.append((gen, exp))
     return reduce_word(letters)

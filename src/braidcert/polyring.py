@@ -20,7 +20,7 @@ import re
 from operator import add
 from typing import Iterable, Iterator
 
-from .errors import ExactDivisionError, ParseError
+from .errors import ExactDivisionError, ParseError, parse_int
 from .scalars import ONE, QSqrt2, reduced
 
 Monomial = tuple  # exponent tuple of length n
@@ -413,24 +413,17 @@ def _parse_term(full: str, offset: int, term: str, n: int) -> Poly:
         if factor == "-sqrt2":
             coeff = coeff * -QSqrt2.sqrt2()
             continue
-        m = _VAR_RE.match(factor)
+        negated = factor.startswith("-X")
+        m = _VAR_RE.match(factor[1:] if negated else factor)
         if m:
-            j = int(m.group(1))
+            at = offset + fstart
+            j = parse_int(m.group(1), full, at)
             if j >= n:
-                raise ParseError(f"variable X{j} out of range for n={n}", full, offset + fstart)
-            exp[j] += int(m.group(2)) if m.group(2) else 1
-            continue
-        if factor.startswith("-X"):
-            m = _VAR_RE.match(factor[1:])
-            if m:
-                j = int(m.group(1))
-                if j >= n:
-                    raise ParseError(
-                        f"variable X{j} out of range for n={n}", full, offset + fstart
-                    )
+                raise ParseError(f"variable X{j} out of range for n={n}", full, at)
+            exp[j] += parse_int(m.group(2), full, at) if m.group(2) else 1
+            if negated:
                 coeff = -coeff
-                exp[j] += int(m.group(2)) if m.group(2) else 1
-                continue
+            continue
         if _RAT_RE.match(factor):
             coeff = coeff * QSqrt2.parse(factor)
             continue

@@ -20,7 +20,7 @@ import re
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import ParseError
+from .errors import ParseError, parse_int
 
 
 class QSqrt2:
@@ -236,10 +236,12 @@ def _parse(text: str) -> QSqrt2:
         if m.group("sqrt"):
             total_b += sign
         else:
-            try:
-                coeff = Fraction(m.group("rat")) * sign
-            except ZeroDivisionError:
-                raise ParseError("zero denominator", text, m.start("rat")) from None
+            at = m.start("rat")
+            num, _, den = m.group("rat").partition("/")
+            den = parse_int(den or "1", text, at)
+            if den == 0:
+                raise ParseError("zero denominator", text, at)
+            coeff = Fraction(sign * parse_int(num, text, at), den)
             if m.group("star"):
                 total_b += coeff
             else:

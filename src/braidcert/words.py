@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from . import freegroup
-from .errors import ParseError
+from .errors import ParseError, parse_int
 
 Letter = tuple  # (kind, index, exp); exp is always 1 for involution letters
 
@@ -74,12 +74,10 @@ class Alphabet:
 
 @dataclass(frozen=True)
 class BraidWord:
+    """A word over ``alphabet``; ``make_word`` and ``parse_word`` check its letters."""
+
     alphabet: Alphabet
     letters: tuple
-
-    def __post_init__(self):
-        for letter in self.letters:
-            self.alphabet.check_letter(letter)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -94,7 +92,7 @@ class BraidWord:
 
 
 def make_word(alphabet: Alphabet, letters: Iterable) -> BraidWord:
-    return BraidWord(alphabet, tuple(letters))
+    return BraidWord(alphabet, tuple(map(alphabet.check_letter, letters)))
 
 
 _TOKEN_RE = re.compile(r"(sig|zet|s|z)(-?\d+)(?:\^(-?\d+))?$")
@@ -109,25 +107,15 @@ def parse_word(text: str, alphabet: Alphabet) -> BraidWord:
         m = _TOKEN_RE.match(token)
         if m is None:
             raise ParseError(f"unknown letter {token!r}", text, start)
-        kind, index, exp = m.group(1), int(m.group(2)), m.group(3)
-        exp = 1 if exp is None else int(exp)
-        if kind not in alphabet.kinds:
-            raise ParseError(
-                f"letter kind {kind!r} does not belong to alphabet {alphabet.tag}",
-                text,
-                start,
-            )
-        if not alphabet.lo <= index <= alphabet.hi:
-            raise ParseError(
-                f"index {index} outside {alphabet.lo}..{alphabet.hi}", text, start
-            )
-        if kind in _INVOLUTIONS:
-            if exp not in (1, -1):
-                raise ParseError(f"exponent on involution letter {token!r}", text, start)
+        kind, index, exp = m.groups()
+        index = parse_int(index, text, start)
+        exp = 1 if exp is None else parse_int(exp, text, start)
+        if kind in _INVOLUTIONS and exp == -1:
             exp = 1  # z^-1 == z
-        elif exp not in (1, -1):
-            raise ParseError(f"unsupported exponent in {token!r}", text, start)
-        letters.append((kind, index, exp))
+        try:
+            letters.append(alphabet.check_letter((kind, index, exp)))
+        except ValueError as exc:
+            raise ParseError(str(exc), text, start) from None
     return BraidWord(alphabet, tuple(letters))
 
 
@@ -136,21 +124,6 @@ def format_word(word: BraidWord) -> str:
     for kind, index, exp in word.letters:
         parts.append(f"{kind}{index}" + ("^-1" if exp == -1 else ""))
     return " ".join(parts)
-
-
-def free_reduce(word: BraidWord) -> BraidWord:
-    """Cancel adjacent inverse pairs (and involution squares) until stable."""
-    stack: list = []
-    for kind, index, exp in word.letters:
-        if stack:
-            pk, pi, pe = stack[-1]
-            if pk == kind and pi == index and (
-                (kind in _INVOLUTIONS) or pe == -exp
-            ):
-                stack.pop()
-                continue
-        stack.append((kind, index, exp))
-    return BraidWord(word.alphabet, tuple(stack))
 
 
 def embed_j(word: BraidWord) -> BraidWord:

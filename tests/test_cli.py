@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -56,6 +57,77 @@ def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "invariant", "s9", "--group", "vbB", "--n", "2")
     assert code == 2
     assert "parse error" in err
+
+
+def test_over_long_index_is_parse_error(capsys):
+    code, out, err = run(capsys, "invariant", "s" + "1" * 5000, "--group", "vbB", "--n", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: number too long (5000 digits) at position 0: 's111")
+    assert err.count("\n") == 1
+
+
+# sha256 of the stdout of ``braidcert ARGS --n 8 --format json``: the
+# invariant layer's output must stay byte-identical
+INVARIANT_SHA256 = [
+    (
+        ["invariant", "z0 s1 z0 s1 s2 s3^-1 z4 s5 s6 s7 s0 s1 z7 s6^-1 s5 z2 s1 s0^-1"],
+        "6972853418399ada9477bf0a02fa7c23e216e585316052d667218d5aa3e78ef1",
+    ),
+    (
+        ["invariant", "s0 s1 s0 s1 z3 s4^-1 s4 z5 s7^-1 z0"],
+        "d67255cac438a34aefd03505e63018e2efd27820307887e1216a63ab4181f134",
+    ),
+    (
+        ["invariant", "zet1 sig2 sig1 zet3 sig4^-1 sig5 zet6 sig7 sig7 zet7", "--group", "vbA"],
+        "37375599552bf627fe544ce8f94522138221ed5289747af7c2eb99a76737fd84",
+    ),
+    (["invariant", ""], "5190a0416f2dc3404e0ccd59d6a2ae231477bcdf4b8d0d72e4686479bd032ef1"),
+    (
+        ["distinguish", "z0 s1 z0 s1 s5 z6 s7^-1", "s1 z0 s1 z0 s5 z6 s7^-1"],
+        "7a35edc23d9290115ca094fbb286af485fbb3156c4071c92435c89d4dbadb021",
+    ),
+    (
+        ["distinguish", "s3 s0 z1 s0 z1 s7", "s3 z1 s0 z1 s0 s7"],
+        "7ba912bd582e02af7ece95efe4b6e02d8b56eb94063ab65bd89a9dc63c09aedc",
+    ),
+    (
+        ["distinguish", "zet1 sig2 sig1 zet4 sig6", "sig2 sig1 zet2 zet4 sig6", "--group", "vbA"],
+        "6205c733940b38f458bd492f127354404d60f281815e1b08f694f81ef95cce83",
+    ),
+    (
+        ["distinguish", "zet1 sig2 sig1 zet4 sig6", "sig2 sig1 zet2 zet4 sig6", "--group", "vbA", "--t1"],
+        "7ba912bd582e02af7ece95efe4b6e02d8b56eb94063ab65bd89a9dc63c09aedc",
+    ),
+    (
+        ["distinguish", "s2 z3 s4 z2 s1^-1", "z4 s2 z3 s0 z7", "--t1"],
+        "b92d5b5e89a9676e6693fa1e4a135750a26e5da5fef09083d06b9daaf13b77dd",
+    ),
+]
+
+
+@pytest.mark.parametrize("args, digest", INVARIANT_SHA256, ids=[
+    "invariant-vbB-18", "invariant-vbB-10", "invariant-vbA-10", "invariant-empty",
+    "distinguish-unequal", "distinguish-equal", "distinguish-vbA", "distinguish-vbA-t1", "distinguish-vbB-t1",
+])
+def test_invariant_output_bytes_unchanged(capsys, args, digest):
+    code, out, _ = run(capsys, *args, "--n", "8", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of the file ``braidcert check-relations --n 8 --format json --out F``
+CHECK_RELATIONS_N8_SHA256 = {
+    "vbB": "782bd1a07e4a6beded3bf23d6925f9a28e3b7824df40144aa8df62d98539f4d5",
+    "vbA": "f4ec8bb15627e40d4af7dbc8f384924486ce2312628368c55e2cbb08d01f1083",
+}
+
+
+@pytest.mark.parametrize("group", ["vbB", "vbA"])
+def test_check_relations_n8_output_bytes_unchanged(capsys, tmp_path, group):
+    path = tmp_path / "relations.json"
+    code, _, _ = run(capsys, "check-relations", "--n", "8", "--group", group, "--format", "json", "--out", str(path))
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CHECK_RELATIONS_N8_SHA256[group]
 
 
 def test_distinguish_unequal(capsys):
@@ -553,6 +625,20 @@ def test_verify_report_with_a_bad_last_certificate_verifies_nothing(capsys, tmp_
         "error: results[24].certificate does not match certificate.schema.json: "
         "forward[2].matrix[3][1]: 5 is not of type 'string'\n"
     )
+
+
+def test_over_long_number_in_a_report_entry_is_parse_error(capsys, tmp_path):
+    report = json.loads(REPORT_N3.read_text())
+    report["results"][0]["certificate"]["forward"][2]["matrix"][1][2] = "1" * 5000 + "*X0"
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    code, out, err = run(capsys, "verify-certificate", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(
+        "parse error: certificate 'relB1[0,2]', forward, degree 0, entry (1,2): "
+        "number too long (5000 digits) at position 0: '111"
+    )
+    assert err.count("\n") == 1
 
 
 def test_schema_errors_cut_the_offending_value(capsys, tmp_path):

@@ -23,7 +23,7 @@ def test_reduce_idempotent(letters):
 
 @given(st.lists(st.tuples(st.integers(-2, 2), st.sampled_from([1, -1])), max_size=8))
 def test_word_times_inverse_reduces_to_empty(letters):
-    assert fg.concat(letters, fg.invert_word(letters)) == ()
+    assert fg.reduce_word(list(letters) + list(fg.invert_word(letters))) == ()
 
 
 def test_word_text_round_trip():
@@ -82,9 +82,7 @@ def test_sigma_zeta_image():
 
 
 def test_sigma_zeta_not_equal_zeta_sigma():
-    assert not fg.auto_equal(
-        img([("sig", 1, 1), ("zet", 1, 1)]), img([("zet", 1, 1), ("sig", 1, 1)])
-    )
+    assert img([("sig", 1, 1), ("zet", 1, 1)]) != img([("zet", 1, 1), ("sig", 1, 1)])
 
 
 def _forbidden_pair(i=1):
@@ -103,13 +101,13 @@ def test_forbidden_move_tables():
     assert rhs.image(i) == W(f"a{i+2}")
     assert rhs.image(i + 1) == W(f"t a{i+2}^-1 a{i+1} a{i+2} t^-1")
     assert rhs.image(i + 2) == W(f"t^-1 a{i+2}^-1 a{i} a{i+2} t")
-    assert not fg.auto_equal(lhs, rhs)
+    assert lhs != rhs
     assert fg.first_difference(lhs, rhs) == i + 1
 
 
 def test_forbidden_move_merges_at_t_equal_one():
     lhs, rhs = _forbidden_pair()
-    assert fg.auto_equal(lhs.specialize_t1(), rhs.specialize_t1())
+    assert lhs.specialize_t1() == rhs.specialize_t1()
 
 
 def test_specialize_t1_examples():
@@ -159,7 +157,7 @@ def test_all_vb_relators_map_to_identity(n):
     from braidcert.words import invariant, relator_table
 
     for rel in relator_table("vbA", n):
-        assert fg.auto_equal(invariant(rel.lhs), invariant(rel.rhs)), rel.label
+        assert invariant(rel.lhs) == invariant(rel.rhs), rel.label
         # u v^-1 literally maps to the identity automorphism
         letters = list(rel.lhs.letters) + _invert_braid_letters(rel.rhs.letters)
         assert fg.manturov_image(letters, 1, n - 1).is_identity(), rel.label
@@ -174,5 +172,64 @@ def test_long_images_from_doubling():
     i2 = fg.manturov_image(w2, lo, hi)
     assert i1.image(2) == W("a2^-1 t^-1 a0^-1 t a2 a1^-1 t^-1 a-1 t a1 a2^-1 t^-1 a0 t a2")
     assert i2.image(2) == W("a2^-1 a1^-1 a2 t^-1 a0^-1 a-1 a0 t a2^-1 a1 a2")
-    assert not fg.auto_equal(i1, i2)
+    assert i1 != i2
     assert fg.first_difference(i1, i2) == 2
+
+
+def letter_auto(kind, index, exp):
+    if kind == "zet":
+        return zeta(index)
+    return sigma(index) if exp == 1 else sigma_inv(index)
+
+
+free_words = st.lists(st.tuples(st.sampled_from(GENS), st.sampled_from([1, -1])), max_size=6)
+
+
+@given(braid_letters, free_words)
+@settings(max_examples=60, deadline=None)
+def test_image_applies_letters_rightmost_first(letters, word):
+    expected = fg.reduce_word(word)
+    for letter in reversed(letters):
+        expected = letter_auto(*letter).apply(expected)
+    assert img(letters).apply(word) == expected
+
+
+@given(braid_letters)
+@settings(max_examples=60, deadline=None)
+def test_stored_images_are_reduced_and_moved(letters):
+    for auto in (img(letters), img(letters).specialize_t1()):
+        for g, image in auto.images.items():
+            assert fg.reduce_word(image) == image
+            assert image != ((g, 1),)
+
+
+def test_equal_automorphisms_built_two_ways_hash_equal():
+    identity = fg.FreeAutomorphism.identity(GENS)
+    for i in (1, 2, 3):
+        square = zeta(i).compose(zeta(i))
+        assert square == identity and hash(square) == hash(identity)
+    lhs = img([("sig", 1, 1), ("sig", 2, 1), ("sig", 1, 1)])
+    rhs = img([("sig", 2, 1), ("sig", 1, 1), ("sig", 2, 1)])
+    assert lhs == rhs and hash(lhs) == hash(rhs)
+
+
+def test_compose_with_a_letter_applies_twice(monkeypatch):
+    a = img([("sig", 1, 1), ("zet", 2, 1), ("sig", 3, -1), ("zet", 1, 1)])
+    apply = fg.FreeAutomorphism.apply
+    calls = []
+
+    def counted(self, word):
+        calls.append(word)
+        return apply(self, word)
+
+    monkeypatch.setattr(fg.FreeAutomorphism, "apply", counted)
+    for i in (1, 2, 3):
+        calls.clear()
+        a.compose(sigma(i))
+        assert len(calls) == 2, i
+
+
+def test_over_long_index_is_parse_error():
+    with pytest.raises(ParseError) as exc:
+        fg.parse_word("a1 a" + "1" * 5000)
+    assert exc.value.position == 3

@@ -179,6 +179,15 @@ def test_parse_poly_errors():
         parse_poly("", 2)
 
 
+def test_over_long_numbers_are_parse_errors():
+    digits = "1" * 5000
+    for text, position in [(f"X{digits}", 0), (f"1 + X0^{digits}", 3), (f"1 + -X{digits}*X1", 3)]:
+        with pytest.raises(ParseError) as exc:
+            parse_poly(text, 2)
+        assert exc.value.position == position, text
+        assert exc.value.message == "number too long (5000 digits)"
+
+
 def test_parse_mixed_coefficient():
     p = parse_poly("(1 + -1*sqrt2)*X0*X1 + 1/2", 2)
     assert p.coefficient((1, 1)) == QSqrt2(1, -1)

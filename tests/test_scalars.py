@@ -63,6 +63,15 @@ def test_zero_denominator_is_parse_error():
     assert exc.value.position == 4
 
 
+def test_over_long_numbers_are_parse_errors():
+    digits = "1" * 5000
+    for text, position in [(digits, 0), (f"1 + 1/{digits}*sqrt2", 4)]:
+        with pytest.raises(ParseError) as exc:
+            QSqrt2.parse(text)
+        assert exc.value.position == position, text
+        assert exc.value.message == "number too long (5000 digits)"
+
+
 @given(scalars)
 def test_format_round_trip(x):
     assert QSqrt2.parse(str(x)) == x

@@ -8,7 +8,6 @@ from braidcert.words import (
     check_relators_via_invariant,
     embed_j,
     format_word,
-    free_reduce,
     invariant,
     make_word,
     parse_word,
@@ -43,16 +42,46 @@ def test_parse_errors():
     assert w.letters == (("sig", -1, 1), ("zet", 0, 1), ("sig", 1, -1))
 
 
+def test_parse_error_names_the_rule_broken():
+    ab = Alphabet.vbB(3)
+    for text, message, position in [
+        ("s0 sig1", "letter kind 'sig' not in alphabet vbB", 3),
+        ("z1 s3", "index 3 outside 0..2", 3),
+        ("z0^2", "involution letter z0 cannot carry exponent 2", 0),
+        ("s1 s2^3", "exponent 3 not supported", 3),
+    ]:
+        with pytest.raises(ParseError) as exc:
+            parse_word(text, ab)
+        assert (exc.value.message, exc.value.position) == (message, position), text
+
+
+def test_make_word_checks_each_letter():
+    ab = Alphabet.vbB(3)
+    assert make_word(ab, [("s", 2, -1), ("z", 0, 1)]).letters == (("s", 2, -1), ("z", 0, 1))
+    for letter in [("sig", 1, 1), ("s", 3, 1), ("z", 0, -1), ("s", 1, 2)]:
+        with pytest.raises(ValueError):
+            make_word(ab, [("s", 0, 1), letter])
+
+
+def test_over_long_numbers_are_parse_errors():
+    ab = Alphabet.vbB(3)
+    digits = "1" * 5000
+    for text in [f"s0 s{digits}", f"s0 z1^{digits}"]:
+        with pytest.raises(ParseError) as exc:
+            parse_word(text, ab)
+        assert exc.value.position == 3
+        assert exc.value.message == "number too long (5000 digits)"
+
+
 def test_z_squared_reduces_to_empty():
     ab = Alphabet.vbB(2)
-    assert free_reduce(parse_word("z0 z0", ab)).letters == ()
+    assert invariant(parse_word("z0 z0", ab)).is_identity()
 
 
 def test_free_reduce_examples():
     ab = Alphabet.vbB(2)
-    assert free_reduce(parse_word("s0 s0^-1", ab)).letters == ()
-    assert free_reduce(parse_word("z1 z1 z0", ab)).letters == (("z", 0, 1),)
-    assert free_reduce(parse_word("s0 z1 z1 s0^-1", ab)).letters == ()
+    for text, reduced in [("s0 s0^-1", ""), ("z1 z1 z0", "z0"), ("s0 z1 z1 s0^-1", "")]:
+        assert invariant(parse_word(text, ab)) == invariant(parse_word(reduced, ab)), text
 
 
 def letters_strategy(n):
@@ -65,20 +94,17 @@ def letters_strategy(n):
     )
 
 
-@given(letters_strategy(3))
-def test_free_reduce_idempotent(letters):
-    ab = Alphabet.vbB(3)
-    w = make_word(ab, letters)
-    once = free_reduce(w)
-    assert free_reduce(once) == once
+CANCELLING_PAIRS = [(("s", 1), ("s", -1)), (("s", -1), ("s", 1)), (("z", 1), ("z", 1))]
 
 
-@given(letters_strategy(2))
+@given(letters_strategy(2), st.integers(0, 8), st.sampled_from(CANCELLING_PAIRS), st.integers(0, 1))
 @settings(max_examples=30, deadline=None)
-def test_free_reduce_preserves_invariant(letters):
+def test_free_reduce_preserves_invariant(letters, at, pair, index):
+    # inserting s s^-1, s^-1 s or z z anywhere leaves the invariant unchanged
     ab = Alphabet.vbB(2)
-    w = make_word(ab, letters)
-    assert invariant(w) == invariant(free_reduce(w))
+    at = min(at, len(letters))
+    inserted = letters[:at] + [(kind, index, exp) for kind, exp in pair] + letters[at:]
+    assert invariant(make_word(ab, inserted)) == invariant(make_word(ab, letters))
 
 
 def test_word_round_trip():
