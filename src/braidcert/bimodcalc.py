@@ -16,6 +16,15 @@ matrix records its column count: that is the rank of the source, which the
 lists appear only in ``from_dense``, for literal matrices, and at the JSON
 boundary of certificates.
 
+A polynomial crosses a bimodule as the matrix of right multiplication by it
+(``Bimodule.action_of``), which is how ``id_tensor`` and ``tensor`` move
+coefficients through the first factor.  Each bimodule caches the matrix of
+every monomial it has met, each one product from a smaller one, and a
+polynomial with several terms or a coefficient other than 1 is summed in one
+pass with the product kernel ``mat_mul`` uses.  The cached matrices are shared
+with ``Bimodule.actions`` and with callers, so no caller writes to a matrix it
+did not build.
+
 The two building blocks are the twisted bimodule ``R_w`` (rank one, right
 action through the word ``w``) and ``B_t`` for a reflection ``t`` (rank two
 with basis ``{1 (x) 1, 1 (x) root}``, right action computed by Demazure
@@ -33,7 +42,7 @@ from typing import Sequence
 from . import coxeter, linalg
 from .coxeter import Reflection, demazure_decompose, make_reflection
 from .polyring import Poly, _from_sums, _mul_into, format_poly, monomial_exponents
-from .scalars import ZERO, QSqrt2
+from .scalars import ONE, ZERO, QSqrt2
 
 Matrix = list  # list of {column: non-zero Poly} rows
 
@@ -195,24 +204,51 @@ class Bimodule:
         return f"Bimodule(rank={self.rank}, degrees={list(self.basis_degrees)})"
 
     def _monomial_action(self, exp: tuple) -> Matrix:
+        """The matrix of ``X^exp``, cached per bimodule and shared, so read-only.
+
+        The zero exponent is the identity and ``X_j`` is ``actions[j]`` itself.
+        A higher monomial is one product ``actions[j] * X^(exp - e_j)`` with
+        ``j`` its last variable, on the cached smaller monomial.
+        """
         cached = self._monomial_cache.get(exp)
         if cached is not None:
             return cached
-        result = mat_identity(self.rank, self.n)
-        for j, e in enumerate(exp):
-            for _ in range(e):
-                result = mat_mul(self.actions[j], result)
+        nonzero = [j for j, e in enumerate(exp) if e]
+        if not nonzero:
+            result = mat_identity(self.rank, self.n)
+        else:
+            j = nonzero[-1]
+            lower = exp[:j] + (exp[j] - 1,) + exp[j + 1 :]
+            result = self.actions[j]
+            if any(lower):
+                result = mat_mul(result, self._monomial_action(lower))
         self._monomial_cache[exp] = result
         return result
 
     def action_of(self, p: Poly) -> Matrix:
-        """Right multiplication by an arbitrary polynomial, in the left basis."""
-        out = mat_zero(self.rank)
-        for exp, c in p.terms.items():
-            for oi, row in zip(out, self._monomial_action(exp)):
+        """Right multiplication by an arbitrary polynomial, in the left basis.
+
+        A single term with coefficient 1 is its cached monomial matrix, shared
+        and read-only.  Otherwise each output entry gathers ``c * X^exp`` over
+        the terms of ``p`` in one ``polyring._mul_into`` dict and is built
+        once by ``_from_sums``; the result is a new matrix.
+        """
+        terms = p.terms
+        if len(terms) == 1:
+            ((exp, c),) = terms.items()
+            if c == ONE:
+                return self._monomial_action(exp)
+        n = self.n
+        sums = [{} for _ in range(self.rank)]
+        for exp, c in terms.items():
+            coeff = {(0,) * n: c}
+            for srow, row in zip(sums, self._monomial_action(exp)):
                 for j, x in row.items():
-                    _add_into(oi, j, x.scale(c))
-        return out
+                    acc = srow.get(j)
+                    if acc is None:
+                        acc = srow[j] = {}
+                    _mul_into(acc, coeff, x.terms)
+        return [{j: q for j, acc in srow.items() if (q := _from_sums(n, acc))} for srow in sums]
 
     def validate(self) -> None:
         """``ValueError`` unless each right action ``X_j`` is a bimodule map ``M -> M{-2}``.

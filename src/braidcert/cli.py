@@ -133,10 +133,21 @@ def cmd_certify_pair(args) -> int:
 _SHOWN_WITNESSES = 5
 
 
+def _json_int(digits: str, path: str) -> int:
+    """``int(digits)``; a number over the interpreter's digit limit is a one-line error."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ValueError(
+            f"{path}: a JSON integer has {len(digits.lstrip('-'))} digits, "
+            f"over this interpreter's limit of {sys.get_int_max_str_digits()}"
+        ) from None
+
+
 def cmd_verify_certificate(args) -> int:
     with open(args.file) as fh:
         try:
-            data = json.load(fh)
+            data = json.load(fh, parse_int=lambda digits: _json_int(digits, args.file))
         except RecursionError:
             raise ValueError(f"{args.file}: JSON nested too deeply to read") from None
     if not isinstance(data, dict):

@@ -9,8 +9,8 @@ Every polynomial product goes through one multiply-accumulate helper,
 ``_mul_into``.  It adds term products, in ints, into an ``{exponent: sum}``
 dict, and ``_from_sums`` turns that dict into a ``Poly`` once, reducing each
 coefficient and dropping the ones that cancelled.  ``Poly.__mul__`` fills
-one dict; ``bimodcalc.mat_mul`` fills one per output entry, so a sum of
-products builds one ``Poly``, not one per product.
+one dict; ``bimodcalc.mat_mul`` and ``Bimodule.action_of`` fill one per
+output entry, so a sum of products builds one ``Poly``, not one per product.
 """
 
 from __future__ import annotations

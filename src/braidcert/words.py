@@ -79,9 +79,6 @@ class BraidWord:
     alphabet: Alphabet
     letters: tuple
 
-    def __len__(self) -> int:
-        return len(self.letters)
-
     def __mul__(self, other: "BraidWord") -> "BraidWord":
         if self.alphabet != other.alphabet:
             raise ValueError("words over different alphabets")

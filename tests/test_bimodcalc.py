@@ -1,3 +1,4 @@
+import copy
 from fractions import Fraction
 from functools import reduce
 
@@ -584,3 +585,33 @@ def test_sparse_matrices_match_dense_formulas(rows, inner, cols, cancel, data):
                 for aa in range(left.rank):
                     want[a2 * inner + b2][aa * cols + bb] = act[a2][aa]
     assert _to_dense(crossed, left.rank * cols) == want
+
+
+# exponents of degree 0 to 3 in two variables, and unit, non-unit and sqrt2 coefficients
+_EXPONENTS = [(a, total - a) for total in range(4) for a in range(total, -1, -1)]
+_COEFFICIENTS = [QSqrt2(1), QSqrt2(-1), QSqrt2(3), QSqrt2(0, 1), QSqrt2(Fraction(1, 2), -2)]
+
+
+def test_action_of_matches_dense_formula_and_shares_read_only_caches():
+    monomials = [Poly.monomial(exp, c) for exp in _EXPONENTS for c in _COEFFICIENTS]
+    # two-term sums over different exponents; X0^2 - X1^2 cancels four entries of B_s0 (x) B_s1
+    sums = [a + b for a, b in zip(monomials, monomials[7:])]
+    sums += [X(N, 0) - X(N, 1), X(N, 0) * X(N, 0) - X(N, 1) * X(N, 1)]
+    polys = monomials + sums + [_ZERO]
+    for left in _LEFT:
+        actions = copy.deepcopy(left.actions)
+        results = []
+        for _ in range(2):  # the second round meets every monomial in the cache
+            for p in polys:
+                action = left.action_of(p)
+                assert _stores_no_zero(action) and len(action) == left.rank
+                assert _to_dense(action, left.rank) == _dense_action(left, p)
+                results.append(action)
+        assert results[: len(polys)] == results[len(polys) :]
+        # crossing matrices and tensoring only read the shared monomial matrices
+        snapshot = copy.deepcopy(results)
+        id_tensor(left, [{0: p} for p in polys if p], 1)
+        tensor(left, left)
+        tensor(left, bimodule_Bs(refl((1,), N)))
+        assert left.actions == actions
+        assert results == snapshot

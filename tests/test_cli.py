@@ -333,9 +333,11 @@ def test_repeated_main_calls_match_fresh_processes(capsys):
         assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
 
 
-# the certificate of ``z0 z0 ~ `` that ``certify-pair "z0 z0" "" --n 2`` writes
 _TOO_DEEP = 100_000
+# the interpreter's limit on the digits of an int read from text (none before 3.11, 0 = off)
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
+# the certificate of ``z0 z0 ~ `` that ``certify-pair "z0 z0" "" --n 2`` writes
 _Z0Z0_CERT = {
     "format": "braidcert.certificate.v1",
     "relation": "z0 z0 ~ ",
@@ -545,6 +547,13 @@ _Z0Z0_CERT = {
             json.dumps({**_Z0Z0_CERT, "forward": "DEEP"}).replace('"DEEP"', "[" * _TOO_DEEP + "]" * _TOO_DEEP),
             "error: <file>: JSON nested too deeply to read\n",
         ),
+        # an integer over the interpreter's digit limit; with no limit, the schema refuses it
+        (
+            json.dumps({**_Z0Z0_CERT, "n": "BIG"}).replace('"BIG"', "1" + "0" * 5000),
+            f"error: <file>: a JSON integer has 5001 digits, over this interpreter's limit of {_DIGIT_LIMIT}\n"
+            if _DIGIT_LIMIT
+            else "error: ",
+        ),
     ],
     ids=[
         "certificate-without-inverse",
@@ -565,6 +574,7 @@ _Z0Z0_CERT = {
         "integral-float-degree",
         "deeply-nested-brackets",
         "deeply-nested-forward",
+        "integer-over-the-digit-limit",
     ],
 )
 def test_verify_certificate_malformed_file_is_usage_error(capsys, tmp_path, payload, message):

@@ -14,7 +14,7 @@ from braidcert.bimodcalc import (
     mat_identity,
     shift,
 )
-from braidcert import homotopy, linalg
+from braidcert import bimodcalc, homotopy, linalg
 from braidcert.coxeter import make_reflection
 from braidcert.homotopy import (
     ChainMap,
@@ -702,3 +702,32 @@ def test_certify_pair_builds_the_chain_map_space_once(monkeypatch):
     assert kind == "homotopy" and verify_certificate_dict(cert)[0]
     (c, d), backward = spaces
     assert backward == (d, c)
+
+
+def test_word_complex_builds_each_monomial_once_without_identity_products(monkeypatch):
+    # every product while a word's complex is built makes one monomial matrix
+    # X^exp of one bimodule, never twice, and never with an identity factor
+    n = 3
+    building = []  # the (bimodule, exponent) whose matrix is being made
+    made = []  # one per product; holding the bimodules keeps their ids distinct
+    monomial_action, mat_mul = bimodcalc.Bimodule._monomial_action, bimodcalc.mat_mul
+
+    def tracked(self, exp):
+        building.append((self, exp))
+        try:
+            return monomial_action(self, exp)
+        finally:
+            building.pop()
+
+    def checked(a, b):
+        assert building, "a product that makes no monomial matrix"
+        for m in (a, b):
+            assert not (m and m == mat_identity(len(m), n)), f"identity factor in X^{building[-1][1]}"
+        made.append(building[-1])
+        return mat_mul(a, b)
+
+    monkeypatch.setattr(bimodcalc.Bimodule, "_monomial_action", tracked)
+    monkeypatch.setattr(bimodcalc, "mat_mul", checked)
+    FW("z0 z1 s0 s1 s0 z2 z1", n)
+    keys = [(id(m), exp) for m, exp in made]
+    assert keys and len(set(keys)) == len(keys)
