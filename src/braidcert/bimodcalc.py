@@ -25,6 +25,14 @@ pass with the product kernel ``mat_mul`` uses.  The cached matrices are shared
 with ``Bimodule.actions`` and with callers, so no caller writes to a matrix it
 did not build.
 
+Every exact check (a bimodule map, a commuting square, ``d d = 0``, a
+composite plus homotopy terms equal to the identity, a two-sided inverse) is
+an identity "sum of products = sum of products + target".  ``mat_residuals``
+decides it without building either side: it compares the unreduced sums of
+the term products entry by entry, and builds a ``Poly`` and a residual only
+for an entry where the identity fails.  ``Morphism.after`` hands it the
+factors of a composite, with the shape check ``compose`` makes.
+
 The two building blocks are the twisted bimodule ``R_w`` (rank one, right
 action through the word ``w``) and ``B_t`` for a reflection ``t`` (rank two
 with basis ``{1 (x) 1, 1 (x) root}``, right action computed by Demazure
@@ -41,7 +49,7 @@ from typing import Sequence
 
 from . import coxeter, linalg
 from .coxeter import Reflection, demazure_decompose, make_reflection
-from .polyring import Poly, _from_sums, _mul_into, format_poly, monomial_exponents
+from .polyring import Poly, _from_sums, _mul_into, _sums_of, format_poly, monomial_exponents
 from .scalars import ONE, ZERO, QSqrt2
 
 Matrix = list  # list of {column: non-zero Poly} rows
@@ -88,25 +96,35 @@ def _add_into(row: dict, j: int, x: Poly) -> None:
         del row[j]
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """The product ``a * b``; each output entry is one ``Poly``, built once.
+def _add_products(sums: dict, products, i: int) -> dict:
+    """Add the term products of row ``i`` of every ``a * b`` in ``products`` into ``sums``.
 
-    The term products of every ``a[i][k] * b[k][j]`` go into one
-    ``polyring._mul_into`` dict per entry ``(i, j)``; ``_from_sums`` then
-    builds the entry and an entry that cancelled to zero is not stored.
+    ``sums`` maps a column to its ``polyring._mul_into`` dict; it is returned.
     """
-    out = []
-    for ai in a:
-        sums: dict = {}
-        for k, aik in ai.items():
-            n, t1 = aik.n, aik.terms
-            for j, bkj in b[k].items():
+    for a, b in products:
+        for k, x in a[i].items():
+            t1 = x.terms
+            for j, y in b[k].items():
                 acc = sums.get(j)
                 if acc is None:
                     acc = sums[j] = {}
-                _mul_into(acc, t1, bkj.terms)
-        out.append({j: p for j, acc in sums.items() if (p := _from_sums(n, acc))})
-    return out
+                _mul_into(acc, t1, y.terms)
+    return sums
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """The product ``a * b``; each output entry is one ``Poly``, built once.
+
+    The term products of each row go into one ``polyring._mul_into`` dict per
+    entry (``_add_products``); ``_from_sums`` then builds the entry and an
+    entry that cancelled to zero is not stored.
+    """
+    n = next((x.n for row in a for x in row.values()), 0)  # an all-zero ``a`` builds no entry
+    product = ((a, b),)
+    return [
+        {j: p for j, acc in _add_products({}, product, i).items() if (p := _from_sums(n, acc))}
+        for i in range(len(a))
+    ]
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
@@ -121,21 +139,51 @@ def mat_scale(a: Matrix, c) -> Matrix:
     return [{j: y for j, x in row.items() if (y := x.scale(c))} for row in a]
 
 
-def mat_residuals(a: Matrix, b: Matrix) -> list:
-    """``(row, col, residual a - b)`` for every entry where ``a`` and ``b`` differ.
+def _same_sums(x: dict, y: dict) -> bool:
+    """Whether two ``_mul_into`` dicts hold the same polynomial.
 
-    Row-major, with the columns of each row ascending.
+    The unreduced fractions ``(p + q*sqrt2)/d`` are compared at every
+    exponent, by cross-multiplication where the denominators differ; a
+    missing exponent is zero.
     """
+    get = y.get
+    for exp, (p1, q1, d1) in x.items():
+        s = get(exp)
+        if s is None:
+            if p1 or q1:
+                return False
+        elif s[2] == d1:
+            if p1 != s[0] or q1 != s[1]:
+                return False
+        elif p1 * s[2] != s[0] * d1 or q1 * s[2] != s[1] * d1:
+            return False
+    return not any(y[exp][0] or y[exp][1] for exp in y.keys() - x.keys())
+
+
+def mat_residuals(n: int, lhs, rhs=(), target: Matrix | None = None) -> list:
+    """``(row, col, residual)`` wherever ``sum(a * b for a, b in lhs)`` differs
+    from ``sum(a * b for a, b in rhs)`` plus ``target``.
+
+    ``lhs`` and ``rhs`` are sequences of factor pairs ``(a, b)`` with the
+    same row count, and ``target`` is a matrix or None for zero; ``n`` is the
+    variable count.  Neither side is built: per entry the term products of
+    each side go into one unreduced ``polyring._mul_into`` dict, the target's
+    terms are added as they are, and the two dicts are compared exactly.  Only
+    an entry that differs becomes a ``Poly``, and its residual ``lhs - rhs -
+    target`` is formatted.  Row-major, with the columns of each row ascending.
+    """
+    rows = len(target) if target is not None else len((lhs or rhs)[0][0])
     out = []
-    for i, (ra, rb) in enumerate(zip(a, b)):
-        for j in sorted(ra.keys() | rb.keys()):
-            x, y = ra.get(j), rb.get(j)
-            if x is None:
-                out.append((i, j, format_poly(-y)))
-            elif y is None:
-                out.append((i, j, format_poly(x)))
-            elif x != y:
-                out.append((i, j, format_poly(x - y)))
+    for i in range(rows):
+        left = _add_products({}, lhs, i)
+        right = {}
+        if target is not None:
+            right = {j: _sums_of(x.terms) for j, x in target[i].items()}
+        _add_products(right, rhs, i)
+        for j in sorted(left.keys() | right.keys()):
+            x, y = left.get(j, {}), right.get(j, {})
+            if not _same_sums(x, y):
+                out.append((i, j, format_poly(_from_sums(n, x) - _from_sums(n, y))))
     return out
 
 
@@ -382,16 +430,23 @@ class Morphism:
                 if not entry.is_homogeneous(src.basis_degrees[l] - tgt.basis_degrees[k]):
                     failures.append(("grading", k, l, format_poly(entry)))
         for j in range(src.n):
-            lhs = mat_mul(self.matrix, src.actions[j])
-            rhs = mat_mul(tgt.actions[j], self.matrix)
-            failures += [(f"action X{j}", *w) for w in mat_residuals(lhs, rhs)]
+            residuals = mat_residuals(src.n, [(self.matrix, src.actions[j])], [(tgt.actions[j], self.matrix)])
+            failures += [(f"action X{j}", *w) for w in residuals]
         return failures
+
+    def after(self, other: "Morphism") -> tuple:
+        """The factors ``(self.matrix, other.matrix)`` of ``self`` after ``other``.
+
+        ``ValueError`` unless ``other`` ends where ``self`` starts.  A check
+        hands the pair to ``mat_residuals`` without building the product.
+        """
+        if other.target is not self.source and other.target != self.source:
+            raise ValueError("composition shape mismatch")
+        return self.matrix, other.matrix
 
     def compose(self, other: "Morphism") -> "Morphism":
         """``self`` after ``other``."""
-        if other.target is not self.source and other.target != self.source:
-            raise ValueError("composition shape mismatch")
-        return Morphism(other.source, self.target, mat_mul(self.matrix, other.matrix))
+        return Morphism(other.source, self.target, mat_mul(*self.after(other)))
 
     def __add__(self, other: "Morphism") -> "Morphism":
         return Morphism(self.source, self.target, mat_add(self.matrix, other.matrix))
@@ -436,8 +491,9 @@ class Morphism:
         inverse = d_inv
         for _ in range(len(set(src.basis_degrees)) - 1):
             inverse = mat_add(d_inv, mat_mul(s, inverse))
-        if mat_mul(inverse, self.matrix) != ident or mat_mul(self.matrix, inverse) != ident:
-            return None
+        for product in ((inverse, self.matrix), (self.matrix, inverse)):
+            if mat_residuals(n, [product], target=ident):
+                return None
         return Morphism(tgt, src, inverse)
 
 

@@ -145,11 +145,13 @@ def _json_int(digits: str, path: str) -> int:
 
 
 def cmd_verify_certificate(args) -> int:
-    with open(args.file) as fh:
+    with open(args.file, encoding="utf-8") as fh:
         try:
             data = json.load(fh, parse_int=lambda digits: _json_int(digits, args.file))
         except RecursionError:
             raise ValueError(f"{args.file}: JSON nested too deeply to read") from None
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValueError(f"{args.file}: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"{args.file}: expected a JSON object, not {type(data).__name__}")
     if data.get("format") == homotopy.REPORT_FORMAT:

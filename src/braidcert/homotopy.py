@@ -10,7 +10,10 @@ negative ones in {0, 1}.
 
 Certificates are explicit per-degree matrices (a chain isomorphism with its
 inverse, or a homotopy equivalence with both homotopies) whose defining
-identities are re-verified exactly, entry by entry.
+identities are re-verified exactly, entry by entry.  Each check hands the
+factors of its composites to ``bimodcalc.mat_residuals``, which compares
+unreduced sums and builds a residual only where an identity fails; no
+composite is built to be compared.
 
 Morphisms up to homotopy are ``H^0`` of the Hom complex: ``Hom^p(c, d)``
 holds the degree-0 morphisms ``c_k -> d_{k+p}``, with differential
@@ -50,7 +53,6 @@ from .bimodcalc import (
     bimodule_Bs,
     direct_sum,
     id_tensor,
-    mat_add,
     mat_identity,
     mat_paste,
     mat_residuals,
@@ -107,8 +109,7 @@ def complex_failures(c: Complex) -> list:
         d2 = c.diffs.get(k + 1)
         if d1 is None or d2 is None:
             continue
-        dd = d2.compose(d1).matrix
-        failures += [(k, "d.d != 0", *w) for w in mat_residuals(dd, mat_zero(len(dd)))]
+        failures += [(k, "d.d != 0", *w) for w in mat_residuals(c.n, [d2.after(d1)])]
     return failures
 
 
@@ -265,9 +266,9 @@ def chain_map_failures(f: ChainMap) -> list:
             failures.append((k, f"component {tag}", row, col, res))
     degrees = set(f.source.objects) | set(f.target.objects)
     for k in sorted(degrees):
-        lhs = f.component(k + 1).compose(f.source.diff_at(k))
-        rhs = f.target.diff_at(k).compose(f.component(k))
-        failures += [(k, "square", *w) for w in mat_residuals(lhs.matrix, rhs.matrix)]
+        lhs = f.component(k + 1).after(f.source.diff_at(k))
+        rhs = f.target.diff_at(k).after(f.component(k))
+        failures += [(k, "square", *w) for w in mat_residuals(f.source.n, [lhs], [rhs])]
     return failures
 
 
@@ -300,20 +301,17 @@ def homotopy_failures(cert: HomotopyEquivalence) -> list:
         c = first.source
         tag = f"{side} + dh + hd != id"
         for k in c.support():
-            terms = []
+            products = []
             if first.target.object_at(k).rank:
-                terms.append(then.component(k).compose(first.component(k)))
+                products.append(then.component(k).after(first.component(k)))
             hk = h.get(k)
             if hk is not None and c.object_at(k - 1).rank:
-                terms.append(c.diff_at(k - 1).compose(hk))
+                products.append(c.diff_at(k - 1).after(hk))
             hk1 = h.get(k + 1)
             if hk1 is not None and c.object_at(k + 1).rank:
-                terms.append(hk1.compose(c.diff_at(k)))
-            rank = c.objects[k].rank
-            acc = mat_zero(rank)
-            for term in terms:
-                acc = mat_add(acc, term.matrix)
-            failures += [(k, tag, *w) for w in mat_residuals(acc, mat_identity(rank, c.n))]
+                products.append(hk1.after(c.diff_at(k)))
+            ident = mat_identity(c.objects[k].rank, c.n)
+            failures += [(k, tag, *w) for w in mat_residuals(c.n, products, target=ident)]
     return failures
 
 

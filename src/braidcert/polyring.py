@@ -7,17 +7,19 @@ with ``X_0 > X_1 > ...``, largest term first.
 
 Every polynomial product goes through one multiply-accumulate helper,
 ``_mul_into``.  It adds term products, in ints, into an ``{exponent: sum}``
-dict, and ``_from_sums`` turns that dict into a ``Poly`` once, reducing each
+dict, with each exponent packed into one int so that a product adds ints, and
+``_from_sums`` turns that dict into a ``Poly`` once, reducing each
 coefficient and dropping the ones that cancelled.  ``Poly.__mul__`` fills
 one dict; ``bimodcalc.mat_mul`` and ``Bimodule.action_of`` fill one per
 output entry, so a sum of products builds one ``Poly``, not one per product.
+``bimodcalc.mat_residuals`` fills one per entry and side of an identity and
+compares the sums as they are, so an identity that holds builds no ``Poly``.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from operator import add
 from typing import Iterable, Iterator
 
 from .errors import ExactDivisionError, ParseError, parse_int
@@ -30,18 +32,59 @@ def _monomial_key(exp: Monomial):
     return (sum(exp), exp)
 
 
+# The sums of the product kernel are keyed by exponents packed into one int,
+# ``_FIELD`` bits per variable, so a term product adds two ints where it would
+# build a tuple.  Each distinct exponent is packed once, and each packed sum
+# unpacked once, per process.  A factor's exponents are at most
+# ``MAX_EXPONENT``, so the sum of two never carries into the next field; the
+# parser refuses a larger one with its position.
+_FIELD = 32
+MAX_EXPONENT = (1 << (_FIELD - 1)) - 1
+
+
+class _Packed(dict):
+    """Exponent tuple -> packed int, filled on first use."""
+
+    def __missing__(self, exp: Monomial) -> int:
+        top = max(exp, default=0)
+        if top > MAX_EXPONENT:
+            raise ValueError(f"exponent {top} is too large to multiply (at most {MAX_EXPONENT})")
+        code = self[exp] = sum(e << (_FIELD * i) for i, e in enumerate(exp))
+        return code
+
+
+class _Unpacked(dict):
+    """Packed int -> exponent tuple of ``n`` variables, filled on first use."""
+
+    def __init__(self, n: int) -> None:
+        super().__init__()
+        self.n = n
+
+    def __missing__(self, code: int) -> Monomial:
+        mask = (1 << _FIELD) - 1
+        exp = self[code] = tuple((code >> (_FIELD * i)) & mask for i in range(self.n))
+        return exp
+
+
+_PACKED = _Packed()
+_UNPACKED: dict = {}  # variable count -> _Unpacked
+
+
 def _mul_into(acc: dict, terms1: dict, terms2: dict) -> None:
     """Add every product of a term of ``terms1`` and a term of ``terms2`` into ``acc``.
 
-    ``terms1`` and ``terms2`` are ``Poly.terms`` dicts.  ``acc`` maps an
+    ``terms1`` and ``terms2`` are ``Poly.terms`` dicts.  ``acc`` maps a packed
     exponent to an unreduced sum ``(p, q, d)``, meaning ``(p + q*sqrt2)/d``
-    with ``d > 0``; only ``_from_sums`` reads it.
+    with ``d > 0``; only ``_from_sums`` and ``bimodcalc.mat_residuals`` read
+    it, and ``_sums_of`` makes one from a polynomial.
     """
     get = acc.get
+    packed = _PACKED
     for e1, c1 in terms1.items():
+        k1 = packed[e1]
         p1, q1, d1 = c1.p, c1.q, c1.d
         for e2, c2 in terms2.items():
-            exp = tuple(map(add, e1, e2))
+            exp = k1 + packed[e2]
             p2, q2, d = c2.p, c2.q, d1 * c2.d
             p, q = p1 * p2 + 2 * q1 * q2, p1 * q2 + q1 * p2
             s = get(exp)
@@ -54,10 +97,18 @@ def _mul_into(acc: dict, terms1: dict, terms2: dict) -> None:
                 acc[exp] = (s[0] * d + p * sd, s[1] * d + q * sd, sd * d)
 
 
+def _sums_of(terms: dict) -> dict:
+    """The ``Poly.terms`` dict ``terms`` as the sums ``_mul_into`` fills, with no product."""
+    return {_PACKED[exp]: (c.p, c.q, c.d) for exp, c in terms.items()}
+
+
 def _from_sums(n: int, acc: dict) -> "Poly":
     """The ``Poly`` of the sums ``_mul_into`` left in ``acc``, without the zero ones."""
+    exps = _UNPACKED.get(n)
+    if exps is None:
+        exps = _UNPACKED[n] = _Unpacked(n)
     out = Poly(n)
-    out.terms = {exp: reduced(p, q, d) for exp, (p, q, d) in acc.items() if p or q}
+    out.terms = {exps[code]: reduced(p, q, d) for code, (p, q, d) in acc.items() if p or q}
     return out
 
 
@@ -421,6 +472,8 @@ def _parse_term(full: str, offset: int, term: str, n: int) -> Poly:
             if j >= n:
                 raise ParseError(f"variable X{j} out of range for n={n}", full, at)
             exp[j] += parse_int(m.group(2), full, at) if m.group(2) else 1
+            if exp[j] > MAX_EXPONENT:
+                raise ParseError(f"exponent of X{j} over {MAX_EXPONENT}", full, at)
             if negated:
                 coeff = -coeff
             continue

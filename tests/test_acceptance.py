@@ -43,7 +43,6 @@ from braidcert.homotopy import (
     homotopy_classes,
     homotopy_failures,
     verify_certificate_dict,
-    relation_certificates,
     HomotopyEquivalence,
     ChainMap,
     Morphism,
@@ -67,16 +66,6 @@ def _report(num, name, failures):
     status = "PASS" if not failures else "FAIL"
     print(f"[{status}] criterion {num}: {name}")
     assert not failures, failures[:5]
-
-
-@pytest.fixture(scope="module")
-def certificates_n2():
-    return relation_certificates(2)
-
-
-@pytest.fixture(scope="module")
-def certificates_n3():
-    return relation_certificates(3)
 
 
 def test_criterion_1_coxeter_action_suite():

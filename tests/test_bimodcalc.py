@@ -1,11 +1,13 @@
 import copy
+import json
+import random
 from fractions import Fraction
 from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braidcert import linalg
+from braidcert import bimodcalc, homotopy, linalg
 from braidcert.bimodcalc import (
     Bimodule,
     Morphism,
@@ -34,6 +36,7 @@ from braidcert.coxeter import (
     invariant_generator_table,
     make_reflection,
 )
+from braidcert.homotopy import verify_certificate_dict
 from braidcert.polyring import Poly, format_poly
 from braidcert.scalars import QSqrt2
 
@@ -506,8 +509,8 @@ _LEFT = [
 ]
 
 
-def _dense(rows, cols):
-    return st.lists(st.lists(_ENTRY, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+def _dense(rows, cols, entry=_ENTRY):
+    return st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
 
 
 def _to_dense(matrix, cols):
@@ -560,7 +563,7 @@ def test_sparse_matrices_match_dense_formulas(rows, inner, cols, cancel, data):
     # wide rows, so that a column set does not iterate in ascending order by chance
     wide = data.draw(st.integers(1, 12))
     d, e = data.draw(_dense(rows, wide)), data.draw(_dense(rows, wide))
-    witnesses = mat_residuals(from_dense(d), from_dense(e))
+    witnesses = mat_residuals(N, [(from_dense(d), mat_identity(wide, N))], target=from_dense(e))
     assert witnesses == [
         (i, j, format_poly(x - y))
         for i, (rd, re) in enumerate(zip(d, e))
@@ -585,6 +588,130 @@ def test_sparse_matrices_match_dense_formulas(rows, inner, cols, cancel, data):
                 for aa in range(left.rank):
                     want[a2 * inner + b2][aa * cols + bb] = act[a2][aa]
     assert _to_dense(crossed, left.rank * cols) == want
+
+
+def _residuals_by_products(n, lhs, rhs=(), target=None):
+    """The oracle for ``mat_residuals``: build each side with ``mat_mul`` and ``mat_add``, then compare."""
+    rows = len(target) if target is not None else len((lhs or rhs)[0][0])
+    sides = []
+    for products, start in ((lhs, mat_zero(rows)), (rhs, target or mat_zero(rows))):
+        for a, b in products:
+            start = mat_add(start, mat_mul(a, b))
+        sides.append(start)
+    out = []
+    for i, (ra, rb) in enumerate(zip(*sides)):
+        for j in sorted(ra.keys() | rb.keys()):
+            x, y = ra.get(j), rb.get(j)
+            if x is None:
+                out.append((i, j, format_poly(-y)))
+            elif y is None:
+                out.append((i, j, format_poly(x)))
+            elif x != y:
+                out.append((i, j, format_poly(x - y)))
+    return out
+
+
+# coefficients with denominators 1, 2, 3 and 6, so that equal sums can carry different denominators
+_FRACTION = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3, 6]))
+_MIXED_ENTRY = st.one_of(
+    st.just(_ZERO),
+    st.dictionaries(
+        st.sampled_from([(0, 0), (1, 0), (0, 1), (2, 0), (1, 1)]),
+        st.builds(QSqrt2, _FRACTION, _FRACTION),
+        max_size=3,
+    ).map(lambda terms: Poly(N, terms)),
+)
+
+
+def _products(rows, cols, data):
+    """Up to three sparse factor pairs ``(a, b)`` of shape rows x inner x cols."""
+    out = []
+    for _ in range(data.draw(st.integers(0, 3))):
+        inner = data.draw(st.integers(1, 3))
+        a, b = data.draw(_dense(rows, inner, _MIXED_ENTRY)), data.draw(_dense(inner, cols, _MIXED_ENTRY))
+        out.append((from_dense(a), from_dense(b)))
+    return out
+
+
+def _negated(matrix):
+    return [{j: -x for j, x in row.items()} for row in matrix]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.sampled_from(["random", "equal", "cancel"]), st.data())
+def test_residuals_match_products_on_random_sums(rows, cols, shape, data):
+    lhs, rhs = _products(rows, cols, data), _products(rows, cols, data)
+    if shape == "equal":
+        # the same products on both sides, in reverse order
+        rhs = lhs[::-1]
+    elif shape == "cancel":
+        # every product is paired with its negation, so each entry of the left side sums to zero
+        lhs = lhs + [(a, _negated(b)) for a, b in lhs[::-1]]
+    target = None
+    if data.draw(st.booleans()) or not (lhs or rhs):
+        identity = rows == cols and data.draw(st.booleans())
+        target = mat_identity(rows, N) if identity else from_dense(data.draw(_dense(rows, cols, _MIXED_ENTRY)))
+    got = mat_residuals(N, lhs, rhs, target)
+    assert got == _residuals_by_products(N, lhs, rhs, target)
+    if shape == "equal" and target is None:
+        assert got == []
+    if shape == "cancel":
+        assert got == (_residuals_by_products(N, [], rhs, target) if rhs or target is not None else [])
+
+
+def test_residuals_of_a_holding_identity_build_no_polynomial(monkeypatch):
+    """A check that holds adds term products only: none with the target, and no ``Poly``."""
+    fwd, bwd = psi(3)
+    term_products = 0
+
+    def counted(acc, t1, t2):
+        nonlocal term_products
+        term_products += len(t1) * len(t2)
+        mul_into(acc, t1, t2)
+
+    def refused(n, acc):
+        raise AssertionError("a holding identity built a Poly")
+
+    mul_into = bimodcalc._mul_into
+    monkeypatch.setattr(bimodcalc, "_mul_into", counted)
+    monkeypatch.setattr(bimodcalc, "_from_sums", refused)
+    assert mat_residuals(3, [bwd.after(fwd)], target=mat_identity(fwd.source.rank, 3)) == []
+    # exactly the composite's term products, counted by hand: the identity is added, not multiplied
+    assert term_products == sum(
+        len(x.terms) * len(y.terms) for row in bwd.matrix for k, x in row.items() for y in fwd.matrix[k].values()
+    )
+    assert fwd.morphism_failures() == [] and bwd.morphism_failures() == []
+
+
+_TAMPER_TEXTS = ["X0^16", "1", "sqrt2", "-1/3*X1", "1/2*X2 + (1 + -1*sqrt2)*X0"]
+
+
+def test_fused_checks_match_products_on_tampered_n3_certificates(certificates_n3, monkeypatch):
+    """One seeded single-entry tampering of every field of every n=3 certificate.
+
+    The failure lists of the fused checks and of the product-then-compare
+    oracle agree in full: degree, label, row, column and residual text.
+    """
+    rng = random.Random(2104)
+    seen = 0
+    for result in certificates_n3["results"]:
+        for field in ("forward", "inverse", "backward", "homotopy_source", "homotopy_target"):
+            if not result["certificate"].get(field):
+                continue
+            cert = json.loads(json.dumps(result["certificate"]))
+            item = rng.choice(cert[field])
+            row = rng.randrange(len(item["matrix"]))
+            col = rng.randrange(len(item["matrix"][row]))
+            entry, text = item["matrix"][row][col], rng.choice(_TAMPER_TEXTS)
+            item["matrix"][row][col] = text if entry == "0" else f"{entry} + {text}"
+            fused = verify_certificate_dict(cert)
+            with monkeypatch.context() as patched:
+                patched.setattr(bimodcalc, "mat_residuals", _residuals_by_products)
+                patched.setattr(homotopy, "mat_residuals", _residuals_by_products)
+                assert verify_certificate_dict(cert) == fused, (cert["relation"], field)
+            assert not fused[0] and fused[1], (cert["relation"], field)
+            seen += 1
+    assert seen == 60  # 25 certificates, 66 fields, six of them empty homotopies
 
 
 # exponents of degree 0 to 3 in two variables, and unit, non-unit and sqrt2 coefficients

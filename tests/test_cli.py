@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import braidcert
 from braidcert import cli, words
 from braidcert.cli import main
-from braidcert.polyring import format_poly, parse_poly
+from braidcert.polyring import MAX_EXPONENT, format_poly, parse_poly
 from braidcert.scalars import QSqrt2
 
 
@@ -554,6 +554,18 @@ _Z0Z0_CERT = {
             if _DIGIT_LIMIT
             else "error: ",
         ),
+        # an exponent a product could carry out of its packed field
+        (
+            {**_Z0Z0_CERT, "forward": [{"degree": 0, "matrix": [[f"X0^{MAX_EXPONENT + 1}"]]}]},
+            "parse error: certificate 'z0 z0 ~ ', forward, degree 0, entry (0,0): "
+            f"exponent of X0 over {MAX_EXPONENT} at position 0",
+        ),
+        # a file cut short, and a file that is not UTF-8 (a ``bytes`` payload is written as it is)
+        (json.dumps(_Z0Z0_CERT)[:11], "error: <file>: Expecting value: line 1 column 12 (char 11)\n"),
+        (
+            b"\xff" + json.dumps(_Z0Z0_CERT).encode(),
+            "error: <file>: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n",
+        ),
     ],
     ids=[
         "certificate-without-inverse",
@@ -575,12 +587,18 @@ _Z0Z0_CERT = {
         "deeply-nested-brackets",
         "deeply-nested-forward",
         "integer-over-the-digit-limit",
+        "exponent-over-the-packed-field",
+        "truncated-json",
+        "not-utf-8",
     ],
 )
 def test_verify_certificate_malformed_file_is_usage_error(capsys, tmp_path, payload, message):
-    # a ``str`` payload is the file's text; ``<file>`` in ``message`` is its path
+    # a ``str`` payload is the file's text and ``bytes`` its content; ``<file>`` in ``message`` is its path
     path = tmp_path / "bad.json"
-    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+    if isinstance(payload, bytes):
+        path.write_bytes(payload)
+    else:
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     code, out, err = run(capsys, "verify-certificate", str(path))
     assert code == 2
     assert out == ""

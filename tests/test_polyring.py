@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from braidcert.errors import ExactDivisionError, ParseError
 from braidcert.polyring import (
+    MAX_EXPONENT,
     LinearEndo,
     Poly,
     divide_by_linear,
@@ -186,6 +187,20 @@ def test_over_long_numbers_are_parse_errors():
             parse_poly(text, 2)
         assert exc.value.position == position, text
         assert exc.value.message == "number too long (5000 digits)"
+
+
+def test_exponents_stay_inside_the_packed_field():
+    # a factor may carry MAX_EXPONENT, so a product of two reaches 2 * MAX_EXPONENT
+    top = parse_poly(f"X1^{MAX_EXPONENT}", 2)
+    assert (top * top).terms == {(0, 2 * MAX_EXPONENT): QSqrt2(1)}
+    assert format_poly(top * X(2, 0)) == f"X0*X1^{MAX_EXPONENT}"
+    for text, position, j in [(f"X0^{MAX_EXPONENT + 1}", 0, 0), (f"1 + X1*X1^{MAX_EXPONENT}", 7, 1)]:
+        with pytest.raises(ParseError) as exc:
+            parse_poly(text, 2)
+        assert exc.value.position == position, text
+        assert exc.value.message == f"exponent of X{j} over {MAX_EXPONENT}"
+    with pytest.raises(ValueError, match="too large to multiply"):
+        Poly.monomial((MAX_EXPONENT + 1, 0)) * X(2, 0)
 
 
 def test_parse_mixed_coefficient():
