@@ -102,9 +102,6 @@ class FreeAutomorphism:
     def is_identity(self) -> bool:
         return not self.images
 
-    def fixes_t(self) -> bool:
-        return T not in self.images
-
     def specialize_t1(self) -> "FreeAutomorphism":
         """Erase every t-letter from every image and reduce what is left."""
         gens = tuple(g for g in self.gens if g != T)

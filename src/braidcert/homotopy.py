@@ -322,7 +322,7 @@ def chain_iso_failures(f: ChainMap, g: ChainMap) -> list:
 
 # -- search -----------------------------------------------------------------------
 
-# how many nonzero degrees the homotopy search takes
+# how many nonzero degrees between two complexes either search takes
 DEGREE_BOUND = 8
 
 
@@ -462,7 +462,8 @@ def find_homotopy_equiv(c: Complex, d: Complex, fb: list):
     map and both homotopies decides.  ``_candidate_iter`` starts with the
     basis maps themselves, so this map is also its first probe that is not
     null-homotopic.  Pairs with more than ``DEGREE_BOUND`` nonzero degrees
-    are not searched: their None means "not searched".
+    are not searched: their None means "not searched" (``certify_pair`` stops
+    them before any search, in every mode).
     """
     if not _within_degree_bound(c, d):
         return None
@@ -662,14 +663,18 @@ def certify_pair(lhs: BraidWord, rhs: BraidWord, n: int, kind: str = "auto", lab
 
     Returns ``(kind, certificate dict)`` or ``(None, None)`` when neither an
     isomorphism nor (for kind 'auto'/'homotopy') a homotopy equivalence is
-    found.  For kind 'auto'/'homotopy', ``(None, None)`` means the complexes
-    are not homotopy equivalent, unless they span more than ``DEGREE_BOUND``
-    degrees (not searched); for kind 'iso' it means only "not found" (see
-    ``find_homotopy_equiv`` and ``find_chain_iso``).  ``label`` names the
-    relation in the certificate; it defaults to ``"<lhs> ~ <rhs>"``.
+    found.  Complexes that span more than ``DEGREE_BOUND`` degrees between
+    them are not searched in any mode: their ``(None, None)`` means "not
+    searched".  Within the bound, for kind 'auto'/'homotopy', ``(None, None)``
+    means the complexes are not homotopy equivalent; for kind 'iso' it means
+    only "not found" (see ``find_homotopy_equiv`` and ``find_chain_iso``).
+    ``label`` names the relation in the certificate; it defaults to
+    ``"<lhs> ~ <rhs>"``.
     """
     c = F_word(lhs, n)
     d = F_word(rhs, n)
+    if not _within_degree_bound(c, d):
+        return None, None
     if label is None:
         label = f"{format_word(lhs)} ~ {format_word(rhs)}"
     fb = None  # chain_map_space(c, d): built at most once, and only for a search that runs
@@ -681,8 +686,6 @@ def certify_pair(lhs: BraidWord, rhs: BraidWord, n: int, kind: str = "auto", lab
                 return "iso", iso_certificate(label, n, lhs, rhs, *found)
         if kind == "iso":
             return None, None
-    if not _within_degree_bound(c, d):
-        return None, None
     cert = find_homotopy_equiv(c, d, chain_map_space(c, d) if fb is None else fb)
     if cert is not None:
         return "homotopy", homotopy_certificate(label, n, lhs, rhs, cert)

@@ -350,11 +350,6 @@ def monomial_exponents(n: int, d: int) -> list:
     return exps
 
 
-def homogeneous_basis(n: int, d: int) -> list:
-    """All monomials of graded degree ``d``, canonically ordered."""
-    return [Poly.monomial(exp) for exp in monomial_exponents(n, d)]
-
-
 def divide_by_linear(p: Poly, ell: Poly) -> Poly:
     """Return ``q`` with ``p == ell * q`` for a linear form ``ell``, or raise.
 

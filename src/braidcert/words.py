@@ -9,6 +9,11 @@ Two alphabets are supported:
 
 ``z``/``zet`` letters are involutions and carry no exponent; ``z0^-1`` parses
 but is normalised to ``z0``.
+
+``relator_table`` builds both groups' defining relations from four shape
+helpers shared by the two alphabets: far commutation, braid (mixed when the
+letter kinds differ), involution, and the relations on indices 0 and 1 whose
+right side is the left side reversed.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ Letter = tuple  # (kind, index, exp); exp is always 1 for involution letters
 _KINDS_A = ("sig", "zet")
 _KINDS_B = ("s", "z")
 _INVOLUTIONS = ("zet", "z")
+_DOUBLED = dict(zip(_KINDS_B, _KINDS_A))  # the letter kind each vbB kind doubles to
 
 
 @dataclass(frozen=True)
@@ -126,31 +132,18 @@ def format_word(word: BraidWord) -> str:
 def embed_j(word: BraidWord) -> BraidWord:
     """Letterwise doubling of a type-B word into the shifted vbA alphabet.
 
-    ``s_0 -> sig_0``, ``z_0 -> zet_0``, ``s_i -> sig_{-i} sig_i``,
-    ``s_i^-1 -> sig_i^-1 sig_{-i}^-1`` and ``z_i -> zet_{-i} zet_i``.
+    A letter of index 0 stays one letter (``s_0 -> sig_0``, ``z_0 -> zet_0``),
+    a letter of index ``i > 0`` becomes two (``s_i -> sig_{-i} sig_i``,
+    ``z_i -> zet_{-i} zet_i``), and an inverse is the image reversed
+    (``s_i^-1 -> sig_i^-1 sig_{-i}^-1``).
     """
     if word.alphabet.tag != "vbB":
         raise ValueError("embed_j expects a vbB word")
-    n = word.alphabet.hi + 1
-    target = Alphabet.vbA_shifted(n)
     letters = []
     for kind, index, exp in word.letters:
-        if kind == "s":
-            if index == 0:
-                letters.append(("sig", 0, exp))
-            elif exp == 1:
-                letters.append(("sig", -index, 1))
-                letters.append(("sig", index, 1))
-            else:
-                letters.append(("sig", index, -1))
-                letters.append(("sig", -index, -1))
-        else:
-            if index == 0:
-                letters.append(("zet", 0, 1))
-            else:
-                letters.append(("zet", -index, 1))
-                letters.append(("zet", index, 1))
-    return BraidWord(target, tuple(letters))
+        image = [(_DOUBLED[kind], i, exp) for i in ((0,) if index == 0 else (-index, index))]
+        letters.extend(image if exp == 1 else reversed(image))
+    return BraidWord(Alphabet.vbA_shifted(word.alphabet.hi + 1), tuple(letters))
 
 
 # -- relator tables -------------------------------------------------------------
@@ -163,148 +156,79 @@ class RelatorPair:
     rhs: BraidWord
 
 
-def _pair(alphabet, label, lhs, rhs) -> RelatorPair:
-    return RelatorPair(label, make_word(alphabet, lhs), make_word(alphabet, rhs))
+def _pair(ab: Alphabet, label: str, lhs, rhs) -> RelatorPair:
+    """The relation ``lhs = rhs``; each side lists ``(kind, index)`` letters."""
+    return RelatorPair(
+        label,
+        make_word(ab, [(kind, i, 1) for kind, i in lhs]),
+        make_word(ab, [(kind, i, 1) for kind, i in rhs]),
+    )
 
 
-def _sig(i, e=1):
-    return ("sig", i, e)
+def _far(ab: Alphabet, name: str, x: str, y: str) -> list:
+    """``x_i y_j = y_j x_i`` for ``|i - j| > 1``: both orders of i and j when
+    ``x != y``, else only ``i < j`` (the other order is the same relation)."""
+    idx = range(ab.lo, ab.hi + 1)
+    return [
+        _pair(ab, f"{name}[{i},{j}]", [(x, i), (y, j)], [(y, j), (x, i)])
+        for i in idx
+        for j in idx
+        if j > i + 1 or (x != y and i > j + 1)
+    ]
 
 
-def _zet(i):
-    return ("zet", i, 1)
+def _braid(ab: Alphabet, name: str, x: str, y: str) -> list:
+    """``x_i y_{i+1} y_i = y_{i+1} y_i x_{i+1}`` for ``1 <= i < hi``: the
+    braid relation when ``x == y``, the mixed one otherwise."""
+    return [
+        _pair(ab, f"{name}[{i}]", [(x, i), (y, i + 1), (y, i)], [(y, i + 1), (y, i), (x, i + 1)])
+        for i in range(1, ab.hi)
+    ]
 
 
-def _s(i, e=1):
-    return ("s", i, e)
+def _involution(ab: Alphabet, name: str, y: str) -> list:
+    """``y_i y_i = 1`` for every index."""
+    return [_pair(ab, f"{name}[{i}]", [(y, i), (y, i)], []) for i in range(ab.lo, ab.hi + 1)]
 
 
-def _z(i):
-    return ("z", i, 1)
+def _reversal(ab: Alphabet, name: str, text: str) -> list:
+    """The relation whose right side is the left side ``text`` read backwards."""
+    lhs = parse_word(text, ab)
+    return [RelatorPair(name, lhs, BraidWord(ab, lhs.letters[::-1]))]
 
 
-def relator_table(group: str, n: int):
+def relator_table(group: str, n: int) -> list:
     """The instantiated defining relations of the given group, in a fixed order."""
     if n < 2:
         raise ValueError("need n >= 2")
     if group == "vbA":
-        return _vba_relators(n)
-    if group == "bB":
-        return _bb_relators(n)
+        ab = Alphabet.vbA(n)
+        return (
+            _far(ab, "vb1", "sig", "sig")
+            + _braid(ab, "vb2", "sig", "sig")
+            + _far(ab, "vb3", "zet", "zet")
+            + _braid(ab, "vb4", "zet", "zet")
+            + _involution(ab, "vb5", "zet")
+            + _far(ab, "vb6", "sig", "zet")
+            + _braid(ab, "vb7", "sig", "zet")
+        )
     if group == "vbB":
-        return _bb_relators(n) + _vbb_extra_relators(n)
-    raise ValueError(f"unknown group {group!r} (expected vbA, bB or vbB)")
-
-
-def _vba_relators(n: int):
-    ab = Alphabet.vbA(n)
-    rels = []
-    for i in range(1, n - 1):
-        for j in range(i + 2, n):
-            rels.append(_pair(ab, f"vb1[{i},{j}]", [_sig(i), _sig(j)], [_sig(j), _sig(i)]))
-    for i in range(1, n - 1):
-        rels.append(
-            _pair(
-                ab,
-                f"vb2[{i}]",
-                [_sig(i), _sig(i + 1), _sig(i)],
-                [_sig(i + 1), _sig(i), _sig(i + 1)],
-            )
+        ab = Alphabet.vbB(n)
+        return (
+            _far(ab, "relB1", "s", "s")
+            + _braid(ab, "relB2", "s", "s")
+            + _reversal(ab, "relB3", "s0 s1 s0 s1")
+            + _far(ab, "relWB1", "z", "z")
+            + _braid(ab, "relWB2", "z", "z")
+            + _reversal(ab, "relWB3", "z0 z1 z0 z1")
+            + _involution(ab, "relWB0", "z")
+            + _far(ab, "relmixB1", "s", "z")
+            + _braid(ab, "relmixB2", "s", "z")
+            + _reversal(ab, "relmixB3", "s0 z1 z0 z1")
+            + _reversal(ab, "relmixB4", "z0 s1 z0 z1")
+            + _reversal(ab, "relmixB5", "s0 z1 s0 z1")
         )
-    for i in range(1, n - 1):
-        for j in range(i + 2, n):
-            rels.append(_pair(ab, f"vb3[{i},{j}]", [_zet(i), _zet(j)], [_zet(j), _zet(i)]))
-    for i in range(1, n - 1):
-        rels.append(
-            _pair(
-                ab,
-                f"vb4[{i}]",
-                [_zet(i), _zet(i + 1), _zet(i)],
-                [_zet(i + 1), _zet(i), _zet(i + 1)],
-            )
-        )
-    for i in range(1, n):
-        rels.append(_pair(ab, f"vb5[{i}]", [_zet(i), _zet(i)], []))
-    for i in range(1, n):
-        for j in range(1, n):
-            if abs(i - j) > 1:
-                rels.append(_pair(ab, f"vb6[{i},{j}]", [_sig(i), _zet(j)], [_zet(j), _sig(i)]))
-    for i in range(1, n - 1):
-        rels.append(
-            _pair(
-                ab,
-                f"vb7[{i}]",
-                [_sig(i), _zet(i + 1), _zet(i)],
-                [_zet(i + 1), _zet(i), _sig(i + 1)],
-            )
-        )
-    return rels
-
-
-def _bb_relators(n: int):
-    ab = Alphabet.vbB(n)
-    rels = []
-    for i in range(n):
-        for j in range(i + 2, n):
-            rels.append(_pair(ab, f"relB1[{i},{j}]", [_s(i), _s(j)], [_s(j), _s(i)]))
-    for i in range(1, n - 1):
-        rels.append(
-            _pair(
-                ab,
-                f"relB2[{i}]",
-                [_s(i), _s(i + 1), _s(i)],
-                [_s(i + 1), _s(i), _s(i + 1)],
-            )
-        )
-    rels.append(
-        _pair(ab, "relB3", [_s(0), _s(1), _s(0), _s(1)], [_s(1), _s(0), _s(1), _s(0)])
-    )
-    return rels
-
-
-def _vbb_extra_relators(n: int):
-    ab = Alphabet.vbB(n)
-    rels = []
-    for i in range(n):
-        for j in range(i + 2, n):
-            rels.append(_pair(ab, f"relWB1[{i},{j}]", [_z(i), _z(j)], [_z(j), _z(i)]))
-    for i in range(1, n - 1):
-        rels.append(
-            _pair(
-                ab,
-                f"relWB2[{i}]",
-                [_z(i), _z(i + 1), _z(i)],
-                [_z(i + 1), _z(i), _z(i + 1)],
-            )
-        )
-    rels.append(
-        _pair(ab, "relWB3", [_z(0), _z(1), _z(0), _z(1)], [_z(1), _z(0), _z(1), _z(0)])
-    )
-    for i in range(n):
-        rels.append(_pair(ab, f"relWB0[{i}]", [_z(i), _z(i)], []))
-    for i in range(n):
-        for j in range(n):
-            if abs(i - j) > 1:
-                rels.append(_pair(ab, f"relmixB1[{i},{j}]", [_s(i), _z(j)], [_z(j), _s(i)]))
-    for i in range(1, n - 1):
-        rels.append(
-            _pair(
-                ab,
-                f"relmixB2[{i}]",
-                [_s(i), _z(i + 1), _z(i)],
-                [_z(i + 1), _z(i), _s(i + 1)],
-            )
-        )
-    rels.append(
-        _pair(ab, "relmixB3", [_s(0), _z(1), _z(0), _z(1)], [_z(1), _z(0), _z(1), _s(0)])
-    )
-    rels.append(
-        _pair(ab, "relmixB4", [_z(0), _s(1), _z(0), _z(1)], [_z(1), _z(0), _s(1), _z(0)])
-    )
-    rels.append(
-        _pair(ab, "relmixB5", [_s(0), _z(1), _s(0), _z(1)], [_z(1), _s(0), _z(1), _s(0)])
-    )
-    return rels
+    raise ValueError(f"unknown group {group!r} (expected vbA or vbB)")
 
 
 # -- the invariant of a word -----------------------------------------------------

@@ -15,7 +15,6 @@ from braidcert import freegroup as fg
 from braidcert import linalg
 from braidcert.bimodcalc import (
     bimodule_Bs,
-    bimodule_R,
     bimodule_Rw,
     iso_swap_Rw,
     mat_identity,
@@ -27,7 +26,6 @@ from braidcert.bimodcalc import (
 )
 from braidcert.cli import main
 from braidcert.coxeter import (
-    act,
     alpha,
     invariant_generator_table,
     is_invariant,

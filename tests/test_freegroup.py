@@ -124,7 +124,7 @@ def test_images_fix_t():
         [("zet", 3, 1)],
         [("sig", 1, 1), ("zet", 2, 1), ("sig", 3, -1)],
     ]:
-        assert img(letters).fixes_t()
+        assert fg.T not in img(letters).images
 
 
 def test_image_index_range_enforced():

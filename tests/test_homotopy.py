@@ -704,6 +704,16 @@ def test_certify_pair_builds_the_chain_map_space_once(monkeypatch):
     assert backward == (d, c)
 
 
+@pytest.mark.parametrize("kind", ["auto", "iso", "homotopy"])
+def test_certify_pair_past_the_degree_bound_searches_nothing(monkeypatch, kind):
+    # relB3 at n=2 spans 5 degrees: past a bound of 2, no mode builds Z^0
+    n = 2
+    monkeypatch.setattr(homotopy, "DEGREE_BOUND", 2)
+    spaces = count_calls(monkeypatch, homotopy, "chain_map_space")
+    assert certify_pair(W("s0 s1 s0 s1", n), W("s1 s0 s1 s0", n), n, kind) == (None, None)
+    assert spaces == []
+
+
 def test_word_complex_builds_each_monomial_once_without_identity_products(monkeypatch):
     # every product while a word's complex is built makes one monomial matrix
     # X^exp of one bimodule, never twice, and never with an identity factor

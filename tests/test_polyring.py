@@ -11,7 +11,6 @@ from braidcert.polyring import (
     Poly,
     divide_by_linear,
     format_poly,
-    homogeneous_basis,
     monomial_exponents,
     parse_poly,
 )
@@ -93,10 +92,11 @@ def test_mul_square():
 
 
 def test_homogeneous_basis_examples():
-    assert [str(m) for m in homogeneous_basis(2, 2)] == ["X0", "X1"]
-    assert [str(m) for m in homogeneous_basis(2, 4)] == ["X0^2", "X0*X1", "X1^2"]
-    assert homogeneous_basis(2, 3) == []
-    assert homogeneous_basis(2, -2) == []
+    # the exponents of X0, X1 and of X0^2, X0*X1, X1^2, in canonical order
+    assert monomial_exponents(2, 2) == [(1, 0), (0, 1)]
+    assert monomial_exponents(2, 4) == [(2, 0), (1, 1), (0, 2)]
+    assert monomial_exponents(2, 3) == []
+    assert monomial_exponents(2, -2) == []
 
 
 def test_homogeneous_basis_against_bruteforce():

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -151,6 +153,33 @@ def test_relator_table_contents():
     vba3 = {r.label: r for r in relator_table("vbA", 3)}
     r = vba3["vb4[1]"]
     assert format_word(r.lhs) == "zet1 zet2 zet1" and format_word(r.rhs) == "zet2 zet1 zet2"
+
+
+def relator_table_digest(group):
+    """sha256 over every relation of ``relator_table(group, n)``, n = 2..8."""
+    lines = [
+        f"{n} {rel.label}: {format_word(rel.lhs)} = {format_word(rel.rhs)}\n"
+        for n in range(2, 9)
+        for rel in relator_table(group, n)
+    ]
+    return hashlib.sha256("".join(lines).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "group,digest",
+    [
+        ("vbA", "a8cac14b8917c852cc4fd528eff173e31d6716eb5d1a5c356d89c6f5ac957888"),
+        ("vbB", "5de1bfbc02afd8ace2e02cba8bef03aa9648904ebbc4ab07908a42ab85f48b23"),
+    ],
+)
+def test_relator_tables_are_pinned(group, digest):
+    # every label and word of both tables, in order
+    assert relator_table_digest(group) == digest
+
+
+def test_relator_table_rejects_other_groups():
+    with pytest.raises(ValueError):
+        relator_table("bB", 3)
 
 
 def test_relator_table_deterministic():
