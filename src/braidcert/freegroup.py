@@ -7,11 +7,19 @@ int (meaning ``a_gen``) or the string ``"t"``.
 
 An automorphism stores only the generators it moves, each image freely
 reduced once, where it is made: by ``apply``, the letter tables or
-``specialize_t1``.
+``specialize_t1``.  ``apply`` (and so ``compose``) joins reduced pieces, the
+stored images, their inverses and single letters, cancelling only at each
+seam: the output's last letters against the piece's first letters while they
+are inverse, then it appends the rest of the piece.  That is exact: a
+reduced word has no cancelling pair inside it, so the only pairs the join of
+two reduced words can cancel meet at the seam, and free reduction has one
+result whatever order its cancellations take (``reduce_word`` of the plain
+concatenation is the reference in the tests).
 
 The invariant of a virtual braid word is the composite of the letter
 automorphisms with the rightmost letter applied first, i.e.
-``image(uv) = image(u) o image(v)``; that composition order is the one that
+``image(uv) = image(u) o image(v)``, computed by ``manturov_image`` as the
+fold of ``compose`` over the letters; that composition order is the one that
 matches the known images of virtual braid words and makes the map a plain
 group homomorphism into the automorphism group.
 """
@@ -19,7 +27,8 @@ group homomorphism into the automorphism group.
 from __future__ import annotations
 
 import re
-from typing import Iterable
+from functools import lru_cache
+from typing import Iterable, Sequence
 
 from .errors import ParseError, parse_int
 
@@ -39,8 +48,20 @@ def reduce_word(letters: Iterable[Letter]) -> FreeWord:
     return tuple(stack)
 
 
-def invert_word(word: Iterable[Letter]) -> FreeWord:
-    return tuple((g, -e) for g, e in reversed(list(word)))
+class _Inverses(dict):
+    """Letter -> its inverse letter, each made on first use."""
+
+    def __missing__(self, letter):
+        gen, exp = letter
+        inverse = self[letter] = (gen, -exp)
+        return inverse
+
+
+_INVERSE = _Inverses()
+
+
+def invert_word(word: Sequence[Letter]) -> FreeWord:
+    return tuple(map(_INVERSE.__getitem__, reversed(word)))
 
 
 def gen_sort_key(gen):
@@ -75,11 +96,26 @@ class FreeAutomorphism:
         return self.images.get(gen, ((gen, 1),))
 
     def apply(self, word: Iterable[Letter]) -> FreeWord:
+        """The reduced image of ``word``, which need not be reduced itself."""
+        images = self.images
         out: list = []
         for gen, exp in word:
-            img = self.image(gen)
-            out.extend(img if exp == 1 else invert_word(img))
-        return reduce_word(out)
+            img = images.get(gen)
+            if img is None:
+                if gen not in self.gens:
+                    raise KeyError(f"unknown generator {gen!r}")
+                img = ((gen, exp),)
+            elif exp != 1:
+                img = invert_word(img)
+            # cancel at the seam only, then append the rest of the reduced piece
+            k = 0
+            for letter in img:
+                if not out or out[-1] != _INVERSE[letter]:
+                    break
+                out.pop()
+                k += 1
+            out.extend(img[k:])
+        return tuple(out)
 
     def compose(self, other: "FreeAutomorphism") -> "FreeAutomorphism":
         """``self`` after ``other``: (f.compose(g)).apply(w) == f.apply(g.apply(w)).
@@ -88,8 +124,17 @@ class FreeAutomorphism:
         """
         if self.gens != other.gens:
             raise ValueError("automorphisms over different generator sets")
-        moved = {g: self.apply(img) for g, img in other.images.items()}
-        return FreeAutomorphism(self.gens, {**self.images, **moved})
+        images = dict(self.images)
+        for g, img in other.images.items():
+            moved = self.apply(img)
+            if moved == ((g, 1),):
+                images.pop(g, None)
+            else:
+                images[g] = moved
+        # both factors' images are over self.gens, so the constructor's check is skipped
+        result = FreeAutomorphism.__new__(FreeAutomorphism)
+        result.gens, result.images = self.gens, images
+        return result
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FreeAutomorphism):
@@ -135,6 +180,11 @@ def strand_gens(lo: int, hi: int):
     return tuple(range(lo, hi + 2)) + (T,)
 
 
+# the letter automorphisms are cached per (index, gens) and shared by every
+# caller: compose copies the images it starts from and mutates no automorphism
+
+
+@lru_cache(maxsize=None)
 def sigma_auto(i: int, gens) -> FreeAutomorphism:
     return FreeAutomorphism(
         gens,
@@ -145,6 +195,7 @@ def sigma_auto(i: int, gens) -> FreeAutomorphism:
     )
 
 
+@lru_cache(maxsize=None)
 def sigma_inv_auto(i: int, gens) -> FreeAutomorphism:
     # the two-sided inverse of sigma_auto under compose(); see the tests,
     # which validate it by composing to the identity both ways
@@ -157,6 +208,7 @@ def sigma_inv_auto(i: int, gens) -> FreeAutomorphism:
     )
 
 
+@lru_cache(maxsize=None)
 def zeta_auto(i: int, gens) -> FreeAutomorphism:
     return FreeAutomorphism(
         gens,

@@ -149,22 +149,40 @@ def F_one(n: int) -> Complex:
 MAX_BRAID_LETTERS = 8
 
 
+def _braid_signs(word) -> tuple:
+    """``(p, q)``: how many positive and negative braid letters ``word`` has.
+
+    ``F(word)`` is nonzero in exactly the degrees ``-p .. q``.  A word with
+    more than ``MAX_BRAID_LETTERS`` braid letters is a ``ValueError`` that
+    names it.
+    """
+    letters = word.letters if isinstance(word, BraidWord) else tuple(word)
+    signs = [exp for kind, _, exp in letters if kind in ("s", "sig")]
+    if len(signs) > MAX_BRAID_LETTERS:
+        text = format_word(word) if isinstance(word, BraidWord) else str(letters)
+        raise ValueError(
+            f"word {text!r} has {len(signs)} braid letters: its complex would have total rank "
+            f"3^{len(signs)}, above the budget of 3^{MAX_BRAID_LETTERS}"
+        )
+    p = signs.count(1)
+    return p, len(signs) - p
+
+
+def _pair_degrees(lhs, rhs) -> int:
+    """How many degrees ``F(lhs)`` and ``F(rhs)`` span together, read from the words."""
+    (p1, q1), (p2, q2) = _braid_signs(lhs), _braid_signs(rhs)
+    return max(p1, p2) + max(q1, q2) + 1
+
+
 def F_word(word, n: int) -> Complex:
     """The complex of a type-B word: the tensor of its letter complexes.
 
     A word with more than ``MAX_BRAID_LETTERS`` braid letters is a
     ``ValueError`` that names it, raised before any tensor product is built.
     """
-    letters = word.letters if isinstance(word, BraidWord) else tuple(word)
-    braid = sum(kind in ("s", "sig") for kind, _, _ in letters)
-    if braid > MAX_BRAID_LETTERS:
-        text = format_word(word) if isinstance(word, BraidWord) else str(letters)
-        raise ValueError(
-            f"word {text!r} has {braid} braid letters: its complex would have total rank "
-            f"3^{braid}, above the budget of 3^{MAX_BRAID_LETTERS}"
-        )
+    _braid_signs(word)
     result = F_one(n)
-    for letter in letters:
+    for letter in word.letters if isinstance(word, BraidWord) else word:
         result = tensor_complex(result, F_letter(letter, n))
     return result
 
@@ -463,7 +481,7 @@ def find_homotopy_equiv(c: Complex, d: Complex, fb: list):
     basis maps themselves, so this map is also its first probe that is not
     null-homotopic.  Pairs with more than ``DEGREE_BOUND`` nonzero degrees
     are not searched: their None means "not searched" (``certify_pair`` stops
-    them before any search, in every mode).
+    them before either complex is built, in every mode).
     """
     if not _within_degree_bound(c, d):
         return None
@@ -664,17 +682,18 @@ def certify_pair(lhs: BraidWord, rhs: BraidWord, n: int, kind: str = "auto", lab
     Returns ``(kind, certificate dict)`` or ``(None, None)`` when neither an
     isomorphism nor (for kind 'auto'/'homotopy') a homotopy equivalence is
     found.  Complexes that span more than ``DEGREE_BOUND`` degrees between
-    them are not searched in any mode: their ``(None, None)`` means "not
-    searched".  Within the bound, for kind 'auto'/'homotopy', ``(None, None)``
-    means the complexes are not homotopy equivalent; for kind 'iso' it means
-    only "not found" (see ``find_homotopy_equiv`` and ``find_chain_iso``).
+    them are neither built nor searched in any mode (the count is read from
+    the words' braid letters): their ``(None, None)`` means "not searched".
+    Within the bound, for kind 'auto'/'homotopy', ``(None, None)`` means the
+    complexes are not homotopy equivalent; for kind 'iso' it means only "not
+    found" (see ``find_homotopy_equiv`` and ``find_chain_iso``).
     ``label`` names the relation in the certificate; it defaults to
     ``"<lhs> ~ <rhs>"``.
     """
+    if _pair_degrees(lhs, rhs) > DEGREE_BOUND:
+        return None, None
     c = F_word(lhs, n)
     d = F_word(rhs, n)
-    if not _within_degree_bound(c, d):
-        return None, None
     if label is None:
         label = f"{format_word(lhs)} ~ {format_word(rhs)}"
     fb = None  # chain_map_space(c, d): built at most once, and only for a search that runs

@@ -66,6 +66,10 @@ def test_over_long_index_is_parse_error(capsys):
     assert err.count("\n") == 1
 
 
+# 16-letter contexts drawn like the benchmark's distinguish requests
+LONG_U = "s0^-1 s3^-1 z6 s2^-1 s6^-1 s6 z4 s4 z1 s1^-1 z4 z1 s4^-1 z7 s0^-1 s4^-1"
+LONG_V = "s7 s4^-1 s4^-1 s0 s7^-1 s7 z5 z7 s3^-1 z0 s3 z7 s7^-1 z1 s4^-1 s5^-1"
+
 # sha256 of the stdout of ``braidcert ARGS --n 8 --format json``: the
 # invariant layer's output must stay byte-identical
 INVARIANT_SHA256 = [
@@ -102,12 +106,24 @@ INVARIANT_SHA256 = [
         ["distinguish", "s2 z3 s4 z2 s1^-1", "z4 s2 z3 s0 z7", "--t1"],
         "b92d5b5e89a9676e6693fa1e4a135750a26e5da5fef09083d06b9daaf13b77dd",
     ),
+    # benchmark-length pairs: 16-letter contexts around relB3 (equal, so the
+    # same verdict bytes as any equal pair) and around s3 z3 vs z3 s3, whose
+    # witness images have 465 and 435 letters
+    (
+        ["distinguish", f"{LONG_U} s0 s1 s0 s1 {LONG_V}", f"{LONG_U} s1 s0 s1 s0 {LONG_V}"],
+        "7ba912bd582e02af7ece95efe4b6e02d8b56eb94063ab65bd89a9dc63c09aedc",
+    ),
+    (
+        ["distinguish", f"{LONG_U} s3 z3 {LONG_V}", f"{LONG_U} z3 s3 {LONG_V}"],
+        "8c7dbee8bfa424fba9470b61cfa578dabdfcd1471069802e68bbd1d46be7a702",
+    ),
 ]
 
 
 @pytest.mark.parametrize("args, digest", INVARIANT_SHA256, ids=[
     "invariant-vbB-18", "invariant-vbB-10", "invariant-vbA-10", "invariant-empty",
     "distinguish-unequal", "distinguish-equal", "distinguish-vbA", "distinguish-vbA-t1", "distinguish-vbB-t1",
+    "distinguish-equal-36", "distinguish-unequal-34",
 ])
 def test_invariant_output_bytes_unchanged(capsys, args, digest):
     code, out, _ = run(capsys, *args, "--n", "8", "--format", "json")

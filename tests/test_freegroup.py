@@ -21,8 +21,13 @@ def test_reduce_idempotent(letters):
     assert fg.reduce_word(once) == once
 
 
+def naive_inverse(word):
+    return tuple((g, -e) for g, e in reversed(list(word)))
+
+
 @given(st.lists(st.tuples(st.integers(-2, 2), st.sampled_from([1, -1])), max_size=8))
 def test_word_times_inverse_reduces_to_empty(letters):
+    assert fg.invert_word(letters) == naive_inverse(letters)
     assert fg.reduce_word(list(letters) + list(fg.invert_word(letters))) == ()
 
 
@@ -132,10 +137,8 @@ def test_image_index_range_enforced():
         img([("sig", 5, 1)])
 
 
-braid_letters = st.lists(
-    st.tuples(st.sampled_from(["sig", "zet"]), st.integers(1, 3), st.sampled_from([1, -1])),
-    max_size=6,
-)
+braid_letter = st.tuples(st.sampled_from(["sig", "zet"]), st.integers(1, 3), st.sampled_from([1, -1]))
+braid_letters = st.lists(braid_letter, max_size=6)
 
 
 @given(braid_letters, braid_letters)
@@ -211,6 +214,58 @@ def test_equal_automorphisms_built_two_ways_hash_equal():
     lhs = img([("sig", 1, 1), ("sig", 2, 1), ("sig", 1, 1)])
     rhs = img([("sig", 2, 1), ("sig", 1, 1), ("sig", 2, 1)])
     assert lhs == rhs and hash(lhs) == hash(rhs)
+
+
+# -- the seam join against a naive oracle ----------------------------------------------
+#
+# the oracle is plain concatenation of the images, then one reduce_word of the
+# whole: it assumes nothing about which letters can cancel
+
+
+def naive_apply(images, word):
+    out = []
+    for gen, exp in word:
+        image = images.get(gen)
+        if image is None:
+            image = ((gen, 1),)
+        out.extend(image if exp == 1 else naive_inverse(image))
+    return fg.reduce_word(out)
+
+
+def naive_image(letters):
+    images = {}
+    for letter in letters:
+        moved = {g: naive_apply(images, w) for g, w in letter_auto(*letter).images.items()}
+        images = {g: w for g, w in {**images, **moved}.items() if w != ((g, 1),)}
+    return images
+
+
+@given(st.lists(braid_letter, max_size=12))
+@settings(max_examples=150, deadline=None)
+def test_image_matches_naive_fold(letters):
+    tables = {letter: dict(letter_auto(*letter).images) for letter in letters}
+    assert img(letters).images == naive_image(letters)
+    # the cached letter automorphisms come out of the fold unchanged
+    assert tables == {letter: letter_auto(*letter).images for letter in letters}
+
+
+# words with a cancelling middle: u x x^-1 v
+unreduced_words = st.tuples(free_words, free_words, free_words).map(
+    lambda t: t[0] + t[1] + list(naive_inverse(t[1])) + t[2]
+)
+
+
+@given(braid_letters, unreduced_words)
+@settings(max_examples=100, deadline=None)
+def test_apply_on_unreduced_words_matches_naive_reduction(letters, word):
+    auto = img(letters)
+    assert auto.apply(word) == naive_apply(auto.images, word)
+
+
+def test_apply_refuses_unknown_generators():
+    for auto in (sigma(1), fg.FreeAutomorphism.identity(GENS)):
+        with pytest.raises(KeyError):
+            auto.apply(W("a1 a9"))
 
 
 def test_compose_with_a_letter_applies_twice(monkeypatch):

@@ -714,6 +714,31 @@ def test_certify_pair_past_the_degree_bound_searches_nothing(monkeypatch, kind):
     assert spaces == []
 
 
+@pytest.mark.parametrize("kind", ["auto", "iso", "homotopy"])
+def test_certify_pair_past_the_degree_bound_builds_no_complex(monkeypatch, kind):
+    # relB3 squared at n=2 spans 9 degrees, one past the bound: the words
+    # alone decide, so neither rank-3^8 complex is built
+    n = 2
+
+    def refuse(*args):
+        raise AssertionError(f"F_word{args} called")
+
+    monkeypatch.setattr(homotopy, "F_word", refuse)
+    lhs, rhs = W("s0 s1 s0 s1 s0 s1 s0 s1", n), W("s1 s0 s1 s0 s1 s0 s1 s0", n)
+    assert certify_pair(lhs, rhs, n, kind) == (None, None)
+
+
+def test_pair_degrees_read_from_the_words_match_the_complexes():
+    # F(w) is nonzero in exactly degrees -p .. q (p positive, q negative
+    # braid letters), so a pair spans max(p) + max(q) + 1 degrees
+    n = 2
+    words = [W(" ".join(w), n) for k in range(4) for w in itertools.product(SHORT_LETTERS_N2, repeat=k)]
+    degrees = [set(F_word(w, n).objects) for w in words]
+    for u, du in zip(words, degrees):
+        for v, dv in zip(words, degrees):
+            assert homotopy._pair_degrees(u, v) == len(du | dv), (u, v)
+
+
 def test_word_complex_builds_each_monomial_once_without_identity_products(monkeypatch):
     # every product while a word's complex is built makes one monomial matrix
     # X^exp of one bimodule, never twice, and never with an identity factor
