@@ -4,8 +4,8 @@ The package is organised bottom-up:
 
 * :mod:`braidcert.scalars` -- exact arithmetic in Q(sqrt2);
 * :mod:`braidcert.polyring` -- graded polynomials and linear substitutions;
-* :mod:`braidcert.coxeter` -- the type-B reflection action, Demazure
-  decomposition and invariant-subalgebra generator tables;
+* :mod:`braidcert.coxeter` -- the type-B reflection action, reflections and
+  Demazure decomposition;
 * :mod:`braidcert.freegroup` -- reduced free-group words, automorphisms and
   the Manturov invariant of virtual braid words;
 * :mod:`braidcert.words` -- braid-word alphabets, parsing, relator tables and

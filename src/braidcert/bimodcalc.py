@@ -48,18 +48,13 @@ from operator import add
 from typing import Sequence
 
 from . import coxeter, linalg
-from .coxeter import Reflection, demazure_decompose, make_reflection
+from .coxeter import Reflection, demazure_decompose
 from .polyring import Poly, _from_sums, _mul_into, _sums_of, format_poly, monomial_exponents
 from .scalars import ONE, ZERO, QSqrt2
 
 Matrix = list  # list of {column: non-zero Poly} rows
 
 MINUS_ONE = QSqrt2(-1)
-
-
-@lru_cache(maxsize=None)
-def _zero(n: int) -> Poly:
-    return Poly.zero(n)
 
 
 @lru_cache(maxsize=None)
@@ -621,86 +616,3 @@ def _accumulate(eq, variables, known_poly):
                 else:
                     del row[var]
 
-
-# -- named isomorphisms -----------------------------------------------------------
-#
-# The paper's bimodule-level isomorphisms, all from one constructor whose
-# result is checked to be a bimodule map with a graded inverse, never trusted.
-
-
-def unit_anchored(src: Bimodule, tgt: Bimodule, images: Sequence[Poly]) -> Morphism:
-    """The left-linear map sending source basis element ``i`` to ``unit * images[i]``.
-
-    Basis element 0 is the unit, so column ``i`` is column 0 of
-    ``tgt.action_of(images[i])``.
-    """
-    matrix = mat_zero(tgt.rank)
-    for i, p in enumerate(images):
-        for row, acted in zip(matrix, tgt.action_of(p)):
-            if 0 in acted:
-                row[i] = acted[0]
-    return Morphism(src, tgt, matrix)
-
-
-def _checked_iso(forward: Morphism, name: str) -> tuple:
-    """``(forward, inverse)``, or ``ValueError`` unless ``forward`` is an invertible bimodule map."""
-    failures = forward.morphism_failures()
-    if failures:
-        raise ValueError(f"{name} is not a bimodule map: {failures[:3]}")
-    inverse = forward.graded_inverse()
-    if inverse is None:
-        raise ValueError(f"{name} is not invertible")
-    return forward, inverse
-
-
-def iso_swap_Rw(word, t: Reflection, n: int):
-    """The swap ``R_w (x) B_t -> B_{w t w^-1} (x) R_w``, with its inverse.
-
-    On elements the map sends ``a (x) b`` to ``a (x) w(b)``: it fixes the unit
-    and the source basis is ``{unit, unit * root_t}``.
-    """
-    word = tuple(word)
-    src = tensor(bimodule_Rw(word, n), bimodule_Bs(t))
-    t2 = make_reflection(word + t.word + tuple(reversed(word)), n)
-    tgt = tensor(bimodule_Bs(t2), bimodule_Rw(word, n))
-    return _checked_iso(unit_anchored(src, tgt, [_one(n), t.root]), "the swap")
-
-
-def _exchange(a: tuple, b: tuple, n: int, name: str) -> tuple:
-    """``B_a (x) B_b -> B_b (x) B_a`` sending ``1 (x) alpha_a (x) 1`` to ``1 (x) 1 (x) alpha_a``.
-
-    It fixes the unit; ``alpha_a`` is the root of ``a``.  Needs n >= 3 (the
-    defining data lives in three variables).  Returns ``(forward, inverse)``.
-    """
-    if n < 3:
-        raise ValueError(f"{name} needs at least three variables")
-    ta, tb = make_reflection(a, n), make_reflection(b, n)
-    src = tensor(bimodule_Bs(ta), bimodule_Bs(tb))
-    tgt = tensor(bimodule_Bs(tb), bimodule_Bs(ta))
-    images = [_one(n), tb.root, ta.root, ta.root * tb.root]
-    return _checked_iso(unit_anchored(src, tgt, images), name)
-
-
-def phi(n: int) -> Morphism:
-    """The degree-0 isomorphism ``B_{s0} (x) B_{s1 s0 s1} -> B_{s1 s0 s1} (x) B_{s0}``."""
-    return _exchange((0,), (1, 0, 1), n, "phi")[0]
-
-
-def middle_coords(m: Bimodule, t_first: Reflection, p: Poly) -> list:
-    """Coordinates of ``1 (x) p (x) 1`` in a two-factor tensor of rank-2 pieces.
-
-    ``t_first`` is the reflection of the first factor; splitting ``p`` over
-    its invariants moves the invariant part to the far left.
-    """
-    if m.rank != 4:
-        raise ValueError("middle insertion needs a rank-4 two-factor tensor")
-    p0, p1 = demazure_decompose(t_first, p)
-    coords = [_zero(m.n)] * 4
-    coords[0] = p0
-    coords[2] = p1
-    return coords
-
-
-def psi(n: int):
-    """The mirror of ``phi``, ``B_{s1} (x) B_{s0 s1 s0} -> B_{s0 s1 s0} (x) B_{s1}``, with its inverse."""
-    return _exchange((1,), (0, 1, 0), n, "psi")

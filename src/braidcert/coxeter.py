@@ -5,7 +5,12 @@ from the Cartan pairings (order 4 between ``s_0`` and ``s_1``, order 3
 between neighbouring ``s_i`` for ``i >= 1``, commuting otherwise).  Words
 are sequences of generator indices and act by composing the involutions,
 rightmost letter first, so a word acts the way the group element it spells
-does.
+does.  The representation is faithful: two words spell the same element
+exactly when their ``word_endo`` are equal.
+
+A ``Reflection`` is a conjugate of a generator with a root read off its
+word, and ``demazure_decompose`` splits a polynomial over its invariants;
+``bimodcalc`` builds the bimodule ``B_t`` from these two.
 """
 
 from __future__ import annotations
@@ -62,19 +67,6 @@ def word_endo(word: Word, n: int) -> LinearEndo:
 
 def act(word, p: Poly) -> Poly:
     return word_endo(tuple(word), p.n).apply(p)
-
-
-def element_equal(w1, w2, n: int) -> bool:
-    """Whether two words spell the same group element.
-
-    The reflection representation is faithful, so comparing the induced
-    endomorphisms decides equality without a word-problem solver.
-    """
-    return word_endo(tuple(w1), n) == word_endo(tuple(w2), n)
-
-
-def is_invariant(word, p: Poly) -> bool:
-    return act(word, p) == p
 
 
 class Reflection:
@@ -146,45 +138,3 @@ def demazure_decompose(t: Reflection, f: Poly):
     p = f - q * t.root
     return p, q
 
-
-# -- invariant-subalgebra generator tables ------------------------------------
-#
-# Tabulated generating sets for the invariant subalgebras of the four
-# reflections that the bimodule calculus needs.  Entries are built only when
-# every variable they mention exists, which keeps the lists correct for small
-# strand counts (the dropped generators mention variables that are not there).
-
-
-def _X(n: int, j: int) -> Poly:
-    return Poly.variable(n, j)
-
-
-def invariant_generator_table(word, n: int) -> list:
-    word = tuple(word)
-    gens: list = []
-    if word == (0,):
-        gens.append(_X(n, 0).scale(QSqrt2.sqrt2()) + _X(n, 1).scale(2))
-        gens.append(_X(n, 0) * _X(n, 0))
-        tail_from = 2
-    elif word == (1,):
-        gens.append(_X(n, 0).scale(2) + _X(n, 1).scale(QSqrt2.sqrt2()))
-        if n > 2:
-            gens.append(_X(n, 1) + _X(n, 2).scale(2))
-        gens.append(_X(n, 1) * _X(n, 1))
-        tail_from = 3
-    elif word == (1, 0, 1):
-        gens.append(_X(n, 0))
-        if n > 2:
-            gens.append(_X(n, 1) + _X(n, 2))
-        gens.append(_X(n, 1) * (_X(n, 0).scale(QSqrt2.sqrt2()) + _X(n, 1)))
-        tail_from = 3
-    elif word == (0, 1, 0):
-        if n > 2:
-            gens.append(_X(n, 0) + _X(n, 2).scale(QSqrt2.sqrt2()))
-        gens.append(_X(n, 1))
-        gens.append(_X(n, 0) * (_X(n, 0) + _X(n, 1).scale(QSqrt2.sqrt2())))
-        tail_from = 3
-    else:
-        raise ValueError(f"no tabulated generator list for word {list(word)}")
-    gens.extend(_X(n, j) for j in range(tail_from, n))
-    return gens

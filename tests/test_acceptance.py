@@ -13,25 +13,9 @@ import pytest
 
 from braidcert import freegroup as fg
 from braidcert import linalg
-from braidcert.bimodcalc import (
-    bimodule_Bs,
-    bimodule_Rw,
-    iso_swap_Rw,
-    mat_identity,
-    mat_mul,
-    middle_coords,
-    phi,
-    psi,
-    tensor,
-)
+from braidcert.bimodcalc import bimodule_Bs, bimodule_Rw, from_dense, mat_mul, tensor
 from braidcert.cli import main
-from braidcert.coxeter import (
-    alpha,
-    invariant_generator_table,
-    is_invariant,
-    make_reflection,
-    word_endo,
-)
+from braidcert.coxeter import act, alpha, demazure_decompose, make_reflection, word_endo
 from braidcert.homotopy import (
     F_one,
     F_word,
@@ -54,6 +38,7 @@ from braidcert.words import (
     parse_word,
     relator_table,
 )
+from conftest import invariant_generators, middle_coords, solver_iso
 
 
 def _X(n, j):
@@ -82,8 +67,8 @@ def test_criterion_1_coxeter_action_suite():
         if word_endo((0, 1, 0, 1), n) != word_endo((1, 0, 1, 0), n):
             failures.append(f"order-4 relation fails at n={n}")
         for word in [(0,), (1,), (1, 0, 1), (0, 1, 0)]:
-            for g in invariant_generator_table(word, n):
-                if not is_invariant(word, g):
+            for g in invariant_generators(word, n):
+                if act(word, g) != g:
                     failures.append(f"table {word} entry {g} not invariant at n={n}")
     # the X2^2 identity, exactly
     n = 3
@@ -94,7 +79,7 @@ def test_criterion_1_coxeter_action_suite():
     if first + second * x2 != x2 * x2:
         failures.append("X2^2 identity fails")
     for part in (first, second):
-        if not (is_invariant((0,), part) and is_invariant((1, 0, 1), part)):
+        if act((0,), part) != part or act((1, 0, 1), part) != part:
             failures.append("X2^2 identity parts not doubly invariant")
     _report(1, "Coxeter action suite (n = 2..5), invariant tables, X2^2 identity", failures)
 
@@ -210,39 +195,55 @@ def test_criterion_4_bimodule_calculus():
             ).validate()
         except ValueError as exc:
             failures.append(f"tensor at n={n}: {exc}")
-        # twist swap isomorphisms with verified inverses
+        # the twist swap R_w (x) B_t -> B_{w t w^-1} (x) R_w is the degree-0 map the
+        # solver finds: it fixes the unit and sends 1 (x) root_t to the Demazure
+        # split p + q * root' of w(root_t) over the conjugate reflection
         for w, t in [((1, 0, 1), (0,)), ((1,), (0,)), ((0,), (1,))]:
-            fwd, bwd = iso_swap_Rw(w, make_reflection(t, n), n)
-            if fwd.morphism_failures() or bwd.morphism_failures():
-                failures.append(f"swap ({w},{t}) fails at n={n}")
-            if bwd.compose(fwd).matrix != mat_identity(2, n):
-                failures.append(f"swap inverse ({w},{t}) wrong at n={n}")
+            tt, t2 = make_reflection(t, n), make_reflection(w + t + w[::-1], n)
+            found = solver_iso(
+                tensor(bimodule_Rw(w, n), bimodule_Bs(tt)),
+                tensor(bimodule_Bs(t2), bimodule_Rw(w, n)),
+            )
+            p, q = demazure_decompose(t2, act(w, tt.root))
+            if found is None:
+                failures.append(f"swap ({w},{t}) at n={n}: Hom^0 not one-dimensional or not invertible")
+            elif found[0].matrix != from_dense([[Poly.one(n), p], [Poly.zero(n), q]]):
+                failures.append(f"swap ({w},{t}) at n={n} is not the Demazure split")
         # twisted tensor equals the composed twist
         if tensor(bimodule_Rw((0,), n), bimodule_Rw((1,), n)) != bimodule_Rw((0, 1), n):
             failures.append(f"R_w tensor composition fails at n={n}")
     n = 3
-    f = phi(n)
-    if f.morphism_failures():
-        failures.append("phi not a morphism")
-    t0 = make_reflection((0,), n)
-    unit = [Poly.zero(n)] * 4
-    unit[0] = Poly.one(n)
-    for p in invariant_generator_table((0,), n):
-        want = [Poly.zero(n)] * 4
-        want[0] = p
-        if _on_column(f.matrix, middle_coords(f.source, t0, p)) != want:
-            failures.append(f"invariant {p} not pulled left of phi")
-    for p in invariant_generator_table((1, 0, 1), n):
-        if _on_column(f.matrix, middle_coords(f.source, t0, p)) != _on_column(f.target.action_of(p), unit):
-            failures.append(f"invariant {p} not pushed right of phi")
-    finv = f.graded_inverse()
-    if finv is None or finv.morphism_failures():
-        failures.append("phi not invertible")
-    fwd, bwd = psi(n)
-    if fwd.morphism_failures() or bwd is None or bwd.morphism_failures():
-        failures.append("psi not found or not verified")
-    elif bwd.compose(fwd).matrix != mat_identity(4, n):
-        failures.append("psi inverse wrong")
+    b0, b1, b101, b010 = (bimodule_Bs(make_reflection(w, n)) for w in [(0,), (1,), (1, 0, 1), (0, 1, 0)])
+    # phi: B_{s0} (x) B_{s1 s0 s1} -> B_{s1 s0 s1} (x) B_{s0} pulls the s0-invariants
+    # to the far left and pushes the s1 s0 s1-invariants to the far right
+    found = solver_iso(tensor(b0, b101), tensor(b101, b0))
+    if found is None:
+        failures.append("phi: Hom^0 not one-dimensional or not invertible")
+    else:
+        f = found[0]
+        t0 = make_reflection((0,), n)
+        unit = [Poly.one(n)] + [Poly.zero(n)] * 3
+        for p in invariant_generators((0,), n):
+            if _on_column(f.matrix, middle_coords(t0, p)) != [p] + [Poly.zero(n)] * 3:
+                failures.append(f"invariant {p} not pulled left of phi")
+        for p in invariant_generators((1, 0, 1), n):
+            if _on_column(f.matrix, middle_coords(t0, p)) != _on_column(f.target.action_of(p), unit):
+                failures.append(f"invariant {p} not pushed right of phi")
+    # psi, the mirror B_{s1} (x) B_{s0 s1 s0} -> B_{s0 s1 s0} (x) B_{s1}, swaps basis elements 1 and 2
+    found = solver_iso(tensor(b1, b010), tensor(b010, b1))
+    one, zero = Poly.one(n), Poly.zero(n)
+    swap_12 = from_dense(
+        [
+            [one, zero, zero, zero],
+            [zero, zero, one, zero],
+            [zero, one, zero, zero],
+            [zero, zero, zero, one],
+        ]
+    )
+    if found is None:
+        failures.append("psi: Hom^0 not one-dimensional or not invertible")
+    elif found[0].matrix != swap_12:
+        failures.append("psi is not the pinned exchange")
     _report(4, "bimodule calculus: invariants, swaps, phi absorption checks, psi", failures)
 
 
@@ -256,11 +257,17 @@ def _check_certificates(report, n, failures):
         want_kind = "homotopy" if rel.label.startswith(("relB2", "relB3")) else "iso"
         if entry["kind"] != want_kind:
             failures.append(f"n={n}: {rel.label} certified with kind {entry['kind']}")
-    for i in range(n):
-        for tag in (f"reid2a[{i}]", f"reid2b[{i}]"):
-            entry = by_label.get(tag)
-            if entry is None or entry["status"] != "certified":
-                failures.append(f"n={n}: {tag} not certified")
+    # the contractions hold only up to homotopy; the remark pairs (n >= 3) on the nose
+    want_kinds = {f"reid2{side}[{i}]": "homotopy" for side in "ab" for i in range(n)}
+    if n >= 3:
+        want_kinds.update({f"remark_sz[{i}]": "iso" for i in range(n)})
+        want_kinds["remark_zszs"] = "iso"
+    for tag, want_kind in want_kinds.items():
+        entry = by_label.get(tag)
+        if entry is None or entry["status"] != "certified":
+            failures.append(f"n={n}: {tag} not certified")
+        elif entry["kind"] != want_kind:
+            failures.append(f"n={n}: {tag} certified with kind {entry['kind']}")
 
 
 def test_criterion_5_relation_certificates(certificates_n2, certificates_n3):

@@ -17,28 +17,20 @@ from braidcert.bimodcalc import (
     direct_sum,
     from_dense,
     id_tensor,
-    iso_swap_Rw,
     mat_add,
     mat_identity,
     mat_mul,
     mat_residuals,
     mat_zero,
-    middle_coords,
-    phi,
-    psi,
     shift,
     solve_morphisms,
     tensor,
 )
-from braidcert.coxeter import (
-    act,
-    demazure_decompose,
-    invariant_generator_table,
-    make_reflection,
-)
+from braidcert.coxeter import act, demazure_decompose, make_reflection
 from braidcert.homotopy import verify_certificate_dict
 from braidcert.polyring import Poly, format_poly
 from braidcert.scalars import QSqrt2
+from conftest import invariant_generators, middle_coords, solver_iso
 
 
 def X(n, j):
@@ -237,7 +229,7 @@ def test_non_morphism_action_witnesses():
 
 def test_graded_inverse_round_trip():
     n = 3
-    f = phi(n)
+    f, _ = _exchange(*PHI, n)
     g = f.graded_inverse()
     assert g is not None and not g.morphism_failures()
     assert g.compose(f).matrix == mat_identity(4, n)
@@ -272,173 +264,142 @@ def test_graded_inverse_exactly_when_constant_part_invertible(word, data):
         assert f.compose(g).matrix == mat_identity(m.rank, n)
 
 
-# -- the named isomorphisms --------------------------------------------------------
+# -- the paper's isomorphisms, as the degree-0 solver finds them ---------------------
+#
+# Each test states the paper's map literally and compares it with ``solver_iso``:
+# the only degree-0 map (Hom^0 is one-dimensional), scaled to fix the unit,
+# with a two-sided graded inverse.
 
 
 SWAP_WORDS = [(), (0,), (1,), (0, 1), (1, 0, 1)]
 SWAP_REFLECTIONS = [(0,), (1,), (1, 0, 1)]
 
 
+def _swap_bimodules(word, t, n):
+    """``R_w (x) B_t`` and ``B_{w t w^-1} (x) R_w``."""
+    t2 = refl(word + t.word + tuple(reversed(word)), n)
+    return tensor(bimodule_Rw(word, n), bimodule_Bs(t)), tensor(bimodule_Bs(t2), bimodule_Rw(word, n))
+
+
+def _assert_swap_is_demazure_split(word, tword, n):
+    # a (x) b -> a (x) w(b) fixes the unit and sends 1 (x) root_t to the Demazure
+    # split p + q * root' of w(root_t) over the conjugate reflection t' = w t w^-1
+    t = refl(tword, n)
+    src, tgt = _swap_bimodules(word, t, n)
+    p, q = demazure_decompose(refl(word + tword + tuple(reversed(word)), n), act(word, t.root))
+    found = solver_iso(src, tgt)
+    assert found is not None, (word, tword, n)
+    assert found[0].matrix == from_dense([[Poly.one(n), p], [Poly.zero(n), q]]), (word, tword, n)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_iso_swap_matches_demazure_formula(n):
-    # oracle: a (x) b -> a (x) w(b) sends 1 (x) root_t to the Demazure split
-    # p + q * root' of w(root_t) over the conjugate reflection t' = w t w^-1
     for word in SWAP_WORDS:
         for tword in SWAP_REFLECTIONS:
-            t = refl(tword, n)
-            t2 = refl(word + tword + tuple(reversed(word)), n)
-            p, q = demazure_decompose(t2, act(word, t.root))
-            fwd, bwd = iso_swap_Rw(word, t, n)
-            assert fwd.matrix == from_dense([[Poly.one(n), p], [Poly.zero(n), q]]), (word, tword)
-            assert bwd.compose(fwd).matrix == mat_identity(2, n)
-            assert fwd.compose(bwd).matrix == mat_identity(2, n)
+            _assert_swap_is_demazure_split(word, tword, n)
 
 
 def test_iso_swap_mu():
     # swapping the twist of s1 s0 s1 across B_{s0} lands in a presentation
-    # equal to B_{s0} (x) R_{s1 s0 s1}; both directions verify
+    # equal to B_{s0} (x) R_{s1 s0 s1}, and the map is the identity on
+    # coordinates: 1 (x) w(X0) = 1 (x) X0
     n = 2
     t0 = refl((0,), n)
-    fwd, bwd = iso_swap_Rw((1, 0, 1), t0, n)
-    assert not fwd.morphism_failures() and not bwd.morphism_failures()
-    assert bwd.compose(fwd).matrix == mat_identity(2, n)
-    assert fwd.compose(bwd).matrix == mat_identity(2, n)
-    expected_target = tensor(bimodule_Bs(t0), bimodule_Rw((1, 0, 1), n))
-    assert fwd.target == expected_target
-    # the map is the identity on coordinates: 1 (x) w(X0) = 1 (x) X0
-    assert fwd.matrix == mat_identity(2, n)
+    src, tgt = _swap_bimodules((1, 0, 1), t0, n)
+    assert tgt == tensor(bimodule_Bs(t0), bimodule_Rw((1, 0, 1), n))
+    fwd, bwd = solver_iso(src, tgt)
+    assert fwd.matrix == bwd.matrix == mat_identity(2, n)
 
 
 def test_iso_swap_identity_word():
     n = 2
     t0 = refl((0,), n)
-    fwd, bwd = iso_swap_Rw((), t0, n)
+    src, tgt = _swap_bimodules((), t0, n)
+    assert src == tensor(bimodule_R(n), bimodule_Bs(t0))
+    fwd, _ = solver_iso(src, tgt)
     assert fwd.matrix == mat_identity(2, n)
-    assert fwd.source == tensor(bimodule_R(n), bimodule_Bs(t0))
 
 
 def test_iso_swap_various_conjugates():
-    n = 3
-    for word, twort in [((1,), (0,)), ((0,), (1,)), ((2,), (1,)), ((1, 0, 1), (1,))]:
-        t = refl(twort, n)
-        fwd, bwd = iso_swap_Rw(word, t, n)
-        assert not fwd.morphism_failures() and not bwd.morphism_failures()
-        assert bwd.compose(fwd).matrix == mat_identity(2, n)
+    for word, tword in [((1,), (0,)), ((0,), (1,)), ((2,), (1,)), ((1, 0, 1), (1,))]:
+        _assert_swap_is_demazure_split(word, tword, 3)
+
+
+# the exchanges B_a (x) B_b -> B_b (x) B_a: phi moves B_{s0} past B_{s1 s0 s1},
+# and psi, its mirror, moves B_{s1} past B_{s0 s1 s0}
+PHI = ((0,), (1, 0, 1))
+PSI = ((1,), (0, 1, 0))
+
+
+def _exchange(a, b, n):
+    ta, tb = refl(a, n), refl(b, n)
+    return solver_iso(tensor(bimodule_Bs(ta), bimodule_Bs(tb)), tensor(bimodule_Bs(tb), bimodule_Bs(ta)))
+
+
+def _assert_phi_defining_values(n):
+    found = _exchange(*PHI, n)
+    assert found is not None
+    f = found[0]
+    t0 = refl((0,), n)
+    unit = unit_coords(f.target)
+
+    def left(p):  # p (x) 1 (x) 1
+        return [p] + [Poly.zero(n)] * 3
+
+    def right(p):  # 1 (x) 1 (x) p
+        return on_column(f.target.action_of(p), unit)
+
+    # 1 (x) X0 (x) 1 -> 1 (x) 1 (x) X0
+    # 1 (x) X1 (x) 1 -> -X2 (x) 1 (x) 1 + 1 (x) 1 (x) (X1 + X2)
+    # 1 (x) Xi (x) 1 -> Xi (x) 1 (x) 1 for i > 1
+    values = [right(X(n, 0)), right(X(n, 1) + X(n, 2))] + [left(X(n, i)) for i in range(2, n)]
+    values[1][0] = values[1][0] - X(n, 2)
+    assert on_column(f.matrix, unit_coords(f.source)) == unit
+    for i, want in enumerate(values):
+        assert on_column(f.matrix, middle_coords(t0, X(n, i))) == want, f"1 (x) X{i} (x) 1"
 
 
 def test_phi_defining_values():
-    n = 3
-    f = phi(n)
-    src, tgt = f.source, f.target
-    t0 = refl((0,), n)
-    unit = unit_coords(tgt)
-    # 1 (x) 1 (x) 1 -> 1 (x) 1 (x) 1
-    assert on_column(f.matrix, unit_coords(src)) == unit
-    # 1 (x) X0 (x) 1 -> 1 (x) 1 (x) X0
-    got = on_column(f.matrix, middle_coords(src, t0, X(n, 0)))
-    assert got == on_column(tgt.action_of(X(n, 0)), unit)
-    # 1 (x) X1 (x) 1 -> -X2 (x) 1 (x) 1 + 1 (x) 1 (x) (X1 + X2)
-    got = on_column(f.matrix, middle_coords(src, t0, X(n, 1)))
-    want = on_column(tgt.action_of(X(n, 1) + X(n, 2)), unit)
-    want[0] = want[0] - X(n, 2)
-    assert got == want
-    # 1 (x) Xi (x) 1 -> Xi (x) 1 (x) 1 for i > 1
-    got = on_column(f.matrix, middle_coords(src, t0, X(n, 2)))
-    assert got == [X(n, 2), Poly.zero(n), Poly.zero(n), Poly.zero(n)]
-
-
-def test_phi_absorbs_invariant_generators():
-    n = 3
-    f = phi(n)
-    src, tgt = f.source, f.target
-    t0 = refl((0,), n)
-    unit = unit_coords(tgt)
-    for p in invariant_generator_table((0,), n):
-        got = on_column(f.matrix, middle_coords(src, t0, p))
-        want = [Poly.zero(n)] * 4
-        want[0] = p
-        assert got == want, f"first-factor invariant {format_poly(p)} not pulled left"
-    for p in invariant_generator_table((1, 0, 1), n):
-        got = on_column(f.matrix, middle_coords(src, t0, p))
-        assert got == on_column(tgt.action_of(p), unit), f"second-factor invariant {format_poly(p)} not pushed right"
+    _assert_phi_defining_values(3)
 
 
 def test_phi_also_at_n4():
-    f = phi(4)
-    assert not f.morphism_failures()
-    assert f.graded_inverse() is not None
+    _assert_phi_defining_values(4)
 
 
-def test_phi_refuses_n2():
-    with pytest.raises(ValueError):
-        phi(2)
-    with pytest.raises(ValueError):
-        psi(2)
+def _assert_absorbs_invariant_generators(a, b, n):
+    # the invariants of the first factor's reflection are pulled to the far
+    # left, those of the second factor's to the far right
+    f, _ = _exchange(a, b, n)
+    ta = refl(a, n)
+    unit = unit_coords(f.target)
+    for p in invariant_generators(a, n):
+        want = [p] + [Poly.zero(n)] * 3
+        assert on_column(f.matrix, middle_coords(ta, p)) == want, f"{format_poly(p)} not pulled left"
+    for p in invariant_generators(b, n):
+        got = on_column(f.matrix, middle_coords(ta, p))
+        assert got == on_column(f.target.action_of(p), unit), f"{format_poly(p)} not pushed right"
 
 
-def _solver_iso(src, tgt):
-    """The first invertible element of the degree-0 morphism basis, scaled to fix the unit.
-
-    A degree-0 map sends the unit (basis element 0, of degree 0) to a
-    constant times the unit, so the element is divided by that constant.
-    """
-    unit = [{0: Poly.one(tgt.n)}] + mat_zero(tgt.rank - 1)
-    for b in solve_morphisms(src, tgt):
-        c = b.matrix[0][0].constant_term() if 0 in b.matrix[0] else QSqrt2(0)
-        if not c or b.graded_inverse() is None:
-            continue
-        candidate = b.scale(c.inverse())
-        column = [{0: row[0]} if 0 in row else {} for row in candidate.matrix]
-        if column == unit and not candidate.morphism_failures():
-            return candidate
-    return None
-
-
-def test_phi_matches_solver_iso():
-    # oracle: the unit-fixing isomorphism the degree-0 solver finds
-    for n in (3, 4):
-        f = phi(n)
-        found = _solver_iso(f.source, f.target)
-        assert found is not None
-        assert found.matrix == f.matrix
-        fwd, bwd = psi(n)
-        found = _solver_iso(fwd.source, fwd.target)
-        assert found is not None
-        assert found.matrix == fwd.matrix
-        assert bwd.compose(fwd).matrix == mat_identity(4, n)
+def test_phi_absorbs_invariant_generators():
+    _assert_absorbs_invariant_generators(*PHI, 3)
 
 
 def test_psi_found_and_verified():
-    n = 3
-    fwd, bwd = psi(n)
-    assert not fwd.morphism_failures()
-    assert bwd is not None and not bwd.morphism_failures()
-    assert bwd.compose(fwd).matrix == mat_identity(4, n)
-    assert fwd.compose(bwd).matrix == mat_identity(4, n)
-    # unit-preserving, pulls s1-invariants left and pushes the conjugate
-    # reflection's invariants right
-    src, tgt = fwd.source, fwd.target
-    t1 = refl((1,), n)
-    assert on_column(fwd.matrix, unit_coords(src)) == unit_coords(tgt)
-    for p in invariant_generator_table((1,), n):
-        got = on_column(fwd.matrix, middle_coords(src, t1, p))
-        want = [Poly.zero(n)] * 4
-        want[0] = p
-        assert got == want
-    for p in invariant_generator_table((0, 1, 0), n):
-        got = on_column(fwd.matrix, middle_coords(src, t1, p))
-        assert got == on_column(tgt.action_of(p), unit_coords(tgt))
+    _assert_absorbs_invariant_generators(*PSI, 3)
 
 
 def test_psi_forward_entries_pinned():
     # the entries the affine-slice search of earlier versions produced
-    fwd, _ = psi(3)
-    assert [[format_poly(row[j]) if j in row else "0" for j in range(4)] for row in fwd.matrix] == [
-        ["1", "0", "0", "0"],
-        ["0", "0", "1", "0"],
-        ["0", "1", "0", "0"],
-        ["0", "0", "0", "1"],
-    ]
+    for n in (3, 4):
+        found = _exchange(*PSI, n)
+        assert found is not None
+        assert [[format_poly(row[j]) if j in row else "0" for j in range(4)] for row in found[0].matrix] == [
+            ["1", "0", "0", "0"],
+            ["0", "0", "1", "0"],
+            ["0", "1", "0", "0"],
+            ["0", "0", "0", "1"],
+        ]
 
 
 # -- the solver ---------------------------------------------------------------------
@@ -661,7 +622,7 @@ def test_residuals_match_products_on_random_sums(rows, cols, shape, data):
 
 def test_residuals_of_a_holding_identity_build_no_polynomial(monkeypatch):
     """A check that holds adds term products only: none with the target, and no ``Poly``."""
-    fwd, bwd = psi(3)
+    fwd, bwd = _exchange(*PSI, 3)
     term_products = 0
 
     def counted(acc, t1, t2):
