@@ -22,8 +22,8 @@ coefficients through the first factor.  Each bimodule caches the matrix of
 every monomial it has met, each one product from a smaller one, and a
 polynomial with several terms or a coefficient other than 1 is summed in one
 pass with the product kernel ``mat_mul`` uses.  The cached matrices are shared
-with ``Bimodule.actions`` and with callers, so no caller writes to a matrix it
-did not build.
+with ``Bimodule.actions``, with callers and with the tensor products by a rank
+one bimodule (``tensor``), so no caller writes to a matrix it did not build.
 
 Every exact check (a bimodule map, a commuting square, ``d d = 0``, a
 composite plus homotopy terms equal to the identity, a two-sided inverse) is
@@ -344,7 +344,11 @@ def tensor(m: Bimodule, other: Bimodule) -> Bimodule:
 
     ``(x (x) y) * X_j`` expands ``y * X_j`` in the second factor and moves the
     resulting polynomial coefficients through the first factor with its own
-    right-action matrices.
+    right-action matrices.  When ``other`` has rank one, say ``y * X_j = p_j
+    y``, action ``j`` is ``m.action_of(p_j)`` itself, which may be a matrix
+    ``m`` already holds (its own ``actions[j]`` for an untwisted variable).
+    The result shares those matrices, so they are read-only, like every
+    matrix ``action_of`` returns.
     """
     if m.n != other.n:
         raise ValueError("bimodules over different variable counts")
@@ -356,7 +360,10 @@ def tensor(m: Bimodule, other: Bimodule) -> Bimodule:
         for a in range(rm)
         for b in range(ro)
     ]
-    actions = [id_tensor(m, a, ro) for a in other.actions]
+    if ro == 1:
+        actions = [m.action_of(a[0][0]) for a in other.actions]
+    else:
+        actions = [id_tensor(m, a, ro) for a in other.actions]
     if len(other.block_spans) == 1:
         spans = [(s * ro, e * ro) for s, e in m.block_spans]
     else:
@@ -533,9 +540,11 @@ def solve_morphisms(m: Bimodule, target: Bimodule) -> list:
     if m.n != target.n:
         raise ValueError("bimodules over different variable counts")
     basis = []
+    sources = [(sspan, _pane_signature(m, sspan)) for sspan in m.block_spans]
     for tspan in target.block_spans:
-        for sspan in m.block_spans:
-            key = (m.n, _pane_signature(m, sspan), _pane_signature(target, tspan))
+        tsig = _pane_signature(target, tspan)
+        for sspan, ssig in sources:
+            key = (m.n, ssig, tsig)
             local = _PANE_CACHE.get(key)
             if local is None:
                 local = _solve_pane(m, sspan, target, tspan)

@@ -6,7 +6,12 @@ a virtual letter the one-term complex holding the twisted bimodule.  Words
 tensor these together with the Koszul sign ``d(x (x) y) = dx (x) y +
 (-1)^p x (x) dy``; the rank-two piece of a positive letter sits in
 cohomological degree 0, so positive letters live in degrees {-1, 0} and
-negative ones in {0, 1}.
+negative ones in {0, 1}.  A run of virtual letters ``x1 ... xk`` enters as
+one twist ``R_{x1...xk}``: twists compose, and right multiplication by a
+polynomial has one matrix in a left basis, so this is the presentation
+tensoring them one at a time writes, not only an isomorphic one.  The pieces
+are folded left to right, because regrouping the tensor products would
+reorder the bases and ``block_spans`` and so change the certificates.
 
 Certificates are explicit per-degree matrices (a chain isomorphism with its
 inverse, or a homotopy equivalence with both homotopies) whose defining
@@ -41,7 +46,7 @@ weighted sum of them: ``dim Z^0 + 1`` probes at most, and its None means only
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from . import linalg
 from .bimodcalc import (
@@ -116,10 +121,19 @@ def complex_failures(c: Complex) -> list:
 # -- the functor on letters and words ----------------------------------------------
 
 
+VIRTUAL_KINDS = ("z", "zet")
+
+
+@lru_cache(maxsize=None)
+def _twist_complex(run: tuple, n: int) -> Complex:
+    """The one-term complex ``R_w`` of a run ``w`` of virtual letter indices."""
+    return Complex(n, {0: bimodule_Rw(run, n)}, {})
+
+
 @lru_cache(maxsize=None)
 def _letter_complex(kind: str, index: int, exp: int, n: int) -> Complex:
-    if kind in ("z", "zet"):
-        return Complex(n, {0: bimodule_Rw((index,), n)}, {})
+    if kind in VIRTUAL_KINDS:
+        return _twist_complex((index,), n)
     if kind in ("s", "sig"):
         b = bimodule_Bs(make_reflection((index,), n))
         xi = Poly.variable(n, index)
@@ -134,10 +148,14 @@ def _letter_complex(kind: str, index: int, exp: int, n: int) -> Complex:
     raise ValueError(f"no complex for letter kind {kind!r}")
 
 
-def F_letter(letter, n: int) -> Complex:
-    kind, index, exp = letter
+def _check_index(index: int, n: int) -> None:
     if not 0 <= index < n:
         raise IndexError(f"letter index {index} out of range for n={n}")
+
+
+def F_letter(letter, n: int) -> Complex:
+    kind, index, exp = letter
+    _check_index(index, n)
     return _letter_complex(kind, index, exp, n)
 
 
@@ -177,14 +195,33 @@ def _pair_degrees(lhs, rhs) -> int:
 def F_word(word, n: int) -> Complex:
     """The complex of a type-B word: the tensor of its letter complexes.
 
+    A maximal run ``x1 ... xk`` of virtual letters is one piece, the twist
+    ``R_{x1...xk}``, since ``R_x (x) R_y = R_{xy}``.  That is exact on
+    presentations, not only up to isomorphism: right multiplication by a
+    polynomial has one matrix in a left basis, so twisting by ``x`` and then
+    by ``y`` writes the same matrices as twisting by ``xy`` once.  Braid
+    letters are pieces of their own.  The pieces are folded from the left,
+    starting from the first (an empty word is ``F_one``): tensor products
+    grouped another way are isomorphic but order their bases and
+    ``block_spans`` differently, and so would change the certificates.  A
+    one-piece word returns its cached piece, so the result is read-only.
+
     A word with more than ``MAX_BRAID_LETTERS`` braid letters is a
-    ``ValueError`` that names it, raised before any tensor product is built.
+    ``ValueError`` that names it, raised before any tensor product is built;
+    a letter index out of range is an ``IndexError``.
     """
     _braid_signs(word)
-    result = F_one(n)
-    for letter in word.letters if isinstance(word, BraidWord) else word:
-        result = tensor_complex(result, F_letter(letter, n))
-    return result
+    letters = word.letters if isinstance(word, BraidWord) else word
+    pieces = []
+    for virtual, group in itertools.groupby(letters, key=lambda letter: letter[0] in VIRTUAL_KINDS):
+        if not virtual:
+            pieces += (F_letter(letter, n) for letter in group)
+            continue
+        run = tuple(index for _, index, _ in group)
+        for index in run:
+            _check_index(index, n)
+        pieces.append(_twist_complex(run, n))
+    return reduce(tensor_complex, pieces) if pieces else F_one(n)
 
 
 def _morphism_tensor_id(f: Morphism, right: Bimodule) -> Matrix:

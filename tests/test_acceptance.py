@@ -390,19 +390,26 @@ def test_certify_output_bytes_unchanged(certificates_n2, certificates_n3):
 # sha256 of the stdout of ``braidcert certify-pair LHS RHS --n N --format json``
 # for homotopy certificates that ``certify`` does not write
 CERTIFY_PAIR_SHA256 = [
-    (["z0 s0 s1 s0 s1", "z0 s1 s0 s1 s0", "--n", "2"], "70bc564fb28c984711251c95f72443ee3c2472b661455f903585a9dcc52d334f"),
-    (["z1 s1 s2 s1", "z1 s2 s1 s2", "--n", "3"], "6ff240331811d25952d2e3106551aea027715e1135ea60f9e2fe5a58c9456ecf"),
-    (["s0 s0^-1 z2", "z2", "--n", "3"], "bfd3a975ceb9179a91dd60431b5b1b4f6b5f5ac60fe7f5a6cc984fddaed46d1f"),
-    (["s0 z0", "z0 s0", "--n", "2", "--kind", "homotopy"], "bcb293055590b488aeb011c7405ba9527980278f6cb6e5026653717898a79808"),
+    (["z0 s0 s1 s0 s1", "z0 s1 s0 s1 s0", "--n", "2"], "homotopy", "70bc564fb28c984711251c95f72443ee3c2472b661455f903585a9dcc52d334f"),
+    (["z1 s1 s2 s1", "z1 s2 s1 s2", "--n", "3"], "homotopy", "6ff240331811d25952d2e3106551aea027715e1135ea60f9e2fe5a58c9456ecf"),
+    (["s0 s0^-1 z2", "z2", "--n", "3"], "homotopy", "bfd3a975ceb9179a91dd60431b5b1b4f6b5f5ac60fe7f5a6cc984fddaed46d1f"),
+    (["s0 z0", "z0 s0", "--n", "2", "--kind", "homotopy"], "homotopy", "bcb293055590b488aeb011c7405ba9527980278f6cb6e5026653717898a79808"),
+    # virtual runs of up to four letters on both sides of the braid letters
+    (["z0 z2 s1 z2 z1 z1 z1", "z0 z2 z2 z1 s2 z1 z1", "--n", "3"], "iso", "9019c19fee0fc22c5447cfca4192b8f4001f78e56f0c6ad3fdd3252001b3b1a9"),
+    (["z1 z0 s2 s2^-1 z2 z1", "z1 z0 z2 z1", "--n", "3"], "homotopy", "2d2a4bc1c04c9b46e8f16568f3b9bb8eaec2c08a0b1d25e872869f850ebdbf59"),
 ]
 
 
-@pytest.mark.parametrize("args, digest", CERTIFY_PAIR_SHA256, ids=["z0-relB3-n2", "z1-relB2-n3", "reid2a-z2-n3", "sz-n2"])
-def test_certify_pair_output_bytes_unchanged(args, digest, capsys):
+@pytest.mark.parametrize(
+    "args, kind, digest",
+    CERTIFY_PAIR_SHA256,
+    ids=["z0-relB3-n2", "z1-relB2-n3", "reid2a-z2-n3", "sz-n2", "runs-iso-n3", "runs-reid2a-n3"],
+)
+def test_certify_pair_output_bytes_unchanged(args, kind, digest, capsys):
     capsys.readouterr()
     assert main(["certify-pair", *args, "--format", "json"]) == 0
     out = capsys.readouterr().out
-    assert json.loads(out)["kind"] == "homotopy"
+    assert json.loads(out)["kind"] == kind
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

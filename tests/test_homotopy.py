@@ -2,17 +2,21 @@ import hashlib
 import itertools
 import json
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from braidcert.bimodcalc import (
+    Bimodule,
     Morphism,
     bimodule_Bs,
     bimodule_R,
     bimodule_Rw,
+    id_tensor,
     mat_identity,
     shift,
+    tensor,
 )
 from braidcert import bimodcalc, homotopy, linalg
 from braidcert.coxeter import make_reflection
@@ -121,6 +125,101 @@ def test_tensor_complex_associative_on_presentations():
     f = ChainMap(left, right, {k: Morphism.identity(left.objects[k]) for k in left.objects})
     g = ChainMap(right, left, {k: Morphism.identity(left.objects[k]) for k in left.objects})
     assert not chain_iso_failures(f, g)
+
+
+def _tensor_through_id_tensor(m, other):
+    # every action of the product crossed entry by entry, also for a rank-one ``other``
+    t = tensor(m, other)
+    return Bimodule(t.n, t.basis_degrees, [id_tensor(m, a, other.rank) for a in other.actions], t.block_spans)
+
+
+def _letter_by_letter(letters, n):
+    # the plain functor: the unit, then one letter complex tensored on at a time
+    result = F_one(n)
+    with mock.patch.object(homotopy, "tensor", _tensor_through_id_tensor):
+        for letter in letters:
+            result = tensor_complex(result, F_letter(letter, n))
+    return result
+
+
+def _assert_same_presentation(c, d):
+    assert c.support() == d.support()
+    for k in c.support():
+        a, b = c.objects[k], d.objects[k]
+        assert (a.basis_degrees, a.block_spans, a.actions) == (b.basis_degrees, b.block_spans, b.actions), k
+    assert sorted(c.diffs) == sorted(d.diffs)
+    for k, diff in c.diffs.items():
+        assert diff.matrix == d.diffs[k].matrix, k
+
+
+@st.composite
+def words_with_virtual_runs(draw):
+    n = draw(st.sampled_from([2, 3]))
+    letter = st.one_of(
+        st.tuples(st.just("s"), st.integers(0, n - 1), st.sampled_from([1, -1])),
+        st.tuples(st.just("z"), st.integers(0, n - 1), st.just(1)),
+    )
+    word = st.lists(letter, max_size=7).filter(lambda letters: sum(kind == "s" for kind, _, _ in letters) <= 3)
+    return n, draw(word)
+
+
+@given(words_with_virtual_runs())
+@settings(max_examples=40, deadline=None)
+def test_word_complex_matches_the_letter_by_letter_fold(case):
+    n, letters = case
+    _assert_same_presentation(F_word(letters, n), _letter_by_letter(letters, n))
+
+
+@pytest.mark.parametrize(
+    "text, n",
+    [
+        ("z0 z1 z2 z1 z0 z2 z2 z1 z0 z0 z1 z2", 3),
+        ("z0 z2 z1 s1 s1^-1 z2 z1 z0", 3),
+        ("zet1 zet2 sig1 zet2 zet1 sig2^-1 zet1", 3),
+    ],
+    ids=["twelve-virtual", "runs-around-reid2", "vbA"],
+)
+def test_word_complex_matches_the_letter_by_letter_fold_on_chosen_words(text, n):
+    ab = Alphabet.vbA(n) if "sig" in text else Alphabet.vbB(n)
+    letters = parse_word(text, ab).letters
+    _assert_same_presentation(F_word(letters, n), _letter_by_letter(letters, n))
+
+
+def test_out_of_range_index_inside_a_run_raises_the_letter_error():
+    letters = [("z", 0, 1), ("z", 1, 1), ("z", 5, 1), ("z", 2, 1)]
+    with pytest.raises(IndexError) as folded:
+        _letter_by_letter(letters, 3)
+    with pytest.raises(IndexError, match="letter index 5 out of range for n=3") as run:
+        F_word(letters, 3)
+    assert str(run.value) == str(folded.value)
+
+
+def _cached_pieces(n):
+    return [homotopy._twist_complex(run, n) for run in ((1, 0), (2, 1), (1, 0, 2, 1))] + [
+        homotopy._letter_complex(kind, index, exp, n)
+        for kind, index, exp in (("s", 2, 1), ("s", 2, -1), ("z", 1, 1), ("z", 2, 1))
+    ]
+
+
+def test_shared_matrices_stay_unmutated_by_certify_and_verify():
+    n = 3
+    homotopy._twist_complex.cache_clear()
+    homotopy._letter_complex.cache_clear()
+    pieces = _cached_pieces(n)
+    # a rank-one twist that fixes X0 shares X0's matrix with the factor before it
+    whiskered = FW("s2 z2", n)
+    assert whiskered.objects[0].actions[0] is pieces[3].objects[0].actions[0]
+    for lhs, rhs in (("z1 z0 s2 s2^-1 z2 z1", "z1 z0 z2 z1"), ("s2 z2", "z2 s2")):
+        kind, cert = certify_pair(W(lhs, n), W(rhs, n), n)
+        assert kind is not None, (lhs, rhs)
+        assert verify_certificate_dict(json.loads(json.dumps(cert))) == (True, [])
+    homotopy._twist_complex.cache_clear()
+    homotopy._letter_complex.cache_clear()
+    for old, fresh in zip(pieces + [whiskered], _cached_pieces(n) + [FW("s2 z2", n)]):
+        _assert_same_presentation(old, fresh)
+        for k, m in old.objects.items():
+            for exp, matrix in m._monomial_cache.items():
+                assert matrix == fresh.objects[k]._monomial_action(exp), (k, exp)
 
 
 letters_st = st.lists(
