@@ -13,6 +13,23 @@ tensoring them one at a time writes, not only an isomorphic one.  The pieces
 are folded left to right, because regrouping the tensor products would
 reorder the bases and ``block_spans`` and so change the certificates.
 
+Whiskers.  Each ``R_x`` is invertible (``R_x (x) R_{x^-1} = R``), so
+``R_u (x) - (x) R_v`` is an autoequivalence: ``u w v`` and ``u w' v`` are
+isomorphic, or homotopy equivalent, exactly when ``w`` and ``w'`` are, and a
+certificate for the core pair whiskers to one for the whole pair.  The right
+whisker keeps every matrix: ``M (x) R_v`` has ``M``'s basis and
+differentials, and its right action of ``X_j`` is ``M``'s action of
+``v(X_j)``, so a map that commutes with ``M``'s actions commutes with these.
+The left whisker twists every entry by ``u``, as ``id_tensor`` does for the
+differentials of ``R_u (x) F(w)``; the twist is a ring automorphism, so every
+identity carries over, and ``R_u`` sits in degree 0, so no Koszul sign
+enters.  ``certify_pair`` strips the longest common virtual prefix and
+suffix, searches the core pair once per process and whiskers its matrices,
+then checks the result on the whole pair's complexes as it checks a search
+result.  A search on the whole pair would give the same bytes under a right
+whisker; under a left one it can give other, equally valid matrices, since
+the echelon bases it picks depend on the coordinates the twist mixes.
+
 Certificates are explicit per-degree matrices (a chain isomorphism with its
 inverse, or a homotopy equivalence with both homotopies) whose defining
 identities are re-verified exactly, entry by entry.  Each check hands the
@@ -186,7 +203,7 @@ def _braid_signs(word) -> tuple:
     return p, len(signs) - p
 
 
-def _pair_degrees(lhs, rhs) -> int:
+def pair_degrees(lhs, rhs) -> int:
     """How many degrees ``F(lhs)`` and ``F(rhs)`` span together, read from the words."""
     (p1, q1), (p2, q2) = _braid_signs(lhs), _braid_signs(rhs)
     return max(p1, p2) + max(q1, q2) + 1
@@ -668,16 +685,23 @@ def _certificate(label: str, n: int, lhs: BraidWord, rhs: BraidWord, kind: str, 
     }
 
 
-def iso_certificate(label: str, n: int, lhs: BraidWord, rhs: BraidWord, f: ChainMap, g: ChainMap) -> dict:
-    return _certificate(label, n, lhs, rhs, "iso", forward=f.components, inverse=g.components)
+# each certificate field: (source side, target side, degree shift); side 0 is lhs
+_FIELD_SIDES = {
+    "forward": (0, 1, 0),
+    "inverse": (1, 0, 0),
+    "backward": (1, 0, 0),
+    "homotopy_source": (0, 0, -1),
+    "homotopy_target": (1, 1, -1),
+}
 
 
-def homotopy_certificate(label: str, n: int, lhs: BraidWord, rhs: BraidWord, cert: HomotopyEquivalence) -> dict:
-    return _certificate(
-        label, n, lhs, rhs, "homotopy",
-        forward=cert.forward.components, backward=cert.backward.components,
-        homotopy_source=cert.h_source, homotopy_target=cert.h_target,
-    )
+def _certificate_failures(kind: str, maps: dict, c: Complex, d: Complex) -> list:
+    """The exact check of a certificate's ``maps`` between ``c`` and ``d``."""
+    f = ChainMap(c, d, maps["forward"])
+    if kind == "iso":
+        return chain_iso_failures(f, ChainMap(d, c, maps["inverse"]))
+    g = ChainMap(d, c, maps["backward"])
+    return homotopy_failures(HomotopyEquivalence(f, g, maps["homotopy_source"], maps["homotopy_target"]))
 
 
 def verify_certificate_dict(data: dict) -> tuple:
@@ -697,16 +721,82 @@ def verify_certificate_dict(data: dict) -> tuple:
             where = f"certificate {data['relation']!r}, words[{i}]"
             raise ParseError(f"{where}: {exc.message}", exc.text, exc.position) from None
         sides.append(F_word(word, n))
-    lhs, rhs = sides
-    f = ChainMap(lhs, rhs, _components_from_json(data, "forward", lhs, rhs))
-    g = ChainMap(rhs, lhs, _components_from_json(data, "inverse" if kind == "iso" else "backward", rhs, lhs))
-    if kind == "iso":
-        failures = chain_iso_failures(f, g)
-    else:
-        h_src = _components_from_json(data, "homotopy_source", lhs, lhs, -1)
-        h_tgt = _components_from_json(data, "homotopy_target", rhs, rhs, -1)
-        failures = homotopy_failures(HomotopyEquivalence(f, g, h_src, h_tgt))
+    fields = ("forward", "inverse") if kind == "iso" else ("forward", "backward", "homotopy_source", "homotopy_target")
+    maps = {}
+    for field in fields:
+        s, t, degree_shift = _FIELD_SIDES[field]
+        maps[field] = _components_from_json(data, field, sides[s], sides[t], degree_shift)
+    failures = _certificate_failures(kind, maps, *sides)
     return not failures, failures
+
+
+def _search(c: Complex, d: Complex, kind: str):
+    """``(kind found, {field: {degree: morphism}})`` for ``c`` and ``d``, or None.
+
+    Tries an isomorphism (modes 'auto' and 'iso'), then a homotopy equivalence
+    (modes 'auto' and 'homotopy'); each search checks what it finds.  The
+    fields are a certificate's maps, in its order.
+    """
+    fb = None  # chain_map_space(c, d): built at most once, and only for a search that runs
+    if kind in ("auto", "iso"):
+        if _graded_ranks_match(c, d):
+            fb = chain_map_space(c, d)
+            found = find_chain_iso(c, d, fb)
+            if found is not None:
+                f, g = found
+                return "iso", {"forward": f.components, "inverse": g.components}
+        if kind == "iso":
+            return None
+    cert = find_homotopy_equiv(c, d, chain_map_space(c, d) if fb is None else fb)
+    if cert is None:
+        return None
+    return "homotopy", {
+        "forward": cert.forward.components,
+        "backward": cert.backward.components,
+        "homotopy_source": cert.h_source,
+        "homotopy_target": cert.h_target,
+    }
+
+
+def _strip_whiskers(lhs: tuple, rhs: tuple) -> tuple:
+    """``(u, core_lhs, core_rhs, v)`` with ``lhs = u core_lhs v`` and ``rhs = u core_rhs v``.
+
+    ``u`` and ``v`` are the longest common prefix and then the longest common
+    suffix of the two letter tuples that hold virtual letters only.
+    """
+    shorter = min(len(lhs), len(rhs))
+    i = 0
+    while i < shorter and lhs[i] == rhs[i] and lhs[i][0] in VIRTUAL_KINDS:
+        i += 1
+    j = 0
+    while j < shorter - i and lhs[-1 - j] == rhs[-1 - j] and lhs[-1 - j][0] in VIRTUAL_KINDS:
+        j += 1
+    return lhs[:i], lhs[i : len(lhs) - j], rhs[i : len(rhs) - j], lhs[len(lhs) - j :]
+
+
+# (core lhs letters, core rhs letters, n, kind) -> None, or the kind found and
+# {field: {degree: matrix}}; kept for the process, like bimodcalc's pane cache
+_CORE_CACHE: dict = {}
+
+
+def _whiskered(matrices: dict, u: tuple, n: int, c: Complex, d: Complex) -> dict:
+    """The core certificate ``matrices`` as maps between ``c = F(u lhs v)`` and ``d = F(u rhs v)``.
+
+    ``id_{R_u} (x) -`` twists every entry as ``id_tensor`` does for the
+    differentials of ``R_u (x) F(w)``; ``- (x) id_{R_v}`` keeps the matrices.
+    """
+    twist = _twist_complex(tuple(index for _, index, _ in u), n).objects[0] if u else None
+    sides = (c, d)
+    maps = {}
+    for field, components in matrices.items():
+        s, t, degree_shift = _FIELD_SIDES[field]
+        maps[field] = comps = {}
+        for k, m in components.items():
+            src = sides[s].object_at(k)
+            if twist is not None:
+                m = id_tensor(twist, m, src.rank)
+            comps[k] = Morphism(src, sides[t].object_at(k + degree_shift), m)
+    return maps
 
 
 def certify_pair(lhs: BraidWord, rhs: BraidWord, n: int, kind: str = "auto", label: str | None = None):
@@ -722,26 +812,38 @@ def certify_pair(lhs: BraidWord, rhs: BraidWord, n: int, kind: str = "auto", lab
     found" (see ``find_homotopy_equiv`` and ``find_chain_iso``).
     ``label`` names the relation in the certificate; it defaults to
     ``"<lhs> ~ <rhs>"``.
+
+    The common virtual prefix ``u`` and suffix ``v`` of the two words are
+    whiskers (module doc): the core pair is searched once per process and
+    kind, and its matrices are whiskered into a certificate for the whole
+    pair.  Every certificate returned passes the exact check on the complexes
+    of the whole pair; a whiskered one that fails is a ``RuntimeError``.
     """
-    if _pair_degrees(lhs, rhs) > DEGREE_BOUND:
+    if pair_degrees(lhs, rhs) > DEGREE_BOUND:
         return None, None
     c = F_word(lhs, n)
     d = F_word(rhs, n)
     if label is None:
         label = f"{format_word(lhs)} ~ {format_word(rhs)}"
-    fb = None  # chain_map_space(c, d): built at most once, and only for a search that runs
-    if kind in ("auto", "iso"):
-        if _graded_ranks_match(c, d):
-            fb = chain_map_space(c, d)
-            found = find_chain_iso(c, d, fb)
-            if found is not None:
-                return "iso", iso_certificate(label, n, lhs, rhs, *found)
-        if kind == "iso":
-            return None, None
-    cert = find_homotopy_equiv(c, d, chain_map_space(c, d) if fb is None else fb)
-    if cert is not None:
-        return "homotopy", homotopy_certificate(label, n, lhs, rhs, cert)
-    return None, None
+    u, core_lhs, core_rhs, v = _strip_whiskers(lhs.letters, rhs.letters)
+    key = (core_lhs, core_rhs, n, kind)
+    if key not in _CORE_CACHE:
+        has_whiskers = bool(u or v)
+        found = _search(F_word(core_lhs, n), F_word(core_rhs, n), kind) if has_whiskers else _search(c, d, kind)
+        _CORE_CACHE[key] = found and (
+            found[0], {field: {k: m.matrix for k, m in comps.items()} for field, comps in found[1].items()}
+        )
+        if not has_whiskers:  # searched, and so checked, on c and d themselves
+            return (None, None) if found is None else (found[0], _certificate(label, n, lhs, rhs, found[0], **found[1]))
+    found = _CORE_CACHE[key]
+    if found is None:
+        return None, None
+    found_kind, matrices = found
+    maps = _whiskered(matrices, u, n, c, d)
+    failures = _certificate_failures(found_kind, maps, c, d)
+    if failures:
+        raise RuntimeError(f"the certificate for {label!r}, whiskered from its core pair, fails its check: {failures[0]}")
+    return found_kind, _certificate(label, n, lhs, rhs, found_kind, **maps)
 
 
 def relation_certificates(n: int) -> dict:

@@ -1,17 +1,26 @@
 """Fixtures and helpers shared by the test modules.
 
-The relation reports, built once per session; the unit-fixing isomorphism
-the degree-0 solver finds between two bimodules; the coordinates of
-``1 (x) p (x) 1`` in a tensor of two ``B_t``; and the paper's generators of
-the invariant subalgebras of four reflections.
+An empty certify-pair core cache for every test; the relation reports,
+built once per session; the unit-fixing isomorphism the degree-0 solver
+finds between two bimodules; the coordinates of ``1 (x) p (x) 1`` in a
+tensor of two ``B_t``; and the paper's generators of the invariant
+subalgebras of four reflections.
 """
 
 import pytest
 
+from braidcert import homotopy
 from braidcert.bimodcalc import mat_identity, solve_morphisms
 from braidcert.coxeter import demazure_decompose
 from braidcert.homotopy import relation_certificates
 from braidcert.polyring import Poly, parse_poly
+
+
+@pytest.fixture(autouse=True)
+def fresh_core_cache():
+    """Each test starts with no certify-pair core cached, so what a test
+    counts does not depend on the pairs the tests before it certified."""
+    homotopy._CORE_CACHE.clear()
 
 
 @pytest.fixture(scope="session")

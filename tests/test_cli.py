@@ -231,6 +231,39 @@ def test_certify_pair_none_exits_one(capsys):
     assert "NONE" in err
 
 
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (
+            ("s0 s1 s0 s1 s0 s1 s0 s1", "s1 s0 s1 s0 s1 s0 s1 s0", "--n", "2"),
+            "not searched: the pair spans 9 degrees, above DEGREE_BOUND = 8",
+        ),
+        (("z0 s0 z1", "z0 z0 z1", "--n", "3"), "not homotopy equivalent"),
+        (("s0", "s0^-1", "--n", "2", "--kind", "homotopy"), "not homotopy equivalent"),
+        (("z1 s0 s0^-1", "z1", "--n", "2", "--kind", "iso"), "no isomorphism found"),
+    ],
+)
+def test_certify_pair_none_names_its_reason(capsys, argv, reason):
+    assert run(capsys, "certify-pair", *argv) == (1, "", f"NONE: {reason}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (
+            ("z0 s0 s1 s0 s1 s0 s1 s0 s1 s0^-1 z1", "z0 z1", "--n", "2"),
+            "error: word 'z0 s0 s1 s0 s1 s0 s1 s0 s1 s0^-1 z1' has 9 braid letters: its complex "
+            "would have total rank 3^9, above the budget of 3^8\n",
+        ),
+        (("z7 s0", "z7 s0^-1", "--n", "3"), "parse error: index 7 outside 0..2 at position 0: 'z7 s0'\n"),
+    ],
+)
+def test_certify_pair_errors_around_common_whiskers(capsys, argv, err):
+    # the messages and exit codes certify-pair gave before it stripped
+    # common virtual prefixes and suffixes
+    assert run(capsys, "certify-pair", *argv) == (2, "", err)
+
+
 def test_verify_certificate_rejects_tampering(capsys, tmp_path):
     out_path = tmp_path / "cert.json"
     code, _, _ = run(

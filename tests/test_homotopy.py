@@ -1,4 +1,5 @@
 import hashlib
+import random
 import itertools
 import json
 from pathlib import Path
@@ -34,10 +35,8 @@ from braidcert.homotopy import (
     complex_failures,
     find_chain_iso,
     find_homotopy_equiv,
-    homotopy_certificate,
     homotopy_classes,
     homotopy_failures,
-    iso_certificate,
     relation_certificates,
     tensor_complex,
     verify_certificate_dict,
@@ -720,7 +719,9 @@ def test_iso_search_on_all_short_word_pairs_at_n2():
             continue
         isos += 1
         basis_hits += any(found[0].components == f.components for f in fb)
-        cert = iso_certificate(f"{words[i]} ~ {words[j]}", n, words[i], words[j], *found)
+        f, g = found
+        label = f"{words[i]} ~ {words[j]}"
+        cert = homotopy._certificate(label, n, words[i], words[j], "iso", forward=f.components, inverse=g.components)
         digest.update(json.dumps(cert, sort_keys=True).encode() + b"\n")
     assert (pairs, isos, basis_hits) == (194, 52, 44)
     assert digest.hexdigest() == SHORT_PAIRS_N2_SHA256
@@ -788,7 +789,11 @@ def test_whiskered_relations_are_certified(relation, u, v):
     assert h0(c, d)[1] == 1
     cert = find_homotopy_equiv(c, d, chain_map_space(c, d))
     assert cert is not None
-    data = homotopy_certificate("whiskered", n, W(lhs, n), W(rhs, n), cert)
+    data = homotopy._certificate(
+        "whiskered", n, W(lhs, n), W(rhs, n), "homotopy",
+        forward=cert.forward.components, backward=cert.backward.components,
+        homotopy_source=cert.h_source, homotopy_target=cert.h_target,
+    )
     assert verify_certificate_dict(data) == (True, [])
 
 
@@ -835,7 +840,7 @@ def test_pair_degrees_read_from_the_words_match_the_complexes():
     degrees = [set(F_word(w, n).objects) for w in words]
     for u, du in zip(words, degrees):
         for v, dv in zip(words, degrees):
-            assert homotopy._pair_degrees(u, v) == len(du | dv), (u, v)
+            assert homotopy.pair_degrees(u, v) == len(du | dv), (u, v)
 
 
 def test_word_complex_builds_each_monomial_once_without_identity_products(monkeypatch):
@@ -865,3 +870,110 @@ def test_word_complex_builds_each_monomial_once_without_identity_products(monkey
     FW("z0 z1 s0 s1 s0 z2 z1", n)
     keys = [(id(m), exp) for m, exp in made]
     assert keys and len(set(keys)) == len(keys)
+
+
+# -- whiskers: a common virtual prefix and suffix around a core pair ------------------
+
+
+def search_whole_pair(c, d):
+    """Auto mode's verdict and kind, from the searches run on the whole pair's complexes."""
+    if homotopy._graded_ranks_match(c, d) and iso(c, d) is not None:
+        return "iso"
+    return "homotopy" if heq(c, d) is not None else None
+
+
+def whiskered_cases():
+    """``(lhs, rhs, n)``: seeded virtual prefixes and suffixes of 0-2 letters around core pairs.
+
+    The cores are the 23 n=3 report pairs the ``pairs`` benchmark wraps (all
+    but relB2 and relB3) and ``s0`` vs ``s0^-1`` (not equivalent), each with a
+    left, a right and a two-sided whisker pair; ``s1 s2 s1 s2`` vs ``s2 s1 s2
+    s1`` (not equivalent, and slow to decide) with a two-sided one; and relB3
+    at n=2 with a left and a right one.
+    """
+    with open(REPORT_N3) as fh:
+        report = json.load(fh)
+    cores = [
+        (*r["certificate"]["words"], 3) for r in report["results"] if not r["relation"].startswith(("relB2", "relB3"))
+    ]
+    cores += [("s0", "s0^-1", 3), ("s1 s2 s1 s2", "s2 s1 s2 s1", 3)]
+    rng = random.Random(27)
+    out = []
+    for a, b, n in cores + [("s0 s1 s0 s1", "s1 s0 s1 s0", 2)]:
+        lengths = [(1, 0), (0, 1), (rng.randint(1, 2), rng.randint(1, 2))]
+        lengths = lengths[:2] if n == 2 else lengths[2:] if a == "s1 s2 s1 s2" else lengths
+        for lu, lv in lengths:
+            u = " ".join(f"z{rng.randrange(n)}" for _ in range(lu))
+            v = " ".join(f"z{rng.randrange(n)}" for _ in range(lv))
+            out.append(tuple(" ".join(p for p in (u, w, v) if p) for w in (a, b)) + (n,))
+    return out
+
+
+def test_whiskered_pairs_agree_with_the_search_on_the_whole_pair():
+    cases = whiskered_cases()
+    assert len(cases) == 3 * 24 + 1 + 2
+    nones = []
+    for lhs, rhs, n in cases:
+        kind, cert = certify_pair(W(lhs, n), W(rhs, n), n)
+        assert kind == search_whole_pair(FW(lhs, n), FW(rhs, n)), (lhs, rhs)
+        if cert is None:
+            nones.append((lhs, rhs))
+            continue
+        assert cert["kind"] == kind and cert["words"] == [lhs, rhs]
+        assert verify_certificate_dict(cert) == (True, []), (lhs, rhs)
+    # the not-equivalent cores, and nothing else, stay not equivalent
+    cores = {homotopy._strip_whiskers(W(lhs, 3).letters, W(rhs, 3).letters)[1:3] for lhs, rhs in nones}
+    assert len(nones) == 4 and cores == {
+        (W("s0", 3).letters, W("s0^-1", 3).letters),
+        (W("s1 s2 s1 s2", 3).letters, W("s2 s1 s2 s1", 3).letters),
+    }
+
+
+@pytest.mark.parametrize(
+    "core, v, n",
+    [
+        (("s1 s2 s1", "s2 s1 s2"), "z0 z2", 3),
+        (("s0 s0^-1", ""), "z1", 3),
+        (("z0 s1 z0 s1", "s1 z0 s1 z0"), "z2 z1", 3),
+        (("s0 s1 s0 s1", "s1 s0 s1 s0"), "z1", 2),
+    ],
+)
+def test_a_right_whisker_keeps_the_core_matrices(core, v, n):
+    # M (x) R_v has M's basis and differentials, so the certificate of
+    # u.w.v with u empty is the core's matrix for matrix, and it is the one
+    # the search on the whole pair finds
+    kind, core_cert = certify_pair(W(core[0], n), W(core[1], n), n)
+    lhs, rhs = (" ".join(p for p in (w, v) if p) for w in core)
+    whisker_kind, cert = certify_pair(W(lhs, n), W(rhs, n), n)
+    assert whisker_kind == kind
+    fields = [key for key in cert if key not in ("relation", "words")]
+    assert all(cert[key] == core_cert[key] for key in fields)
+    found_kind, maps = homotopy._search(FW(lhs, n), FW(rhs, n), "auto")
+    assert homotopy._certificate(cert["relation"], n, W(lhs, n), W(rhs, n), found_kind, **maps) == cert
+
+
+def test_pairs_that_share_a_core_search_it_once_and_check_each_result(monkeypatch):
+    # remark_sz[1] at n=3 is an isomorphism: Z^0 is built once, by the first
+    # call; every call checks its own certificate on its own complexes
+    n = 3
+    spaces = count_calls(monkeypatch, homotopy, "chain_map_space")
+    checks = count_calls(monkeypatch, homotopy, "chain_iso_failures")
+    results = []
+    for u, v in (("z0", "z2"), ("z2 z1", "")):
+        lhs, rhs = (" ".join(p for p in (u, w, v) if p) for w in ("s1 z1", "z1 s1"))
+        results.append(certify_pair(W(lhs, n), W(rhs, n), n))
+        whole = FW(lhs, n)
+        assert sum(f.source.objects == whole.objects for f, _ in checks) == 1
+    assert len(spaces) == 1 and len(checks) == 3  # the search's own check, then one per call
+    for kind, cert in results:
+        assert kind == "iso" and verify_certificate_dict(cert) == (True, [])
+
+
+def test_a_whiskered_certificate_that_fails_its_check_is_an_error():
+    # a cached core whose whiskered maps fail is an internal error, never NONE
+    n = 3
+    certify_pair(W("z0 s1 z1", n), W("z0 z1 s1", n), n)
+    ((key, (kind, matrices)),) = homotopy._CORE_CACHE.items()
+    homotopy._CORE_CACHE[key] = kind, {**matrices, "inverse": {}}
+    with pytest.raises(RuntimeError, match="fails its check"):
+        certify_pair(W("z2 s1 z1", n), W("z2 z1 s1", n), n)
