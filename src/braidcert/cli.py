@@ -117,13 +117,11 @@ def cmd_certify(args) -> int:
     return 0 if report["all_certified"] else 1
 
 
-def _none_reason(lhs, rhs, kind: str) -> str:
+def _none_reason(lhs, rhs) -> str:
     """What a ``(None, None)`` from ``certify_pair`` means (see its docstring)."""
     degrees = homotopy.pair_degrees(lhs, rhs)
     if degrees > homotopy.DEGREE_BOUND:
         return f"not searched: the pair spans {degrees} degrees, above DEGREE_BOUND = {homotopy.DEGREE_BOUND}"
-    if kind == "iso":
-        return "no isomorphism found"
     return "not homotopy equivalent"
 
 
@@ -133,7 +131,7 @@ def cmd_certify_pair(args) -> int:
     rhs = words.parse_word(args.word2, ab)
     kind, cert = homotopy.certify_pair(lhs, rhs, args.n, kind=args.kind)
     if cert is None:
-        print(f"NONE: {_none_reason(lhs, rhs, args.kind)}", file=sys.stderr)
+        print(f"NONE: {_none_reason(lhs, rhs)}", file=sys.stderr)
         return 1
     _emit(cert, args)
     return 0
@@ -393,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify-pair", help="certify one pair of words")
     p.add_argument("word1")
     p.add_argument("word2")
-    p.add_argument("--kind", choices=["auto", "iso", "homotopy"], default="auto")
+    p.add_argument("--kind", choices=homotopy.PAIR_KINDS, default="auto")
     common(p, group=False)
     p.set_defaults(func=cmd_certify_pair)
 

@@ -54,10 +54,8 @@ is, every chain map outside ``B^0`` is ``lambda f0`` plus a null-homotopic map
 with ``lambda != 0``, so one exact solve on any of them decides: a solution
 is the certificate, and an inconsistent system proves that ``c`` and ``d``
 are not homotopy equivalent.  So a None from ``find_homotopy_equiv`` means
-"not homotopy equivalent", except past ``DEGREE_BOUND``, where it means "not
-searched".  ``find_chain_iso`` probes each basis map of ``Z^0``, then one
-weighted sum of them: ``dim Z^0 + 1`` probes at most, and its None means only
-"not found".
+"not homotopy equivalent".  ``find_chain_iso`` probes each basis map of
+``Z^0``, then one weighted sum of them; its None means only "not found".
 """
 
 from __future__ import annotations
@@ -394,7 +392,7 @@ def chain_iso_failures(f: ChainMap, g: ChainMap) -> list:
 
 # -- search -----------------------------------------------------------------------
 
-# how many nonzero degrees between two complexes either search takes
+# how many degrees a pair's complexes may span together for certify_pair to search it
 DEGREE_BOUND = 8
 
 
@@ -495,10 +493,6 @@ def _graded_ranks_match(c: Complex, d: Complex) -> bool:
     return True
 
 
-def _within_degree_bound(c: Complex, d: Complex) -> bool:
-    return len(set(c.objects) | set(d.objects)) <= DEGREE_BOUND
-
-
 def find_chain_iso(c: Complex, d: Complex, fb: list):
     """A chain isomorphism with verified inverse, or None.
 
@@ -531,14 +525,8 @@ def find_homotopy_equiv(c: Complex, d: Complex, fb: list):
     ``H^0 Hom(c, d)`` (see the module doc).  If it is not 1-dimensional, no
     forward map exists and nothing is solved.  Otherwise the forward map is
     the first basis map outside ``B^0``, and one exact solve for the backward
-    map and both homotopies decides.  ``_candidate_iter`` starts with the
-    basis maps themselves, so this map is also its first probe that is not
-    null-homotopic.  Pairs with more than ``DEGREE_BOUND`` nonzero degrees
-    are not searched: their None means "not searched" (``certify_pair`` stops
-    them before either complex is built, in every mode).
+    map and both homotopies decides.
     """
-    if not _within_degree_bound(c, d):
-        return None
     classes, dim = homotopy_classes(c, d, fb)
     if dim != 1:
         return None
@@ -733,21 +721,17 @@ def verify_certificate_dict(data: dict) -> tuple:
 def _search(c: Complex, d: Complex, kind: str):
     """``(kind found, {field: {degree: morphism}})`` for ``c`` and ``d``, or None.
 
-    Tries an isomorphism (modes 'auto' and 'iso'), then a homotopy equivalence
-    (modes 'auto' and 'homotopy'); each search checks what it finds.  The
-    fields are a certificate's maps, in its order.
+    Mode 'auto' tries an isomorphism first; both modes then decide homotopy
+    equivalence, so None means "not homotopy equivalent".  The fields are a
+    certificate's maps, in its order.
     """
-    fb = None  # chain_map_space(c, d): built at most once, and only for a search that runs
-    if kind in ("auto", "iso"):
-        if _graded_ranks_match(c, d):
-            fb = chain_map_space(c, d)
-            found = find_chain_iso(c, d, fb)
-            if found is not None:
-                f, g = found
-                return "iso", {"forward": f.components, "inverse": g.components}
-        if kind == "iso":
-            return None
-    cert = find_homotopy_equiv(c, d, chain_map_space(c, d) if fb is None else fb)
+    fb = chain_map_space(c, d)
+    if kind == "auto":
+        found = find_chain_iso(c, d, fb)
+        if found is not None:
+            f, g = found
+            return "iso", {"forward": f.components, "inverse": g.components}
+    cert = find_homotopy_equiv(c, d, fb)
     if cert is None:
         return None
     return "homotopy", {
@@ -773,6 +757,9 @@ def _strip_whiskers(lhs: tuple, rhs: tuple) -> tuple:
         j += 1
     return lhs[:i], lhs[i : len(lhs) - j], rhs[i : len(rhs) - j], lhs[len(lhs) - j :]
 
+
+# the modes of certify_pair
+PAIR_KINDS = ("auto", "homotopy")
 
 # (core lhs letters, core rhs letters, n, kind) -> None, or the kind found and
 # {field: {degree: matrix}}; kept for the process, like bimodcalc's pane cache
@@ -800,18 +787,15 @@ def _whiskered(matrices: dict, u: tuple, n: int, c: Complex, d: Complex) -> dict
 
 
 def certify_pair(lhs: BraidWord, rhs: BraidWord, n: int, kind: str = "auto", label: str | None = None):
-    """Certify that two words have isomorphic / homotopy equivalent complexes.
+    """Certify that two words have homotopy equivalent complexes.
 
-    Returns ``(kind, certificate dict)`` or ``(None, None)`` when neither an
-    isomorphism nor (for kind 'auto'/'homotopy') a homotopy equivalence is
-    found.  Complexes that span more than ``DEGREE_BOUND`` degrees between
-    them are neither built nor searched in any mode (the count is read from
-    the words' braid letters): their ``(None, None)`` means "not searched".
-    Within the bound, for kind 'auto'/'homotopy', ``(None, None)`` means the
-    complexes are not homotopy equivalent; for kind 'iso' it means only "not
-    found" (see ``find_homotopy_equiv`` and ``find_chain_iso``).
-    ``label`` names the relation in the certificate; it defaults to
-    ``"<lhs> ~ <rhs>"``.
+    ``kind`` is 'auto' (an isomorphism if one is found, else a homotopy
+    equivalence) or 'homotopy'; anything else is a ``ValueError``.  Returns
+    ``(kind found, certificate dict)``, or ``(None, None)``: "not searched"
+    when the complexes span more than ``DEGREE_BOUND`` degrees between them
+    (read from the words, before either complex is built), and otherwise
+    "not homotopy equivalent".  ``label`` names the relation in the
+    certificate; it defaults to ``"<lhs> ~ <rhs>"``.
 
     The common virtual prefix ``u`` and suffix ``v`` of the two words are
     whiskers (module doc): the core pair is searched once per process and
@@ -819,6 +803,8 @@ def certify_pair(lhs: BraidWord, rhs: BraidWord, n: int, kind: str = "auto", lab
     pair.  Every certificate returned passes the exact check on the complexes
     of the whole pair; a whiskered one that fails is a ``RuntimeError``.
     """
+    if kind not in PAIR_KINDS:
+        raise ValueError(f"unknown kind {kind!r}: expected one of {', '.join(PAIR_KINDS)}")
     if pair_degrees(lhs, rhs) > DEGREE_BOUND:
         return None, None
     c = F_word(lhs, n)

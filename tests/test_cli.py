@@ -240,11 +240,19 @@ def test_certify_pair_none_exits_one(capsys):
         ),
         (("z0 s0 z1", "z0 z0 z1", "--n", "3"), "not homotopy equivalent"),
         (("s0", "s0^-1", "--n", "2", "--kind", "homotopy"), "not homotopy equivalent"),
-        (("z1 s0 s0^-1", "z1", "--n", "2", "--kind", "iso"), "no isomorphism found"),
     ],
 )
 def test_certify_pair_none_names_its_reason(capsys, argv, reason):
     assert run(capsys, "certify-pair", *argv) == (1, "", f"NONE: {reason}\n")
+
+
+def test_certify_pair_kind_iso_is_a_usage_error(capsys):
+    # the modes are auto and homotopy, and in both NONE names one of the
+    # reasons above
+    with pytest.raises(SystemExit) as exc:
+        main(["certify-pair", "z1 s0 s0^-1", "z1", "--n", "2", "--kind", "iso"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'iso'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

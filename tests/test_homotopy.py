@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import random
 import itertools
@@ -419,11 +420,14 @@ def test_reidemeister_two_contraction():
     assert not homotopy_failures(cert)
 
 
-def test_degree_bound_caps_search(monkeypatch):
+def test_degree_bound_is_certify_pairs_alone(monkeypatch):
+    # certify_pair reads the bound from the words; the search has none, so
+    # its None always means "not homotopy equivalent"
     n = 2
     c = FW("s0 s0^-1", n)
     monkeypatch.setattr(homotopy, "DEGREE_BOUND", 2)
-    assert heq(c, F_one(n)) is None
+    cert = heq(c, F_one(n))
+    assert cert is not None and not homotopy_failures(cert)
 
 
 def test_relB2_homotopy_at_n3():
@@ -700,13 +704,17 @@ SHORT_PAIRS_N2_SHA256 = "5d0c5a5a1cb7772b786ddc509ebe0c5c4798502608a145458a959a3
 
 def test_iso_search_on_all_short_word_pairs_at_n2():
     # every pair of vbB words of <= 2 letters at n = 2 whose graded ranks
-    # match: which isomorphisms are found, how many are basis maps (the rest
-    # are the weighted sum), and the certificate bytes, which equal those of
-    # a search that also probed 2- and 3-term signed combinations
+    # match: which isomorphisms are found, which probe finds each, and the
+    # certificate bytes, which equal those of a search that also probed 2-
+    # and 3-term signed combinations.  Basis map 0 misses ten of them: basis
+    # map 2 finds s0 s0 ~ s0 s0 and s1 s1 ~ s1 s1, and only the weighted sum
+    # finds the other eight, for i = 0, 1: si si^-1 and si^-1 si against
+    # themselves and each other, and si^-1 si^-1 ~ si^-1 si^-1
     n = 2
     words = [W(" ".join(w), n) for k in range(3) for w in itertools.product(SHORT_LETTERS_N2, repeat=k)]
     complexes = [F_word(w, n) for w in words]
-    pairs = isos = basis_hits = 0
+    pairs = isos = 0
+    winners = collections.Counter()
     digest = hashlib.sha256()
     for i, j in itertools.combinations_with_replacement(range(len(words)), 2):
         c, d = complexes[i], complexes[j]
@@ -718,12 +726,13 @@ def test_iso_search_on_all_short_word_pairs_at_n2():
         if found is None:
             continue
         isos += 1
-        basis_hits += any(found[0].components == f.components for f in fb)
+        winners[next((i for i, f in enumerate(fb) if f is found[0]), "sum")] += 1
         f, g = found
         label = f"{words[i]} ~ {words[j]}"
         cert = homotopy._certificate(label, n, words[i], words[j], "iso", forward=f.components, inverse=g.components)
         digest.update(json.dumps(cert, sort_keys=True).encode() + b"\n")
-    assert (pairs, isos, basis_hits) == (194, 52, 44)
+    assert (pairs, isos) == (194, 52)
+    assert winners == {0: 42, 2: 2, "sum": 8}
     assert digest.hexdigest() == SHORT_PAIRS_N2_SHA256
 
 
@@ -808,7 +817,7 @@ def test_certify_pair_builds_the_chain_map_space_once(monkeypatch):
     assert backward == (d, c)
 
 
-@pytest.mark.parametrize("kind", ["auto", "iso", "homotopy"])
+@pytest.mark.parametrize("kind", ["auto", "homotopy"])
 def test_certify_pair_past_the_degree_bound_searches_nothing(monkeypatch, kind):
     # relB3 at n=2 spans 5 degrees: past a bound of 2, no mode builds Z^0
     n = 2
@@ -818,7 +827,7 @@ def test_certify_pair_past_the_degree_bound_searches_nothing(monkeypatch, kind):
     assert spaces == []
 
 
-@pytest.mark.parametrize("kind", ["auto", "iso", "homotopy"])
+@pytest.mark.parametrize("kind", ["auto", "homotopy"])
 def test_certify_pair_past_the_degree_bound_builds_no_complex(monkeypatch, kind):
     # relB3 squared at n=2 spans 9 degrees, one past the bound: the words
     # alone decide, so neither rank-3^8 complex is built
@@ -830,6 +839,21 @@ def test_certify_pair_past_the_degree_bound_builds_no_complex(monkeypatch, kind)
     monkeypatch.setattr(homotopy, "F_word", refuse)
     lhs, rhs = W("s0 s1 s0 s1 s0 s1 s0 s1", n), W("s1 s0 s1 s0 s1 s0 s1 s0", n)
     assert certify_pair(lhs, rhs, n, kind) == (None, None)
+
+
+@pytest.mark.parametrize("kind", ["iso", "", "Homotopy"])
+def test_certify_pair_refuses_an_unknown_kind(monkeypatch, kind):
+    # refused before the words are read, so nothing is built or cached
+    n = 2
+
+    def refuse(*args):
+        raise AssertionError("the words were read")
+
+    monkeypatch.setattr(homotopy, "pair_degrees", refuse)
+    monkeypatch.setattr(homotopy, "F_word", refuse)
+    with pytest.raises(ValueError, match="expected one of auto, homotopy"):
+        certify_pair(W("s0 z0", n), W("z0 s0", n), n, kind)
+    assert homotopy._CORE_CACHE == {}
 
 
 def test_pair_degrees_read_from_the_words_match_the_complexes():
