@@ -311,8 +311,7 @@ def bimodule_R(n: int) -> Bimodule:
 
 def bimodule_Rw(word, n: int) -> Bimodule:
     """Rank one, with ``a`` acting on the right as multiplication by ``w(a)``."""
-    word = tuple(word)
-    actions = [[{0: coxeter.act(word, Poly.variable(n, j))}] for j in range(n)]
+    actions = [[{0: image}] for image in coxeter.word_endo(word, n).images]
     return Bimodule(n, [0], actions)
 
 

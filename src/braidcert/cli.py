@@ -56,24 +56,20 @@ def cmd_invariant(args) -> int:
 
 def cmd_distinguish(args) -> int:
     ab = _alphabet(args)
-    lhs = words.invariant(words.parse_word(args.word1, ab))
-    rhs = words.invariant(words.parse_word(args.word2, ab))
-    if args.t1:
-        lhs, rhs = lhs.specialize_t1(), rhs.specialize_t1()
-    if lhs == rhs:
+    difference = words.invariant_difference(
+        words.parse_word(args.word1, ab), words.parse_word(args.word2, ab), t1=args.t1
+    )
+    if difference is None:
         verdict = {
             "status": "invariant-equal",
             "note": "inconclusive for group equality",
         }
     else:
-        g = freegroup.first_difference(lhs, rhs)
+        g, lhs_image, rhs_image = difference
         verdict = {
             "status": "unequal",
             "witness_generator": freegroup.format_gen(g),
-            "witness_images": [
-                freegroup.format_word(lhs.image(g)),
-                freegroup.format_word(rhs.image(g)),
-            ],
+            "witness_images": [freegroup.format_word(lhs_image), freegroup.format_word(rhs_image)],
         }
     if args.format == "json":
         _emit(verdict, args)

@@ -22,6 +22,14 @@ automorphisms with the rightmost letter applied first, i.e.
 fold of ``compose`` over the letters; that composition order is the one that
 matches the known images of virtual braid words and makes the map a plain
 group homomorphism into the automorphism group.
+
+Every letter automorphism fixes ``t``, so it maps the normal closure of
+``t`` onto itself and induces an automorphism of the free group on the
+``a_j`` in which ``t = 1``: ``specialize_t1`` erases ``t`` from each image.
+An automorphism ``phi`` that fixes ``t`` satisfies ``q(phi(x)) =
+phi_1(q(x))`` for the quotient map ``q``, so for two of them ``(phi o
+psi)_1 = phi_1 o psi_1``: specialising is multiplicative on the invariants
+of words, and a context common to two words cancels after it as before.
 """
 
 from __future__ import annotations

@@ -86,7 +86,7 @@ from .coxeter import make_reflection
 from .errors import ParseError
 from .polyring import Poly, format_poly, parse_poly
 from .scalars import ZERO, QSqrt2
-from .words import REPORT_FORMAT, Alphabet, BraidWord, format_word, parse_word, relator_table
+from .words import REPORT_FORMAT, Alphabet, BraidWord, format_word, parse_word, relator_table, split_common
 
 
 class Complex:
@@ -137,6 +137,10 @@ def complex_failures(c: Complex) -> list:
 
 
 VIRTUAL_KINDS = ("z", "zet")
+
+
+def _is_virtual(letter) -> bool:
+    return letter[0] in VIRTUAL_KINDS
 
 
 @lru_cache(maxsize=None)
@@ -228,7 +232,7 @@ def F_word(word, n: int) -> Complex:
     _braid_signs(word)
     letters = word.letters if isinstance(word, BraidWord) else word
     pieces = []
-    for virtual, group in itertools.groupby(letters, key=lambda letter: letter[0] in VIRTUAL_KINDS):
+    for virtual, group in itertools.groupby(letters, key=_is_virtual):
         if not virtual:
             pieces += (F_letter(letter, n) for letter in group)
             continue
@@ -742,22 +746,6 @@ def _search(c: Complex, d: Complex, kind: str):
     }
 
 
-def _strip_whiskers(lhs: tuple, rhs: tuple) -> tuple:
-    """``(u, core_lhs, core_rhs, v)`` with ``lhs = u core_lhs v`` and ``rhs = u core_rhs v``.
-
-    ``u`` and ``v`` are the longest common prefix and then the longest common
-    suffix of the two letter tuples that hold virtual letters only.
-    """
-    shorter = min(len(lhs), len(rhs))
-    i = 0
-    while i < shorter and lhs[i] == rhs[i] and lhs[i][0] in VIRTUAL_KINDS:
-        i += 1
-    j = 0
-    while j < shorter - i and lhs[-1 - j] == rhs[-1 - j] and lhs[-1 - j][0] in VIRTUAL_KINDS:
-        j += 1
-    return lhs[:i], lhs[i : len(lhs) - j], rhs[i : len(rhs) - j], lhs[len(lhs) - j :]
-
-
 # the modes of certify_pair
 PAIR_KINDS = ("auto", "homotopy")
 
@@ -811,7 +799,7 @@ def certify_pair(lhs: BraidWord, rhs: BraidWord, n: int, kind: str = "auto", lab
     d = F_word(rhs, n)
     if label is None:
         label = f"{format_word(lhs)} ~ {format_word(rhs)}"
-    u, core_lhs, core_rhs, v = _strip_whiskers(lhs.letters, rhs.letters)
+    u, core_lhs, core_rhs, v = split_common(lhs.letters, rhs.letters, _is_virtual)
     key = (core_lhs, core_rhs, n, kind)
     if key not in _CORE_CACHE:
         has_whiskers = bool(u or v)

@@ -14,6 +14,19 @@ but is normalised to ``z0``.
 helpers shared by the two alphabets: far commutation, braid (mixed when the
 letter kinds differ), involution, and the relations on indices 0 and 1 whose
 right side is the left side reversed.
+
+The invariant of a word is the composite of two group homomorphisms, the
+doubling map ``VB_B(n) -> VB(2n)`` (letterwise, ``embed_j``) and the
+free-group representation ``VB(2n) -> Aut(F)`` (``freegroup``), so the
+invariant of ``u w v`` is ``inv(u) o inv(w) o inv(v)``.  Automorphisms are
+invertible, so ``u w v`` and ``u w' v`` have equal invariants exactly when
+``w`` and ``w'`` do, and ``invariant_difference`` decides on the cores left
+between the words' longest common prefix and suffix.  The same holds at
+``t = 1``: every letter automorphism fixes ``t``, so each preserves the
+normal closure of ``t`` and induces an automorphism of the quotient in which
+``t = 1``; ``specialize_t1`` computes that induced map, and inducing respects
+composition (``freegroup``), so the specialised invariant is again a
+homomorphism into a group of automorphisms.
 """
 
 from __future__ import annotations
@@ -234,12 +247,50 @@ def relator_table(group: str, n: int) -> list:
 # -- the invariant of a word -----------------------------------------------------
 
 
+def split_common(lhs: tuple, rhs: tuple, splittable=lambda letter: True) -> tuple:
+    """``(u, core_lhs, core_rhs, v)`` with ``lhs = u core_lhs v`` and ``rhs = u core_rhs v``.
+
+    ``u`` and ``v`` are the longest common prefix and then the longest common
+    suffix of the two letter tuples whose letters all pass ``splittable``.
+    """
+    shorter = min(len(lhs), len(rhs))
+    i = 0
+    while i < shorter and lhs[i] == rhs[i] and splittable(lhs[i]):
+        i += 1
+    j = 0
+    while j < shorter - i and lhs[-1 - j] == rhs[-1 - j] and splittable(lhs[-1 - j]):
+        j += 1
+    return lhs[:i], lhs[i : len(lhs) - j], rhs[i : len(rhs) - j], lhs[len(lhs) - j :]
+
+
 def invariant(word: BraidWord) -> freegroup.FreeAutomorphism:
     """Invariant automorphism of a word; vbB words go through the doubling map."""
     if word.alphabet.tag == "vbB":
         word = embed_j(word)
     ab = word.alphabet
     return freegroup.manturov_image(word.letters, ab.lo, ab.hi)
+
+
+def _compared(word: BraidWord, t1: bool) -> freegroup.FreeAutomorphism:
+    phi = invariant(word)
+    return phi.specialize_t1() if t1 else phi
+
+
+def invariant_difference(lhs: BraidWord, rhs: BraidWord, t1: bool = False):
+    """None when the two words have equal invariants (specialised at ``t = 1``
+    under ``t1``), else ``(g, lhs image of g, rhs image of g)`` at the first
+    generator ``g`` where they differ.
+
+    The verdict is read from the cores the two words have between their
+    longest common prefix and suffix (module doc); only an unequal pair
+    folds its whole words, for the witness.
+    """
+    _, core_lhs, core_rhs, _ = split_common(lhs.letters, rhs.letters)
+    if _compared(BraidWord(lhs.alphabet, core_lhs), t1) == _compared(BraidWord(rhs.alphabet, core_rhs), t1):
+        return None
+    phi, psi = _compared(lhs, t1), _compared(rhs, t1)
+    g = freegroup.first_difference(phi, psi)
+    return g, phi.image(g), psi.image(g)
 
 
 # the format tag of every report, here and in ``homotopy``

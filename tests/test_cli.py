@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
@@ -7,12 +9,14 @@ import sys
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import braidcert
 from braidcert import cli, words
+from braidcert import freegroup as fg
 from braidcert.cli import main
 from braidcert.polyring import MAX_EXPONENT, format_poly, parse_poly
 from braidcert.scalars import QSqrt2
@@ -69,6 +73,9 @@ def test_over_long_index_is_parse_error(capsys):
 # 16-letter contexts drawn like the benchmark's distinguish requests
 LONG_U = "s0^-1 s3^-1 z6 s2^-1 s6^-1 s6 z4 s4 z1 s1^-1 z4 z1 s4^-1 z7 s0^-1 s4^-1"
 LONG_V = "s7 s4^-1 s4^-1 s0 s7^-1 s7 z5 z7 s3^-1 z0 s3 z7 s7^-1 z1 s4^-1 s5^-1"
+# vbA contexts of the same length, around a welded (t = 1) equality
+LONG_U_A = "sig3 zet5 sig1^-1 sig7 zet2 sig4^-1 sig6 zet1 sig2 sig5^-1 zet7 sig1 zet3 sig6^-1 sig4 zet6"
+LONG_V_A = "zet4 sig2^-1 sig7^-1 zet1 sig5 sig3 zet6 sig1 sig4^-1 zet2 sig6 sig2 zet5 sig7 sig3^-1 zet7"
 
 # sha256 of the stdout of ``braidcert ARGS --n 8 --format json``: the
 # invariant layer's output must stay byte-identical
@@ -117,13 +124,20 @@ INVARIANT_SHA256 = [
         ["distinguish", f"{LONG_U} s3 z3 {LONG_V}", f"{LONG_U} z3 s3 {LONG_V}"],
         "8c7dbee8bfa424fba9470b61cfa578dabdfcd1471069802e68bbd1d46be7a702",
     ),
+    (
+        [
+            "distinguish", f"{LONG_U_A} zet1 sig2 sig1 {LONG_V_A}", f"{LONG_U_A} sig2 sig1 zet2 {LONG_V_A}",
+            "--group", "vbA", "--t1",
+        ],
+        "7ba912bd582e02af7ece95efe4b6e02d8b56eb94063ab65bd89a9dc63c09aedc",
+    ),
 ]
 
 
 @pytest.mark.parametrize("args, digest", INVARIANT_SHA256, ids=[
     "invariant-vbB-18", "invariant-vbB-10", "invariant-vbA-10", "invariant-empty",
     "distinguish-unequal", "distinguish-equal", "distinguish-vbA", "distinguish-vbA-t1", "distinguish-vbB-t1",
-    "distinguish-equal-36", "distinguish-unequal-34",
+    "distinguish-equal-36", "distinguish-unequal-34", "distinguish-vbA-t1-equal-35",
 ])
 def test_invariant_output_bytes_unchanged(capsys, args, digest):
     code, out, _ = run(capsys, *args, "--n", "8", "--format", "json")
@@ -180,6 +194,95 @@ def test_distinguish_welded_specialization(capsys):
         capsys, "distinguish", "zet1 sig2 sig1", "sig2 sig1 zet2", "--group", "vbA", "--n", "4"
     )
     assert "UNEQUAL" in out
+
+
+def _whole_word_distinguish(word1, word2, group, n, t1, fmt):
+    """``distinguish``'s stdout from the invariants of the two whole words."""
+    ab = words.Alphabet.vbB(n) if group == "vbB" else words.Alphabet.vbA(n)
+    lhs, rhs = (words.invariant(words.parse_word(w, ab)) for w in (word1, word2))
+    if t1:
+        lhs, rhs = lhs.specialize_t1(), rhs.specialize_t1()
+    if lhs == rhs:
+        verdict = {"status": "invariant-equal", "note": "inconclusive for group equality"}
+        text = "invariant-equal (inconclusive for group equality)"
+    else:
+        g = fg.first_difference(lhs, rhs)
+        images = [fg.format_word(lhs.image(g)), fg.format_word(rhs.image(g))]
+        verdict = {"status": "unequal", "witness_generator": fg.format_gen(g), "witness_images": images}
+        text = f"UNEQUAL (witness {fg.format_gen(g)}: {images[0]} vs {images[1]})"
+    return (json.dumps(verdict, indent=1) if fmt == "json" else text) + "\n"
+
+
+def _letters(group, n):
+    if group == "vbB":
+        return [f"{k}{i}{e}" for i in range(n) for k, e in (("s", ""), ("s", "^-1"), ("z", ""))]
+    return [f"{k}{i}{e}" for i in range(1, n) for k, e in (("sig", ""), ("sig", "^-1"), ("zet", ""))]
+
+
+def _core_pairs(group, n):
+    """The defining relations, and the pairs ``distinguish --t1`` merges
+    although the invariant separates them: for vbA the welded moves."""
+    relations = [(str(rel.lhs), str(rel.rhs)) for rel in words.relator_table(group, n)]
+    if group == "vbB":
+        return relations, relations
+    welded = [(f"zet{i} sig{i + 1} sig{i}", f"sig{i + 1} sig{i} zet{i + 1}") for i in range(1, n - 1)]
+    return relations, welded
+
+
+@st.composite
+def distinguish_requests(draw):
+    group = draw(st.sampled_from(["vbA", "vbB"]))
+    n = draw(st.integers(3, 4))
+    letters = st.lists(st.sampled_from(_letters(group, n)), max_size=3).map(" ".join)
+    relations, welded = _core_pairs(group, n)
+    pair = draw(st.one_of(st.sampled_from(relations), st.sampled_from(welded), st.tuples(letters, letters)))
+    if draw(st.booleans()):
+        pair = pair[::-1]
+    context = st.lists(st.sampled_from(_letters(group, n)), max_size=12).map(" ".join)
+    u, v = draw(context), draw(context)
+    word1, word2 = (" ".join(p for p in (u, core, v) if p) for core in pair)
+    return word1, word2, group, n, draw(st.booleans()), draw(st.sampled_from(["text", "json"]))
+
+
+@given(distinguish_requests())
+@example(("sig3 zet1 sig2 sig1 zet2", "sig3 sig2 sig1 zet2 zet2", "vbA", 4, True, "text"))
+@settings(max_examples=120, deadline=None)
+def test_distinguish_on_the_cores_prints_the_whole_words_verdict(request):
+    word1, word2, group, n, t1, fmt = request
+    argv = ["distinguish", word1, word2, "--group", group, "--n", str(n), "--format", fmt]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv + ["--t1"] * t1)
+    assert (code, out.getvalue()) == (0, _whole_word_distinguish(*request))
+
+
+def test_an_invariant_equal_pair_composes_only_its_core(capsys):
+    # relB3 in 32 letters of context: the doubled core has 6 letters a side
+    # (s0 doubles to one letter, s1 to two), and nothing else is folded
+    original = fg.FreeAutomorphism.compose
+    with mock.patch.object(fg.FreeAutomorphism, "compose", autospec=True, side_effect=original) as compose:
+        code, out, _ = run(
+            capsys, "distinguish", f"{LONG_U} s0 s1 s0 s1 {LONG_V}", f"{LONG_U} s1 s0 s1 s0 {LONG_V}", "--n", "8"
+        )
+    assert (code, out) == (0, "invariant-equal (inconclusive for group equality)\n")
+    assert compose.call_count == 2 * 6
+
+
+# the stderr of the parent of the core comparison, which parsed both words
+# before folding either: a bad letter is reported where it stands
+@pytest.mark.parametrize("word1, word2, err", [
+    (
+        "s0 s9 s0 s1 s0 s1", "s0 s9 s1 s0 s1 s0",
+        "parse error: index 9 outside 0..7 at position 3: 's0 s9 s0 s1 s0 s1'\n",
+    ),
+    ("s0 s1 s0 s1 z3", "s1 s0 q1 s0 z3", "parse error: unknown letter 'q1' at position 6: 's1 s0 q1 s0 z3'\n"),
+    (
+        "s0 s1 z0 s3", "s0 s1 z0 s3^-2",
+        "parse error: exponent -2 not supported at position 9: 's0 s1 z0 s3^-2'\n",
+    ),
+])
+def test_distinguish_reports_a_bad_letter_in_the_context_or_the_core(capsys, word1, word2, err):
+    assert run(capsys, "distinguish", word1, word2, "--n", "8") == (2, "", err)
 
 
 def test_check_relations(capsys):

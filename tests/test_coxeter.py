@@ -14,8 +14,10 @@ from braidcert.coxeter import (
     word_endo,
 )
 from braidcert.errors import ReflectionError
+from braidcert.homotopy import F_word
 from braidcert.polyring import LinearEndo, Poly, monomial_exponents
 from braidcert.scalars import QSqrt2
+from braidcert.words import Alphabet, parse_word
 from conftest import invariant_generators
 
 
@@ -82,6 +84,31 @@ def test_relB3_on_all_variables():
     n = 4
     for j in range(n):
         assert act((0, 1, 0, 1), X(n, j)) == act((1, 0, 1, 0), X(n, j))
+
+
+def _folded(word, n):
+    endo = LinearEndo.identity(n)
+    for i in reversed(word):
+        endo = alpha(i, n).compose(endo)
+    return endo
+
+
+@given(st.lists(st.lists(st.integers(0, 3), max_size=6), min_size=1, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_word_endo_extends_cached_suffixes_like_the_fold(words):
+    # words asked in turn share suffixes with earlier ones (and with other
+    # examples), so most of them extend a cached tail
+    for word in words:
+        assert word_endo(tuple(word), 4) == _folded(word, 4)
+        assert word_endo(tuple(word[1:]), 4) == _folded(word[1:], 4)
+
+
+def test_a_long_run_of_virtual_letters_stays_iterative():
+    # 5000 letters, far past the recursion limit; (s0 s1)^4 = 1 in type B
+    n = 3
+    (twist,) = F_word(parse_word("z0 z1 " * 2500, Alphabet.vbB(n)), n).objects.values()
+    assert [row[0][0] for row in twist.actions] == [X(n, j) for j in range(n)]
+    assert word_endo((1,) + (0, 1) * 2500, n) == alpha(1, n)
 
 
 def test_element_equal_examples():

@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -146,6 +148,24 @@ braid_letters = st.lists(braid_letter, max_size=6)
 def test_invariant_is_homomorphism(u, v):
     uv = list(u) + list(v)
     assert img(uv) == img(u).compose(img(v))
+
+
+@pytest.mark.parametrize("lo, hi", [(1, 7), (-7, 7)])
+def test_every_letter_automorphism_fixes_t(lo, hi):
+    # the premise of cancelling a common context at t = 1 (``words`` module doc)
+    gens = fg.strand_gens(lo, hi)
+    for i in range(lo, hi + 1):
+        for auto in (fg.sigma_auto(i, gens), fg.sigma_inv_auto(i, gens), fg.zeta_auto(i, gens)):
+            assert auto.image(fg.T) == ((fg.T, 1),)
+
+
+@given(st.lists(st.lists(braid_letter, max_size=6), min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_specialize_t1_is_multiplicative(pieces):
+    autos = [img(piece) for piece in pieces]
+    whole = functools.reduce(fg.FreeAutomorphism.compose, autos)
+    specialised = [auto.specialize_t1() for auto in autos]
+    assert whole.specialize_t1() == functools.reduce(fg.FreeAutomorphism.compose, specialised)
 
 
 def _invert_braid_letters(letters):
