@@ -18,21 +18,26 @@ right side is the left side reversed.
 The invariant of a word is the composite of two group homomorphisms, the
 doubling map ``VB_B(n) -> VB(2n)`` (letterwise, ``embed_j``) and the
 free-group representation ``VB(2n) -> Aut(F)`` (``freegroup``), so the
-invariant of ``u w v`` is ``inv(u) o inv(w) o inv(v)``.  Automorphisms are
-invertible, so ``u w v`` and ``u w' v`` have equal invariants exactly when
-``w`` and ``w'`` do, and ``invariant_difference`` decides on the cores left
-between the words' longest common prefix and suffix.  The same holds at
-``t = 1``: every letter automorphism fixes ``t``, so each preserves the
-normal closure of ``t`` and induces an automorphism of the quotient in which
-``t = 1``; ``specialize_t1`` computes that induced map, and inducing respects
-composition (``freegroup``), so the specialised invariant is again a
-homomorphism into a group of automorphisms.
+invariant of ``u w v`` is ``U o C o V`` for the invariants ``U``, ``C``,
+``V`` of ``u``, ``w``, ``v``.  Automorphisms are invertible, so ``u w v``
+and ``u w' v`` have equal invariants exactly when ``w`` and ``w'`` do, and
+``invariant_difference`` decides on the cores left between the words'
+longest common prefix and suffix.  It reads the witness of an unequal pair
+from the same pieces: ``U o C o V`` and ``U o C' o V`` differ at a
+generator ``g`` exactly when ``C(V(g))`` and ``C'(V(g))`` do, and then
+their images are ``U`` applied to those, so no whole word is folded.  The
+same holds at ``t = 1``: every letter automorphism fixes ``t``, so each
+preserves the normal closure of ``t`` and induces an automorphism of the
+quotient in which ``t = 1``; ``specialize_t1`` computes that induced map,
+and inducing respects composition (``freegroup``), so the specialised
+invariant is again a homomorphism into a group of automorphisms.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 from . import freegroup
@@ -114,7 +119,38 @@ def make_word(alphabet: Alphabet, letters: Iterable) -> BraidWord:
 _TOKEN_RE = re.compile(r"(sig|zet|s|z)(-?\d+)(?:\^(-?\d+))?$")
 
 
+@lru_cache(maxsize=None)
+def _token_table(alphabet: Alphabet) -> dict:
+    """Every letter of ``alphabet`` under the one spelling ``format_word`` writes.
+
+    Shared by every caller, so it is read-only; an alphabet has finitely
+    many letters, so the table is finite.
+    """
+    table = {}
+    for kind in alphabet.kinds:
+        for index in range(alphabet.lo, alphabet.hi + 1):
+            table[f"{kind}{index}"] = (kind, index, 1)
+            if kind not in _INVOLUTIONS:
+                table[f"{kind}{index}^-1"] = (kind, index, -1)
+    return table
+
+
 def parse_word(text: str, alphabet: Alphabet) -> BraidWord:
+    """The word ``text`` spells over ``alphabet``: whitespace-separated letters.
+
+    A word spelled as ``format_word`` writes it is looked up token by token
+    in the alphabet's ``_token_table``.  Any other token (``s01``, ``s3^1``,
+    ``z3^-1``, a bad letter) sends the whole text through the positional
+    parser, which accepts the other spellings of a letter, normalises
+    ``z^-1`` to ``z`` and raises a ``ParseError`` at the offending token.
+    """
+    try:
+        return BraidWord(alphabet, tuple(map(_token_table(alphabet).__getitem__, text.split())))
+    except KeyError:
+        return _parse_positional(text, alphabet)
+
+
+def _parse_positional(text: str, alphabet: Alphabet) -> BraidWord:
     letters = []
     pos = 0
     for token in text.split():
@@ -281,16 +317,22 @@ def invariant_difference(lhs: BraidWord, rhs: BraidWord, t1: bool = False):
     under ``t1``), else ``(g, lhs image of g, rhs image of g)`` at the first
     generator ``g`` where they differ.
 
-    The verdict is read from the cores the two words have between their
-    longest common prefix and suffix (module doc); only an unequal pair
-    folds its whole words, for the witness.
+    Both the verdict and the witness are read from the common prefix ``u``,
+    the common suffix ``v`` and the two cores between them, each folded once
+    (module doc); the whole words are never folded.
     """
-    _, core_lhs, core_rhs, _ = split_common(lhs.letters, rhs.letters)
-    if _compared(BraidWord(lhs.alphabet, core_lhs), t1) == _compared(BraidWord(rhs.alphabet, core_rhs), t1):
+    u, core_lhs, core_rhs, v = split_common(lhs.letters, rhs.letters)
+    core1 = _compared(BraidWord(lhs.alphabet, core_lhs), t1)
+    core2 = _compared(BraidWord(rhs.alphabet, core_rhs), t1)
+    if core1 == core2:
         return None
-    phi, psi = _compared(lhs, t1), _compared(rhs, t1)
-    g = freegroup.first_difference(phi, psi)
-    return g, phi.image(g), psi.image(g)
+    prefix, suffix = _compared(BraidWord(lhs.alphabet, u), t1), _compared(BraidWord(lhs.alphabet, v), t1)
+    for g in sorted(suffix.gens, key=freegroup.gen_sort_key):
+        x = suffix.image(g)
+        a, b = core1.apply(x), core2.apply(x)
+        if a != b:
+            return g, prefix.apply(a), prefix.apply(b)
+    raise AssertionError("unreachable: the suffix's invariant is onto, so unequal cores differ on its images")
 
 
 # the format tag of every report, here and in ``homotopy``

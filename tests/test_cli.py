@@ -268,6 +268,17 @@ def test_an_invariant_equal_pair_composes_only_its_core(capsys):
     assert compose.call_count == 2 * 6
 
 
+def test_an_unequal_pair_composes_its_context_once(capsys):
+    # s3 z3 vs z3 s3 in 32 letters of context: u and v double to 30 letters
+    # each (two index-0 letters apiece), each core to 4, and every letter is
+    # composed once; folding both whole words too would make 136
+    original = fg.FreeAutomorphism.compose
+    with mock.patch.object(fg.FreeAutomorphism, "compose", autospec=True, side_effect=original) as compose:
+        code, out, _ = run(capsys, "distinguish", f"{LONG_U} s3 z3 {LONG_V}", f"{LONG_U} z3 s3 {LONG_V}", "--n", "8")
+    assert (code, out.startswith("UNEQUAL (witness ")) == (0, True)
+    assert compose.call_count == 30 + 30 + 4 + 4
+
+
 # the stderr of the parent of the core comparison, which parsed both words
 # before folding either: a bad letter is reported where it stands
 @pytest.mark.parametrize("word1, word2, err", [

@@ -1,16 +1,18 @@
 import hashlib
+import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from braidcert import freegroup as fg
-from braidcert.errors import ParseError
+from braidcert.errors import ParseError, parse_int
 from braidcert.words import (
     Alphabet,
     check_relators_via_invariant,
     embed_j,
     format_word,
     invariant,
+    invariant_difference,
     make_word,
     parse_word,
     relator_table,
@@ -107,6 +109,85 @@ def test_free_reduce_preserves_invariant(letters, at, pair, index):
     at = min(at, len(letters))
     inserted = letters[:at] + [(kind, index, exp) for kind, exp in pair] + letters[at:]
     assert invariant(make_word(ab, inserted)) == invariant(make_word(ab, letters))
+
+
+# a copy of the positional parser: the oracle for every spelling, error
+# message and position that parse_word's token table must reproduce
+_ORACLE_TOKEN = re.compile(r"(sig|zet|s|z)(-?\d+)(?:\^(-?\d+))?$")
+
+
+def positional_parse(text, alphabet):
+    letters = []
+    pos = 0
+    for token in text.split():
+        start = text.index(token, pos)
+        pos = start + len(token)
+        m = _ORACLE_TOKEN.match(token)
+        if m is None:
+            raise ParseError(f"unknown letter {token!r}", text, start)
+        kind, index, exp = m.groups()
+        index = parse_int(index, text, start)
+        exp = 1 if exp is None else parse_int(exp, text, start)
+        if kind in ("z", "zet") and exp == -1:
+            exp = 1
+        try:
+            letters.append(alphabet.check_letter((kind, index, exp)))
+        except ValueError as exc:
+            raise ParseError(str(exc), text, start) from None
+    return tuple(letters)
+
+
+def parse_outcome(parse, text, alphabet):
+    try:
+        return parse(text, alphabet)
+    except ParseError as exc:
+        return exc.message, exc.position
+
+
+PARSE_ALPHABETS = [Alphabet.vbB(4), Alphabet.vbA(4), Alphabet.vbA_shifted(4)]
+# other spellings of letters, letters just outside each alphabet's index
+# range, other kinds and malformed tokens
+ODD_TOKENS = [
+    "s01", "s3^1", "z3^-1", "s-1", "s4", "z4", "q1", "s3^-2", "s" + "7" * 5000,
+    "sig01", "sig2^1", "zet2^-1", "sig0", "sig-4", "sig4", "zet-4", "sig2^-2", "zet1^" + "1" * 5000,
+]
+
+
+def canonical_tokens(alphabet):
+    return [
+        format_word(make_word(alphabet, [(kind, index, exp)]))
+        for kind in alphabet.kinds
+        for index in range(alphabet.lo, alphabet.hi + 1)
+        for exp in ((1,) if kind in ("z", "zet") else (1, -1))
+    ]
+
+
+@st.composite
+def spelled_words(draw):
+    alphabet = draw(st.sampled_from(PARSE_ALPHABETS))
+    tokens = draw(st.lists(st.sampled_from(canonical_tokens(alphabet)), max_size=8))
+    for at, token in draw(st.lists(st.tuples(st.integers(0, 8), st.sampled_from(ODD_TOKENS)), max_size=2)):
+        tokens.insert(at, token)
+    space, ends = st.sampled_from([" ", "  ", "\t", "\n", " \t\n "]), st.sampled_from(["", " ", "\n\t"])
+    text = draw(ends)
+    for i, token in enumerate(tokens):
+        text += (draw(space) if i else "") + token
+    return text + draw(ends), alphabet
+
+
+@given(spelled_words())
+# canonical spellings one index outside the range, each the only odd token
+@example(("s0 s4", Alphabet.vbB(4)))
+@example(("z-1\ts3^-1", Alphabet.vbB(4)))
+@example(("sig0 zet3", Alphabet.vbA(4)))
+@example(("sig1^-1\nzet4 ", Alphabet.vbA(4)))
+@example(("sig-4 zet3", Alphabet.vbA_shifted(4)))
+@example((" sig3 sig4^-1", Alphabet.vbA_shifted(4)))
+@settings(max_examples=300, deadline=None)
+def test_parse_word_agrees_with_the_positional_parser(case):
+    text, alphabet = case
+    got = parse_outcome(lambda t, ab: parse_word(t, ab).letters, text, alphabet)
+    assert got == parse_outcome(positional_parse, text, alphabet)
 
 
 def test_word_round_trip():
@@ -213,3 +294,51 @@ def test_forbidden_move_is_unequal_but_welded_equal():
     rhs = invariant(parse_word("sig2 sig1 zet2", ab))
     assert lhs != rhs
     assert lhs.specialize_t1() == rhs.specialize_t1()
+
+
+def whole_word_difference(lhs, rhs, t1):
+    """The witness read from the folds of the two whole words."""
+    phi, psi = invariant(lhs), invariant(rhs)
+    if t1:
+        phi, psi = phi.specialize_t1(), psi.specialize_t1()
+    g = fg.first_difference(phi, psi)
+    return None if g is None else (g, phi.image(g), psi.image(g))
+
+
+def _letters(alphabet):
+    involution = alphabet.kinds[1]
+    return st.tuples(
+        st.sampled_from(alphabet.kinds), st.integers(alphabet.lo, alphabet.hi), st.sampled_from([1, -1])
+    ).map(lambda t: (t[0], t[1], 1) if t[0] == involution else t)
+
+
+@st.composite
+def pairs_around_cores(draw):
+    # u c1 v vs u c2 v; split_common may find a longer common prefix or suffix
+    alphabet = draw(st.sampled_from([Alphabet.vbA(3), Alphabet.vbA(4), Alphabet.vbB(2), Alphabet.vbB(3)]))
+    u, c1, c2, v = (
+        make_word(alphabet, draw(st.lists(_letters(alphabet), max_size=size))) for size in (6, 3, 3, 6)
+    )
+    return u * c1 * v, u * c2 * v
+
+
+def _pair(lhs, rhs, alphabet):
+    return parse_word(lhs, alphabet), parse_word(rhs, alphabet)
+
+
+@given(pairs_around_cores(), st.booleans())
+# an empty core on one side, equal and unequal
+@example(_pair("s1 z0 z0 s0", "s1 s0", Alphabet.vbB(3)), False)
+@example(_pair("s1 s0 z1 s0", "s1 s0", Alphabet.vbB(3)), True)
+# no context on either side
+@example(_pair("s0 z0", "z0 s0", Alphabet.vbB(2)), False)
+@example(_pair("zet1 sig2 sig1", "sig2 sig1 zet2", Alphabet.vbA(4)), True)
+# the suffix s2 fixes the witness a0; the prefix s1 moves its images
+@example(_pair("s1 s0 z0 s2", "s1 z0 s0 s2", Alphabet.vbB(3)), False)
+@example(_pair("s1 s0 z0 s2", "s1 z0 s0 s2", Alphabet.vbB(3)), True)
+# differences at a-1, a0, a1 and a2: the witness is the least
+@example(_pair("s2 s1 z1 s0", "s2 z1 s1 s0", Alphabet.vbB(3)), False)
+@settings(max_examples=150, deadline=None)
+def test_invariant_difference_matches_the_whole_words(pair, t1):
+    lhs, rhs = pair
+    assert invariant_difference(lhs, rhs, t1) == whole_word_difference(lhs, rhs, t1)
