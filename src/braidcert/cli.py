@@ -113,23 +113,15 @@ def cmd_certify(args) -> int:
     return 0 if report["all_certified"] else 1
 
 
-def _none_reason(lhs, rhs) -> str:
-    """What a ``(None, None)`` from ``certify_pair`` means (see its docstring)."""
-    degrees = homotopy.pair_degrees(lhs, rhs)
-    if degrees > homotopy.DEGREE_BOUND:
-        return f"not searched: the pair spans {degrees} degrees, above DEGREE_BOUND = {homotopy.DEGREE_BOUND}"
-    return "not homotopy equivalent"
-
-
 def cmd_certify_pair(args) -> int:
     ab = words.Alphabet.vbB(args.n)
     lhs = words.parse_word(args.word1, ab)
     rhs = words.parse_word(args.word2, ab)
-    kind, cert = homotopy.certify_pair(lhs, rhs, args.n, kind=args.kind)
-    if cert is None:
-        print(f"NONE: {_none_reason(lhs, rhs)}", file=sys.stderr)
+    kind, found = homotopy.certify_pair(lhs, rhs, args.n, kind=args.kind)
+    if kind is None:
+        print(f"NONE: {found}", file=sys.stderr)
         return 1
-    _emit(cert, args)
+    _emit(found, args)
     return 0
 
 

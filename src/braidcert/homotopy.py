@@ -24,11 +24,13 @@ The left whisker twists every entry by ``u``, as ``id_tensor`` does for the
 differentials of ``R_u (x) F(w)``; the twist is a ring automorphism, so every
 identity carries over, and ``R_u`` sits in degree 0, so no Koszul sign
 enters.  ``certify_pair`` strips the longest common virtual prefix and
-suffix, searches the core pair once per process and whiskers its matrices,
-then checks the result on the whole pair's complexes as it checks a search
-result.  A search on the whole pair would give the same bytes under a right
-whisker; under a left one it can give other, equally valid matrices, since
-the echelon bases it picks depend on the coordinates the twist mixes.
+suffix (either may be empty), searches the core pair once per process and
+whiskers its matrices, then checks the result once, on the whole pair's
+complexes: the searches do not check what they find, so this is the one
+check, and a result that fails it is a ``RuntimeError``.  A search on the
+whole pair would give the same bytes under a right whisker; under a left one
+it can give other, equally valid matrices, since the echelon bases it picks
+depend on the coordinates the twist mixes.
 
 Certificates are explicit per-degree matrices (a chain isomorphism with its
 inverse, or a homotopy equivalence with both homotopies) whose defining
@@ -136,7 +138,7 @@ def complex_failures(c: Complex) -> list:
 # -- the functor on letters and words ----------------------------------------------
 
 
-VIRTUAL_KINDS = ("z", "zet")
+VIRTUAL_KINDS = ("z",)
 
 
 def _is_virtual(letter) -> bool:
@@ -153,7 +155,7 @@ def _twist_complex(run: tuple, n: int) -> Complex:
 def _letter_complex(kind: str, index: int, exp: int, n: int) -> Complex:
     if kind in VIRTUAL_KINDS:
         return _twist_complex((index,), n)
-    if kind in ("s", "sig"):
+    if kind == "s":
         b = bimodule_Bs(make_reflection((index,), n))
         xi = Poly.variable(n, index)
         if exp == 1:
@@ -194,7 +196,7 @@ def _braid_signs(word) -> tuple:
     names it.
     """
     letters = word.letters if isinstance(word, BraidWord) else tuple(word)
-    signs = [exp for kind, _, exp in letters if kind in ("s", "sig")]
+    signs = [exp for kind, _, exp in letters if kind == "s"]
     if len(signs) > MAX_BRAID_LETTERS:
         text = format_word(word) if isinstance(word, BraidWord) else str(letters)
         raise ValueError(
@@ -227,7 +229,9 @@ def F_word(word, n: int) -> Complex:
 
     A word with more than ``MAX_BRAID_LETTERS`` braid letters is a
     ``ValueError`` that names it, raised before any tensor product is built;
-    a letter index out of range is an ``IndexError``.
+    a letter index out of range is an ``IndexError``, and a letter of any
+    kind but ``s`` and ``z`` (the vbA ``sig`` and ``zet``) a ``ValueError``
+    that names the kind.
     """
     _braid_signs(word)
     letters = word.letters if isinstance(word, BraidWord) else word
@@ -498,12 +502,15 @@ def _graded_ranks_match(c: Complex, d: Complex) -> bool:
 
 
 def find_chain_iso(c: Complex, d: Complex, fb: list):
-    """A chain isomorphism with verified inverse, or None.
+    """``(f, g)``: a chain map ``f`` and its degreewise inverse ``g``, or None.
 
     ``fb`` is ``chain_map_space(c, d)``.  Probes each basis map, then one
     weighted sum of them (``_candidate_iter``), for a map whose every
     component inverts (decided degreewise by its constant part); the first
-    hit wins.  Pairs whose graded ranks differ are not searched.
+    hit wins.  ``graded_inverse`` checks both products exactly, and the
+    degreewise inverse of a chain map is a chain map, so nothing more is
+    checked here: ``certify_pair`` checks the certificate it writes.  Pairs
+    whose graded ranks differ are not searched.
     """
     if not _graded_ranks_match(c, d):
         return None
@@ -515,21 +522,20 @@ def find_chain_iso(c: Complex, d: Complex, fb: list):
                 break
             inverses[k] = inv
         else:
-            g = ChainMap(d, c, inverses)
-            if not chain_iso_failures(f, g):
-                return f, g
+            return f, ChainMap(d, c, inverses)
     return None
 
 
 def find_homotopy_equiv(c: Complex, d: Complex, fb: list):
-    """A verified homotopy equivalence, or None when ``c`` and ``d`` are not
+    """A homotopy equivalence ``c -> d``, or None when ``c`` and ``d`` are not
     homotopy equivalent.
 
     ``fb`` is ``chain_map_space(c, d)``.  The search is decided by
     ``H^0 Hom(c, d)`` (see the module doc).  If it is not 1-dimensional, no
     forward map exists and nothing is solved.  Otherwise the forward map is
     the first basis map outside ``B^0``, and one exact solve for the backward
-    map and both homotopies decides.
+    map and both homotopies decides.  The result is the exact solution of
+    that solve, unchecked here (see ``_solve_homotopy_for``).
     """
     classes, dim = homotopy_classes(c, d, fb)
     if dim != 1:
@@ -570,7 +576,9 @@ def _solve_homotopy_for(f: ChainMap, gb: list):
     coefficients ``y_j`` of ``gb``, then those of the source-side and the
     target-side bases of ``Hom^-1``; one exact solve of
     ``sum_j y_j (g_j f) + delta h = id`` on the source and
-    ``sum_j y_j (f g_j) + delta h = id`` on the target finds them all.
+    ``sum_j y_j (f g_j) + delta h = id`` on the target finds them all.  The
+    solution is returned as solved: ``certify_pair`` checks the certificate
+    it writes, and a failed check is a ``RuntimeError`` there.
     """
     src_basis, nvars = _hom_basis(f.source, f.source, -1, len(gb))
     tgt_basis = _hom_basis(f.target, f.target, -1, nvars)[0]
@@ -589,10 +597,7 @@ def _solve_homotopy_for(f: ChainMap, gb: list):
         return None
     g_map = ChainMap(f.target, f.source, _combine((solution.get(j), g.components) for j, g in enumerate(gb)))
     h_src, h_tgt = (_combine((solution.get(v), {k: h}) for v, k, h in basis) for basis in (src_basis, tgt_basis))
-    cert = HomotopyEquivalence(f, g_map, h_src, h_tgt)
-    if homotopy_failures(cert):
-        return None
-    return cert
+    return HomotopyEquivalence(f, g_map, h_src, h_tgt)
 
 
 # -- certificates -------------------------------------------------------------------
@@ -779,22 +784,25 @@ def certify_pair(lhs: BraidWord, rhs: BraidWord, n: int, kind: str = "auto", lab
 
     ``kind`` is 'auto' (an isomorphism if one is found, else a homotopy
     equivalence) or 'homotopy'; anything else is a ``ValueError``.  Returns
-    ``(kind found, certificate dict)``, or ``(None, None)``: "not searched"
+    ``(kind found, certificate dict)``, or ``(None, reason)``: "not searched"
     when the complexes span more than ``DEGREE_BOUND`` degrees between them
     (read from the words, before either complex is built), and otherwise
     "not homotopy equivalent".  ``label`` names the relation in the
     certificate; it defaults to ``"<lhs> ~ <rhs>"``.
 
-    The common virtual prefix ``u`` and suffix ``v`` of the two words are
-    whiskers (module doc): the core pair is searched once per process and
-    kind, and its matrices are whiskered into a certificate for the whole
-    pair.  Every certificate returned passes the exact check on the complexes
-    of the whole pair; a whiskered one that fails is a ``RuntimeError``.
+    Every pair takes one path.  The common virtual prefix ``u`` and suffix
+    ``v`` of the two words are whiskers (module doc): the core pair is
+    searched once per process and kind, and its matrices are whiskered into
+    maps for the whole pair (with ``u`` and ``v`` empty the core is the pair
+    and the whisker the identity).  The searches check nothing themselves:
+    the maps get one exact check here, on the complexes of the whole pair,
+    and a certificate that fails it is a ``RuntimeError``, never a None.
     """
     if kind not in PAIR_KINDS:
         raise ValueError(f"unknown kind {kind!r}: expected one of {', '.join(PAIR_KINDS)}")
-    if pair_degrees(lhs, rhs) > DEGREE_BOUND:
-        return None, None
+    degrees = pair_degrees(lhs, rhs)
+    if degrees > DEGREE_BOUND:
+        return None, f"not searched: the pair spans {degrees} degrees, above DEGREE_BOUND = {DEGREE_BOUND}"
     c = F_word(lhs, n)
     d = F_word(rhs, n)
     if label is None:
@@ -802,21 +810,19 @@ def certify_pair(lhs: BraidWord, rhs: BraidWord, n: int, kind: str = "auto", lab
     u, core_lhs, core_rhs, v = split_common(lhs.letters, rhs.letters, _is_virtual)
     key = (core_lhs, core_rhs, n, kind)
     if key not in _CORE_CACHE:
-        has_whiskers = bool(u or v)
-        found = _search(F_word(core_lhs, n), F_word(core_rhs, n), kind) if has_whiskers else _search(c, d, kind)
+        core = (F_word(core_lhs, n), F_word(core_rhs, n)) if u or v else (c, d)
+        found = _search(*core, kind)
         _CORE_CACHE[key] = found and (
             found[0], {field: {k: m.matrix for k, m in comps.items()} for field, comps in found[1].items()}
         )
-        if not has_whiskers:  # searched, and so checked, on c and d themselves
-            return (None, None) if found is None else (found[0], _certificate(label, n, lhs, rhs, found[0], **found[1]))
     found = _CORE_CACHE[key]
     if found is None:
-        return None, None
+        return None, "not homotopy equivalent"
     found_kind, matrices = found
     maps = _whiskered(matrices, u, n, c, d)
     failures = _certificate_failures(found_kind, maps, c, d)
     if failures:
-        raise RuntimeError(f"the certificate for {label!r}, whiskered from its core pair, fails its check: {failures[0]}")
+        raise RuntimeError(f"the certificate for {label!r} fails its check: {failures[0]}")
     return found_kind, _certificate(label, n, lhs, rhs, found_kind, **maps)
 
 
@@ -836,14 +842,14 @@ def relation_certificates(n: int) -> dict:
     def record(label, lhs, rhs):
         nonlocal all_ok
         kind, cert = certify_pair(lhs, rhs, n, label=label)
-        ok = cert is not None
+        ok = kind is not None
         all_ok = all_ok and ok
         results.append(
             {
                 "relation": label,
                 "kind": kind or "homotopy",
                 "status": "certified" if ok else "failed",
-                "certificate": cert,
+                "certificate": cert if ok else None,
             }
         )
 

@@ -175,14 +175,21 @@ def test_word_complex_matches_the_letter_by_letter_fold(case):
     [
         ("z0 z1 z2 z1 z0 z2 z2 z1 z0 z0 z1 z2", 3),
         ("z0 z2 z1 s1 s1^-1 z2 z1 z0", 3),
-        ("zet1 zet2 sig1 zet2 zet1 sig2^-1 zet1", 3),
     ],
-    ids=["twelve-virtual", "runs-around-reid2", "vbA"],
+    ids=["twelve-virtual", "runs-around-reid2"],
 )
 def test_word_complex_matches_the_letter_by_letter_fold_on_chosen_words(text, n):
-    ab = Alphabet.vbA(n) if "sig" in text else Alphabet.vbB(n)
-    letters = parse_word(text, ab).letters
+    letters = W(text, n).letters
     _assert_same_presentation(F_word(letters, n), _letter_by_letter(letters, n))
+
+
+@pytest.mark.parametrize("text, kind", [("zet1 zet2 sig1", "zet"), ("sig1^-1 zet2", "sig")], ids=["zet", "sig"])
+def test_word_complex_refuses_vbA_letters(text, kind):
+    # the functor is defined on type-B words only: a vbA letter is refused
+    # by kind, whether it would have been a braid or a virtual letter
+    letters = parse_word(text, Alphabet.vbA(3)).letters
+    with pytest.raises(ValueError, match=f"^no complex for letter kind '{kind}'$"):
+        F_word(letters, 3)
 
 
 def test_out_of_range_index_inside_a_run_raises_the_letter_error():
@@ -481,8 +488,7 @@ def test_certify_pair_and_round_trip():
 
 def test_certify_pair_none():
     n = 2
-    kind, cert = certify_pair(W("s0", n), W("z0", n), n)
-    assert kind is None and cert is None
+    assert certify_pair(W("s0", n), W("z0", n), n) == (None, "not homotopy equivalent")
 
 
 def test_certificate_tamper_detected_after_round_trip():
@@ -692,7 +698,7 @@ def test_h0_zero_pair_iso_search_probes_each_basis_map_then_the_sum(monkeypatch)
     c, d = FW("s1 s2 s1 s2", n), FW("s2 s1 s2 s1", n)
     fb = chain_map_space(c, d)
     probes = count_probes(monkeypatch)
-    assert certify_pair(W("s1 s2 s1 s2", n), W("s2 s1 s2 s1", n), n) == (None, None)
+    assert certify_pair(W("s1 s2 s1 s2", n), W("s2 s1 s2 s1", n), n) == (None, "not homotopy equivalent")
     assert len(fb) == 16 and len(probes) == 17
     assert [f.components for f in probes[:16]] == [f.components for f in fb]
     assert all(probes[16].components != f.components for f in fb)
@@ -823,7 +829,10 @@ def test_certify_pair_past_the_degree_bound_searches_nothing(monkeypatch, kind):
     n = 2
     monkeypatch.setattr(homotopy, "DEGREE_BOUND", 2)
     spaces = count_calls(monkeypatch, homotopy, "chain_map_space")
-    assert certify_pair(W("s0 s1 s0 s1", n), W("s1 s0 s1 s0", n), n, kind) == (None, None)
+    assert certify_pair(W("s0 s1 s0 s1", n), W("s1 s0 s1 s0", n), n, kind) == (
+        None,
+        "not searched: the pair spans 5 degrees, above DEGREE_BOUND = 2",
+    )
     assert spaces == []
 
 
@@ -838,7 +847,7 @@ def test_certify_pair_past_the_degree_bound_builds_no_complex(monkeypatch, kind)
 
     monkeypatch.setattr(homotopy, "F_word", refuse)
     lhs, rhs = W("s0 s1 s0 s1 s0 s1 s0 s1", n), W("s1 s0 s1 s0 s1 s0 s1 s0", n)
-    assert certify_pair(lhs, rhs, n, kind) == (None, None)
+    assert certify_pair(lhs, rhs, n, kind) == (None, "not searched: the pair spans 9 degrees, above DEGREE_BOUND = 8")
 
 
 @pytest.mark.parametrize("kind", ["iso", "", "Homotopy"])
@@ -940,7 +949,8 @@ def test_whiskered_pairs_agree_with_the_search_on_the_whole_pair():
     for lhs, rhs, n in cases:
         kind, cert = certify_pair(W(lhs, n), W(rhs, n), n)
         assert kind == search_whole_pair(FW(lhs, n), FW(rhs, n)), (lhs, rhs)
-        if cert is None:
+        if kind is None:
+            assert cert == "not homotopy equivalent", (lhs, rhs)
             nones.append((lhs, rhs))
             continue
         assert cert["kind"] == kind and cert["words"] == [lhs, rhs]
@@ -978,19 +988,52 @@ def test_a_right_whisker_keeps_the_core_matrices(core, v, n):
 
 def test_pairs_that_share_a_core_search_it_once_and_check_each_result(monkeypatch):
     # remark_sz[1] at n=3 is an isomorphism: Z^0 is built once, by the first
-    # call; every call checks its own certificate on its own complexes
+    # call; every call, whiskered or not, checks its own certificate once, on
+    # its own complexes, and the search checks nothing
     n = 3
     spaces = count_calls(monkeypatch, homotopy, "chain_map_space")
     checks = count_calls(monkeypatch, homotopy, "chain_iso_failures")
     results = []
-    for u, v in (("z0", "z2"), ("z2 z1", "")):
+    for u, v in (("z0", "z2"), ("z2 z1", ""), ("", "")):
         lhs, rhs = (" ".join(p for p in (u, w, v) if p) for w in ("s1 z1", "z1 s1"))
+        before = len(checks)
         results.append(certify_pair(W(lhs, n), W(rhs, n), n))
-        whole = FW(lhs, n)
-        assert sum(f.source.objects == whole.objects for f, _ in checks) == 1
-    assert len(spaces) == 1 and len(checks) == 3  # the search's own check, then one per call
+        ((f, _),) = checks[before:]
+        assert f.source.objects == FW(lhs, n).objects
+    assert len(spaces) == 1 and len(checks) == 3  # one per call
     for kind, cert in results:
         assert kind == "iso" and verify_certificate_dict(cert) == (True, [])
+
+
+def test_a_wrong_homotopy_solve_is_an_error(monkeypatch):
+    # relB2 at n=3 is decided by one solve; a solution with one coefficient
+    # doubled fails the certificate's check, which is an error, never NONE
+    n = 3
+    solve = linalg.solve_affine
+
+    def doubled(rows, rhs):
+        solution = solve(rows, rhs)
+        var = min(solution)
+        return {**solution, var: solution[var] * QSqrt2(2)}
+
+    monkeypatch.setattr(linalg, "solve_affine", doubled)
+    with pytest.raises(RuntimeError, match="fails its check"):
+        certify_pair(W("s1 s2 s1", n), W("s2 s1 s2", n), n)
+
+
+def test_a_wrong_graded_inverse_is_an_error(monkeypatch):
+    # remark_sz[1] at n=3 is an isomorphism; an inverse scaled by 2 fails the
+    # certificate's check, which is an error, never a certificate of another kind
+    n = 3
+    inverse = Morphism.graded_inverse
+
+    def doubled(self):
+        inv = inverse(self)
+        return inv and inv.scale(QSqrt2(2))
+
+    monkeypatch.setattr(Morphism, "graded_inverse", doubled)
+    with pytest.raises(RuntimeError, match="fails its check"):
+        certify_pair(W("s1 z1", n), W("z1 s1", n), n)
 
 
 def test_a_whiskered_certificate_that_fails_its_check_is_an_error():
