@@ -26,11 +26,12 @@ identity carries over, and ``R_u`` sits in degree 0, so no Koszul sign
 enters.  ``certify_pair`` strips the longest common virtual prefix and
 suffix (either may be empty), searches the core pair once per process and
 whiskers its matrices, then checks the result once, on the whole pair's
-complexes: the searches do not check what they find, so this is the one
-check, and a result that fails it is a ``RuntimeError``.  A search on the
-whole pair would give the same bytes under a right whisker; under a left one
-it can give other, equally valid matrices, since the echelon bases it picks
-depend on the coordinates the twist mixes.
+complexes: the searches, ``graded_inverse`` included, do not check what
+they find, so this certificate check is the one check, and a result that
+fails it is a ``RuntimeError``.  A search on the whole pair would give the
+same bytes under a right whisker; under a left one it can give other,
+equally valid matrices, since the echelon bases it picks depend on the
+coordinates the twist mixes.
 
 Certificates are explicit per-degree matrices (a chain isomorphism with its
 inverse, or a homotopy equivalence with both homotopies) whose defining
@@ -507,10 +508,10 @@ def find_chain_iso(c: Complex, d: Complex, fb: list):
     ``fb`` is ``chain_map_space(c, d)``.  Probes each basis map, then one
     weighted sum of them (``_candidate_iter``), for a map whose every
     component inverts (decided degreewise by its constant part); the first
-    hit wins.  ``graded_inverse`` checks both products exactly, and the
-    degreewise inverse of a chain map is a chain map, so nothing more is
-    checked here: ``certify_pair`` checks the certificate it writes.  Pairs
-    whose graded ranks differ are not searched.
+    hit wins.  ``graded_inverse`` is exact and checks nothing, and the
+    degreewise inverse of a chain map is a chain map, so nothing is checked
+    here either: the certificate check in ``certify_pair`` is the one check.
+    Pairs whose graded ranks differ are not searched.
     """
     if not _graded_ranks_match(c, d):
         return None

@@ -1022,18 +1022,27 @@ def test_a_wrong_homotopy_solve_is_an_error(monkeypatch):
 
 
 def test_a_wrong_graded_inverse_is_an_error(monkeypatch):
-    # remark_sz[1] at n=3 is an isomorphism; an inverse scaled by 2 fails the
-    # certificate's check, which is an error, never a certificate of another kind
-    n = 3
-    inverse = Morphism.graded_inverse
+    # remark_sz[1] at n=3 and s0 s0^-1 ~ s0^-1 s0 at n=2 are isomorphisms; an
+    # inverse scaled by 2, or one built from a constant part inverted wrongly,
+    # fails the certificate's check, which is an error, never a certificate of
+    # another kind: graded_inverse checks nothing, so no probe is skipped
+    inverse, dense_inverse = Morphism.graded_inverse, linalg.dense_inverse
 
     def doubled(self):
         inv = inverse(self)
         return inv and inv.scale(QSqrt2(2))
 
-    monkeypatch.setattr(Morphism, "graded_inverse", doubled)
-    with pytest.raises(RuntimeError, match="fails its check"):
-        certify_pair(W("s1 z1", n), W("z1 s1", n), n)
+    def doubled_constant_part(matrix):
+        inv = dense_inverse(matrix)
+        return inv and [[x * QSqrt2(2) for x in row] for row in inv]
+
+    for owner, name, fault in ((Morphism, "graded_inverse", doubled), (linalg, "dense_inverse", doubled_constant_part)):
+        for lhs, rhs, n in (("s1 z1", "z1 s1", 3), ("s0 s0^-1", "s0^-1 s0", 2)):
+            homotopy._CORE_CACHE.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(owner, name, fault)
+                with pytest.raises(RuntimeError, match="fails its check"):
+                    certify_pair(W(lhs, n), W(rhs, n), n)
 
 
 def test_a_whiskered_certificate_that_fails_its_check_is_an_error():
