@@ -348,6 +348,11 @@ def tensor(m: Bimodule, other: Bimodule) -> Bimodule:
     ``m`` already holds (its own ``actions[j]`` for an untwisted variable).
     The result shares those matrices, so they are read-only, like every
     matrix ``action_of`` returns.
+
+    Basis element ``(a, b)`` sits at ``a * other.rank + b``.  So a
+    single-block ``other`` keeps ``m``'s blocks, scaled by ``other.rank``, and
+    a rank-one ``m`` keeps ``other``'s blocks as they are: it cannot
+    interleave them.  Any other product is one block.
     """
     if m.n != other.n:
         raise ValueError("bimodules over different variable counts")
@@ -363,7 +368,9 @@ def tensor(m: Bimodule, other: Bimodule) -> Bimodule:
         actions = [m.action_of(a[0][0]) for a in other.actions]
     else:
         actions = [id_tensor(m, a, ro) for a in other.actions]
-    if len(other.block_spans) == 1:
+    if rm == 1:
+        spans = other.block_spans
+    elif len(other.block_spans) == 1:
         spans = [(s * ro, e * ro) for s, e in m.block_spans]
     else:
         spans = [(0, rank)]

@@ -11,7 +11,10 @@ one twist ``R_{x1...xk}``: twists compose, and right multiplication by a
 polynomial has one matrix in a left basis, so this is the presentation
 tensoring them one at a time writes, not only an isomorphic one.  The pieces
 are folded left to right, because regrouping the tensor products would
-reorder the bases and ``block_spans`` and so change the certificates.
+reorder the bases and ``block_spans`` and so change the certificates.  A
+rank-one factor on the left is the exception: it reorders no basis and keeps
+the blocks (``bimodcalc.tensor``), so ``R_u (x) (X (x) Y)`` and
+``(R_u (x) X) (x) Y`` are the same presentation.
 
 Whiskers.  Each ``R_x`` is invertible (``R_x (x) R_{x^-1} = R``), so
 ``R_u (x) - (x) R_v`` is an autoequivalence: ``u w v`` and ``u w' v`` are
@@ -24,8 +27,11 @@ The left whisker twists every entry by ``u``, as ``id_tensor`` does for the
 differentials of ``R_u (x) F(w)``; the twist is a ring automorphism, so every
 identity carries over, and ``R_u`` sits in degree 0, so no Koszul sign
 enters.  ``certify_pair`` strips the longest common virtual prefix and
-suffix (either may be empty), searches the core pair once per process and
-whiskers its matrices, then checks the result once, on the whole pair's
+suffix (either may be empty) and searches the core pair once per process.
+When the search finds a certificate, it keeps the core's matrices and its
+two complexes, and it whiskers both: ``R_u (x) F(w) (x) R_v`` is the
+presentation ``F(u w v)`` folds (the rank-one exception above), so no whole
+word is folded again.  It then checks the result once, on the whole pair's
 complexes: the searches, ``graded_inverse`` included, do not check what
 they find, so this certificate check is the one check, and a result that
 fails it is a ``RuntimeError``.  A search on the whole pair would give the
@@ -755,9 +761,23 @@ def _search(c: Complex, d: Complex, kind: str):
 # the modes of certify_pair
 PAIR_KINDS = ("auto", "homotopy")
 
-# (core lhs letters, core rhs letters, n, kind) -> None, or the kind found and
-# {field: {degree: matrix}}; kept for the process, like bimodcalc's pane cache
+# (core lhs letters, core rhs letters, n, kind) -> None, or the kind found,
+# {field: {degree: matrix}} and the core's two complexes; kept for the
+# process, like bimodcalc's pane cache, so the complexes are read-only
 _CORE_CACHE: dict = {}
+
+
+def _whiskered_complex(core: Complex, u: tuple, v: tuple, n: int) -> Complex:
+    """``F(u w v)`` from ``core = F(w)``: ``R_u (x) F(w) (x) R_v`` for virtual ``u``, ``v``.
+
+    The same presentation ``F_word`` folds, block spans included (module
+    doc); with ``u`` and ``v`` empty it is ``core`` itself.
+    """
+    if u:
+        core = tensor_complex(F_word(u, n), core)
+    if v:
+        core = tensor_complex(core, F_word(v, n))
+    return core
 
 
 def _whiskered(matrices: dict, u: tuple, n: int, c: Complex, d: Complex) -> dict:
@@ -793,9 +813,11 @@ def certify_pair(lhs: BraidWord, rhs: BraidWord, n: int, kind: str = "auto", lab
 
     Every pair takes one path.  The common virtual prefix ``u`` and suffix
     ``v`` of the two words are whiskers (module doc): the core pair is
-    searched once per process and kind, and its matrices are whiskered into
-    maps for the whole pair (with ``u`` and ``v`` empty the core is the pair
-    and the whisker the identity).  The searches check nothing themselves:
+    searched once per process and kind, and its complexes and matrices are
+    whiskered into the whole pair's complexes and maps (with ``u`` and ``v``
+    empty the core is the pair and the whisker the identity).  A core with
+    no certificate caches only its ``None``, so a repeat builds nothing.
+    The searches check nothing themselves:
     the maps get one exact check here, on the complexes of the whole pair,
     and a certificate that fails it is a ``RuntimeError``, never a None.
     """
@@ -804,22 +826,23 @@ def certify_pair(lhs: BraidWord, rhs: BraidWord, n: int, kind: str = "auto", lab
     degrees = pair_degrees(lhs, rhs)
     if degrees > DEGREE_BOUND:
         return None, f"not searched: the pair spans {degrees} degrees, above DEGREE_BOUND = {DEGREE_BOUND}"
-    c = F_word(lhs, n)
-    d = F_word(rhs, n)
     if label is None:
         label = f"{format_word(lhs)} ~ {format_word(rhs)}"
     u, core_lhs, core_rhs, v = split_common(lhs.letters, rhs.letters, _is_virtual)
+    for _, index, _ in u + v:
+        _check_index(index, n)  # a NONE core builds no whisker to check them
     key = (core_lhs, core_rhs, n, kind)
     if key not in _CORE_CACHE:
-        core = (F_word(core_lhs, n), F_word(core_rhs, n)) if u or v else (c, d)
+        core = F_word(core_lhs, n), F_word(core_rhs, n)
         found = _search(*core, kind)
         _CORE_CACHE[key] = found and (
-            found[0], {field: {k: m.matrix for k, m in comps.items()} for field, comps in found[1].items()}
+            found[0], {field: {k: m.matrix for k, m in comps.items()} for field, comps in found[1].items()}, core
         )
     found = _CORE_CACHE[key]
     if found is None:
         return None, "not homotopy equivalent"
-    found_kind, matrices = found
+    found_kind, matrices, core = found
+    c, d = (_whiskered_complex(x, u, v, n) for x in core)
     maps = _whiskered(matrices, u, n, c, d)
     failures = _certificate_failures(found_kind, maps, c, d)
     if failures:

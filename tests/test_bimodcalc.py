@@ -161,6 +161,18 @@ def test_direct_sum_block_structure():
     assert S.basis_degrees == (0, 2, 0)
 
 
+def test_a_rank_one_factor_keeps_the_blocks_of_the_other():
+    # R_u (x) S orders its basis as S does, so S's blocks stay blocks (the
+    # left whisker of a cached core complex relies on this); so does S (x) R_u
+    n = 3
+    S = direct_sum([bimodule_Bs(refl((0,), n)), bimodule_R(n), bimodule_Bs(refl((1,), n))])
+    for u in ((), (1,), (0, 2)):
+        twist = bimodule_Rw(u, n)
+        for product in (tensor(twist, S), tensor(S, twist)):
+            product.validate()
+            assert product.block_spans == S.block_spans == ((0, 2), (2, 3), (3, 5)), u
+
+
 def test_bb_tensor_agrees_with_conjugated_route():
     # tensoring B_{s0} with twisted copies of B_{s0} reproduces the direct
     # rank-4 presentation built from the conjugate reflection

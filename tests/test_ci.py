@@ -18,3 +18,10 @@ def test_pinned_outputs_live_in_one_script():
     for body in jobs.values():
         assert body.count("bash .github/pins.sh") == 1
     assert (ROOT / ".github" / "pins.sh").is_file()
+
+
+def test_no_pinned_command_runs_left_of_an_and_list():
+    # under `set -e` a failing command on the left of `&&` does not stop the
+    # script, so a braidcert command there could fail and the pins still pass
+    lines = (ROOT / ".github" / "pins.sh").read_text().splitlines()
+    assert not [line for line in lines if re.search(r"\bbraidcert\b.*&&", line)]

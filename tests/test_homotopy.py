@@ -216,13 +216,28 @@ def test_shared_matrices_stay_unmutated_by_certify_and_verify():
     # a rank-one twist that fixes X0 shares X0's matrix with the factor before it
     whiskered = FW("s2 z2", n)
     assert whiskered.objects[0].actions[0] is pieces[3].objects[0].actions[0]
-    for lhs, rhs in (("z1 z0 s2 s2^-1 z2 z1", "z1 z0 z2 z1"), ("s2 z2", "z2 s2")):
+    # two cores, each certified bare or whiskered and then whiskered again
+    # from the complexes the core cache shares across requests
+    pairs = (
+        ("z1 z0 s2 s2^-1 z2 z1", "z1 z0 z2 z1"),
+        ("z2 s2 s2^-1 z0", "z2 z0"),
+        ("s2 z2", "z2 s2"),
+        ("z1 s2 z2 z0", "z1 z2 s2 z0"),
+    )
+    for lhs, rhs in pairs:
         kind, cert = certify_pair(W(lhs, n), W(rhs, n), n)
         assert kind is not None, (lhs, rhs)
         assert verify_certificate_dict(json.loads(json.dumps(cert))) == (True, [])
+    cores = [(key[:2], complexes) for key, (_, _, complexes) in homotopy._CORE_CACHE.items()]
+    assert [words for words, _ in cores] == [
+        (W("s2 s2^-1", n).letters, ()),
+        (W("s2 z2", n).letters, W("z2 s2", n).letters),
+    ]
     homotopy._twist_complex.cache_clear()
     homotopy._letter_complex.cache_clear()
-    for old, fresh in zip(pieces + [whiskered], _cached_pieces(n) + [FW("s2 z2", n)]):
+    olds = pieces + [whiskered] + [c for _, complexes in cores for c in complexes]
+    rebuilt = _cached_pieces(n) + [FW("s2 z2", n)] + [F_word(w, n) for words, _ in cores for w in words]
+    for old, fresh in zip(olds, rebuilt, strict=True):
         _assert_same_presentation(old, fresh)
         for k, m in old.objects.items():
             for exp, matrix in m._monomial_cache.items():
@@ -1049,7 +1064,69 @@ def test_a_whiskered_certificate_that_fails_its_check_is_an_error():
     # a cached core whose whiskered maps fail is an internal error, never NONE
     n = 3
     certify_pair(W("z0 s1 z1", n), W("z0 z1 s1", n), n)
-    ((key, (kind, matrices)),) = homotopy._CORE_CACHE.items()
-    homotopy._CORE_CACHE[key] = kind, {**matrices, "inverse": {}}
+    ((key, (kind, matrices, core)),) = homotopy._CORE_CACHE.items()
+    homotopy._CORE_CACHE[key] = kind, {**matrices, "inverse": {}}, core
     with pytest.raises(RuntimeError, match="fails its check"):
         certify_pair(W("z2 s1 z1", n), W("z2 z1 s1", n), n)
+
+
+def test_a_cached_core_is_whiskered_without_folding_a_braid_letter(monkeypatch):
+    # remark_sz[1] at n=3 with other whiskers: the second pair builds its
+    # complexes from the cached core's, so no braid letter's complex is
+    # looked up, and its certificate is still checked once, on those complexes
+    n = 3
+    certify_pair(W("z0 s1 z1 z2", n), W("z0 z1 s1 z2", n), n)
+
+    def refuse(*args):
+        raise AssertionError(f"a braid letter was folded: {args}")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(homotopy, "F_letter", refuse)
+        patch.setattr(homotopy, "_letter_complex", refuse)
+        checks = count_calls(patch, homotopy, "_certificate_failures")
+        kind, cert = certify_pair(W("z2 z1 s1 z1 z0", n), W("z2 z1 z1 s1 z0", n), n)
+    assert kind == "iso" and len(homotopy._CORE_CACHE) == 1
+    ((_, _, c, d),) = checks
+    _assert_same_presentation(c, FW("z2 z1 s1 z1 z0", n))
+    _assert_same_presentation(d, FW("z2 z1 z1 s1 z0", n))
+    assert verify_certificate_dict(cert) == (True, [])
+
+
+def test_a_core_without_a_certificate_caches_no_complex(monkeypatch):
+    # s0 vs s0^-1 is not homotopy equivalent: the cache keeps its None and
+    # nothing else, and a whiskered repeat builds no complex at all
+    n = 3
+    assert certify_pair(W("z0 s0 z1", n), W("z0 s0^-1 z1", n), n) == (None, "not homotopy equivalent")
+    assert list(homotopy._CORE_CACHE.values()) == [None]
+
+    def refuse(*args):
+        raise AssertionError(f"a complex was built: {args}")
+
+    monkeypatch.setattr(homotopy, "F_word", refuse)
+    monkeypatch.setattr(homotopy, "tensor_complex", refuse)
+    assert certify_pair(W("z2 s0", n), W("z2 s0^-1", n), n) == (None, "not homotopy equivalent")
+    # a whisker letter out of range is still refused, though nothing is built
+    with pytest.raises(IndexError, match="letter index 2 out of range for n=2"):
+        certify_pair(W("z2 s0", n), W("z2 s0^-1", n), 2)
+
+
+@st.composite
+def whiskered_words(draw):
+    """``(n, u, core, v)``: virtual ``u`` and ``v`` around a core of at most 3 braid letters."""
+    n = draw(st.integers(2, 4))
+    virtual = st.tuples(st.just("z"), st.integers(0, n - 1), st.just(1))
+    braid = st.tuples(st.just("s"), st.integers(0, n - 1), st.sampled_from([1, -1]))
+    core = st.lists(st.one_of(braid, virtual), max_size=6).filter(lambda w: sum(k == "s" for k, _, _ in w) <= 3)
+    u, core, v = draw(st.lists(virtual, max_size=3)), draw(core), draw(st.lists(virtual, max_size=3))
+    return n, tuple(u), tuple(core), tuple(v)
+
+
+@given(whiskered_words())
+@settings(max_examples=60, deadline=None)
+@example((3, (("z", 2, 1),), (("s", 0, 1), ("s", 1, -1)), ()))  # degree 0 has two blocks
+@example((3, (("z", 0, 1),), (("z", 1, 1), ("s", 1, 1), ("z", 2, 1)), (("z", 0, 1),)))  # runs merge
+def test_whiskered_core_complex_is_the_folded_word(case):
+    # R_u (x) F(core) (x) R_v is the presentation F_word folds for u core v,
+    # block spans included, so the whiskered certificate is checked on it
+    n, u, core, v = case
+    _assert_same_presentation(homotopy._whiskered_complex(F_word(core, n), u, v, n), F_word(u + core + v, n))
