@@ -107,6 +107,17 @@ test "$status" -eq 1
 test "$(grep -c '^\[FAIL\]' tampered.txt)" -eq 1
 grep -Eq '^    degree -?[0-9]+: .* at \(0,0\): .' tampered.txt
 
+echo "== Spellings no printer writes are refused where they stand (entry (0,0) of pair.json's first forward matrix respelled as (1 - sqrt2), then as X with an Arabic-Indic one; one parse error line each, exit 2)"
+for k in 0 1; do
+    python -c 'import json, sys; c = json.load(open("pair.json")); c["forward"][0]["matrix"][0][0] = ["(1 - sqrt2)", "X\u0661"][int(sys.argv[1])]; json.dump(c, open("respelled.json", "w"))' "$k"
+    status=0
+    braidcert verify-certificate respelled.json 2> respelled.err || status=$?
+    cat respelled.err
+    test "$status" -eq 2
+    test "$(wc -l < respelled.err)" -eq 1
+    grep -Eq "^parse error: certificate 'z0 s0 s1 s0 s1 ~ z0 s1 s0 s1 s0', forward, degree -?[0-9]+, entry \(0,0\): unrecognised factor " respelled.err
+done
+
 echo "== A truncated JSON file is a one-line error that names the file (exit 2)"
 head -c 100 pair.json > truncated.json
 status=0

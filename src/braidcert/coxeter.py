@@ -56,28 +56,18 @@ def alpha(i: int, n: int) -> LinearEndo:
     return LinearEndo(images)
 
 
-# n -> the root of a trie read from the right: a node is ``(endo, children)``,
-# where ``endo`` is the endomorphism of the suffix spelled on the path to it
-# and ``children`` maps a letter to the node of that letter put in front
-_SUFFIXES: dict = {}
-
-
 def word_endo(word: Word, n: int) -> LinearEndo:
     """The endomorphism of a word, rightmost generator applied first.
 
-    ``word_endo(word) = alpha(word[0]) o word_endo(word[1:])``: each word
-    extends the cached endomorphism of its longest suffix asked for before,
-    one letter at a time, and every suffix it passes is cached in turn.
+    ``word_endo(word) = alpha(word[0]) o word_endo(word[1:])``, folded from
+    the right.  Nothing is cached here: what reaches it runs once per
+    distinct virtual run (``homotopy._twist_complex``) or letter
+    (``homotopy._letter_complex``).
     """
-    node = _SUFFIXES.get(n)
-    if node is None:
-        node = _SUFFIXES[n] = (LinearEndo.identity(n), {})
+    endo = LinearEndo.identity(n)
     for i in reversed(word):
-        endo, children = node
-        node = children.get(i)
-        if node is None:
-            node = children[i] = (alpha(i, n).compose(endo), {})
-    return node[0]
+        endo = alpha(i, n).compose(endo)
+    return endo
 
 
 def act(word, p: Poly) -> Poly:

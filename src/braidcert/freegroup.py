@@ -34,11 +34,8 @@ of words, and a context common to two words cancels after it as before.
 
 from __future__ import annotations
 
-import re
 from functools import lru_cache
 from typing import Iterable, Sequence
-
-from .errors import ParseError, parse_int
 
 T = "t"
 Letter = tuple  # (gen, exp)
@@ -250,10 +247,9 @@ def manturov_image(letters, lo: int, hi: int) -> FreeAutomorphism:
 
 # -- text form -----------------------------------------------------------------
 #
-# "a1 a2^-1 t" with whitespace separation; negative indices like "a-1" appear
-# for the doubled alphabets.
-
-_LETTER_RE = re.compile(r"(?:a(-?\d+)|t)(?:\^(-?1))?$")
+# "a1 a2^-1 t" with whitespace separation, "1" for the empty word; negative
+# indices like "a-1" appear for the doubled alphabets.  Words are only
+# printed, in reports and witnesses; no command reads them back.
 
 
 def format_gen(gen) -> str:
@@ -265,20 +261,3 @@ def format_word(word: Iterable[Letter]) -> str:
     for gen, exp in word:
         parts.append(format_gen(gen) + ("" if exp == 1 else "^-1"))
     return " ".join(parts) if parts else "1"
-
-
-def parse_word(text: str) -> FreeWord:
-    letters: list = []
-    pos = 0
-    for token in text.split():
-        start = text.index(token, pos)
-        pos = start + len(token)
-        if token == "1":
-            continue
-        m = _LETTER_RE.match(token)
-        if m is None:
-            raise ParseError(f"bad free-group letter {token!r}", text, start)
-        gen = T if m.group(1) is None else parse_int(m.group(1), text, start)
-        exp = -1 if m.group(2) == "-1" else 1
-        letters.append((gen, exp))
-    return reduce_word(letters)

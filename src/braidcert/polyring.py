@@ -23,7 +23,7 @@ import re
 from typing import Iterable, Iterator
 
 from .errors import ExactDivisionError, ParseError, parse_int
-from .scalars import ONE, QSqrt2, reduced
+from .scalars import ONE, SQRT2, QSqrt2, reduced
 
 Monomial = tuple  # exponent tuple of length n
 
@@ -377,12 +377,16 @@ def divide_by_linear(p: Poly, ell: Poly) -> Poly:
 
 # -- polynomial text grammar --------------------------------------------------
 #
-# "c*X0^2*X1 + ..." with '*'-separated factors per term; compound scalars are
-# parenthesised, e.g. "(1 + -1*sqrt2)*X0".  The printer is canonical and
+# The one grammar of certificate entries.  An entry is a sum of terms joined
+# by '+', a term is a product of factors joined by '*', and a factor is one
+# of: a rational "3", "-1/2"; "sqrt2" or "-sqrt2"; a variable "X0", "-X1^2";
+# or a number in parentheses, which is read as a polynomial that must be
+# constant, e.g. "(1 + -1*sqrt2)*X0".  Digits are ASCII only.  A ParseError
+# gives its position in the whole entry.  The printer is canonical and
 # round-trips bit-exactly, which the certificate files rely on.
 
-_VAR_RE = re.compile(r"X(\d+)(?:\^(\d+))?$")
-_RAT_RE = re.compile(r"-?\d+(?:/\d+)?$")
+_VAR_RE = re.compile(r"X([0-9]+)(?:\^([0-9]+))?")
+_RAT_RE = re.compile(r"([0-9]+)(?:/([0-9]+))?")
 
 
 def format_poly(p: Poly) -> str:
@@ -412,18 +416,23 @@ def _format_coeff(c: QSqrt2, has_vars: bool) -> str:
 
 
 def parse_poly(text: str, n: int) -> Poly:
+    return _parse_sum(text, 0, text, n)
+
+
+def _parse_sum(full: str, offset: int, text: str, n: int) -> Poly:
+    """The sum ``text``, which starts at ``offset`` of ``full``; errors carry positions in ``full``."""
+    if not text.strip():
+        raise ParseError("empty polynomial", full, offset)
     result = Poly.zero(n)
-    stripped = text.strip()
-    if not stripped:
-        raise ParseError("empty polynomial", text, 0)
-    for start, term in _split_top(text, "+"):
+    for start, term in _split_top(full, offset, text, "+"):
         if not term.strip():
-            raise ParseError("empty term", text, start)
-        result = result + _parse_term(text, start, term, n)
+            raise ParseError("empty term", full, start)
+        result = result + _parse_term(full, start, term, n)
     return result
 
 
-def _split_top(text: str, sep: str) -> Iterator:
+def _split_top(full: str, offset: int, text: str, sep: str) -> Iterator:
+    """``(position in full, piece)`` for each piece of ``text`` between ``sep``s outside parentheses."""
     depth = 0
     start = 0
     for i, ch in enumerate(text):
@@ -432,50 +441,45 @@ def _split_top(text: str, sep: str) -> Iterator:
         elif ch == ")":
             depth -= 1
             if depth < 0:
-                raise ParseError("unbalanced ')'", text, i)
+                raise ParseError("unbalanced ')'", full, offset + i)
         elif ch == sep and depth == 0:
-            yield start, text[start:i]
+            yield offset + start, text[start:i]
             start = i + 1
     if depth:
-        raise ParseError("unbalanced '('", text, len(text) - 1)
-    yield start, text[start:]
+        raise ParseError("unbalanced '('", full, offset + len(text) - 1)
+    yield offset + start, text[start:]
 
 
 def _parse_term(full: str, offset: int, term: str, n: int) -> Poly:
     coeff = ONE
     exp = [0] * n
-    seen_factor = False
-    for fstart, factor in _split_top(term, "*"):
-        factor = factor.strip()
+    for at, raw in _split_top(full, offset, term, "*"):
+        factor = raw.strip()
         if not factor:
-            raise ParseError("empty factor", full, offset + fstart)
-        seen_factor = True
+            raise ParseError("empty factor", full, at)
         if factor.startswith("(") and factor.endswith(")"):
-            coeff = coeff * QSqrt2.parse(factor[1:-1])
+            inside = _parse_sum(full, at + raw.index("(") + 1, factor[1:-1], n)
+            if inside.degree() > 0:
+                raise ParseError("expected a number in parentheses", full, at)
+            coeff = coeff * inside.constant_term()
             continue
-        if factor == "sqrt2":
-            coeff = coeff * QSqrt2.sqrt2()
-            continue
-        if factor == "-sqrt2":
-            coeff = coeff * -QSqrt2.sqrt2()
-            continue
-        negated = factor.startswith("-X")
-        m = _VAR_RE.match(factor[1:] if negated else factor)
-        if m:
-            at = offset + fstart
-            j = parse_int(m.group(1), full, at)
+        sign = 1 if factor.startswith("-") else 0
+        if factor[sign:] == "sqrt2":
+            coeff = coeff * SQRT2
+        elif m := _VAR_RE.fullmatch(factor, sign):
+            j = parse_int(m[1], full, at)
             if j >= n:
                 raise ParseError(f"variable X{j} out of range for n={n}", full, at)
-            exp[j] += parse_int(m.group(2), full, at) if m.group(2) else 1
+            exp[j] += parse_int(m[2], full, at) if m[2] else 1
             if exp[j] > MAX_EXPONENT:
                 raise ParseError(f"exponent of X{j} over {MAX_EXPONENT}", full, at)
-            if negated:
-                coeff = -coeff
-            continue
-        if _RAT_RE.match(factor):
-            coeff = coeff * QSqrt2.parse(factor)
-            continue
-        raise ParseError(f"unrecognised factor {factor!r}", full, offset + fstart)
-    if not seen_factor:
-        raise ParseError("empty term", full, offset)
+        elif m := _RAT_RE.fullmatch(factor, sign):
+            den = parse_int(m[2], full, at) if m[2] else 1
+            if den == 0:
+                raise ParseError("zero denominator", full, at)
+            coeff = coeff * reduced(parse_int(m[1], full, at), 0, den)
+        else:
+            raise ParseError(f"unrecognised factor {factor!r}", full, at)
+        if sign:
+            coeff = -coeff
     return Poly.monomial(tuple(exp), coeff)

@@ -16,11 +16,8 @@ properties for printing and hashing.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from math import gcd, lcm
-
-from .errors import ParseError, parse_int
 
 
 class QSqrt2:
@@ -151,8 +148,9 @@ class QSqrt2:
 
     # -- text form -------------------------------------------------------
     #
-    # Grammar: "p/q + r/s*sqrt2" with either term optional; the printer is
-    # canonical ("0", "3", "-1/2*sqrt2", "1 + -1*sqrt2") and round-trips.
+    # The printer is canonical: "0", "3", "-1/2*sqrt2", "1 + -1*sqrt2".  There
+    # is no scalar parser: ``polyring.parse_poly`` reads a scalar as a
+    # constant polynomial, so this text round-trips through it.
 
     def __str__(self) -> str:
         a, b = self.a, self.b
@@ -165,10 +163,6 @@ class QSqrt2:
 
     def __repr__(self) -> str:
         return f"QSqrt2({self.a}, {self.b})"
-
-    @classmethod
-    def parse(cls, text: str) -> "QSqrt2":
-        return _parse(text)
 
 
 def reduced(p: int, q: int, d: int) -> QSqrt2:
@@ -198,57 +192,3 @@ def _difference(x: QSqrt2, y: QSqrt2) -> QSqrt2:
 ZERO = QSqrt2(0)
 ONE = QSqrt2(1)
 SQRT2 = QSqrt2(0, 1)
-
-_TERM_RE = re.compile(
-    r"""\s*(?P<sign>[+-])?\s*
-        (?:
-            (?P<rat>\d+(?:/\d+)?)\s*(?P<star>\*\s*sqrt2)?
-          | (?P<sqrt>sqrt2)
-        )""",
-    re.VERBOSE,
-)
-
-
-def _parse(text: str) -> QSqrt2:
-    pos = 0
-    total_a = Fraction(0)
-    total_b = Fraction(0)
-    n_terms = 0
-    expect_sep = False
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        if expect_sep:
-            if text[pos] == "+":
-                pos += 1
-                expect_sep = False
-                continue
-            # a '-' both separates and signs the next term
-            if text[pos] == "-":
-                expect_sep = False
-                continue
-            raise ParseError("expected '+' or '-' between terms", text, pos)
-        m = _TERM_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            raise ParseError("expected a rational or sqrt2 term", text, pos)
-        sign = -1 if m.group("sign") == "-" else 1
-        if m.group("sqrt"):
-            total_b += sign
-        else:
-            at = m.start("rat")
-            num, _, den = m.group("rat").partition("/")
-            den = parse_int(den or "1", text, at)
-            if den == 0:
-                raise ParseError("zero denominator", text, at)
-            coeff = Fraction(sign * parse_int(num, text, at), den)
-            if m.group("star"):
-                total_b += coeff
-            else:
-                total_a += coeff
-        pos = m.end()
-        n_terms += 1
-        expect_sep = True
-    if n_terms == 0:
-        raise ParseError("empty scalar", text, 0)
-    return QSqrt2(total_a, total_b)

@@ -116,7 +116,7 @@ def make_word(alphabet: Alphabet, letters: Iterable) -> BraidWord:
     return BraidWord(alphabet, tuple(map(alphabet.check_letter, letters)))
 
 
-_TOKEN_RE = re.compile(r"(sig|zet|s|z)(-?\d+)(?:\^(-?\d+))?$")
+_TOKEN_RE = re.compile(r"(sig|zet|s|z)(-?[0-9]+)(?:\^(-?[0-9]+))?$")
 
 
 @lru_cache(maxsize=None)

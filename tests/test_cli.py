@@ -287,6 +287,7 @@ def test_an_unequal_pair_composes_its_context_once(capsys):
         "parse error: index 9 outside 0..7 at position 3: 's0 s9 s0 s1 s0 s1'\n",
     ),
     ("s0 s1 s0 s1 z3", "s1 s0 q1 s0 z3", "parse error: unknown letter 'q1' at position 6: 's1 s0 q1 s0 z3'\n"),
+    ("s١", "s1", "parse error: unknown letter 's١' at position 0: 's١'\n"),
     (
         "s0 s1 z0 s3", "s0 s1 z0 s3^-2",
         "parse error: exponent -2 not supported at position 9: 's0 s1 z0 s3^-2'\n",
@@ -594,7 +595,7 @@ _Z0Z0_CERT = {
                 "inverse": [{"degree": 0, "matrix": [["1"]]}],
             },
             "parse error: certificate 'z0 z0 ~ ', forward, degree 0, entry (0,0): "
-            "zero denominator at position 0: '1/0'",
+            "zero denominator at position 0: '1/0*X0'\n",
         ),
         (
             {
@@ -612,6 +613,34 @@ _Z0Z0_CERT = {
             },
             "parse error: certificate 's0 ~ s0', forward, degree 0, entry (1,0): "
             "variable X7 out of range for n=2 at position 0: 'X7'",
+        ),
+        (
+            {
+                "format": "braidcert.certificate.v1",
+                "relation": "z0 z0 ~ ",
+                "kind": "iso",
+                "group": "vbB",
+                "n": 2,
+                "words": ["z0 z0", ""],
+                "forward": [{"degree": 0, "matrix": [["(1 - sqrt2)*X0"]]}],
+                "inverse": [{"degree": 0, "matrix": [["1"]]}],
+            },
+            "parse error: certificate 'z0 z0 ~ ', forward, degree 0, entry (0,0): "
+            "unrecognised factor '1 - sqrt2' at position 1: '(1 - sqrt2)*X0'\n",
+        ),
+        (
+            {
+                "format": "braidcert.certificate.v1",
+                "relation": "z0 z0 ~ ",
+                "kind": "iso",
+                "group": "vbB",
+                "n": 2,
+                "words": ["z0 z0", ""],
+                "forward": [{"degree": 0, "matrix": [["X١"]]}],
+                "inverse": [{"degree": 0, "matrix": [["1"]]}],
+            },
+            "parse error: certificate 'z0 z0 ~ ', forward, degree 0, entry (0,0): "
+            "unrecognised factor 'X١' at position 0: 'X١'\n",
         ),
         (
             {
@@ -747,6 +776,8 @@ _Z0Z0_CERT = {
         "report-without-entries",
         "zero-denominator",
         "bad-variable",
+        "minus-between-terms-in-parentheses",
+        "non-ascii-digit",
         "repeated-bad-text-names-the-first-entry",
         "repeated-degree",
         "wrong-shape",

@@ -180,9 +180,66 @@ def test_parse_poly_errors():
         parse_poly("", 2)
 
 
+def test_parse_errors_carry_positions():
+    for text, message, position in [
+        ("1 + bogus", "unrecognised factor 'bogus'", 3),
+        ("1/0", "zero denominator", 0),
+        ("1 + 3/00*sqrt2", "zero denominator", 3),
+        ("(1 + 3/00*sqrt2)*X0", "zero denominator", 4),
+        ("X0*(1", "unbalanced '('", 4),
+        ("(1))*X0", "unbalanced ')'", 3),
+        ("()*X0", "empty polynomial", 1),
+        # spellings no printer writes
+        ("(1 - sqrt2)*X0", "unrecognised factor '1 - sqrt2'", 1),
+        ("(X0)*X1", "expected a number in parentheses", 0),
+        ("1 + (1 + X0)*X1", "expected a number in parentheses", 3),
+        ("+1", "empty term", 0),
+        ("(+1)*X0", "empty term", 1),
+        ("- 1*X0", "unrecognised factor '- 1'", 0),
+        ("--1*X0", "unrecognised factor '--1'", 0),
+        ("X0 - X1", "unrecognised factor 'X0 - X1'", 0),
+        # int() reads any Unicode digit: "X١^٢ + ١/٢" was once read as "X1^2 + 1/2"
+        ("X١^٢ + ١/٢", "unrecognised factor 'X١^٢'", 0),
+        ("X1^2 + ١/٢", "unrecognised factor '١/٢'", 6),
+        ("(١)*X0", "unrecognised factor '١'", 1),
+    ]:
+        with pytest.raises(ParseError) as exc:
+            parse_poly(text, 2)
+        assert (exc.value.message, exc.value.position) == (message, position), text
+
+
+def test_constants_parse_like_the_scalar_printer():
+    n = 2
+    for text, value in [
+        ("-1/2*sqrt2", QSqrt2(0, Fraction(-1, 2))),
+        ("3", QSqrt2(3)),
+        ("sqrt2", QSqrt2(0, 1)),
+        ("-sqrt2", QSqrt2(0, -1)),
+        ("1 + -1/2*sqrt2", QSqrt2(1, Fraction(-1, 2))),
+        ("(1 + -1/2*sqrt2)", QSqrt2(1, Fraction(-1, 2))),
+        ("((1/2))*(2*sqrt2)", QSqrt2(0, 1)),
+    ]:
+        assert parse_poly(text, n) == Poly.constant(n, value), text
+
+
+@given(coeffs, st.integers(1, 4))
+def test_scalar_text_round_trip(x, n):
+    # a scalar's own text is a sum of constant terms; format_poly parenthesises it
+    constant = Poly.constant(n, x)
+    assert parse_poly(format_poly(constant), n) == constant
+    assert parse_poly(str(x), n) == constant
+
+
 def test_over_long_numbers_are_parse_errors():
     digits = "1" * 5000
-    for text, position in [(f"X{digits}", 0), (f"1 + X0^{digits}", 3), (f"1 + -X{digits}*X1", 3)]:
+    for text, position in [
+        (f"X{digits}", 0),
+        (f"1 + X0^{digits}", 3),
+        (f"1 + -X{digits}*X1", 3),
+        (digits, 0),
+        (f"1 + 1/{digits}*sqrt2", 3),
+        (f"(1 + -{digits}*sqrt2)*X0", 4),
+    ]:
         with pytest.raises(ParseError) as exc:
             parse_poly(text, 2)
         assert exc.value.position == position, text

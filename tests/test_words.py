@@ -53,6 +53,10 @@ def test_parse_error_names_the_rule_broken():
         ("z1 s3", "index 3 outside 0..2", 3),
         ("z0^2", "involution letter z0 cannot carry exponent 2", 0),
         ("s1 s2^3", "exponent 3 not supported", 3),
+        # int() reads any Unicode digit: "s١" was once read as "s1"
+        ("s١", "unknown letter 's١'", 0),
+        ("s0 z١^-1", "unknown letter 'z١^-1'", 3),
+        ("s1^-١", "unknown letter 's1^-١'", 0),
     ]:
         with pytest.raises(ParseError) as exc:
             parse_word(text, ab)
