@@ -182,9 +182,6 @@ def test_parse_poly_errors():
 
 def test_parse_errors_carry_positions():
     for text, message, position in [
-        ("1 + bogus", "unrecognised factor 'bogus'", 3),
-        ("1/0", "zero denominator", 0),
-        ("1 + 3/00*sqrt2", "zero denominator", 3),
         ("(1 + 3/00*sqrt2)*X0", "zero denominator", 4),
         ("X0*(1", "unbalanced '('", 4),
         ("(1))*X0", "unbalanced ')'", 3),
@@ -236,8 +233,6 @@ def test_over_long_numbers_are_parse_errors():
         (f"X{digits}", 0),
         (f"1 + X0^{digits}", 3),
         (f"1 + -X{digits}*X1", 3),
-        (digits, 0),
-        (f"1 + 1/{digits}*sqrt2", 3),
         (f"(1 + -{digits}*sqrt2)*X0", 4),
     ]:
         with pytest.raises(ParseError) as exc:

@@ -4,6 +4,8 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
+from braidcert.errors import ParseError
+from braidcert.polyring import parse_poly
 from braidcert.scalars import ONE, SQRT2, QSqrt2
 
 rationals = st.fractions(max_denominator=50)
@@ -44,6 +46,32 @@ def test_printed_forms():
         "-1/2*sqrt2",
         "1 + -1*sqrt2",
     ]
+
+
+# Certificate numbers are read as constant polynomials, so these parse
+# through parse_poly; positions are those in the whole entry.
+def test_parse_error_carries_position():
+    with pytest.raises(ParseError) as exc:
+        parse_poly("1 + bogus", 1)
+    assert (exc.value.message, exc.value.position) == ("unrecognised factor 'bogus'", 3)
+    with pytest.raises(ParseError):
+        parse_poly("", 1)
+
+
+def test_zero_denominator_is_parse_error():
+    for text, position in [("1/0", 0), ("1 + 3/00*sqrt2", 3)]:
+        with pytest.raises(ParseError) as exc:
+            parse_poly(text, 1)
+        assert (exc.value.message, exc.value.position) == ("zero denominator", position), text
+
+
+def test_over_long_numbers_are_parse_errors():
+    digits = "1" * 5000
+    for text, position in [(digits, 0), (f"1 + 1/{digits}*sqrt2", 3)]:
+        with pytest.raises(ParseError) as exc:
+            parse_poly(text, 1)
+        assert exc.value.position == position, text
+        assert exc.value.message == "number too long (5000 digits)"
 
 
 @given(scalars, scalars, scalars)
