@@ -118,6 +118,13 @@ for k in 0 1; do
     grep -Eq "^parse error: certificate 'z0 s0 s1 s0 s1 ~ z0 s1 s0 s1 s0', forward, degree -?[0-9]+, entry \(0,0\): unrecognised factor " respelled.err
 done
 
+echo "== --n takes ASCII digits only (an Arabic-Indic three is a usage error, exit 2)"
+status=0
+braidcert distinguish s0 s1 --n "٣" 2> ascii_n.err || status=$?
+cat ascii_n.err
+test "$status" -eq 2
+grep -q 'argument --n: expected ASCII digits' ascii_n.err
+
 echo "== A truncated JSON file is a one-line error that names the file (exit 2)"
 head -c 100 pair.json > truncated.json
 status=0

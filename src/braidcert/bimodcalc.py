@@ -8,13 +8,13 @@ matrix in the chosen left basis.  Matrices act on coordinate columns:
 degree ``deg[l] + 2 - deg[k]``.
 
 A matrix is a list of rows, one per target basis element, and each row is a
-``{column: Poly}`` dict, the row format ``linalg`` uses for scalars.  No zero
-polynomial is ever stored, so two matrices are equal exactly when ``==`` says
-so, and every routine below visits only the stored entries.  Nothing in a
-matrix records its column count: that is the rank of the source, which the
-``Morphism`` or ``Bimodule`` holding the matrix carries.  Dense lists of
-lists appear only in ``from_dense``, for literal matrices, and at the JSON
-boundary of certificates.
+``{column: Poly}`` dict: a ``linalg`` row with polynomials for its triples.
+No zero polynomial is ever stored, so two matrices are equal exactly when
+``==`` says so, and every routine below visits only the stored entries.
+Nothing in a matrix records its column count: that is the rank of the
+source, which the ``Morphism`` or ``Bimodule`` holding the matrix carries.
+Dense lists of lists appear only in ``from_dense``, for literal matrices,
+and at the JSON boundary of certificates.
 
 A polynomial crosses a bimodule as the matrix of right multiplication by it
 (``Bimodule.action_of``), which is how ``id_tensor`` and ``tensor`` move
@@ -44,13 +44,12 @@ Q(sqrt2).
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add
 from typing import Sequence
 
 from . import coxeter, linalg
 from .coxeter import Reflection, demazure_decompose
-from .polyring import Poly, _from_sums, _mul_into, _sums_of, format_poly, monomial_exponents
-from .scalars import ONE, ZERO, QSqrt2
+from .polyring import _PACKED, Poly, _from_sums, _mul_into, _sums_of, format_poly, monomial_exponents
+from .scalars import ONE, ZERO, QSqrt2, reduced
 
 Matrix = list  # list of {column: non-zero Poly} rows
 
@@ -564,38 +563,85 @@ def solve_morphisms(m: Bimodule, target: Bimodule) -> list:
 
 
 def _solve_pane(m, sspan, target, tspan):
+    """A basis of the degree-0 maps from block ``sspan`` of ``m`` to block ``tspan`` of ``target``.
+
+    Each unknown entry ``(k, l)`` is a combination of the monomials of the
+    degree the grading forces, one variable per monomial.  The equations are
+    the monomial coefficients of every entry of ``F A_src - A_tgt F``, one
+    action at a time.  They are summed as unreduced ``(p, q, d)`` triples
+    keyed by packed monomial codes (``polyring._PACKED``), the format of the
+    product kernel's sums, and handed to ``linalg`` as they are, without the
+    zero ones.
+    """
     n = m.n
     ss, se = sspan
     ts, te = tspan
     src_deg = m.basis_degrees
     tgt_deg = target.basis_degrees
-    # unknown slots per entry: (local k, local l) -> [(exponent, variable index)]
-    entry_vars: dict = {}
+    packed = _PACKED
+    exps_of: dict = {}  # degree -> its monomials
+    # the unknown entries (local k, local l) by column and by row, each with
+    # its slots [(packed exponent, variable index)]
+    by_col: dict = {}
+    by_row: dict = {}
     slots: list = []
     for k in range(te - ts):
         for l in range(se - ss):
             delta = src_deg[ss + l] - tgt_deg[ts + k]
-            exps = monomial_exponents(n, delta)
+            exps = exps_of.get(delta)
+            if exps is None:
+                exps = exps_of[delta] = monomial_exponents(n, delta)
             if exps:
-                entry_vars[(k, l)] = [(exp, len(slots) + i) for i, exp in enumerate(exps)]
+                variables = [(packed[exp], len(slots) + i) for i, exp in enumerate(exps)]
+                by_col.setdefault(l, []).append((k, variables))
+                by_row.setdefault(k, []).append((l, variables))
                 slots.extend((k, l, exp) for exp in exps)
     if not slots:
         return []
     rows: list = []
     for j in range(n):
-        # (local k, local l) -> entry (k, l) of F*A_src - A_tgt*F, expanded over monomials
-        eqs: dict = {}
+        # the products of F*A_src - A_tgt*F: (entry (k, l), the unknown
+        # entry's slots, the known entry's (packed exponent, triple) terms)
+        products: list = []
         for mm in range(se - ss):
+            unknowns = by_col.get(mm)
+            if not unknowns:
+                continue
             for l, a in sorted(m.actions[j][ss + mm].items()):
-                for k in range(te - ts):
-                    _accumulate(eqs.setdefault((k, l - ss), {}), entry_vars.get((k, mm)), a)
+                terms = _sums_of(a.terms).items()
+                products += [((k, l - ss), variables, terms) for k, variables in unknowns]
         for k in range(te - ts):
             for mm, b in sorted(target.actions[j][ts + k].items()):
-                minus_b = -b
-                for l in range(se - ss):
-                    _accumulate(eqs.setdefault((k, l), {}), entry_vars.get((mm - ts, l)), minus_b)
+                unknowns = by_row.get(mm - ts)
+                if unknowns:
+                    terms = [(code, (-p, -q, d)) for code, (p, q, d) in _sums_of(b.terms).items()]
+                    products += [((k, l), variables, terms) for l, variables in unknowns]
+        # (k, l) -> packed monomial -> {variable: unreduced sum}; a sum that
+        # cancels stays, as a zero, until the rows are read off below
+        eqs: dict = {}
+        for kl, variables, terms in products:
+            eq = eqs.get(kl)
+            if eq is None:
+                eq = eqs[kl] = {}
+            for code, var in variables:
+                for acode, c in terms:
+                    mono = code + acode
+                    row = eq.get(mono)
+                    if row is None:
+                        eq[mono] = {var: c}
+                        continue
+                    s = row.get(var)
+                    if s is None:
+                        row[var] = c
+                    elif s[2] == c[2]:
+                        row[var] = (s[0] + c[0], s[1] + c[1], c[2])
+                    else:
+                        row[var] = (s[0] * c[2] + c[0] * s[2], s[1] * c[2] + c[1] * s[2], s[2] * c[2])
         for kl in sorted(eqs):
-            rows += [row for row in eqs[kl].values() if row]
+            for sums in eqs[kl].values():
+                row = {var: s for var, s in sums.items() if s[0] or s[1]}
+                if row:
+                    rows.append(row)
     kernel = linalg.kernel_basis(rows, len(slots))
     out = []
     for vec in kernel:
@@ -603,31 +649,8 @@ def _solve_pane(m, sspan, target, tspan):
         for var, coeff in vec.items():
             k, l, exp = slots[var]
             poly = entries.get((k, l))
-            term = Poly.monomial(exp, coeff)
-            entries[(k, l)] = term if poly is None else poly + term
-        out.append({kl: p for kl, p in entries.items() if p})
+            if poly is None:
+                poly = entries[(k, l)] = Poly(n)
+            poly.terms[exp] = reduced(*coeff)
+        out.append(entries)
     return out
-
-
-def _accumulate(eq, variables, known_poly):
-    """Add ``known_poly * (unknown entry)`` to the residual equations."""
-    if not variables:
-        return
-    terms = known_poly.terms.items()
-    for exp, var in variables:
-        for aexp, c in terms:
-            mono = tuple(map(add, exp, aexp))
-            row = eq.get(mono)
-            if row is None:
-                eq[mono] = {var: c}
-                continue
-            prev = row.get(var)
-            if prev is None:
-                row[var] = c
-            else:
-                c = prev + c
-                if c:
-                    row[var] = c
-                else:
-                    del row[var]
-

@@ -337,6 +337,17 @@ def _keyword(root: dict, schema: dict, key: str):
     raise ValueError(f"unsupported schema keyword {key!r}: {arg!r}")
 
 
+def _strand_count(text: str) -> int:
+    """The value of ``--n``: ASCII digits only, like every grammar here.
+
+    ``int`` would also read the digits of other scripts, a sign, spaces and
+    underscores.  Anything else is a usage error.
+    """
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected ASCII digits, got {text!r}")
+    return int(text)
+
+
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process (parsing leaves it unchanged)."""
@@ -350,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, group=True):
-        p.add_argument("--n", type=int, required=True, help="strand parameter (2..8)")
+        p.add_argument("--n", type=_strand_count, required=True, help="strand parameter (ASCII digits, 2..8)")
         if group:
             p.add_argument("--group", choices=["vbA", "vbB"], default="vbB")
         p.add_argument("--format", choices=["text", "json"], default="text")

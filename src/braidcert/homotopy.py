@@ -52,7 +52,9 @@ holds the degree-0 morphisms ``c_k -> d_{k+p}``, with differential
 once, and ``_slot_vector`` and ``_equations`` make its three linear problems:
 the chain maps ``Z^0 = ker delta`` on ``Hom^0`` (``chain_map_space``), the
 null-homotopic maps ``B^0 = delta(Hom^-1)`` (``homotopy_classes``) and the
-solve of ``g f + delta h = id`` (``_solve_homotopy_for``).
+solve of ``g f + delta h = id`` (``_solve_homotopy_for``).  They are written
+straight from the unreduced sums of the product kernel
+(``_product_sums``), with no ``Poly`` built per entry.
 
 The homotopy search is decided by ``H^0 Hom(c, d) = Z^0 / B^0``.  Every
 word goes to an invertible complex, so ``H^0 End(F(w)) = End^0(R) = Q(sqrt2)``
@@ -77,6 +79,7 @@ from .bimodcalc import (
     Bimodule,
     Matrix,
     Morphism,
+    _add_products,
     bimodule_R,
     bimodule_Rw,
     bimodule_Bs,
@@ -93,8 +96,8 @@ from .bimodcalc import (
 )
 from .coxeter import make_reflection
 from .errors import ParseError
-from .polyring import Poly, format_poly, parse_poly
-from .scalars import ZERO, QSqrt2
+from .polyring import Poly, _sums_of, format_poly, parse_poly
+from .scalars import reduced
 from .words import REPORT_FORMAT, Alphabet, BraidWord, format_word, parse_word, relator_table, split_common
 
 
@@ -444,32 +447,55 @@ def _hom_basis(x: Complex, y: Complex, offset: int, start: int) -> tuple:
 def _delta(x: Complex, y: Complex, p: int, k: int, h: Morphism) -> dict:
     """``delta h = d h - (-1)^p h d`` for ``h: x_k -> y_{k+p}`` in ``Hom^p(x, y)``.
 
-    Returns ``{source degree: matrix}``: ``d h`` starts in degree ``k`` and
-    ``h d`` in degree ``k - 1``.
+    Returns ``{source degree: sums}`` (see ``_product_sums``): ``d h`` starts
+    in degree ``k`` and ``h d`` in degree ``k - 1``.
     """
-    hd = h.compose(x.diff_at(k - 1)).matrix
+    hd = _product_sums(h.after(x.diff_at(k - 1)))
     if p % 2 == 0:
-        hd = [{j: -e for j, e in row.items()} for row in hd]
-    return {k: y.diff_at(k + p).compose(h).matrix, k - 1: hd}
+        for row in hd:
+            for acc in row.values():
+                for e, (a, b, c) in acc.items():
+                    acc[e] = (-a, -b, c)
+    return {k: _product_sums(y.diff_at(k + p).after(h)), k - 1: hd}
 
 
-def _slot_vector(matrices: dict) -> dict:
-    """``{(degree, row, col, monomial): coefficient}`` of ``{degree: matrix}``."""
+def _product_sums(factors: tuple) -> list:
+    """The product of the matrix pair ``factors`` as sums, with no ``Poly`` built.
+
+    One row per row of the product, ``{column: polyring._mul_into dict}``:
+    each entry maps a packed exponent to an unreduced ``(p, q, d)`` sum.
+    """
+    return [_add_products({}, (factors,), i) for i in range(len(factors[0]))]
+
+
+def _poly_sums(matrix: Matrix) -> list:
+    """A matrix of ``Poly`` entries in the form ``_product_sums`` returns."""
+    return [{j: _sums_of(x.terms) for j, x in row.items()} for row in matrix]
+
+
+def _slot_vector(sums: dict) -> dict:
+    """``{(degree, row, col, packed monomial): triple}`` of the non-zero coefficients of ``{degree: sums}``.
+
+    ``sums`` is in the form ``_product_sums`` returns; its unreduced sums are
+    the triples ``linalg`` takes.
+    """
     return {
-        (k, a, b, mono): coeff
-        for k, m in matrices.items()
-        for a, row in enumerate(m)
-        for b, poly in row.items()
-        for mono, coeff in poly.terms.items()
+        (k, a, b, code): s
+        for k, rows in sums.items()
+        for a, row in enumerate(rows)
+        for b, acc in row.items()
+        for code, s in acc.items()
+        if s[0] or s[1]
     }
 
 
 def _equations(terms, target: dict | None = None) -> tuple:
     """The system "sum of variable-weighted per-degree matrices = ``target``".
 
-    ``terms`` yields ``(variable, {degree: matrix})``, one term per variable;
-    ``target`` is ``{degree: matrix}`` or None for zero.  Returns the parallel
-    lists ``(rows, rhs)``: one equation ``{variable: coefficient}`` per slot
+    ``terms`` yields ``(variable, {degree: sums})``, one term per variable;
+    ``target`` is ``{degree: sums}`` or None for zero, each in the form
+    ``_product_sums`` returns.  Returns the parallel lists ``(rows, rhs)``
+    for ``linalg``: one equation ``{variable: triple}`` per slot
     (``_slot_vector``) that a term or the target touches, in slot order.
     """
     slots: dict = {}
@@ -478,20 +504,21 @@ def _equations(terms, target: dict | None = None) -> tuple:
             slots.setdefault(slot, {})[var] = coeff
     want = _slot_vector(target or {})
     order = sorted(slots.keys() | want.keys())
-    return [slots.get(s, {}) for s in order], [want.get(s, ZERO) for s in order]
+    return [slots.get(s, {}) for s in order], [want.get(s, (0, 0, 1)) for s in order]
 
 
 def _combine(weighted) -> dict:
     """Per-degree sums of ``coeff * morphism`` over ``(coeff, {degree: morphism})``.
 
-    Zero coefficients are skipped and degrees whose total is zero dropped; a
-    missing degree reads as the zero morphism in ``ChainMap.component`` and in
-    the verifier.
+    A coefficient is a ``linalg`` triple, or None for zero; zero terms are
+    skipped and degrees whose total is zero dropped.  A missing degree reads
+    as the zero morphism in ``ChainMap.component`` and in the verifier.
     """
     totals: dict = {}
     for coeff, components in weighted:
-        if not coeff:
+        if coeff is None:
             continue
+        coeff = reduced(*coeff)
         for k, m in components.items():
             piece = m.scale(coeff)
             cur = totals.get(k)
@@ -562,7 +589,7 @@ def homotopy_classes(c: Complex, d: Complex, fb: list) -> tuple:
     dimension of ``H^0`` is the rank of the classes.
     """
     ech = linalg._Echelon(_slot_vector(_delta(c, d, -1, k, h)) for _, k, h in _hom_basis(c, d, -1, 0)[0])
-    classes = [ech.reduce(_slot_vector({k: m.matrix for k, m in f.components.items()})) for f in fb]
+    classes = [ech.reduce(_slot_vector({k: _poly_sums(m.matrix) for k, m in f.components.items()})) for f in fb]
     return classes, sum(ech.insert(dict(v)) for v in classes)
 
 
@@ -572,7 +599,7 @@ def _candidate_iter(basis: list):
     if len(basis) > 1:
         # a generic-looking weighted combination often hits the invertible locus
         primes = [1, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
-        comps = _combine((QSqrt2(primes[i % len(primes)]), b.components) for i, b in enumerate(basis))
+        comps = _combine(((primes[i % len(primes)], 0, 1), b.components) for i, b in enumerate(basis))
         yield ChainMap(basis[0].source, basis[0].target, comps)
 
 
@@ -591,12 +618,16 @@ def _solve_homotopy_for(f: ChainMap, gb: list):
     tgt_basis = _hom_basis(f.target, f.target, -1, nvars)[0]
     rows: list = []
     rhs: list = []
-    for cx, basis, composite in ((f.source, src_basis, lambda g: g.compose(f)), (f.target, tgt_basis, f.compose)):
+    sides = (
+        (f.source, src_basis, lambda g: _composite_sums(g, f)),
+        (f.target, tgt_basis, lambda g: _composite_sums(f, g)),
+    )
+    for cx, basis, composite in sides:
         terms = itertools.chain(
-            ((j, {k: m.matrix for k, m in composite(g).components.items()}) for j, g in enumerate(gb)),
+            ((j, composite(g)) for j, g in enumerate(gb)),
             ((v, _delta(cx, cx, -1, k, h)) for v, k, h in basis),
         )
-        eqs, want = _equations(terms, {k: mat_identity(obj.rank, cx.n) for k, obj in cx.objects.items()})
+        eqs, want = _equations(terms, {k: _poly_sums(mat_identity(obj.rank, cx.n)) for k, obj in cx.objects.items()})
         rows += eqs
         rhs += want
     solution = linalg.solve_affine(rows, rhs)
@@ -605,6 +636,12 @@ def _solve_homotopy_for(f: ChainMap, gb: list):
     g_map = ChainMap(f.target, f.source, _combine((solution.get(j), g.components) for j, g in enumerate(gb)))
     h_src, h_tgt = (_combine((solution.get(v), {k: h}) for v, k, h in basis) for basis in (src_basis, tgt_basis))
     return HomotopyEquivalence(f, g_map, h_src, h_tgt)
+
+
+def _composite_sums(second: ChainMap, first: ChainMap) -> dict:
+    """``second`` after ``first`` as ``{degree: sums}`` (``_product_sums``)."""
+    degrees = set(second.components) | set(first.components)
+    return {k: _product_sums(second.component(k).after(first.component(k))) for k in degrees}
 
 
 # -- certificates -------------------------------------------------------------------

@@ -1,49 +1,82 @@
-"""Exact sparse linear algebra over Q(sqrt2).
+"""Exact sparse linear algebra over Q(sqrt2), on int triples.
 
-Rows are ``{column index: QSqrt2}`` dicts.  One eliminator, ``_Echelon``,
-sits behind four entry points: ``kernel_basis``, ``solve_affine``,
-``dense_rank`` and ``dense_inverse``.  It keeps the reduced row-echelon form
-of the rows inserted so far, choosing each pivot as the smallest column left
-in an incoming row.  The reduced row-echelon form of a row space is unique,
-so every output (kernel vectors, with free columns ascending; the solution
-with free variables at 0; the rank; the inverse) is canonical: it does not
-depend on the order in which rows are inserted, only the running time does.
+An entry is a triple of ints ``(p, q, d)``, meaning ``(p + q*sqrt2)/d`` with
+``d > 0``, and a row is a ``{column: triple}`` dict that stores no zero.
+``kernel_basis`` and ``solve_affine`` take and return such rows.  An entry
+they take need not be in lowest terms, so the callers hand over the
+unreduced sums of ``polyring``'s product kernel as they are; every entry
+the eliminator stores, and so every entry it returns, is in lowest terms
+(``scalars.reduced_triple``, the one normalisation).  The callers make a
+``QSqrt2`` of an entry only where it becomes a polynomial coefficient.
+``dense_rank`` and ``dense_inverse`` take small dense ``QSqrt2`` matrices
+and convert at the boundary.
+
+One eliminator, ``_Echelon``, sits behind the four entry points.  It keeps
+the reduced row-echelon form of the rows inserted so far, choosing each
+pivot as the smallest column left in an incoming row.  The reduced
+row-echelon form of a row space is unique, so every output (kernel vectors,
+with free columns ascending; the solution with free variables at 0; the
+rank; the inverse) is canonical: it does not depend on the order in which
+rows are inserted, only the running time does.
 
 So ``_Echelon`` inserts its rows sparsest first (a stable sort on the number
 of non-zero entries, in the spirit of Markowitz's ordering).  Sparse rows
 make sparse pivot rows, which keep the fill-in of every later reduction
 small.
 
-Both ways a row changes (reducing an incoming row, and keeping the earlier
-pivot rows reduced against a new one) are one fused row update,
-``_sub_multiple``: ``row -= factor * pivot`` computed in ints on the
-``(p, q, d)`` triples, with one ``scalars.reduced`` call per entry.
+A pivot row is 1 at its pivot column, so ``_Echelon`` keeps only the rest
+of it.  Reducing a row against a pivot pops the row's entry ``f`` at the
+pivot column and subtracts ``f`` times the rest, in one fused row update,
+``_sub_multiple`` (``row -= f * rest`` in ints, with one normalisation per
+entry).
+
+Dead columns.  A pivot row with one entry, ``{c: (1, 0, 1)}``, says only
+``x_c = 0``.  Its rest is empty and its column is dead: reducing a row
+against it only deletes the row's entry at ``c``, and keeping the other
+pivot rows reduced against it only deletes theirs.  The other pivot rows
+are live.  Only they take part in row updates, and only they are read back
+for kernel vectors and solutions, since a dead row has no entry at a free
+column.  A live row whose rest the updates empty becomes dead.  This is the
+singleton-column step of structured Gaussian elimination (LaMacchia and
+Odlyzko, "Solving large sparse linear systems over finite fields", 1990).
 """
 
 from __future__ import annotations
 
-from .scalars import ONE, ZERO, reduced
+from .scalars import ZERO, inverse_triple, reduced, reduced_triple
 
 Row = dict
 
+UNIT = (1, 0, 1)
+
 
 class _Echelon:
-    """Incrementally maintained reduced row-echelon collection."""
+    """Incrementally maintained reduced row-echelon collection.
+
+    ``pivots`` maps every pivot column, in the order the rows were adopted,
+    to the rest of its normalized row: the row without its pivot entry,
+    which is 1.  A dead column's rest is empty.  ``live`` holds the columns
+    whose rest is not, in the same order.  No rest holds a pivot column.
+    """
 
     def __init__(self, rows=()) -> None:
-        self.pivots: dict = {}  # pivot column -> normalized row
+        self.pivots: dict = {}  # pivot column -> the rest of its normalized row
+        self.live: dict = {}  # the same, for the rests that are not empty
         for row in sorted(rows, key=len):  # sparsest first; see the module doc
             self.insert(row)
 
     def reduce(self, row: Row) -> Row:
         """Reduce ``row`` against the current pivots (row is consumed).
 
-        One pass is enough: ``insert`` keeps every pivot row free of the other
-        pivot columns, so subtracting one never brings a pivot column back.
+        One pass is enough: no rest holds a pivot column, so subtracting one
+        never brings a pivot column back.
         """
-        pivots = self.pivots
-        for col in sorted(c for c in row if c in pivots):
-            _sub_multiple(row, row[col], pivots[col])
+        pivots, live = self.pivots, self.live
+        for col in [c for c in row if c in pivots]:
+            factor = row.pop(col)
+            rest = live.get(col)
+            if rest is not None:
+                _sub_multiple(row, factor, rest)
         return row
 
     def insert(self, row: Row) -> bool:
@@ -52,81 +85,84 @@ class _Echelon:
         if not row:
             return False
         col = min(row)
-        inv = row[col].inverse()
-        normalized = {c: v * inv for c, v in row.items()}
-        # keep earlier pivot rows fully reduced against the new one
-        for prow in self.pivots.values():
-            f = prow.get(col)
-            if f is not None:
-                _sub_multiple(prow, f, normalized)
-        self.pivots[col] = normalized
+        ip, iq, id_ = inverse_triple(*row.pop(col))
+        iq2 = 2 * iq
+        rest = {c: reduced_triple(p * ip + q * iq2, p * iq + q * ip, d * id_) for c, (p, q, d) in row.items()}
+        # keep the live rows fully reduced against the new one; a live row
+        # whose rest empties is dead
+        live = self.live
+        for pcol, prest in [(pcol, prest) for pcol, prest in live.items() if col in prest]:
+            _sub_multiple(prest, prest.pop(col), rest)
+            if not prest:
+                del live[pcol]
+        self.pivots[col] = rest
+        if rest:
+            live[col] = rest
         return True
 
 
-def _sub_multiple(row: Row, factor, pivot: Row) -> None:
+def _sub_multiple(row: Row, factor: tuple, pivot: Row) -> None:
     """``row -= factor * pivot`` in place; entries that cancel are deleted.
 
-    Each entry is one int computation and one ``reduced`` call: the product
-    ``factor * v`` stays an unreduced ``(p, q, d)`` triple and is subtracted
-    from the current entry before the only gcd.  ``factor`` and the pivot
-    entries are non-zero, so an entry the row lacks never cancels.
+    Each entry is one int computation and one ``reduced_triple``: the
+    product ``factor * v`` stays unreduced and is subtracted from the
+    current entry before the only gcd.  ``factor`` and the pivot entries are
+    non-zero, so an entry the row lacks never cancels.
     """
-    fp, fq, fd = factor.p, factor.q, factor.d
+    fp, fq, fd = factor
     fq2 = 2 * fq
     get = row.get
-    for c, v in pivot.items():
-        vp, vq = v.p, v.q
+    for c, (vp, vq, vd) in pivot.items():
         pp = fp * vp + fq2 * vq
         pq = fp * vq + fq * vp
-        pd = fd * v.d
+        pd = fd * vd
         cur = get(c)
         if cur is None:
-            row[c] = reduced(-pp, -pq, pd)
+            row[c] = reduced_triple(-pp, -pq, pd)
             continue
-        cd = cur.d
+        cp, cq, cd = cur
         if cd == pd:
-            p, q = cur.p - pp, cur.q - pq
+            p, q = cp - pp, cq - pq
         else:
-            p, q, pd = cur.p * pd - pp * cd, cur.q * pd - pq * cd, cd * pd
+            p, q, pd = cp * pd - pp * cd, cq * pd - pq * cd, cd * pd
         if p or q:
-            row[c] = reduced(p, q, pd)
+            row[c] = reduced_triple(p, q, pd)
         else:
             del row[c]
 
 
 def kernel_basis(rows, ncols: int) -> list:
-    """Basis of ``{x : A x = 0}`` as column->value dicts, free columns ascending."""
+    """Basis of ``{x : A x = 0}`` as column->triple dicts, free columns ascending.
+
+    Each basis vector is 1 at its free column and ``-A'[p][free]`` at the
+    pivot column ``p`` of each live row of the echelon form ``A'`` that
+    holds the free column; a dead row holds none.
+    """
     ech = _Echelon(dict(row) for row in rows)
-    pivot_cols = set(ech.pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_cols:
-            continue
-        vec = {free: ONE}
-        for pcol, prow in ech.pivots.items():
-            coeff = prow.get(free)
-            if coeff:
-                vec[pcol] = -coeff
-        basis.append(vec)
-    return basis
+    vectors = {free: {free: UNIT} for free in range(ncols) if free not in ech.pivots}
+    for pcol, rest in ech.live.items():
+        for c, (p, q, d) in rest.items():
+            vectors[c][pcol] = (-p, -q, d)
+    return list(vectors.values())
 
 
 def solve_affine(rows, rhs) -> Row | None:
     """One solution of ``A x = b`` (free variables set to 0), or None.
 
     ``rows`` and ``rhs`` are parallel sequences; each row is a column dict and
-    each rhs entry a QSqrt2.
+    each rhs entry a triple, ``(0, 0, 1)`` for zero.  The solution is read
+    from the live rows: a dead row sets its variable to 0.
     """
     ech = _Echelon(
-        {**row, _RHS_COL: -b} if b else dict(row) for row, b in zip(rows, rhs)
+        {**row, _RHS_COL: (-b[0], -b[1], b[2])} if b[0] or b[1] else dict(row) for row, b in zip(rows, rhs)
     )
     if _RHS_COL in ech.pivots:
         return None  # inconsistent: a row reduced to 0 = nonzero
     solution: Row = {}
-    for pcol, prow in ech.pivots.items():
-        b = prow.get(_RHS_COL)
-        if b:
-            solution[pcol] = -b
+    for pcol, rest in ech.live.items():
+        b = rest.get(_RHS_COL)
+        if b is not None:
+            solution[pcol] = (-b[0], -b[1], b[2])
     return solution
 
 
@@ -147,11 +183,11 @@ def dense_inverse(matrix) -> list | None:
     if any(len(r) != m for r in matrix):
         return None
     pivots = _Echelon(
-        {**_sparse(row), m + i: ONE} for i, row in enumerate(matrix)
+        {**_sparse(row), m + i: UNIT} for i, row in enumerate(matrix)
     ).pivots
     if any(i not in pivots for i in range(m)):
         return None
-    return [[pivots[i].get(m + j, ZERO) for j in range(m)] for i in range(m)]
+    return [[reduced(*pivots[i][m + j]) if m + j in pivots[i] else ZERO for j in range(m)] for i in range(m)]
 
 
 def dense_rank(matrix) -> int:
@@ -159,4 +195,5 @@ def dense_rank(matrix) -> int:
 
 
 def _sparse(row) -> Row:
-    return {j: v for j, v in enumerate(row) if v}
+    return {j: (v.p, v.q, v.d) for j, v in enumerate(row) if v}
+

@@ -14,6 +14,9 @@ one dict; ``bimodcalc.mat_mul`` and ``Bimodule.action_of`` fill one per
 output entry, so a sum of products builds one ``Poly``, not one per product.
 ``bimodcalc.mat_residuals`` fills one per entry and side of an identity and
 compares the sums as they are, so an identity that holds builds no ``Poly``.
+The homotopy search (``homotopy._delta``) fills one per entry of each
+product it needs and hands the sums to ``linalg`` as equation entries,
+again with no ``Poly`` built.
 """
 
 from __future__ import annotations
@@ -75,8 +78,11 @@ def _mul_into(acc: dict, terms1: dict, terms2: dict) -> None:
 
     ``terms1`` and ``terms2`` are ``Poly.terms`` dicts.  ``acc`` maps a packed
     exponent to an unreduced sum ``(p, q, d)``, meaning ``(p + q*sqrt2)/d``
-    with ``d > 0``; only ``_from_sums`` and ``bimodcalc.mat_residuals`` read
-    it, and ``_sums_of`` makes one from a polynomial.
+    with ``d > 0``.  ``_from_sums`` reads it into a ``Poly``,
+    ``bimodcalc.mat_residuals`` compares two, and ``homotopy._slot_vector``
+    hands its sums to ``linalg`` as equation entries.  ``_sums_of`` makes
+    one from a polynomial, which is how ``bimodcalc._solve_pane`` reads the
+    action entries it sums its equations from.
     """
     get = acc.get
     packed = _PACKED

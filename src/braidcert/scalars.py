@@ -107,15 +107,9 @@ class QSqrt2:
     __rmul__ = __mul__
 
     def inverse(self) -> "QSqrt2":
-        # d/(p + q*sqrt2) = d*(p - q*sqrt2) / (p^2 - 2 q^2); the norm is
-        # nonzero for nonzero values since sqrt2 is irrational.
-        p, q, d = self.p, self.q, self.d
-        norm = p * p - 2 * q * q
-        if norm == 0:
-            raise ZeroDivisionError("division by zero in Q(sqrt2)")
-        if norm < 0:
-            d, norm = -d, -norm
-        return reduced(d * p, -d * q, norm)
+        x = object.__new__(QSqrt2)
+        x.p, x.q, x.d = inverse_triple(self.p, self.q, self.d)
+        return x
 
     def __truediv__(self, other) -> "QSqrt2":
         o = self._coerce(other)
@@ -165,19 +159,42 @@ class QSqrt2:
         return f"QSqrt2({self.a}, {self.b})"
 
 
-def reduced(p: int, q: int, d: int) -> QSqrt2:
-    """``(p + q*sqrt2)/d`` for ``d > 0``, divided by ``gcd(p, q, d)``.
+def reduced_triple(p: int, q: int, d: int) -> tuple:
+    """``(p, q, d)`` for ``d > 0``, divided by ``gcd(p, q, d)``: the one normalisation.
 
-    Every operation ends here; ``polyring``'s product kernel sums products in
-    ints and calls it once per coefficient, and ``linalg``'s row update
-    (``row -= factor * pivot``) calls it once per entry it touches.
+    ``linalg`` keeps its rows as these triples, and ``reduced`` makes a
+    ``QSqrt2`` of one; ``inverse_triple`` and ``QSqrt2.inverse`` end here
+    too.
     """
     if d != 1:
         g = gcd(p, q, d)
         if g != 1:
-            p, q, d = p // g, q // g, d // g
+            return p // g, q // g, d // g
+    return p, q, d
+
+
+def inverse_triple(p: int, q: int, d: int) -> tuple:
+    """``1 / ((p + q*sqrt2)/d)`` as a triple in lowest terms.
+
+    It is ``d*(p - q*sqrt2) / (p^2 - 2 q^2)``; the norm is nonzero for
+    nonzero values since sqrt2 is irrational.
+    """
+    norm = p * p - 2 * q * q
+    if norm == 0:
+        raise ZeroDivisionError("division by zero in Q(sqrt2)")
+    if norm < 0:
+        d, norm = -d, -norm
+    return reduced_triple(d * p, -d * q, norm)
+
+
+def reduced(p: int, q: int, d: int) -> QSqrt2:
+    """The ``QSqrt2`` ``(p + q*sqrt2)/d`` for ``d > 0``, in lowest terms.
+
+    Every operator ends here, and so does ``polyring``'s product kernel,
+    which sums products in ints and calls it once per coefficient.
+    """
     x = object.__new__(QSqrt2)
-    x.p, x.q, x.d = p, q, d
+    x.p, x.q, x.d = reduced_triple(p, q, d)
     return x
 
 

@@ -473,6 +473,17 @@ def test_n_out_of_range(capsys):
         main(["check-relations", "--group", "vbB", "--n", "9"])
 
 
+@pytest.mark.parametrize("value", ["\u0663", "\uff13", "+3", " 3", "3_0", "-3", ""])
+def test_n_takes_ascii_digits_only(capsys, value):
+    # argparse's ``type=int`` read these (Arabic-Indic and fullwidth three
+    # ran at n = 3); they are usage errors, like an out-of-range n
+    with pytest.raises(SystemExit) as exc:
+        main(["distinguish", "s0", "s1", "--n", value])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert "--n: expected ASCII digits" in err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main([])

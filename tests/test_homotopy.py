@@ -42,8 +42,8 @@ from braidcert.homotopy import (
     tensor_complex,
     verify_certificate_dict,
 )
-from braidcert.polyring import Poly, format_poly
-from braidcert.scalars import QSqrt2
+from braidcert.polyring import Poly, _from_sums, format_poly
+from braidcert.scalars import QSqrt2, reduced_triple
 from braidcert.words import Alphabet, parse_word, split_common
 
 
@@ -406,7 +406,11 @@ def test_delta_of_a_homotopy_is_a_chain_map(pair):
     c, d = F_word(u, n), F_word(v, n)
     for _, k, h in homotopy._hom_basis(c, d, -1, 0)[0]:
         dh = homotopy._delta(c, d, -1, k, h)
-        f = ChainMap(c, d, {j: Morphism(c.object_at(j), d.object_at(j), m) for j, m in dh.items()})
+        # ``_delta`` leaves each entry as the product kernel's sums
+        matrices = {
+            j: [{b: p for b, acc in row.items() if (p := _from_sums(n, acc))} for row in sums] for j, sums in dh.items()
+        }
+        f = ChainMap(c, d, {j: Morphism(c.object_at(j), d.object_at(j), m) for j, m in matrices.items()})
         assert chain_map_failures(f) == []
 
 
@@ -1020,6 +1024,24 @@ def test_pairs_that_share_a_core_search_it_once_and_check_each_result(monkeypatc
         assert kind == "iso" and verify_certificate_dict(cert) == (True, [])
 
 
+def test_the_largest_certify_n2_system_is_the_relB3_pane(monkeypatch):
+    # every system certify --n 2 eliminates, with a fresh pane cache: the
+    # largest (rows x cols) is the 1044 x 303 pane of relB3, with one kernel
+    # vector, so a change to the pane builder's equation count shows here
+    shapes = []
+    kernel_basis = linalg.kernel_basis
+
+    def recorded(rows, ncols):
+        basis = kernel_basis(rows, ncols)
+        shapes.append((len(rows), ncols, len(basis)))
+        return basis
+
+    monkeypatch.setattr(linalg, "kernel_basis", recorded)
+    monkeypatch.setattr(bimodcalc, "_PANE_CACHE", {})
+    assert relation_certificates(2)["all_certified"]
+    assert max(shapes, key=lambda s: s[0] * s[1]) == (1044, 303, 1)
+
+
 def test_a_wrong_homotopy_solve_is_an_error(monkeypatch):
     # relB2 at n=3 is decided by one solve; a solution with one coefficient
     # doubled fails the certificate's check, which is an error, never NONE
@@ -1029,7 +1051,8 @@ def test_a_wrong_homotopy_solve_is_an_error(monkeypatch):
     def doubled(rows, rhs):
         solution = solve(rows, rhs)
         var = min(solution)
-        return {**solution, var: solution[var] * QSqrt2(2)}
+        p, q, d = solution[var]
+        return {**solution, var: reduced_triple(2 * p, 2 * q, d)}
 
     monkeypatch.setattr(linalg, "solve_affine", doubled)
     with pytest.raises(RuntimeError, match="fails its check"):

@@ -2,14 +2,35 @@ import copy
 from fractions import Fraction
 from math import gcd
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from braidcert import linalg
-from braidcert.scalars import ONE, QSqrt2
+from braidcert.scalars import QSqrt2, reduced
+
+UNIT = (1, 0, 1)
 
 
 def q(a, b=0):
     return QSqrt2(Fraction(a), Fraction(b))
+
+
+def t(x):
+    """The ``linalg`` triple of a QSqrt2."""
+    return (x.p, x.q, x.d)
+
+
+def tq(a, b=0):
+    return t(q(a, b))
+
+
+def values(vec):
+    """The QSqrt2 values of a ``linalg`` row."""
+    return {c: reduced(*x) for c, x in vec.items()}
+
+
+def sparse(matrix):
+    """The ``linalg`` rows of a dense QSqrt2 matrix."""
+    return [{j: t(v) for j, v in enumerate(row) if v} for row in matrix]
 
 
 entries = st.builds(QSqrt2, st.fractions(max_denominator=4), st.fractions(max_denominator=4))
@@ -62,17 +83,14 @@ def test_kernel_matches_bruteforce_and_annihilates(nrows, ncols, data):
     matrix = [
         [data.draw(entries) for _ in range(ncols)] for _ in range(nrows)
     ]
-    sparse_rows = [
-        {j: v for j, v in enumerate(row) if v} for row in matrix
-    ]
-    basis = linalg.kernel_basis(sparse_rows, ncols)
+    basis = linalg.kernel_basis(sparse(matrix), ncols)
     assert len(basis) == dense_kernel_dim_bruteforce(matrix, ncols)
     for vec in basis:
-        assert not any(mat_vec(matrix, vec))
+        assert not any(mat_vec(matrix, values(vec)))
 
 
 def test_kernel_deterministic_order():
-    rows = [{0: ONE, 1: ONE, 2: ONE}]
+    rows = [{0: UNIT, 1: UNIT, 2: UNIT}]
     b1 = linalg.kernel_basis(rows, 3)
     b2 = linalg.kernel_basis([dict(r) for r in rows], 3)
     assert b1 == b2
@@ -82,20 +100,20 @@ def test_kernel_deterministic_order():
 
 def test_solve_affine_consistent():
     # x + y = 3, x - y = 1  ->  x = 2, y = 1
-    rows = [{0: ONE, 1: ONE}, {0: ONE, 1: q(-1)}]
-    sol = linalg.solve_affine(rows, [q(3), q(1)])
-    assert sol == {0: q(2), 1: q(1)}
+    rows = [{0: UNIT, 1: UNIT}, {0: UNIT, 1: tq(-1)}]
+    sol = linalg.solve_affine(rows, [tq(3), tq(1)])
+    assert sol == {0: tq(2), 1: tq(1)}
 
 
 def test_solve_affine_inconsistent():
-    rows = [{0: ONE}, {0: ONE}]
-    assert linalg.solve_affine(rows, [q(1), q(2)]) is None
+    rows = [{0: UNIT}, {0: UNIT}]
+    assert linalg.solve_affine(rows, [tq(1), tq(2)]) is None
 
 
 def test_solve_affine_underdetermined_sets_free_to_zero():
-    rows = [{0: ONE, 1: ONE}]
-    sol = linalg.solve_affine(rows, [q(5)])
-    assert sol == {0: q(5)}
+    rows = [{0: UNIT, 1: UNIT}]
+    sol = linalg.solve_affine(rows, [tq(5)])
+    assert sol == {0: tq(5)}
 
 
 def test_dense_inverse():
@@ -149,26 +167,26 @@ def test_solve_affine_matches_rank_condition(nrows, ncols, rhs_kind, data):
     if rhs_kind == "contradiction":  # repeat row 0 with another right-hand side
         matrix.append(list(matrix[0]))
         b.append(b[0] + q(1))
-    sparse_rows = [{j: v for j, v in enumerate(row) if v} for row in matrix]
-    x = linalg.solve_affine(sparse_rows, b)
+    x = linalg.solve_affine(sparse(matrix), [t(bi) for bi in b])
     augmented = [row + [bi] for row, bi in zip(matrix, b)]
     if oracle_rank(augmented, ncols + 1) != oracle_rank(matrix, ncols):
         assert x is None
         return
     assert x is not None
-    assert mat_vec(matrix, x) == b
+    assert mat_vec(matrix, values(x)) == b
 
 
 @given(st.integers(1, 6), st.integers(1, 6), st.data())
 @settings(max_examples=60, deadline=None)
 def test_pivot_rows_hold_no_other_pivot_column(nrows, ncols, data):
     # the invariant that lets ``_Echelon.reduce`` finish in one pass
+    # (the pivot entry, 1, is implicit: ``pivots`` keeps the rest of each row)
     ech = linalg._Echelon()
-    for row in draw_matrix(data, nrows, ncols):
-        ech.insert({j: v for j, v in enumerate(row) if v})
-        for col, prow in ech.pivots.items():
-            assert prow[col] == q(1)
-            assert not any(c in ech.pivots for c in prow if c != col)
+    for row in sparse(draw_matrix(data, nrows, ncols)):
+        ech.insert(row)
+        for col, rest in ech.pivots.items():
+            assert not any(c in ech.pivots for c in rest)
+            assert all(c > col for c in rest)
 
 
 @given(st.integers(1, 6), st.integers(1, 5), st.booleans(), st.data())
@@ -182,13 +200,9 @@ def test_outputs_do_not_depend_on_row_order(nrows, ncols, consistent, data):
         b = mat_vec(matrix, {j: data.draw(mixed_entries) for j in range(ncols)})
     else:
         b = [data.draw(mixed_entries) for _ in range(nrows)]
-
-    def sparse(m):
-        return [{j: v for j, v in enumerate(row) if v} for row in m]
-
     assert linalg.kernel_basis(sparse(shuffled), ncols) == linalg.kernel_basis(sparse(matrix), ncols)
-    assert linalg.solve_affine(sparse(shuffled), [b[i] for i in perm]) == linalg.solve_affine(
-        sparse(matrix), b
+    assert linalg.solve_affine(sparse(shuffled), [t(b[i]) for i in perm]) == linalg.solve_affine(
+        sparse(matrix), [t(bi) for bi in b]
     )
     assert linalg.dense_rank(shuffled) == linalg.dense_rank(matrix)
     # (P A)^-1 = A^-1 P^-1: the inverse's columns move with A's rows
@@ -202,7 +216,8 @@ def test_outputs_do_not_depend_on_row_order(nrows, ncols, consistent, data):
 
 
 def is_canonical(x):
-    return bool(x) and x.d > 0 and gcd(x.p, x.q, x.d) == 1
+    p, q, d = x
+    return bool(p or q) and d > 0 and gcd(p, q, d) == 1
 
 
 nonzero_entries = mixed_entries.filter(bool)
@@ -212,7 +227,7 @@ nonzero_entries = mixed_entries.filter(bool)
 @settings(max_examples=100, deadline=None)
 def test_fused_row_update_matches_operators(factor, pivot_values, data):
     # ``_sub_multiple`` works on unreduced int triples; it must land on the
-    # same canonical values as ``cur - factor * v`` with QSqrt2 operators
+    # triples of the canonical values ``cur - factor * v`` with QSqrt2 operators
     pivot = dict(enumerate(pivot_values))
     row = {}
     for c, v in pivot.items():
@@ -234,17 +249,16 @@ def test_fused_row_update_matches_operators(factor, pivot_values, data):
         value = cur if v is None else -factor * v if cur is None else cur - factor * v
         if value:
             want[c] = value
-    linalg._sub_multiple(row, factor, pivot)
-    assert row == want
+    row = {c: t(x) for c, x in row.items()}
+    linalg._sub_multiple(row, t(factor), {c: t(v) for c, v in pivot.items()})
+    assert row == {c: t(x) for c, x in want.items()}
     assert all(is_canonical(x) for x in row.values())
 
 
 @given(st.integers(1, 6), st.integers(1, 6), st.data())
 @settings(max_examples=60, deadline=None)
 def test_echelon_stores_only_canonical_nonzero_values(nrows, ncols, data):
-    ech = linalg._Echelon(
-        {j: v for j, v in enumerate(row) if v} for row in draw_matrix(data, nrows, ncols)
-    )
+    ech = linalg._Echelon(sparse(draw_matrix(data, nrows, ncols)))
     for prow in ech.pivots.values():
         assert all(is_canonical(x) for x in prow.values())
 
@@ -254,10 +268,114 @@ def test_echelon_stores_only_canonical_nonzero_values(nrows, ncols, data):
 def test_solvers_leave_their_inputs_unchanged(nrows, ncols, data):
     # the benchmark tracer reads the rows after the call, and
     # ``homotopy._equations`` hands the solvers its slot dicts themselves
-    rows = [{j: v for j, v in enumerate(row) if v} for row in draw_matrix(data, nrows, ncols)]
-    rhs = [data.draw(mixed_entries) for _ in range(nrows)]
+    rows = sparse(draw_matrix(data, nrows, ncols))
+    rhs = [t(data.draw(mixed_entries)) for _ in range(nrows)]
     before = copy.deepcopy((rows, rhs))
     linalg.kernel_basis(rows, ncols)
     linalg.solve_affine(rows, rhs)
     assert (rows, rhs) == before
     assert [list(row) for row in rows] == [list(row) for row in before[0]]
+
+
+# rows rich in unit rows and repeats: a unit row, a scalar multiple of an
+# earlier row (a plain repeat when the scalar is 1), or a sparse row
+unit_rich_rows = st.lists(
+    st.one_of(
+        st.tuples(st.just("unit"), st.integers(0, 4), nonzero_entries),
+        st.tuples(st.just("repeat"), st.integers(0, 7), st.sampled_from([q(1), q(1), q(-2), q(0, 1)])),
+        st.tuples(
+            st.just("sparse"), st.dictionaries(st.integers(0, 4), nonzero_entries, min_size=2, max_size=3), st.none()
+        ),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+def dense_rows(recipes, ncols=5):
+    rows = []
+    for kind, a, b in recipes:
+        if kind == "unit":
+            row = [q(0)] * ncols
+            row[a] = b
+        elif kind == "repeat":
+            row = [x * b for x in rows[a % len(rows)]] if rows else [q(0)] * ncols
+        else:
+            row = [q(0)] * ncols
+            for j, v in a.items():
+                row[j] = v
+        rows.append(row)
+    return rows
+
+
+def assert_dead_columns_bookkept(ech):
+    # each pivot row is 1 at its column and its rest elsewhere
+    for col, rest in ech.pivots.items():
+        row = {col: UNIT, **rest}
+        if col in ech.live:
+            assert rest is ech.live[col] and len(row) > 1
+            assert not any(c in ech.pivots for c in rest)
+        else:
+            assert row == {col: UNIT}
+    assert set(ech.live) <= set(ech.pivots)
+
+
+@given(unit_rich_rows, st.lists(mixed_entries, min_size=8, max_size=8))
+# live rows that a later row shrinks to their pivot: by deleting a unit
+# row's column, and by a cancellation in the fused row update
+@example([("sparse", {0: q(1), 1: q(2)}, None), ("unit", 1, q(3))], [q(1)] * 8)
+@example(
+    [("sparse", {0: q(1), 1: q(1), 2: q(0, 1)}, None), ("sparse", {1: q(2), 2: q(0, 2)}, None)], [q(1)] * 8
+)
+@settings(max_examples=80, deadline=None)
+def test_unit_pivots_are_dead_columns(recipes, b):
+    ncols = 5
+    matrix = dense_rows(recipes, ncols)
+    ech = linalg._Echelon()
+    for i, row in enumerate(sparse(matrix)):
+        ech.insert(row)
+        assert_dead_columns_bookkept(ech)
+        prefix, rhs = matrix[: i + 1], b[: i + 1]
+        basis = linalg.kernel_basis(sparse(prefix), ncols)
+        assert len(basis) == dense_kernel_dim_bruteforce(prefix, ncols)
+        for vec in basis:
+            assert not any(mat_vec(prefix, values(vec)))
+        x = linalg.solve_affine(sparse(prefix), [t(v) for v in rhs])
+        augmented = [r + [v] for r, v in zip(prefix, rhs)]
+        if oracle_rank(augmented, ncols + 1) != oracle_rank(prefix, ncols):
+            assert x is None
+        else:
+            assert mat_vec(prefix, values(x)) == rhs
+        assert linalg.dense_rank(prefix) == oracle_rank(prefix, ncols) == len(ech.pivots)
+
+
+def test_a_live_row_shrunk_to_its_pivot_becomes_dead():
+    # by a unit row's column, deleted
+    ech = linalg._Echelon()
+    ech.insert({0: UNIT, 1: tq(2)})
+    assert ech.live == {0: {1: tq(2)}}
+    ech.insert({1: tq(3)})
+    assert ech.live == {} and ech.pivots == {0: {}, 1: {}}
+    # by a cancellation in the fused row update
+    ech = linalg._Echelon()
+    ech.insert({0: UNIT, 1: UNIT, 2: tq(0, 1)})
+    ech.insert({1: tq(2), 2: tq(0, 2)})
+    assert ech.live == {1: {2: tq(0, 1)}} and ech.pivots[0] == {}
+
+
+@given(st.integers(1, 5), st.integers(1, 5), st.data())
+@settings(max_examples=60, deadline=None)
+def test_inputs_need_not_be_in_lowest_terms(nrows, ncols, data):
+    # the callers hand over the product kernel's unreduced sums as they are;
+    # what the eliminator stores and returns is in lowest terms either way
+    matrix = draw_matrix(data, nrows, ncols)
+    b = [t(data.draw(mixed_entries)) for _ in range(nrows)]
+
+    def unreduced(x):
+        k = data.draw(st.integers(1, 6))
+        return (k * x[0], k * x[1], k * x[2])
+
+    rows = sparse(matrix)
+    loose = [{c: unreduced(x) for c, x in row.items()} for row in rows]
+    assert linalg.kernel_basis(loose, ncols) == linalg.kernel_basis(rows, ncols)
+    assert linalg.solve_affine(loose, [unreduced(x) for x in b]) == linalg.solve_affine(rows, b)
