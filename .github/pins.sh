@@ -7,6 +7,9 @@ set -e
 root=$(cd "$(dirname "$0")/.." && pwd)
 cd "$(mktemp -d)"
 
+echo "== Importing the installed CLI loads no dataclasses, inspect, fractions or decimal (python -c, the interpreter that runs braidcert)"
+python -c 'import sys; before = set(sys.modules); import braidcert.cli; added = {"dataclasses", "inspect", "fractions", "decimal"} & (set(sys.modules) - before); sys.exit(f"import braidcert.cli loaded {sorted(added)}" if added else None)'
+
 echo "== Installed console script verifies the committed n=3 report (entry point and packaged schemas)"
 braidcert verify-certificate "$root/perfbench/data/certify_n3.json"
 

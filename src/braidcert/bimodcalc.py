@@ -44,7 +44,7 @@ Q(sqrt2).
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Sequence
+from collections.abc import Sequence
 
 from . import coxeter, linalg
 from .coxeter import Reflection, demazure_decompose

@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import reprlib
 import sys
 from functools import lru_cache
-from importlib import resources
 
 from . import freegroup, homotopy, words
 from .errors import ParseError
@@ -206,8 +206,14 @@ def _check_schema(name: str, items) -> None:
 
 @lru_cache(maxsize=None)
 def _schema(name: str):
-    """The checker of the shipped schema ``name``, read on first use."""
-    root = json.loads(resources.files("braidcert.schema").joinpath(name).read_text())
+    """The checker of the shipped schema ``name``, read on first use.
+
+    The file is read through this module's loader, as ``pkgutil.get_data``
+    does, so an installed or zipped package reads it alike.  That needs no
+    import: ``importlib.resources`` would load about 30 modules (``pathlib``,
+    ``tempfile``, ``zipfile``, ...) into the first ``verify-certificate`` call.
+    """
+    root = json.loads(__loader__.get_data(os.path.join(os.path.dirname(__file__), "schema", name)))
     return _compile(root, root)
 
 

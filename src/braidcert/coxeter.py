@@ -15,18 +15,17 @@ word, and ``demazure_decompose`` splits a polynomial over its invariants;
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
 from .errors import ReflectionError
 from .polyring import LinearEndo, Poly, divide_by_linear
-from .scalars import ONE, QSqrt2
+from .scalars import ONE, QSqrt2, reduced
 
 Word = tuple  # tuple of generator indices
 
-_MINUS_HALF = QSqrt2(Fraction(-1, 2))
-_MINUS_HALF_SQRT2 = QSqrt2(0, Fraction(-1, 2))
+_MINUS_HALF = reduced(-1, 0, 2)
+_MINUS_HALF_SQRT2 = reduced(0, -1, 2)
 
 
 @lru_cache(maxsize=None)

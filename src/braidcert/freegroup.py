@@ -35,7 +35,7 @@ of words, and a context common to two words cancels after it as before.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 T = "t"
 Letter = tuple  # (gen, exp)

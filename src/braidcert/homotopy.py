@@ -894,7 +894,10 @@ def relation_certificates(n: int) -> dict:
     index and, for n >= 3, the two pairs whose complexes are isomorphic even
     though the words differ in the group, each certified by ``certify_pair``
     in 'auto' mode.  An entry's kind is the kind found; a failed entry
-    records "homotopy", the last search 'auto' runs.
+    records "homotopy", the last search 'auto' runs.  No two entries share
+    a core, so each drops what it added to ``_CORE_CACHE`` (the newest
+    keys, since a dict pops in reverse insertion order) and the report
+    keeps no complex alive after its entry.
     """
     ab = Alphabet.vbB(n)
     results = []
@@ -902,7 +905,10 @@ def relation_certificates(n: int) -> dict:
 
     def record(label, lhs, rhs):
         nonlocal all_ok
+        cached = len(_CORE_CACHE)
         kind, cert = certify_pair(lhs, rhs, n, label=label)
+        while len(_CORE_CACHE) > cached:
+            _CORE_CACHE.popitem()
         ok = kind is not None
         all_ok = all_ok and ok
         results.append(

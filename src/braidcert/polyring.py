@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from .errors import ExactDivisionError, ParseError, parse_int
 from .scalars import ONE, SQRT2, QSqrt2, reduced
@@ -389,7 +389,10 @@ def divide_by_linear(p: Poly, ell: Poly) -> Poly:
 # or a number in parentheses, which is read as a polynomial that must be
 # constant, e.g. "(1 + -1*sqrt2)*X0".  Digits are ASCII only.  A ParseError
 # gives its position in the whole entry.  The printer is canonical and
-# round-trips bit-exactly, which the certificate files rely on.
+# round-trips bit-exactly, which the certificate files rely on.  It writes
+# each coefficient from its ``(p, q, d)`` ints (``QSqrt2.__str__``), in
+# parentheses when both of its parts are nonzero, and builds no
+# ``Fraction``.
 
 _VAR_RE = re.compile(r"X([0-9]+)(?:\^([0-9]+))?")
 _RAT_RE = re.compile(r"([0-9]+)(?:/([0-9]+))?")
@@ -414,7 +417,7 @@ def format_poly(p: Poly) -> str:
 
 
 def _format_coeff(c: QSqrt2, has_vars: bool) -> str:
-    if c.a != 0 and c.b != 0:
+    if c.p and c.q:
         return f"({c})"
     if has_vars and c == ONE:
         return ""

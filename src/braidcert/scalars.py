@@ -9,14 +9,19 @@ with ``d > 0`` and ``gcd(p, q, d) == 1``; zero is ``(0, 0, 1)``.  Every
 operation returns this form, which is unique because sqrt(2) is irrational,
 so equality compares the three ints.  One operation costs a few int
 products and at most one three-way gcd, where a pair of ``Fraction``s would
-normalise each component on its own.  The rational components ``a = p/d``
-and ``b = q/d`` of ``a + b*sqrt(2)`` are available as ``Fraction``-valued
-properties for printing and hashing.
+normalise each component on its own.
+
+Printing and hashing read the ints too: the text of ``a = p/d`` and
+``b = q/d`` is ``p/d`` divided by ``gcd(p, d)``, and the hash is Python's
+numeric hash of those rationals.  ``Fraction`` appears only at the edges:
+``QSqrt2(a, b)`` with components that are not ints, the ``a`` and ``b``
+properties, and mixed arithmetic with a ``Fraction``; each of those imports
+``fractions`` where it runs.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import sys
 from math import gcd, lcm
 
 
@@ -31,6 +36,8 @@ class QSqrt2:
             return
         if isinstance(a, float) or isinstance(b, float):
             raise TypeError("QSqrt2 components must be exact rationals, not floats")
+        from fractions import Fraction
+
         a, b = Fraction(a), Fraction(b)
         d = lcm(a.denominator, b.denominator)  # then gcd(p, q, d) is already 1
         self.p = a.numerator * (d // a.denominator)
@@ -40,11 +47,15 @@ class QSqrt2:
     @property
     def a(self) -> Fraction:
         """The rational part."""
+        from fractions import Fraction
+
         return Fraction(self.p, self.d)
 
     @property
     def b(self) -> Fraction:
         """The coefficient of sqrt(2)."""
+        from fractions import Fraction
+
         return Fraction(self.q, self.d)
 
     # -- constructors -------------------------------------------------
@@ -57,9 +68,11 @@ class QSqrt2:
     def _coerce(cls, x) -> "QSqrt2 | None":
         if isinstance(x, QSqrt2):
             return x
-        if isinstance(x, (int, Fraction)):
+        if isinstance(x, int):
             return cls(x)
-        return None
+        from fractions import Fraction
+
+        return cls(x) if isinstance(x, Fraction) else None
 
     # -- arithmetic ----------------------------------------------------
     #
@@ -135,28 +148,56 @@ class QSqrt2:
     def __hash__(self) -> int:
         # hash((a, b)) of the Fraction components: hashed containers of
         # these values then iterate in the same order whatever the storage
-        return hash((self.a, self.b))
+        d = self.d
+        if d == 1:
+            return hash((self.p, self.q))
+        return hash((_rational_hash(self.p, d), _rational_hash(self.q, d)))
 
     def __bool__(self) -> bool:
         return self.p != 0 or self.q != 0
 
     # -- text form -------------------------------------------------------
     #
-    # The printer is canonical: "0", "3", "-1/2*sqrt2", "1 + -1*sqrt2".  There
-    # is no scalar parser: ``polyring.parse_poly`` reads a scalar as a
-    # constant polynomial, so this text round-trips through it.
+    # The printer is canonical: "0", "3", "-1/2*sqrt2", "1 + -1*sqrt2", each
+    # component written as ``str`` writes its ``Fraction``.  There is no
+    # scalar parser: ``polyring.parse_poly`` reads a scalar as a constant
+    # polynomial, so this text round-trips through it.
 
     def __str__(self) -> str:
-        a, b = self.a, self.b
-        if b == 0:
-            return str(a)
-        sqrt_part = f"{b}*sqrt2"
-        if a == 0:
+        p, q, d = self.p, self.q, self.d
+        if q == 0:
+            return _rational_text(p, d)
+        sqrt_part = f"{_rational_text(q, d)}*sqrt2"
+        if p == 0:
             return sqrt_part
-        return f"{a} + {sqrt_part}"
+        return f"{_rational_text(p, d)} + {sqrt_part}"
 
     def __repr__(self) -> str:
-        return f"QSqrt2({self.a}, {self.b})"
+        return f"QSqrt2({_rational_text(self.p, self.d)}, {_rational_text(self.q, self.d)})"
+
+
+def _rational_text(n: int, d: int) -> str:
+    """``str(Fraction(n, d))`` for ``d > 0``: ``n/d`` in lowest terms, or ``n`` when that is whole."""
+    if d != 1:
+        g = gcd(n, d)
+        n, d = n // g, d // g
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
+_MODULUS = sys.hash_info.modulus
+
+
+def _rational_hash(n: int, d: int) -> int:
+    """``hash(Fraction(n, d))`` for ``d > 0``, by the numeric hash rule of Python's ``hash``."""
+    g = gcd(n, d)
+    n, d = n // g, d // g
+    try:
+        h = hash(hash(abs(n)) * pow(d, -1, _MODULUS))
+    except ValueError:  # d is a multiple of the modulus
+        h = sys.hash_info.inf
+    if n < 0:
+        h = -h
+    return -2 if h == -1 else h
 
 
 def reduced_triple(p: int, q: int, d: int) -> tuple:

@@ -36,9 +36,8 @@ invariant is again a homomorphism into a group of automorphisms.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections.abc import Iterable
 from functools import lru_cache
-from typing import Iterable
 
 from . import freegroup
 from .errors import ParseError, parse_int
@@ -50,14 +49,49 @@ _KINDS_B = ("s", "z")
 _INVOLUTIONS = ("zet", "z")
 _DOUBLED = dict(zip(_KINDS_B, _KINDS_A))  # the letter kind each vbB kind doubles to
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class Alphabet:
+
+class _Record:
+    """Immutable fields, the names in ``__slots__``, each set once in ``__init__``.
+
+    Subclasses compare and hash their fields in their own ``__eq__`` and
+    ``__hash__``; the repr is ``Name(field=value, ...)``.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class Alphabet(_Record):
     """Letter kinds plus the allowed index range."""
 
-    tag: str  # "vbA" or "vbB"
-    lo: int
-    hi: int
+    __slots__ = ("tag", "lo", "hi")  # tag is "vbA" or "vbB"
+
+    def __init__(self, tag: str, lo: int, hi: int) -> None:
+        _set(self, "tag", tag)
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Alphabet:
+            return NotImplemented
+        return self.tag == other.tag and self.lo == other.lo and self.hi == other.hi
+
+    def __hash__(self) -> int:
+        return hash((self.tag, self.lo, self.hi))
 
     @classmethod
     def vbA(cls, n: int) -> "Alphabet":
@@ -96,12 +130,22 @@ class Alphabet:
         return letter
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class BraidWord(_Record):
     """A word over ``alphabet``; ``make_word`` and ``parse_word`` check its letters."""
 
-    alphabet: Alphabet
-    letters: tuple
+    __slots__ = ("alphabet", "letters")
+
+    def __init__(self, alphabet: Alphabet, letters: tuple) -> None:
+        _set(self, "alphabet", alphabet)
+        _set(self, "letters", letters)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not BraidWord:
+            return NotImplemented
+        return self.alphabet == other.alphabet and self.letters == other.letters
+
+    def __hash__(self) -> int:
+        return hash((self.alphabet, self.letters))
 
     def __mul__(self, other: "BraidWord") -> "BraidWord":
         if self.alphabet != other.alphabet:
@@ -198,11 +242,21 @@ def embed_j(word: BraidWord) -> BraidWord:
 # -- relator tables -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RelatorPair:
-    label: str
-    lhs: BraidWord
-    rhs: BraidWord
+class RelatorPair(_Record):
+    __slots__ = ("label", "lhs", "rhs")
+
+    def __init__(self, label: str, lhs: BraidWord, rhs: BraidWord) -> None:
+        _set(self, "label", label)
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not RelatorPair:
+            return NotImplemented
+        return self.label == other.label and self.lhs == other.lhs and self.rhs == other.rhs
+
+    def __hash__(self) -> int:
+        return hash((self.label, self.lhs, self.rhs))
 
 
 def _pair(ab: Alphabet, label: str, lhs, rhs) -> RelatorPair:

@@ -1115,6 +1115,17 @@ def test_a_cached_core_is_whiskered_without_folding_a_braid_letter(monkeypatch):
     assert verify_certificate_dict(cert) == (True, [])
 
 
+def test_relation_certificates_keep_no_core_cached():
+    # no two relations share a core, so the report drops each core it
+    # cached once its entry is written; a core cached before it stays
+    n = 2
+    certify_pair(W("s0 z0", n), W("z0 s0", n), n)
+    before = list(homotopy._CORE_CACHE.items())
+    report = relation_certificates(n)
+    assert report["all_certified"] and len(report["results"]) == 11
+    assert list(homotopy._CORE_CACHE.items()) == before
+
+
 def test_a_core_without_a_certificate_caches_no_complex(monkeypatch):
     # s0 vs s0^-1 is not homotopy equivalent: the cache keeps its None and
     # nothing else, and a whiskered repeat builds no complex at all

@@ -2,11 +2,11 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from braidcert.errors import ParseError
-from braidcert.polyring import parse_poly
-from braidcert.scalars import ONE, SQRT2, QSqrt2
+from braidcert.polyring import Poly, format_poly, parse_poly
+from braidcert.scalars import ONE, SQRT2, QSqrt2, reduced
 
 rationals = st.fractions(max_denominator=50)
 scalars = st.builds(QSqrt2, rationals, rationals)
@@ -121,3 +121,40 @@ def test_operations_match_fraction_formulas(a1, b1, a2, b2):
         assert _in_normal_form(got), name
         assert hash(got) == hash((got.a, got.b)), name
     assert _in_normal_form(x) and hash(x) == hash((a1, b1))
+
+
+# Parts of a triple (p + q*sqrt2)/d: zero, small, negative and 100-digit.
+_BIG = 10**99
+_parts = st.one_of(st.just(0), st.integers(-12, 12), st.integers(-(10 * _BIG), 10 * _BIG))
+_denominators = st.one_of(st.integers(1, 12), st.integers(_BIG, 10 * _BIG))
+
+
+def _fraction_printed(x):
+    """The printer's text as the ``Fraction`` components give it: the oracle."""
+    a, b = Fraction(x.p, x.d), Fraction(x.q, x.d)
+    if b == 0:
+        return str(a)
+    return f"{b}*sqrt2" if a == 0 else f"{a} + {b}*sqrt2"
+
+
+@given(_parts, _parts, _denominators)
+@example(0, 0, 7)
+@example(-6, 4, 2)
+@example(3 * _BIG, -_BIG, 6 * _BIG)
+@example(1, -1, 2**61 - 1)  # a denominator with no inverse modulo the hash modulus
+def test_printing_and_hashing_from_the_ints_match_the_fractions(p, q, d):
+    x = reduced(p, q, d)
+    a, b = Fraction(p, d), Fraction(q, d)
+    assert str(x) == _fraction_printed(x)
+    assert repr(x) == f"QSqrt2({a}, {b})"
+    assert hash(x) == hash((a, b))
+    # format_poly puts a coefficient with both parts nonzero in parentheses,
+    # drops a coefficient of 1 before variables, and reads back exactly
+    n = 2
+    coeff = f"({_fraction_printed(x)})" if a and b else _fraction_printed(x)
+    for poly, text in [
+        (Poly.constant(n, x), coeff),
+        (Poly.monomial((1, 2), x), "X0*X1^2" if x == ONE else f"{coeff}*X0*X1^2"),
+    ]:
+        assert format_poly(poly) == (text if x else "0")
+        assert parse_poly(format_poly(poly), n) == poly

@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import pickle
 import re
 
 import pytest
@@ -17,6 +19,29 @@ from braidcert.words import (
     parse_word,
     relator_table,
 )
+
+
+def test_words_compare_hash_and_print_by_their_fields():
+    # Alphabet keys _token_table's cache; BraidWord stays a record, not a tuple
+    ab = Alphabet.vbB(3)
+    w = parse_word("s0 z1", ab)
+    rel = relator_table("vbB", 2)[0]
+    assert ab == Alphabet("vbB", 0, 2) and hash(ab) == hash(("vbB", 0, 2))
+    assert ab != Alphabet.vbA(3) and ab != ("vbB", 0, 2)
+    assert w == parse_word("s0 z1^-1", ab) and hash(w) == hash((ab, w.letters))
+    assert w != parse_word("s0 z1", Alphabet.vbB(4)) and w != parse_word("z1 s0", ab)
+    assert repr(ab) == "Alphabet(tag='vbB', lo=0, hi=2)"
+    assert repr(w) == "BraidWord(alphabet=Alphabet(tag='vbB', lo=0, hi=2), letters=(('s', 0, 1), ('z', 1, 1)))"
+    assert repr(rel).startswith("RelatorPair(label='relB3', lhs=BraidWord(alphabet=Alphabet(tag='vbB', lo=0, hi=1), ")
+    assert rel == relator_table("vbB", 2)[0] and hash(rel) == hash((rel.label, rel.lhs, rel.rhs))
+    with pytest.raises(AttributeError, match="cannot assign to field 'lo'"):
+        ab.lo = 1
+    with pytest.raises(AttributeError, match="cannot delete field 'letters'"):
+        del w.letters
+    with pytest.raises(TypeError):
+        len(w)
+    for record in (ab, w, rel):
+        assert copy.deepcopy(record) == record and pickle.loads(pickle.dumps(record)) == record
 
 
 def test_parse_vbB_example():
