@@ -121,6 +121,25 @@ for k in 0 1; do
     grep -Eq "^parse error: certificate 'z0 s0 s1 s0 s1 ~ z0 s1 s0 s1 s0', forward, degree -?[0-9]+, entry \(0,0\): unrecognised factor " respelled.err
 done
 
+echo "== Nested parentheses are refused at any depth (entry (0,0) of pair.json's first forward matrix as 1 inside 500 nested parentheses; one parse error line, exit 2)"
+python -c 'import json; c = json.load(open("pair.json")); c["forward"][0]["matrix"][0][0] = "(" * 500 + "1" + ")" * 500; json.dump(c, open("nested.json", "w"))'
+status=0
+braidcert verify-certificate nested.json 2> nested.err || status=$?
+cut -c 1-160 nested.err
+test "$status" -eq 2
+test "$(wc -l < nested.err)" -eq 1
+grep -q "^parse error: certificate 'z0 s0 s1 s0 s1 ~ z0 s1 s0 s1 s0', forward, degree -\?[0-9]*, entry (0,0): parenthesis inside a number in parentheses at position 1: " nested.err
+
+echo "== A report must cover its relations (the n=3 report with relB3 deleted, then with relB3's certificate swapped for reid2a[0]'s; a [FAIL] relB3 line each, exit 1)"
+for k in 0 1; do
+    python -c 'import json, sys; r = json.load(open(sys.argv[1])); by = {e["relation"]: e for e in r["results"]}; e = json.loads(json.dumps(by["reid2a[0]"])); e["relation"] = e["certificate"]["relation"] = "relB3"; i = r["results"].index(by["relB3"]); r["results"][i : i + 1] = [e][: int(sys.argv[2])]; json.dump(r, open("uncovered.json", "w"))' "$root/perfbench/data/certify_n3.json" "$k"
+    status=0
+    braidcert verify-certificate uncovered.json > uncovered.txt || status=$?
+    grep -v '^\[ok\]' uncovered.txt
+    test "$status" -eq 1
+    grep -q '^\[FAIL\] relB3: ' uncovered.txt
+done
+
 echo "== --n takes ASCII digits only (an Arabic-Indic three is a usage error, exit 2)"
 status=0
 braidcert distinguish s0 s1 --n "٣" 2> ascii_n.err || status=$?

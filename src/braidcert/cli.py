@@ -150,7 +150,8 @@ def cmd_verify_certificate(args) -> int:
             raise ValueError(f"{args.file}: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"{args.file}: expected a JSON object, not {type(data).__name__}")
-    if data.get("format") == homotopy.REPORT_FORMAT:
+    report = data.get("format") == homotopy.REPORT_FORMAT
+    if report:
         _check_schema("report.schema.json", [("", data)])
         entries = data["results"] if data.get("kind") == "relation-certificates" else []
         if not entries:
@@ -182,7 +183,48 @@ def cmd_verify_certificate(args) -> int:
                 print(f"    degree {degree}: {what} at ({row},{col}): {residual}")
             if len(failures) > _SHOWN_WITNESSES:
                 print(f"    ... and {len(failures) - _SHOWN_WITNESSES} more")
+    if report:
+        for label, reason in _coverage_failures(data, bad == 0):
+            bad += 1
+            print(f"[FAIL] {label}: {reason}")
     return 0 if bad == 0 else 1
+
+
+def _coverage_failures(report: dict, verdict: bool) -> list:
+    """``(label, reason)`` for each way a relation-certificates report misses its relations.
+
+    The report must hold each pair of ``words.certified_relations`` at its
+    ``n`` exactly once and no other label; each certificate must have the
+    report's ``n`` and words that parse to the pair; and ``all_certified``
+    must be ``verdict``, whether every entry verified.  An entry's label is
+    its certificate's ``relation``, or the entry's when it has none.  Only
+    labels and words are read: no complex is built.
+    """
+    n = report["n"]
+    ab = words.Alphabet.vbB(n)
+    required = {rel.label: rel for rel in words.certified_relations(n)}
+    seen: dict = {}
+    failures = []
+    for entry in report["results"]:
+        cert = entry.get("certificate")
+        label = entry["relation"] if cert is None else cert["relation"]
+        seen[label] = seen.get(label, 0) + 1
+        rel = required.get(label)
+        if rel is None:
+            failures.append((label, f"not a relation of a report at n={n}"))
+        elif seen[label] == 2:
+            failures.append((label, "occurs more than once"))
+        if cert is None:
+            continue
+        if cert["n"] != n:
+            failures.append((label, f"the certificate has n={cert['n']}, the report n={n}"))
+        elif rel is not None and [words.parse_word(w, ab) for w in cert["words"]] != [rel.lhs, rel.rhs]:
+            expected = [words.format_word(rel.lhs), words.format_word(rel.rhs)]
+            failures.append((label, f"the certificate's words {cert['words']} are not the relation's {expected}"))
+    failures += [(label, "missing") for label in required if label not in seen]
+    if report["all_certified"] != verdict:
+        failures.append(("all_certified", f"the report says {report['all_certified']}, the check finds {verdict}"))
+    return failures
 
 
 def _check_schema(name: str, items) -> None:

@@ -41,10 +41,13 @@ coordinates the twist mixes.
 
 Certificates are explicit per-degree matrices (a chain isomorphism with its
 inverse, or a homotopy equivalence with both homotopies) whose defining
-identities are re-verified exactly, entry by entry.  Each check hands the
-factors of its composites to ``bimodcalc.mat_residuals``, which compares
-unreduced sums and builds a residual only where an identity fails; no
-composite is built to be compared.
+identities are re-verified exactly, entry by entry.  From search to check a
+certificate is one maps dict, ``{field: {degree: Morphism}}`` in certificate
+order, checked with its two complexes; ``_KIND_FIELDS`` is the one place each
+kind's fields, the complexes they join and their degree shifts are written.
+Each check hands the factors of its composites to ``bimodcalc.mat_residuals``,
+which compares unreduced sums and builds a residual only where an identity
+fails; no composite is built to be compared.
 
 Morphisms up to homotopy are ``H^0`` of the Hom complex: ``Hom^p(c, d)``
 holds the degree-0 morphisms ``c_k -> d_{k+p}``, with differential
@@ -98,7 +101,7 @@ from .coxeter import make_reflection
 from .errors import ParseError
 from .polyring import Poly, _sums_of, format_poly, parse_poly
 from .scalars import reduced
-from .words import REPORT_FORMAT, Alphabet, BraidWord, format_word, parse_word, relator_table, split_common
+from .words import REPORT_FORMAT, Alphabet, BraidWord, certified_relations, format_word, parse_word, split_common
 
 
 class Complex:
@@ -132,10 +135,7 @@ class Complex:
 
 def complex_failures(c: Complex) -> list:
     """Witnesses against d being a square-zero degree-0 morphism family."""
-    failures = []
-    for k, d in c.diffs.items():
-        for tag, row, col, res in d.morphism_failures():
-            failures.append((k, f"differential {tag}", row, col, res))
+    failures = _tagged_failures("differential", c.diffs)
     for k in c.support():
         d1 = c.diffs.get(k)
         d2 = c.diffs.get(k + 1)
@@ -336,22 +336,17 @@ class ChainMap:
             return Morphism.zero(self.source.object_at(k), self.target.object_at(k))
         return f
 
-    def compose(self, other: "ChainMap") -> "ChainMap":
-        degrees = set(self.components) | set(other.components)
-        comps = {
-            k: self.component(k).compose(other.component(k)) for k in degrees
-        }
-        return ChainMap(other.source, self.target, comps)
-
     def __repr__(self) -> str:
         return f"ChainMap(degrees={sorted(self.components)})"
 
 
+def _tagged_failures(prefix: str, maps: dict) -> list:
+    """``(degree, "prefix tag", row, col, residual)`` for each ``morphism_failures()`` witness of ``{degree: morphism}``."""
+    return [(k, f"{prefix} {tag}", *w) for k, m in maps.items() for tag, *w in m.morphism_failures()]
+
+
 def chain_map_failures(f: ChainMap) -> list:
-    failures = []
-    for k, comp in f.components.items():
-        for tag, row, col, res in comp.morphism_failures():
-            failures.append((k, f"component {tag}", row, col, res))
+    failures = _tagged_failures("component", f.components)
     degrees = set(f.source.objects) | set(f.target.objects)
     for k in sorted(degrees):
         lhs = f.component(k + 1).after(f.source.diff_at(k))
@@ -360,52 +355,38 @@ def chain_map_failures(f: ChainMap) -> list:
     return failures
 
 
-class HomotopyEquivalence:
-    """Chain maps both ways plus homotopies contracting both composites.
+def homotopy_failures(maps: dict, c: Complex, d: Complex) -> list:
+    """Witnesses against the homotopy certificate ``maps`` being a homotopy equivalence ``c -> d``.
 
-    ``h_source[k]`` maps degree ``k`` of the source to degree ``k-1``; the
-    identities ``id - g.f = d h + h d`` (and the mirror on the target side)
-    are checked exactly.
+    A missing homotopy is zero.  ``g.f + dh + hd = id`` on ``c`` and
+    ``f.g + dh + hd = id`` on ``d`` are checked exactly.
     """
-
-    __slots__ = ("forward", "backward", "h_source", "h_target")
-
-    def __init__(self, forward: ChainMap, backward: ChainMap, h_source: dict, h_target: dict) -> None:
-        self.forward = forward
-        self.backward = backward
-        self.h_source = h_source
-        self.h_target = h_target
-
-
-def homotopy_failures(cert: HomotopyEquivalence) -> list:
-    f, g = cert.forward, cert.backward
+    f, g = ChainMap(c, d, maps["forward"]), ChainMap(d, c, maps["backward"])
+    h_source, h_target = maps.get("homotopy_source", {}), maps.get("homotopy_target", {})
     failures = chain_map_failures(f) + chain_map_failures(g)
-    for name, h in (("h_source", cert.h_source), ("h_target", cert.h_target)):
-        for k, hk in h.items():
-            failures += [(k, f"{name} {tag}", *w) for tag, *w in hk.morphism_failures()]
-    # g.f + dh + hd = id on the source complex, f.g + dh + hd = id on the target
-    sides = (("source: g.f", f, g, cert.h_source), ("target: f.g", g, f, cert.h_target))
+    failures += _tagged_failures("h_source", h_source) + _tagged_failures("h_target", h_target)
+    sides = (("source: g.f", f, g, h_source), ("target: f.g", g, f, h_target))
     for side, first, then, h in sides:
-        c = first.source
+        cx = first.source
         tag = f"{side} + dh + hd != id"
-        for k in c.support():
+        for k in cx.support():
             products = []
             if first.target.object_at(k).rank:
                 products.append(then.component(k).after(first.component(k)))
             hk = h.get(k)
-            if hk is not None and c.object_at(k - 1).rank:
-                products.append(c.diff_at(k - 1).after(hk))
+            if hk is not None and cx.object_at(k - 1).rank:
+                products.append(cx.diff_at(k - 1).after(hk))
             hk1 = h.get(k + 1)
-            if hk1 is not None and c.object_at(k + 1).rank:
-                products.append(hk1.after(c.diff_at(k)))
-            ident = mat_identity(c.objects[k].rank, c.n)
-            failures += [(k, tag, *w) for w in mat_residuals(c.n, products, target=ident)]
+            if hk1 is not None and cx.object_at(k + 1).rank:
+                products.append(hk1.after(cx.diff_at(k)))
+            ident = mat_identity(cx.objects[k].rank, cx.n)
+            failures += [(k, tag, *w) for w in mat_residuals(cx.n, products, target=ident)]
     return failures
 
 
-def chain_iso_failures(f: ChainMap, g: ChainMap) -> list:
-    """An isomorphism is a homotopy equivalence whose homotopies are zero."""
-    return homotopy_failures(HomotopyEquivalence(f, g, {}, {}))
+def chain_iso_failures(maps: dict, c: Complex, d: Complex) -> list:
+    """An isomorphism is a homotopy equivalence whose ``backward`` is its ``inverse`` and whose homotopies are zero."""
+    return homotopy_failures({"forward": maps["forward"], "backward": maps["inverse"]}, c, d)
 
 
 # -- search -----------------------------------------------------------------------
@@ -536,7 +517,7 @@ def _graded_ranks_match(c: Complex, d: Complex) -> bool:
 
 
 def find_chain_iso(c: Complex, d: Complex, fb: list):
-    """``(f, g)``: a chain map ``f`` and its degreewise inverse ``g``, or None.
+    """``{"forward": f, "inverse": g}``: a chain map ``f`` and its degreewise inverse ``g``, or None.
 
     ``fb`` is ``chain_map_space(c, d)``.  Probes each basis map, then one
     weighted sum of them (``_candidate_iter``), for a map whose every
@@ -556,13 +537,13 @@ def find_chain_iso(c: Complex, d: Complex, fb: list):
                 break
             inverses[k] = inv
         else:
-            return f, ChainMap(d, c, inverses)
+            return {"forward": f.components, "inverse": inverses}
     return None
 
 
 def find_homotopy_equiv(c: Complex, d: Complex, fb: list):
-    """A homotopy equivalence ``c -> d``, or None when ``c`` and ``d`` are not
-    homotopy equivalent.
+    """A homotopy equivalence ``c -> d`` as a homotopy certificate's maps, or
+    None when ``c`` and ``d`` are not homotopy equivalent.
 
     ``fb`` is ``chain_map_space(c, d)``.  The search is decided by
     ``H^0 Hom(c, d)`` (see the module doc).  If it is not 1-dimensional, no
@@ -604,7 +585,7 @@ def _candidate_iter(basis: list):
 
 
 def _solve_homotopy_for(f: ChainMap, gb: list):
-    """The homotopy equivalence with forward map ``f``, or None.
+    """The maps of the homotopy equivalence with forward map ``f``, or None.
 
     ``gb`` is ``chain_map_space(f.target, f.source)``.  The unknowns are the
     coefficients ``y_j`` of ``gb``, then those of the source-side and the
@@ -633,9 +614,13 @@ def _solve_homotopy_for(f: ChainMap, gb: list):
     solution = linalg.solve_affine(rows, rhs)
     if solution is None:
         return None
-    g_map = ChainMap(f.target, f.source, _combine((solution.get(j), g.components) for j, g in enumerate(gb)))
     h_src, h_tgt = (_combine((solution.get(v), {k: h}) for v, k, h in basis) for basis in (src_basis, tgt_basis))
-    return HomotopyEquivalence(f, g_map, h_src, h_tgt)
+    return {
+        "forward": f.components,
+        "backward": _combine((solution.get(j), g.components) for j, g in enumerate(gb)),
+        "homotopy_source": h_src,
+        "homotopy_target": h_tgt,
+    }
 
 
 def _composite_sums(second: ChainMap, first: ChainMap) -> dict:
@@ -726,23 +711,17 @@ def _certificate(label: str, n: int, lhs: BraidWord, rhs: BraidWord, kind: str, 
     }
 
 
-# each certificate field: (source side, target side, degree shift); side 0 is lhs
-_FIELD_SIDES = {
-    "forward": (0, 1, 0),
-    "inverse": (1, 0, 0),
-    "backward": (1, 0, 0),
-    "homotopy_source": (0, 0, -1),
-    "homotopy_target": (1, 1, -1),
+# each kind's certificate fields, in order: (field, source side, target side,
+# degree shift); side 0 is the lhs complex, side 1 the rhs
+_KIND_FIELDS = {
+    "iso": (("forward", 0, 1, 0), ("inverse", 1, 0, 0)),
+    "homotopy": (("forward", 0, 1, 0), ("backward", 1, 0, 0), ("homotopy_source", 0, 0, -1), ("homotopy_target", 1, 1, -1)),
 }
 
 
 def _certificate_failures(kind: str, maps: dict, c: Complex, d: Complex) -> list:
     """The exact check of a certificate's ``maps`` between ``c`` and ``d``."""
-    f = ChainMap(c, d, maps["forward"])
-    if kind == "iso":
-        return chain_iso_failures(f, ChainMap(d, c, maps["inverse"]))
-    g = ChainMap(d, c, maps["backward"])
-    return homotopy_failures(HomotopyEquivalence(f, g, maps["homotopy_source"], maps["homotopy_target"]))
+    return (chain_iso_failures if kind == "iso" else homotopy_failures)(maps, c, d)
 
 
 def verify_certificate_dict(data: dict) -> tuple:
@@ -750,7 +729,7 @@ def verify_certificate_dict(data: dict) -> tuple:
     if data.get("format") != CERTIFICATE_FORMAT:
         return False, [(None, "format", None, None, str(data.get("format")))]
     kind = data.get("kind")
-    if kind not in ("iso", "homotopy"):
+    if type(kind) is not str or kind not in _KIND_FIELDS:
         return False, [(None, "kind", None, None, str(kind))]
     n = data["n"]
     ab = Alphabet.vbB(n)
@@ -762,11 +741,10 @@ def verify_certificate_dict(data: dict) -> tuple:
             where = f"certificate {data['relation']!r}, words[{i}]"
             raise ParseError(f"{where}: {exc.message}", exc.text, exc.position) from None
         sides.append(F_word(word, n))
-    fields = ("forward", "inverse") if kind == "iso" else ("forward", "backward", "homotopy_source", "homotopy_target")
-    maps = {}
-    for field in fields:
-        s, t, degree_shift = _FIELD_SIDES[field]
-        maps[field] = _components_from_json(data, field, sides[s], sides[t], degree_shift)
+    maps = {
+        field: _components_from_json(data, field, sides[s], sides[t], degree_shift)
+        for field, s, t, degree_shift in _KIND_FIELDS[kind]
+    }
     failures = _certificate_failures(kind, maps, *sides)
     return not failures, failures
 
@@ -782,17 +760,9 @@ def _search(c: Complex, d: Complex, kind: str):
     if kind == "auto":
         found = find_chain_iso(c, d, fb)
         if found is not None:
-            f, g = found
-            return "iso", {"forward": f.components, "inverse": g.components}
-    cert = find_homotopy_equiv(c, d, fb)
-    if cert is None:
-        return None
-    return "homotopy", {
-        "forward": cert.forward.components,
-        "backward": cert.backward.components,
-        "homotopy_source": cert.h_source,
-        "homotopy_target": cert.h_target,
-    }
+            return "iso", found
+    found = find_homotopy_equiv(c, d, fb)
+    return None if found is None else ("homotopy", found)
 
 
 # the modes of certify_pair
@@ -817,8 +787,8 @@ def _whiskered_complex(core: Complex, u: tuple, v: tuple, n: int) -> Complex:
     return core
 
 
-def _whiskered(matrices: dict, u: tuple, n: int, c: Complex, d: Complex) -> dict:
-    """The core certificate ``matrices`` as maps between ``c = F(u lhs v)`` and ``d = F(u rhs v)``.
+def _whiskered(kind: str, matrices: dict, u: tuple, n: int, c: Complex, d: Complex) -> dict:
+    """The core ``kind`` certificate ``matrices`` as maps between ``c = F(u lhs v)`` and ``d = F(u rhs v)``.
 
     ``id_{R_u} (x) -`` twists every entry as ``id_tensor`` does for the
     differentials of ``R_u (x) F(w)``; ``- (x) id_{R_v}`` keeps the matrices.
@@ -826,10 +796,9 @@ def _whiskered(matrices: dict, u: tuple, n: int, c: Complex, d: Complex) -> dict
     twist = _twist_complex(tuple(index for _, index, _ in u), n).objects[0] if u else None
     sides = (c, d)
     maps = {}
-    for field, components in matrices.items():
-        s, t, degree_shift = _FIELD_SIDES[field]
+    for field, s, t, degree_shift in _KIND_FIELDS[kind]:
         maps[field] = comps = {}
-        for k, m in components.items():
+        for k, m in matrices[field].items():
             src = sides[s].object_at(k)
             if twist is not None:
                 m = id_tensor(twist, m, src.rank)
@@ -880,7 +849,7 @@ def certify_pair(lhs: BraidWord, rhs: BraidWord, n: int, kind: str = "auto", lab
         return None, "not homotopy equivalent"
     found_kind, matrices, core = found
     c, d = (_whiskered_complex(x, u, v, n) for x in core)
-    maps = _whiskered(matrices, u, n, c, d)
+    maps = _whiskered(found_kind, matrices, u, n, c, d)
     failures = _certificate_failures(found_kind, maps, c, d)
     if failures:
         raise RuntimeError(f"the certificate for {label!r} fails its check: {failures[0]}")
@@ -890,59 +859,32 @@ def certify_pair(lhs: BraidWord, rhs: BraidWord, n: int, kind: str = "auto", lab
 def relation_certificates(n: int) -> dict:
     """Certificates for every defining relation of the type-B virtual braid group.
 
-    Every defining relation, both Reidemeister-II contractions per strand
-    index and, for n >= 3, the two pairs whose complexes are isomorphic even
-    though the words differ in the group, each certified by ``certify_pair``
-    in 'auto' mode.  An entry's kind is the kind found; a failed entry
-    records "homotopy", the last search 'auto' runs.  No two entries share
-    a core, so each drops what it added to ``_CORE_CACHE`` (the newest
-    keys, since a dict pops in reverse insertion order) and the report
-    keeps no complex alive after its entry.
+    Each pair of ``words.certified_relations(n)``, in its order, certified
+    by ``certify_pair`` in 'auto' mode.  An entry's kind is the kind found;
+    a failed entry records "homotopy", the last search 'auto' runs.  No two
+    entries share a core, so each drops what it added to ``_CORE_CACHE``
+    (the newest keys, since a dict pops in reverse insertion order) and the
+    report keeps no complex alive after its entry.
     """
-    ab = Alphabet.vbB(n)
     results = []
-    all_ok = True
-
-    def record(label, lhs, rhs):
-        nonlocal all_ok
+    for rel in certified_relations(n):
         cached = len(_CORE_CACHE)
-        kind, cert = certify_pair(lhs, rhs, n, label=label)
+        kind, cert = certify_pair(rel.lhs, rel.rhs, n, label=rel.label)
         while len(_CORE_CACHE) > cached:
             _CORE_CACHE.popitem()
-        ok = kind is not None
-        all_ok = all_ok and ok
         results.append(
             {
-                "relation": label,
+                "relation": rel.label,
                 "kind": kind or "homotopy",
-                "status": "certified" if ok else "failed",
-                "certificate": cert if ok else None,
+                "status": "certified" if kind else "failed",
+                "certificate": cert if kind else None,
             }
-        )
-
-    for rel in relator_table("vbB", n):
-        record(rel.label, rel.lhs, rel.rhs)
-    empty = parse_word("", ab)
-    for i in range(n):
-        record(f"reid2a[{i}]", parse_word(f"s{i} s{i}^-1", ab), empty)
-        record(f"reid2b[{i}]", parse_word(f"s{i}^-1 s{i}", ab), empty)
-    if n >= 3:
-        for i in range(n):
-            record(
-                f"remark_sz[{i}]",
-                parse_word(f"s{i} z{i}", ab),
-                parse_word(f"z{i} s{i}", ab),
-            )
-        record(
-            "remark_zszs",
-            parse_word("z0 s1 z0 s1", ab),
-            parse_word("s1 z0 s1 z0", ab),
         )
     return {
         "format": REPORT_FORMAT,
         "kind": "relation-certificates",
         "group": "vbB",
         "n": n,
-        "all_certified": all_ok,
+        "all_certified": all(r["certificate"] is not None for r in results),
         "results": results,
     }

@@ -467,7 +467,13 @@ def _parse_term(full: str, offset: int, term: str, n: int) -> Poly:
         if not factor:
             raise ParseError("empty factor", full, at)
         if factor.startswith("(") and factor.endswith(")"):
-            inside = _parse_sum(full, at + raw.index("(") + 1, factor[1:-1], n)
+            # a number in parentheses holds no parenthesis, so the parse
+            # recurses at most once, however deep the input nests
+            start, inner = at + raw.index("(") + 1, factor[1:-1]
+            nested = next((i for i, ch in enumerate(inner) if ch in "()"), None)
+            if nested is not None:
+                raise ParseError("parenthesis inside a number in parentheses", full, start + nested)
+            inside = _parse_sum(full, start, inner, n)
             if inside.degree() > 0:
                 raise ParseError("expected a number in parentheses", full, at)
             coeff = coeff * inside.constant_term()

@@ -334,6 +334,26 @@ def relator_table(group: str, n: int) -> list:
     raise ValueError(f"unknown group {group!r} (expected vbA or vbB)")
 
 
+def certified_relations(n: int) -> list:
+    """The pairs a relation-certificates report at ``n`` certifies, in report order.
+
+    The vbB relator table, both Reidemeister-II contractions per strand index
+    and, for n >= 3, the two pairs whose complexes are isomorphic even though
+    the words differ in the group.
+    """
+    ab = Alphabet.vbB(n)
+    empty = parse_word("", ab)
+    pairs = relator_table("vbB", n)
+    for i in range(n):
+        pairs.append(RelatorPair(f"reid2a[{i}]", parse_word(f"s{i} s{i}^-1", ab), empty))
+        pairs.append(RelatorPair(f"reid2b[{i}]", parse_word(f"s{i}^-1 s{i}", ab), empty))
+    if n >= 3:
+        for i in range(n):
+            pairs.append(RelatorPair(f"remark_sz[{i}]", parse_word(f"s{i} z{i}", ab), parse_word(f"z{i} s{i}", ab)))
+        pairs.append(RelatorPair("remark_zszs", parse_word("z0 s1 z0 s1", ab), parse_word("s1 z0 s1 z0", ab)))
+    return pairs
+
+
 # -- the invariant of a word -----------------------------------------------------
 
 

@@ -25,8 +25,6 @@ from braidcert.homotopy import (
     homotopy_classes,
     homotopy_failures,
     verify_certificate_dict,
-    HomotopyEquivalence,
-    ChainMap,
     Morphism,
 )
 from braidcert.polyring import LinearEndo, Poly
@@ -304,7 +302,7 @@ def test_criterion_6_negative_controls(monkeypatch):
     if cert is None:
         failures.append("contraction certificate missing")
     else:
-        comp = cert.forward.components[0]
+        comp = cert["forward"][0]
         matrix = [dict(row) for row in comp.matrix]
         flipped = False
         for i, row in enumerate(matrix):
@@ -312,17 +310,8 @@ def test_criterion_6_negative_controls(monkeypatch):
                 if not flipped:
                     matrix[i][j] = -row[j]
                     flipped = True
-        bad = HomotopyEquivalence(
-            ChainMap(
-                cert.forward.source,
-                cert.forward.target,
-                {0: Morphism(comp.source, comp.target, matrix)},
-            ),
-            cert.backward,
-            cert.h_source,
-            cert.h_target,
-        )
-        wits = homotopy_failures(bad)
+        bad = {**cert, "forward": {0: Morphism(comp.source, comp.target, matrix)}}
+        wits = homotopy_failures(bad, contraction, F_one(n))
         if not wits:
             failures.append("sign flip not detected")
         else:

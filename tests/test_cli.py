@@ -818,35 +818,20 @@ def test_verify_certificate_malformed_file_is_usage_error(capsys, tmp_path, payl
     assert err.startswith(message.replace("<file>", str(path))) and err.count("\n") == 1
 
 
-def test_verify_certificate_null_entry_fails(capsys, tmp_path):
-    cert_path = tmp_path / "cert.json"
-    code, _, _ = run(
-        capsys, "certify-pair", "z0 z0", "", "--n", "2", "--format", "json", "--out", str(cert_path)
-    )
-    assert code == 0
-    report = {
-        "format": "braidcert.report.v1",
-        "kind": "relation-certificates",
-        "group": "vbB",
-        "n": 2,
-        "all_certified": False,
-        "results": [
-            {
-                "relation": "relWB0[0]",
-                "kind": "iso",
-                "status": "certified",
-                "certificate": json.loads(cert_path.read_text()),
-            },
-            {"relation": "relWB0[1]", "kind": "iso", "status": "failed", "certificate": None},
-        ],
-    }
+def test_verify_certificate_null_entry_fails(capsys, tmp_path, certificates_n2):
+    # a full n=2 report whose relWB0[1] entry failed: every other entry is
+    # [ok], that one has no certificate, and the report covers its relations
+    report = json.loads(json.dumps(certificates_n2))
+    report["all_certified"] = False
+    entry = next(r for r in report["results"] if r["relation"] == "relWB0[1]")
+    entry.update(status="failed", certificate=None)
     path = tmp_path / "report.json"
     path.write_text(json.dumps(report))
     code, out, _ = run(capsys, "verify-certificate", str(path))
     assert code == 1
     assert out.splitlines() == [
-        "[ok] z0 z0 ~  (iso)",
-        "[FAIL] relWB0[1] (iso): no certificate",
+        f"[FAIL] {r['relation']} ({r['kind']}): no certificate" if r is entry else f"[ok] {r['relation']} ({r['kind']})"
+        for r in report["results"]
     ]
 
 
@@ -866,6 +851,91 @@ def test_verify_report_with_a_bad_last_certificate_verifies_nothing(capsys, tmp_
         "error: results[24].certificate does not match certificate.schema.json: "
         "forward[2].matrix[3][1]: 5 is not of type 'string'\n"
     )
+
+
+def _swap_in_reid2a(report, by_label):
+    # relB3's entry carries reid2a[0]'s certificate, relabelled: it verifies
+    swapped = json.loads(json.dumps(by_label["reid2a[0]"]))
+    swapped["relation"] = swapped["certificate"]["relation"] = "relB3"
+    report["results"][report["results"].index(by_label["relB3"])] = swapped
+
+
+@pytest.mark.parametrize(
+    "tamper, oks, fails",
+    [
+        (
+            lambda report, by_label: report["results"].remove(by_label["relB3"]),
+            24,
+            ["[FAIL] relB3: missing"],
+        ),
+        (
+            _swap_in_reid2a,
+            25,
+            [
+                "[FAIL] relB3: the certificate's words ['s0 s0^-1', ''] are not "
+                "the relation's ['s0 s1 s0 s1', 's1 s0 s1 s0']"
+            ],
+        ),
+        (
+            lambda report, by_label: report["results"].append(json.loads(json.dumps(by_label["relB3"]))),
+            26,
+            ["[FAIL] relB3: occurs more than once"],
+        ),
+        (
+            lambda report, by_label: by_label["relB3"]["certificate"].update(relation="relB4"),
+            25,
+            ["[FAIL] relB4: not a relation of a report at n=3", "[FAIL] relB3: missing"],
+        ),
+        (
+            lambda report, by_label: by_label["relB2[1]"]["certificate"].update(n=4),
+            25,
+            ["[FAIL] relB2[1]: the certificate has n=4, the report n=3"],
+        ),
+        (
+            lambda report, by_label: report.update(all_certified=False),
+            25,
+            ["[FAIL] all_certified: the report says False, the check finds True"],
+        ),
+    ],
+    ids=["relB3-deleted", "relB3-swapped-for-reid2a", "relB3-twice", "relB3-relabelled", "n-differs", "verdict-differs"],
+)
+def test_a_report_must_cover_its_relations(capsys, tmp_path, tamper, oks, fails):
+    # every certificate left verifies, so only the coverage check can fail
+    report = json.loads(REPORT_N3.read_text())
+    tamper(report, {r["relation"]: r for r in report["results"]})
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    code, out, err = run(capsys, "verify-certificate", str(path))
+    lines = out.splitlines()
+    assert (code, err) == (1, "")
+    assert lines[:oks] == [line for line in lines if line.startswith("[ok] ")]
+    assert lines[oks:] == fails
+
+
+def test_a_report_without_n_is_a_usage_error(capsys, tmp_path):
+    report = json.loads(REPORT_N3.read_text())
+    del report["n"]
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    code, out, err = run(capsys, "verify-certificate", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: does not match report.schema.json: 'n' is a required property\n"
+
+
+@pytest.mark.parametrize("depth", [2, 500])
+def test_nested_parentheses_in_an_entry_are_a_parse_error(capsys, tmp_path, depth):
+    # 500 levels once ended in a RecursionError traceback and exit 1
+    cert = json.loads(json.dumps(_Z0Z0_CERT))
+    cert["forward"][0]["matrix"][0][0] = "(" * depth + "1" + ")" * depth
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    code, out, err = run(capsys, "verify-certificate", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(
+        "parse error: certificate 'z0 z0 ~ ', forward, degree 0, entry (0,0): "
+        "parenthesis inside a number in parentheses at position 1: '(("
+    )
+    assert err.count("\n") == 1
 
 
 def test_over_long_number_in_a_report_entry_is_parse_error(capsys, tmp_path):

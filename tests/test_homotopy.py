@@ -25,7 +25,6 @@ from braidcert.coxeter import make_reflection
 from braidcert.homotopy import (
     ChainMap,
     Complex,
-    HomotopyEquivalence,
     F_letter,
     F_one,
     F_word,
@@ -122,9 +121,8 @@ def test_tensor_complex_associative_on_presentations():
     for k in left.diffs:
         assert left.diffs[k].matrix == right.diffs[k].matrix
     # and is a verified chain isomorphism via the identity components
-    f = ChainMap(left, right, {k: Morphism.identity(left.objects[k]) for k in left.objects})
-    g = ChainMap(right, left, {k: Morphism.identity(left.objects[k]) for k in left.objects})
-    assert not chain_iso_failures(f, g)
+    identity = {k: Morphism.identity(left.objects[k]) for k in left.objects}
+    assert not chain_iso_failures({"forward": identity, "inverse": identity}, left, right)
 
 
 def _tensor_through_id_tensor(m, other):
@@ -307,10 +305,8 @@ def test_relmixB3_identity_components_give_iso():
     c = FW("z1 z0 z1 s0", n)
     d = FW("s0 z1 z0 z1", n)
     comps = {k: Morphism(c.objects[k], d.objects[k], mat_identity(c.objects[k].rank, n)) for k in c.objects}
-    f = ChainMap(c, d, comps)
     comps_back = {k: Morphism(d.objects[k], c.objects[k], mat_identity(c.objects[k].rank, n)) for k in c.objects}
-    g = ChainMap(d, c, comps_back)
-    assert not chain_iso_failures(f, g)
+    assert not chain_iso_failures({"forward": comps, "inverse": comps_back}, c, d)
 
 
 def test_relmixB3_sign_flip_fails_with_witness():
@@ -348,9 +344,8 @@ def test_relmixB5_iso_found_with_sign_flip_in_bottom_degree():
     d = FW("z1 s0 z1 s0", n)
     found = iso(c, d)
     assert found is not None
-    f, g = found
-    assert not chain_iso_failures(f, g)
-    bottom = f.component(-2).matrix[0][0]
+    assert not chain_iso_failures(found, c, d)
+    bottom = found["forward"][-2].matrix[0][0]
     assert bottom == Poly.constant(n, QSqrt2(-1)) or bottom == Poly.one(n)
 
 
@@ -416,12 +411,10 @@ def test_delta_of_a_homotopy_is_a_chain_map(pair):
 
 def test_find_chain_iso_simple_cases():
     n = 2
-    # involution relation: F(z0 z0) vs F(1)
-    found = iso(FW("z0 z0", n), F_one(n))
-    assert found is not None and not chain_iso_failures(*found)
-    # virtual order-4 relation
-    found = iso(FW("z0 z1 z0 z1", n), FW("z1 z0 z1 z0", n))
-    assert found is not None and not chain_iso_failures(*found)
+    # involution relation: F(z0 z0) vs F(1); virtual order-4 relation
+    for c, d in ((FW("z0 z0", n), F_one(n)), (FW("z0 z1 z0 z1", n), FW("z1 z0 z1 z0", n))):
+        found = iso(c, d)
+        assert found is not None and not chain_iso_failures(found, c, d)
 
 
 def test_find_chain_iso_negative_controls():
@@ -443,7 +436,7 @@ def test_reidemeister_two_contraction():
     assert cert is not None
     # independent oracle for the found certificate: the verifier recomputes
     # every identity from scratch
-    assert not homotopy_failures(cert)
+    assert not homotopy_failures(cert, c, F_one(n))
 
 
 def test_degree_bound_is_certify_pairs_alone(monkeypatch):
@@ -453,21 +446,23 @@ def test_degree_bound_is_certify_pairs_alone(monkeypatch):
     c = FW("s0 s0^-1", n)
     monkeypatch.setattr(homotopy, "DEGREE_BOUND", 2)
     cert = heq(c, F_one(n))
-    assert cert is not None and not homotopy_failures(cert)
+    assert cert is not None and not homotopy_failures(cert, c, F_one(n))
 
 
 def test_relB2_homotopy_at_n3():
     n = 3
-    cert = heq(FW("s1 s2 s1", n), FW("s2 s1 s2", n))
-    assert cert is not None and not homotopy_failures(cert)
+    c, d = FW("s1 s2 s1", n), FW("s2 s1 s2", n)
+    cert = heq(c, d)
+    assert cert is not None and not homotopy_failures(cert, c, d)
 
 
 def test_corrupted_homotopy_certificate_fails_with_witness():
     n = 2
-    cert = heq(FW("s0 s0^-1", n), F_one(n))
+    c, d = FW("s0 s0^-1", n), F_one(n)
+    cert = heq(c, d)
     assert cert is not None
     # flip one sign inside a forward component
-    comp = cert.forward.components[0]
+    comp = cert["forward"][0]
     matrix = [dict(row) for row in comp.matrix]
     done = False
     for i, row in enumerate(matrix):
@@ -475,21 +470,29 @@ def test_corrupted_homotopy_certificate_fails_with_witness():
             if not done:
                 matrix[i][j] = -row[j]
                 done = True
-    bad = ChainMap(
-        cert.forward.source,
-        cert.forward.target,
-        {0: Morphism(comp.source, comp.target, matrix)},
-    )
-    from braidcert.homotopy import HomotopyEquivalence
-
-    corrupted = HomotopyEquivalence(bad, cert.backward, cert.h_source, cert.h_target)
-    failures = homotopy_failures(corrupted)
+    corrupted = {**cert, "forward": {0: Morphism(comp.source, comp.target, matrix)}}
+    failures = homotopy_failures(corrupted, c, d)
     assert failures
     degree, what, row, col, residual = failures[0]
     assert residual != "0"
 
 
 # -- certificates -------------------------------------------------------------------
+
+
+def test_searches_return_their_kinds_fields_in_table_order():
+    # one table writes each kind's fields; both searches return exactly those
+    # maps in its order, and certify_pair's JSON keeps the order after its header
+    n = 2
+    fields = {kind: [entry[0] for entry in entries] for kind, entries in homotopy._KIND_FIELDS.items()}
+    assert fields == {"iso": ["forward", "inverse"], "homotopy": ["forward", "backward", "homotopy_source", "homotopy_target"]}
+    assert list(iso(FW("s0 z0", n), FW("z0 s0", n))) == fields["iso"]
+    assert list(heq(FW("s0 s0^-1", n), F_one(n))) == fields["homotopy"]
+    header = ["format", "relation", "kind", "group", "n", "words"]
+    cases = [("s0 z0", "z0 s0", "auto", "iso"), ("s0 z0", "z0 s0", "homotopy", "homotopy"), ("s0 s0^-1", "", "auto", "homotopy")]
+    for lhs, rhs, kind, found in cases:
+        got, cert = certify_pair(W(lhs, n), W(rhs, n), n, kind=kind)
+        assert got == found and list(json.loads(json.dumps(cert))) == header + fields[found]
 
 
 def test_certify_pair_and_round_trip():
@@ -529,11 +532,11 @@ def test_certificate_tamper_detected_after_round_trip():
 
 def test_remark_isos_at_n3():
     n = 3
-    for i in range(n):
-        found = iso(FW(f"s{i} z{i}", n), FW(f"z{i} s{i}", n))
-        assert found is not None and not chain_iso_failures(*found), i
-    found = iso(FW("z0 s1 z0 s1", n), FW("s1 z0 s1 z0", n))
-    assert found is not None and not chain_iso_failures(*found)
+    pairs = [(f"s{i} z{i}", f"z{i} s{i}") for i in range(n)] + [("z0 s1 z0 s1", "s1 z0 s1 z0")]
+    for lhs, rhs in pairs:
+        c, d = FW(lhs, n), FW(rhs, n)
+        found = iso(c, d)
+        assert found is not None and not chain_iso_failures(found, c, d), lhs
 
 
 # -- exact witnesses ----------------------------------------------------------------
@@ -569,11 +572,12 @@ def test_non_commuting_chain_map_witnesses():
 
 def test_broken_inverse_witnesses():
     n = 3
-    f, g = iso(FW("s0 s2", n), FW("s2 s0", n))
-    doubled = ChainMap(g.source, g.target, {k: m.scale(QSqrt2(2)) for k, m in g.components.items()})
+    c, d = FW("s0 s2", n), FW("s2 s0", n)
+    found = iso(c, d)
+    doubled = {k: m.scale(QSqrt2(2)) for k, m in found["inverse"].items()}
     # g.f = 2 id and f.g = 2 id, so every diagonal entry leaves residual 1
     diagonal = [(-2, 0)] + [(k, i) for k in (-1, 0) for i in range(4)]
-    assert chain_iso_failures(f, doubled) == [
+    assert chain_iso_failures({**found, "inverse": doubled}, c, d) == [
         (k, f"{side}: {comp} + dh + hd != id", i, i, "1")
         for side, comp in (("source", "g.f"), ("target", "f.g"))
         for k, i in diagonal
@@ -582,12 +586,13 @@ def test_broken_inverse_witnesses():
 
 def test_tampered_homotopy_witnesses():
     n = 2
-    cert = heq(FW("s0 s0^-1", n), F_one(n))
-    h_source = dict(cert.h_source)
+    c, d = FW("s0 s0^-1", n), F_one(n)
+    cert = heq(c, d)
+    h_source = dict(cert["homotopy_source"])
     h_source[0] = h_source[0].scale(QSqrt2(2))
-    tampered = HomotopyEquivalence(cert.forward, cert.backward, h_source, cert.h_target)
+    tampered = {**cert, "homotopy_source": h_source}
     tag = "source: g.f + dh + hd != id"
-    assert homotopy_failures(tampered) == [
+    assert homotopy_failures(tampered, c, d) == [
         (-1, tag, 0, 0, "1"),
         (-1, tag, 1, 1, "1"),
         (0, tag, 0, 3, "-1"),
@@ -678,8 +683,8 @@ def test_relB3_search_makes_one_solve(monkeypatch):
     solves = count_calls(monkeypatch, linalg, "solve_affine")
     probes = count_calls(monkeypatch, homotopy, "_candidate_iter")
     cert = find_homotopy_equiv(c, d, fb)
-    assert cert is not None and not homotopy_failures(cert)
-    assert cert.forward.components == fb[12].components
+    assert cert is not None and not homotopy_failures(cert, c, d)
+    assert cert["forward"] == fb[12].components
     assert len(solves) == 1 and not probes
 
 
@@ -751,10 +756,9 @@ def test_iso_search_on_all_short_word_pairs_at_n2():
         if found is None:
             continue
         isos += 1
-        winners[next((i for i, f in enumerate(fb) if f is found[0]), "sum")] += 1
-        f, g = found
+        winners[next((i for i, f in enumerate(fb) if f.components is found["forward"]), "sum")] += 1
         label = f"{words[i]} ~ {words[j]}"
-        cert = homotopy._certificate(label, n, words[i], words[j], "iso", forward=f.components, inverse=g.components)
+        cert = homotopy._certificate(label, n, words[i], words[j], "iso", **found)
         digest.update(json.dumps(cert, sort_keys=True).encode() + b"\n")
     assert (pairs, isos) == (194, 52)
     assert winners == {0: 42, 2: 2, "sum": 8}
@@ -823,11 +827,7 @@ def test_whiskered_relations_are_certified(relation, u, v):
     assert h0(c, d)[1] == 1
     cert = find_homotopy_equiv(c, d, chain_map_space(c, d))
     assert cert is not None
-    data = homotopy._certificate(
-        "whiskered", n, W(lhs, n), W(rhs, n), "homotopy",
-        forward=cert.forward.components, backward=cert.backward.components,
-        homotopy_source=cert.h_source, homotopy_target=cert.h_target,
-    )
+    data = homotopy._certificate("whiskered", n, W(lhs, n), W(rhs, n), "homotopy", **cert)
     assert verify_certificate_dict(data) == (True, [])
 
 
@@ -1017,8 +1017,8 @@ def test_pairs_that_share_a_core_search_it_once_and_check_each_result(monkeypatc
         lhs, rhs = (" ".join(p for p in (u, w, v) if p) for w in ("s1 z1", "z1 s1"))
         before = len(checks)
         results.append(certify_pair(W(lhs, n), W(rhs, n), n))
-        ((f, _),) = checks[before:]
-        assert f.source.objects == FW(lhs, n).objects
+        ((_, c, _),) = checks[before:]
+        assert c.objects == FW(lhs, n).objects
     assert len(spaces) == 1 and len(checks) == 3  # one per call
     for kind, cert in results:
         assert kind == "iso" and verify_certificate_dict(cert) == (True, [])

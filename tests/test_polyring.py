@@ -189,6 +189,7 @@ def test_parse_errors_carry_positions():
         # spellings no printer writes
         ("(1 - sqrt2)*X0", "unrecognised factor '1 - sqrt2'", 1),
         ("(X0)*X1", "expected a number in parentheses", 0),
+        ("((1/2))*(2*sqrt2)", "parenthesis inside a number in parentheses", 1),
         ("1 + (1 + X0)*X1", "expected a number in parentheses", 3),
         ("+1", "empty term", 0),
         ("(+1)*X0", "empty term", 1),
@@ -205,6 +206,21 @@ def test_parse_errors_carry_positions():
         assert (exc.value.message, exc.value.position) == (message, position), text
 
 
+def test_nested_parentheses_are_refused_at_any_depth():
+    # a number in parentheses holds no parenthesis, so the parse recurses at
+    # most once: 500 levels once ended in a RecursionError
+    for depth in (2, 3, 500, 100_000):
+        text = "(" * depth + "1" + ")" * depth
+        with pytest.raises(ParseError) as exc:
+            parse_poly(text, 2)
+        assert (exc.value.message, exc.value.position) == ("parenthesis inside a number in parentheses", 1), depth
+    for text, position in [("X0*((1))", 4), ("(1 + (2))*X0", 5), ("(1)(2)", 2)]:
+        with pytest.raises(ParseError) as exc:
+            parse_poly(text, 2)
+        assert (exc.value.message, exc.value.position) == ("parenthesis inside a number in parentheses", position), text
+    assert parse_poly("(1)*(2)*X0", 2) == parse_poly("2*X0", 2)
+
+
 def test_constants_parse_like_the_scalar_printer():
     n = 2
     for text, value in [
@@ -214,7 +230,7 @@ def test_constants_parse_like_the_scalar_printer():
         ("-sqrt2", QSqrt2(0, -1)),
         ("1 + -1/2*sqrt2", QSqrt2(1, Fraction(-1, 2))),
         ("(1 + -1/2*sqrt2)", QSqrt2(1, Fraction(-1, 2))),
-        ("((1/2))*(2*sqrt2)", QSqrt2(0, 1)),
+        ("(1/2)*(2*sqrt2)", QSqrt2(0, 1)),
     ]:
         assert parse_poly(text, n) == Poly.constant(n, value), text
 
