@@ -155,3 +155,13 @@ cat truncated.err
 test "$status" -eq 2
 test "$(wc -l < truncated.err)" -eq 1
 grep -q '^error: truncated.json: ' truncated.err
+
+echo "== A schema error is a one-line error that names the file (the n=3 report with its n removed, exit 2)"
+python -c 'import json, sys; r = json.load(open(sys.argv[1])); del r["n"]; json.dump(r, open("no_n.json", "w"))' "$root/perfbench/data/certify_n3.json"
+status=0
+braidcert verify-certificate no_n.json > no_n.out 2> no_n.err || status=$?
+cat no_n.err
+test "$status" -eq 2
+test ! -s no_n.out
+test "$(wc -l < no_n.err)" -eq 1
+test "$(cat no_n.err)" = "error: no_n.json: does not match report.schema.json: 'n' is a required property"

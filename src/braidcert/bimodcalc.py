@@ -31,7 +31,7 @@ products = sum of products + target".  ``mat_residuals`` decides it without
 building either side: it compares the unreduced sums of the term products
 entry by entry, and builds a ``Poly`` and a residual only for an entry where
 the identity fails.  ``Morphism.after`` hands it the factors of a
-composite, with the shape check ``compose`` makes.
+composite once their shapes are checked; no composite is built.
 
 The two building blocks are the twisted bimodule ``R_w`` (rank one, right
 action through the word ``w``) and ``B_t`` for a reflection ``t`` (rank two
@@ -239,9 +239,6 @@ class Bimodule:
             and self.actions == other.actions
         )
 
-    def __hash__(self) -> int:
-        return hash((self.n, self.basis_degrees))
-
     def __repr__(self) -> str:
         return f"Bimodule(rank={self.rank}, degrees={list(self.basis_degrees)})"
 
@@ -332,8 +329,6 @@ def zero_bimodule(n: int) -> Bimodule:
 
 def shift(m: Bimodule, p: int) -> Bimodule:
     """Shift the internal grading: basis degrees go up by ``p``, actions unchanged."""
-    if p == 0:
-        return m
     return Bimodule(m.n, [d + p for d in m.basis_degrees], m.actions, m.block_spans)
 
 
@@ -418,10 +413,6 @@ class Morphism:
         self.matrix = matrix
 
     @classmethod
-    def identity(cls, m: Bimodule) -> "Morphism":
-        return cls(m, m, mat_identity(m.rank, m.n))
-
-    @classmethod
     def zero(cls, source: Bimodule, target: Bimodule) -> "Morphism":
         return cls(source, target, mat_zero(target.rank))
 
@@ -451,24 +442,11 @@ class Morphism:
             raise ValueError("composition shape mismatch")
         return self.matrix, other.matrix
 
-    def compose(self, other: "Morphism") -> "Morphism":
-        """``self`` after ``other``."""
-        return Morphism(other.source, self.target, mat_mul(*self.after(other)))
-
     def __add__(self, other: "Morphism") -> "Morphism":
         return Morphism(self.source, self.target, mat_add(self.matrix, other.matrix))
 
     def scale(self, c) -> "Morphism":
         return Morphism(self.source, self.target, mat_scale(self.matrix, c))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Morphism):
-            return NotImplemented
-        return (
-            self.source == other.source
-            and self.target == other.target
-            and self.matrix == other.matrix
-        )
 
     def __repr__(self) -> str:
         return f"Morphism({self.source!r} -> {self.target!r})"
@@ -596,8 +574,6 @@ def _solve_pane(m, sspan, target, tspan):
                 by_col.setdefault(l, []).append((k, variables))
                 by_row.setdefault(k, []).append((l, variables))
                 slots.extend((k, l, exp) for exp in exps)
-    if not slots:
-        return []
     rows: list = []
     for j in range(n):
         # the products of F*A_src - A_tgt*F: (entry (k, l), the unknown

@@ -152,20 +152,20 @@ def cmd_verify_certificate(args) -> int:
         raise ValueError(f"{args.file}: expected a JSON object, not {type(data).__name__}")
     report = data.get("format") == homotopy.REPORT_FORMAT
     if report:
-        _check_schema("report.schema.json", [("", data)])
+        _check_schema("report.schema.json", [(f"{args.file}: ", data)])
         entries = data["results"] if data.get("kind") == "relation-certificates" else []
         if not entries:
             raise ValueError(f"{args.file}: the report holds no certificates to verify")
         _check_schema(
             "certificate.schema.json",
             [
-                (f"results[{i}].certificate ", r["certificate"])
+                (f"{args.file}: results[{i}].certificate ", r["certificate"])
                 for i, r in enumerate(entries)
                 if r.get("certificate") is not None
             ],
         )
     else:
-        _check_schema("certificate.schema.json", [("", data)])
+        _check_schema("certificate.schema.json", [(f"{args.file}: ", data)])
         entries = [{"certificate": data}]
     bad = 0
     for entry in entries:

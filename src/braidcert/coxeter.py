@@ -92,14 +92,6 @@ class Reflection:
     def apply(self, p: Poly) -> Poly:
         return self.endo.apply(p)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Reflection):
-            return NotImplemented
-        return self.endo == other.endo and self.root == other.root
-
-    def __hash__(self) -> int:
-        return hash((self.endo, self.root))
-
     def __repr__(self) -> str:
         return f"Reflection({list(self.word)}, root={self.root})"
 

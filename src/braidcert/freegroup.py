@@ -146,12 +146,6 @@ class FreeAutomorphism:
             return NotImplemented
         return self.gens == other.gens and self.images == other.images
 
-    def __hash__(self) -> int:
-        return hash((self.gens, frozenset(self.images.items())))
-
-    def is_identity(self) -> bool:
-        return not self.images
-
     def specialize_t1(self) -> "FreeAutomorphism":
         """Erase every t-letter from every image and reduce what is left."""
         gens = tuple(g for g in self.gens if g != T)

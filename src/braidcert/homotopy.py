@@ -45,6 +45,10 @@ identities are re-verified exactly, entry by entry.  From search to check a
 certificate is one maps dict, ``{field: {degree: Morphism}}`` in certificate
 order, checked with its two complexes; ``_KIND_FIELDS`` is the one place each
 kind's fields, the complexes they join and their degree shifts are written.
+Each field, a chain map ``c_k -> d_k`` or a homotopy ``c_k -> c_{k-1}``, is
+a plain ``{degree k: Morphism}`` dict read with the two complexes it joins,
+and so is each chain map the searches solve for: a missing degree is the
+zero morphism, and a check adds no product for it.
 Each check hands the factors of its composites to ``bimodcalc.mat_residuals``,
 which compares unreduced sums and builds a residual only where an identity
 fails; no composite is built to be compared.
@@ -277,8 +281,6 @@ def tensor_complex(c: Complex, d: Complex) -> Complex:
     for p in c.support():
         for q in d.support():
             pairs.setdefault(p + q, []).append((p, q))
-    for k in pairs:
-        pairs[k].sort()
     objects: dict = {}
     offsets: dict = {}
     for k, pq in pairs.items():
@@ -318,67 +320,48 @@ def tensor_complex(c: Complex, d: Complex) -> Complex:
 # -- chain maps ---------------------------------------------------------------------
 
 
-class ChainMap:
-    """Per-degree morphisms commuting with the differentials."""
-
-    __slots__ = ("source", "target", "components")
-
-    def __init__(self, source: Complex, target: Complex, components: dict) -> None:
-        self.source = source
-        self.target = target
-        self.components = {
-            k: f for k, f in components.items() if f.source.rank and f.target.rank
-        }
-
-    def component(self, k: int) -> Morphism:
-        f = self.components.get(k)
-        if f is None:
-            return Morphism.zero(self.source.object_at(k), self.target.object_at(k))
-        return f
-
-    def __repr__(self) -> str:
-        return f"ChainMap(degrees={sorted(self.components)})"
-
-
 def _tagged_failures(prefix: str, maps: dict) -> list:
     """``(degree, "prefix tag", row, col, residual)`` for each ``morphism_failures()`` witness of ``{degree: morphism}``."""
     return [(k, f"{prefix} {tag}", *w) for k, m in maps.items() for tag, *w in m.morphism_failures()]
 
 
-def chain_map_failures(f: ChainMap) -> list:
-    failures = _tagged_failures("component", f.components)
-    degrees = set(f.source.objects) | set(f.target.objects)
-    for k in sorted(degrees):
-        lhs = f.component(k + 1).after(f.source.diff_at(k))
-        rhs = f.target.diff_at(k).after(f.component(k))
-        failures += [(k, "square", *w) for w in mat_residuals(f.source.n, [lhs], [rhs])]
+def chain_map_failures(f: dict, c: Complex, d: Complex) -> list:
+    """Witnesses against ``f``, a ``{degree: Morphism}`` dict, being a chain map ``c -> d``.
+
+    Each component must be a bimodule map, and each square ``f d = d f``
+    must commute.
+    """
+    failures = _tagged_failures("component", f)
+    for k in sorted(set(c.objects) | set(d.objects)):
+        lhs = [f[k + 1].after(c.diffs[k])] if k + 1 in f and k in c.diffs else []
+        rhs = [d.diffs[k].after(f[k])] if k in f and k in d.diffs else []
+        if lhs or rhs:
+            failures += [(k, "square", *w) for w in mat_residuals(c.n, lhs, rhs)]
     return failures
 
 
 def homotopy_failures(maps: dict, c: Complex, d: Complex) -> list:
     """Witnesses against the homotopy certificate ``maps`` being a homotopy equivalence ``c -> d``.
 
-    A missing homotopy is zero.  ``g.f + dh + hd = id`` on ``c`` and
-    ``f.g + dh + hd = id`` on ``d`` are checked exactly.
+    Each field is a ``{degree: Morphism}`` dict; a missing homotopy is zero.
+    ``g.f + dh + hd = id`` on ``c`` and ``f.g + dh + hd = id`` on ``d`` are
+    checked exactly.
     """
-    f, g = ChainMap(c, d, maps["forward"]), ChainMap(d, c, maps["backward"])
+    f, g = maps["forward"], maps["backward"]
     h_source, h_target = maps.get("homotopy_source", {}), maps.get("homotopy_target", {})
-    failures = chain_map_failures(f) + chain_map_failures(g)
+    failures = chain_map_failures(f, c, d) + chain_map_failures(g, d, c)
     failures += _tagged_failures("h_source", h_source) + _tagged_failures("h_target", h_target)
-    sides = (("source: g.f", f, g, h_source), ("target: f.g", g, f, h_target))
-    for side, first, then, h in sides:
-        cx = first.source
+    sides = (("source: g.f", c, f, g, h_source), ("target: f.g", d, g, f, h_target))
+    for side, cx, first, then, h in sides:
         tag = f"{side} + dh + hd != id"
         for k in cx.support():
             products = []
-            if first.target.object_at(k).rank:
-                products.append(then.component(k).after(first.component(k)))
-            hk = h.get(k)
-            if hk is not None and cx.object_at(k - 1).rank:
-                products.append(cx.diff_at(k - 1).after(hk))
-            hk1 = h.get(k + 1)
-            if hk1 is not None and cx.object_at(k + 1).rank:
-                products.append(hk1.after(cx.diff_at(k)))
+            if k in first and k in then:
+                products.append(then[k].after(first[k]))
+            if k in h and k - 1 in cx.diffs:
+                products.append(cx.diffs[k - 1].after(h[k]))
+            if k + 1 in h and k in cx.diffs:
+                products.append(h[k + 1].after(cx.diffs[k]))
             ident = mat_identity(cx.objects[k].rank, cx.n)
             failures += [(k, tag, *w) for w in mat_residuals(cx.n, products, target=ident)]
     return failures
@@ -399,14 +382,12 @@ def chain_map_space(c: Complex, d: Complex) -> list:
     """A basis of the space of degree-0 chain maps ``c -> d``: ``Z^0 = ker delta``.
 
     Per-degree morphism spaces are solved first; ``delta f = 0`` is then a
-    small linear system over their coefficients.
+    small linear system over their coefficients.  Each map is a
+    ``{degree: Morphism}`` dict.
     """
     basis, nvars = _hom_basis(c, d, 0, 0)
     rows = _equations((v, _delta(c, d, 0, k, b)) for v, k, b in basis)[0]
-    return [
-        ChainMap(c, d, _combine((vec.get(v), {k: b}) for v, k, b in basis))
-        for vec in linalg.kernel_basis(rows, nvars)
-    ]
+    return [_combine((vec.get(v), {k: b}) for v, k, b in basis) for vec in linalg.kernel_basis(rows, nvars)]
 
 
 def _hom_basis(x: Complex, y: Complex, offset: int, start: int) -> tuple:
@@ -492,8 +473,8 @@ def _combine(weighted) -> dict:
     """Per-degree sums of ``coeff * morphism`` over ``(coeff, {degree: morphism})``.
 
     A coefficient is a ``linalg`` triple, or None for zero; zero terms are
-    skipped and degrees whose total is zero dropped.  A missing degree reads
-    as the zero morphism in ``ChainMap.component`` and in the verifier.
+    skipped and degrees whose total is zero dropped: a missing degree is the
+    zero morphism.
     """
     totals: dict = {}
     for coeff, components in weighted:
@@ -532,12 +513,12 @@ def find_chain_iso(c: Complex, d: Complex, fb: list):
     for f in _candidate_iter(fb):
         inverses: dict = {}
         for k in sorted(c.objects):
-            inv = f.component(k).graded_inverse()
+            inv = f[k].graded_inverse() if k in f else None
             if inv is None:
                 break
             inverses[k] = inv
         else:
-            return {"forward": f.components, "inverse": inverses}
+            return {"forward": f, "inverse": inverses}
     return None
 
 
@@ -556,7 +537,7 @@ def find_homotopy_equiv(c: Complex, d: Complex, fb: list):
     if dim != 1:
         return None
     f = next(f for f, cls in zip(fb, classes) if cls)
-    return _solve_homotopy_for(f, chain_map_space(d, c))
+    return _solve_homotopy_for(f, chain_map_space(d, c), c, d)
 
 
 def homotopy_classes(c: Complex, d: Complex, fb: list) -> tuple:
@@ -570,7 +551,7 @@ def homotopy_classes(c: Complex, d: Complex, fb: list) -> tuple:
     dimension of ``H^0`` is the rank of the classes.
     """
     ech = linalg._Echelon(_slot_vector(_delta(c, d, -1, k, h)) for _, k, h in _hom_basis(c, d, -1, 0)[0])
-    classes = [ech.reduce(_slot_vector({k: _poly_sums(m.matrix) for k, m in f.components.items()})) for f in fb]
+    classes = [ech.reduce(_slot_vector({k: _poly_sums(m.matrix) for k, m in f.items()})) for f in fb]
     return classes, sum(ech.insert(dict(v)) for v in classes)
 
 
@@ -580,14 +561,13 @@ def _candidate_iter(basis: list):
     if len(basis) > 1:
         # a generic-looking weighted combination often hits the invertible locus
         primes = [1, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
-        comps = _combine(((primes[i % len(primes)], 0, 1), b.components) for i, b in enumerate(basis))
-        yield ChainMap(basis[0].source, basis[0].target, comps)
+        yield _combine(((primes[i % len(primes)], 0, 1), b) for i, b in enumerate(basis))
 
 
-def _solve_homotopy_for(f: ChainMap, gb: list):
-    """The maps of the homotopy equivalence with forward map ``f``, or None.
+def _solve_homotopy_for(f: dict, gb: list, c: Complex, d: Complex):
+    """The maps of the homotopy equivalence with forward map ``f: c -> d``, or None.
 
-    ``gb`` is ``chain_map_space(f.target, f.source)``.  The unknowns are the
+    ``gb`` is ``chain_map_space(d, c)``.  The unknowns are the
     coefficients ``y_j`` of ``gb``, then those of the source-side and the
     target-side bases of ``Hom^-1``; one exact solve of
     ``sum_j y_j (g_j f) + delta h = id`` on the source and
@@ -595,13 +575,13 @@ def _solve_homotopy_for(f: ChainMap, gb: list):
     solution is returned as solved: ``certify_pair`` checks the certificate
     it writes, and a failed check is a ``RuntimeError`` there.
     """
-    src_basis, nvars = _hom_basis(f.source, f.source, -1, len(gb))
-    tgt_basis = _hom_basis(f.target, f.target, -1, nvars)[0]
+    src_basis, nvars = _hom_basis(c, c, -1, len(gb))
+    tgt_basis = _hom_basis(d, d, -1, nvars)[0]
     rows: list = []
     rhs: list = []
     sides = (
-        (f.source, src_basis, lambda g: _composite_sums(g, f)),
-        (f.target, tgt_basis, lambda g: _composite_sums(f, g)),
+        (c, src_basis, lambda g: _composite_sums(g, f)),
+        (d, tgt_basis, lambda g: _composite_sums(f, g)),
     )
     for cx, basis, composite in sides:
         terms = itertools.chain(
@@ -616,17 +596,19 @@ def _solve_homotopy_for(f: ChainMap, gb: list):
         return None
     h_src, h_tgt = (_combine((solution.get(v), {k: h}) for v, k, h in basis) for basis in (src_basis, tgt_basis))
     return {
-        "forward": f.components,
-        "backward": _combine((solution.get(j), g.components) for j, g in enumerate(gb)),
+        "forward": f,
+        "backward": _combine((solution.get(j), g) for j, g in enumerate(gb)),
         "homotopy_source": h_src,
         "homotopy_target": h_tgt,
     }
 
 
-def _composite_sums(second: ChainMap, first: ChainMap) -> dict:
-    """``second`` after ``first`` as ``{degree: sums}`` (``_product_sums``)."""
-    degrees = set(second.components) | set(first.components)
-    return {k: _product_sums(second.component(k).after(first.component(k))) for k in degrees}
+def _composite_sums(second: dict, first: dict) -> dict:
+    """``second`` after ``first``, two chain maps, as ``{degree: sums}`` (``_product_sums``).
+
+    A degree that either map misses holds a zero composite and is left out.
+    """
+    return {k: _product_sums(second[k].after(first[k])) for k in second.keys() & first.keys()}
 
 
 # -- certificates -------------------------------------------------------------------

@@ -165,8 +165,6 @@ class Poly:
             if other.n != self.n:
                 raise ValueError("polynomials over different variable counts")
             return other
-        if isinstance(other, (int, QSqrt2)):
-            return Poly.constant(self.n, other)
         return None
 
     def __add__(self, other) -> "Poly":
@@ -185,19 +183,11 @@ class Poly:
         out.terms = terms
         return out
 
-    __radd__ = __add__
-
     def __sub__(self, other) -> "Poly":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return self + (-o)
-
-    def __rsub__(self, other) -> "Poly":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
 
     def __neg__(self) -> "Poly":
         out = Poly(self.n)
@@ -205,19 +195,12 @@ class Poly:
         return out
 
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, QSqrt2)):
-            return self.scale(other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         acc: dict = {}
         _mul_into(acc, self.terms, o.terms)
         return _from_sums(self.n, acc)
-
-    def __rmul__(self, other) -> "Poly":
-        if isinstance(other, (int, QSqrt2)):
-            return self.scale(other)
-        return self.__mul__(other)
 
     def scale(self, c) -> "Poly":
         c = c if isinstance(c, QSqrt2) else QSqrt2(c)
@@ -236,16 +219,7 @@ class Poly:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def __hash__(self) -> int:
-        return hash((self.n, frozenset(self.terms.items())))
-
     # -- grading -----------------------------------------------------------
-
-    def degree(self) -> int:
-        """Graded degree (each variable contributes 2); -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(2 * sum(exp) for exp in self.terms)
 
     def is_homogeneous(self, d: int | None = None) -> bool:
         if not self.terms:
@@ -328,9 +302,6 @@ class LinearEndo:
             return NotImplemented
         return self.images == other.images
 
-    def __hash__(self) -> int:
-        return hash(self.images)
-
     def is_identity(self) -> bool:
         return self == LinearEndo.identity(self.n)
 
@@ -391,8 +362,7 @@ def divide_by_linear(p: Poly, ell: Poly) -> Poly:
 # gives its position in the whole entry.  The printer is canonical and
 # round-trips bit-exactly, which the certificate files rely on.  It writes
 # each coefficient from its ``(p, q, d)`` ints (``QSqrt2.__str__``), in
-# parentheses when both of its parts are nonzero, and builds no
-# ``Fraction``.
+# parentheses when both of its parts are nonzero.
 
 _VAR_RE = re.compile(r"X([0-9]+)(?:\^([0-9]+))?")
 _RAT_RE = re.compile(r"([0-9]+)(?:/([0-9]+))?")
@@ -474,7 +444,7 @@ def _parse_term(full: str, offset: int, term: str, n: int) -> Poly:
             if nested is not None:
                 raise ParseError("parenthesis inside a number in parentheses", full, start + nested)
             inside = _parse_sum(full, start, inner, n)
-            if inside.degree() > 0:
+            if not inside.is_homogeneous(0):
                 raise ParseError("expected a number in parentheses", full, at)
             coeff = coeff * inside.constant_term()
             continue

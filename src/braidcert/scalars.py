@@ -8,21 +8,19 @@ A value ``(p + q*sqrt(2)) / d`` is stored as three Python ints ``(p, q, d)``
 with ``d > 0`` and ``gcd(p, q, d) == 1``; zero is ``(0, 0, 1)``.  Every
 operation returns this form, which is unique because sqrt(2) is irrational,
 so equality compares the three ints.  One operation costs a few int
-products and at most one three-way gcd, where a pair of ``Fraction``s would
-normalise each component on its own.
+products and at most one three-way gcd.
 
-Printing and hashing read the ints too: the text of ``a = p/d`` and
-``b = q/d`` is ``p/d`` divided by ``gcd(p, d)``, and the hash is Python's
-numeric hash of those rationals.  ``Fraction`` appears only at the edges:
-``QSqrt2(a, b)`` with components that are not ints, the ``a`` and ``b``
-properties, and mixed arithmetic with a ``Fraction``; each of those imports
-``fractions`` where it runs.
+``QSqrt2(a, b)`` is ``a + b*sqrt(2)`` for two ints; a value with a
+denominator is made by ``reduced(p, q, d)``, and the operators take a
+``QSqrt2`` or an int.  Printing reads the ints too: ``a = p/d`` and
+``b = q/d`` are written in lowest terms, as ``str`` writes a ``Fraction``,
+but no ``Fraction`` is built anywhere in this module.  A value is not
+hashable: nothing keys a dict or a cache by one.
 """
 
 from __future__ import annotations
 
-import sys
-from math import gcd, lcm
+from math import gcd
 
 
 class QSqrt2:
@@ -30,49 +28,19 @@ class QSqrt2:
 
     __slots__ = ("p", "q", "d")
 
-    def __init__(self, a=0, b=0) -> None:
-        if type(a) is int and type(b) is int:
-            self.p, self.q, self.d = a, b, 1
-            return
-        if isinstance(a, float) or isinstance(b, float):
-            raise TypeError("QSqrt2 components must be exact rationals, not floats")
-        from fractions import Fraction
-
-        a, b = Fraction(a), Fraction(b)
-        d = lcm(a.denominator, b.denominator)  # then gcd(p, q, d) is already 1
-        self.p = a.numerator * (d // a.denominator)
-        self.q = b.numerator * (d // b.denominator)
-        self.d = d
-
-    @property
-    def a(self) -> Fraction:
-        """The rational part."""
-        from fractions import Fraction
-
-        return Fraction(self.p, self.d)
-
-    @property
-    def b(self) -> Fraction:
-        """The coefficient of sqrt(2)."""
-        from fractions import Fraction
-
-        return Fraction(self.q, self.d)
-
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def sqrt2(cls) -> "QSqrt2":
-        return cls(0, 1)
+    def __init__(self, a: int = 0, b: int = 0) -> None:
+        if type(a) is not int or type(b) is not int:
+            raise TypeError(
+                f"QSqrt2 takes two ints, not {type(a).__name__} and {type(b).__name__}; "
+                "reduced(p, q, d) makes a value with a denominator"
+            )
+        self.p, self.q, self.d = a, b, 1
 
     @classmethod
     def _coerce(cls, x) -> "QSqrt2 | None":
         if isinstance(x, QSqrt2):
             return x
-        if isinstance(x, int):
-            return cls(x)
-        from fractions import Fraction
-
-        return cls(x) if isinstance(x, Fraction) else None
+        return cls(x) if type(x) is int else None
 
     # -- arithmetic ----------------------------------------------------
     #
@@ -130,13 +98,7 @@ class QSqrt2:
             return NotImplemented
         return self * o.inverse()
 
-    def __rtruediv__(self, other) -> "QSqrt2":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    # -- comparisons & hashing -----------------------------------------
+    # -- comparisons ---------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if type(other) is not QSqrt2:
@@ -144,14 +106,6 @@ class QSqrt2:
             if other is None:
                 return NotImplemented
         return self.p == other.p and self.q == other.q and self.d == other.d
-
-    def __hash__(self) -> int:
-        # hash((a, b)) of the Fraction components: hashed containers of
-        # these values then iterate in the same order whatever the storage
-        d = self.d
-        if d == 1:
-            return hash((self.p, self.q))
-        return hash((_rational_hash(self.p, d), _rational_hash(self.q, d)))
 
     def __bool__(self) -> bool:
         return self.p != 0 or self.q != 0
@@ -182,22 +136,6 @@ def _rational_text(n: int, d: int) -> str:
         g = gcd(n, d)
         n, d = n // g, d // g
     return str(n) if d == 1 else f"{n}/{d}"
-
-
-_MODULUS = sys.hash_info.modulus
-
-
-def _rational_hash(n: int, d: int) -> int:
-    """``hash(Fraction(n, d))`` for ``d > 0``, by the numeric hash rule of Python's ``hash``."""
-    g = gcd(n, d)
-    n, d = n // g, d // g
-    try:
-        h = hash(hash(abs(n)) * pow(d, -1, _MODULUS))
-    except ValueError:  # d is a multiple of the modulus
-        h = sys.hash_info.inf
-    if n < 0:
-        h = -h
-    return -2 if h == -1 else h
 
 
 def reduced_triple(p: int, q: int, d: int) -> tuple:

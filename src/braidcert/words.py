@@ -55,8 +55,9 @@ _set = object.__setattr__
 class _Record:
     """Immutable fields, the names in ``__slots__``, each set once in ``__init__``.
 
-    Subclasses compare and hash their fields in their own ``__eq__`` and
-    ``__hash__``; the repr is ``Name(field=value, ...)``.
+    ``Alphabet`` and ``BraidWord`` compare their fields in their own
+    ``__eq__``, and ``Alphabet`` hashes them too (it keys ``_token_table``'s
+    cache); the repr is ``Name(field=value, ...)``.
     """
 
     __slots__ = ()
@@ -143,14 +144,6 @@ class BraidWord(_Record):
         if other.__class__ is not BraidWord:
             return NotImplemented
         return self.alphabet == other.alphabet and self.letters == other.letters
-
-    def __hash__(self) -> int:
-        return hash((self.alphabet, self.letters))
-
-    def __mul__(self, other: "BraidWord") -> "BraidWord":
-        if self.alphabet != other.alphabet:
-            raise ValueError("words over different alphabets")
-        return BraidWord(self.alphabet, self.letters + other.letters)
 
     def __str__(self) -> str:
         return format_word(self)
@@ -249,14 +242,6 @@ class RelatorPair(_Record):
         _set(self, "label", label)
         _set(self, "lhs", lhs)
         _set(self, "rhs", rhs)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not RelatorPair:
-            return NotImplemented
-        return self.label == other.label and self.lhs == other.lhs and self.rhs == other.rhs
-
-    def __hash__(self) -> int:
-        return hash((self.label, self.lhs, self.rhs))
 
 
 def _pair(ab: Alphabet, label: str, lhs, rhs) -> RelatorPair:

@@ -3,17 +3,22 @@
 An empty certify-pair core cache for every test; the relation reports,
 built once per session; the unit-fixing isomorphism the degree-0 solver
 finds between two bimodules; the coordinates of ``1 (x) p (x) 1`` in a
-tensor of two ``B_t``; and the paper's generators of the invariant
-subalgebras of four reflections.
+tensor of two ``B_t``; the paper's generators of the invariant
+subalgebras of four reflections; and ``Fraction`` pairs for values of
+Q(sqrt2).
 """
+
+from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from braidcert import homotopy
-from braidcert.bimodcalc import mat_identity, solve_morphisms
+from braidcert.bimodcalc import mat_identity, mat_mul, solve_morphisms
 from braidcert.coxeter import demazure_decompose
 from braidcert.homotopy import relation_certificates
 from braidcert.polyring import Poly, parse_poly
+from braidcert.scalars import QSqrt2, reduced
 
 
 @pytest.fixture(autouse=True)
@@ -54,7 +59,7 @@ def solver_iso(src, tgt):
     if inverse is None:
         return None
     ident = mat_identity(src.rank, src.n)
-    if inverse.compose(forward).matrix != ident or forward.compose(inverse).matrix != ident:
+    if mat_mul(*inverse.after(forward)) != ident or mat_mul(*forward.after(inverse)) != ident:
         return None
     return forward, inverse
 
@@ -85,3 +90,15 @@ INVARIANT_GENERATORS = {
 def invariant_generators(word, n):
     texts = [t for t in INVARIANT_GENERATORS[word] if n > 2 or "X2" not in t]
     return [parse_poly(t, n) for t in texts] + [Poly.variable(n, j) for j in range(3, n)]
+
+
+def qsqrt2(a, b=0) -> QSqrt2:
+    """``a + b*sqrt2`` for two rationals (ints or ``Fraction``s), through ``reduced``."""
+    a, b = Fraction(a), Fraction(b)
+    d = lcm(a.denominator, b.denominator)
+    return reduced(a.numerator * (d // a.denominator), b.numerator * (d // b.denominator), d)
+
+
+def parts(x: QSqrt2) -> tuple:
+    """The rational part and the sqrt2 coefficient of ``x``, as ``Fraction``s."""
+    return Fraction(x.p, x.d), Fraction(x.q, x.d)

@@ -727,7 +727,7 @@ _Z0Z0_CERT = {
         ),
         (
             {**_Z0Z0_CERT, "n": 2.0},
-            "error: does not match certificate.schema.json: n: 2.0 is not of type 'integer'\n",
+            "error: <file>: does not match certificate.schema.json: n: 2.0 is not of type 'integer'\n",
         ),
         (
             {
@@ -745,11 +745,11 @@ _Z0Z0_CERT = {
                     }
                 ],
             },
-            "error: does not match report.schema.json: n: 3.0 is not of type 'integer'\n",
+            "error: <file>: does not match report.schema.json: n: 3.0 is not of type 'integer'\n",
         ),
         (
             {**_Z0Z0_CERT, "forward": [{"degree": 0.0, "matrix": [["1"]]}]},
-            "error: does not match certificate.schema.json: "
+            "error: <file>: does not match certificate.schema.json: "
             "forward[0].degree: 0.0 is not of type 'integer'\n",
         ),
         # raw JSON text nested deeper than any Python's parser recursion limit
@@ -848,7 +848,7 @@ def test_verify_report_with_a_bad_last_certificate_verifies_nothing(capsys, tmp_
     code, out, err = run(capsys, "verify-certificate", str(path))
     assert (code, out) == (2, "")
     assert err == (
-        "error: results[24].certificate does not match certificate.schema.json: "
+        f"error: {path}: results[24].certificate does not match certificate.schema.json: "
         "forward[2].matrix[3][1]: 5 is not of type 'string'\n"
     )
 
@@ -919,7 +919,28 @@ def test_a_report_without_n_is_a_usage_error(capsys, tmp_path):
     path.write_text(json.dumps(report))
     code, out, err = run(capsys, "verify-certificate", str(path))
     assert (code, out) == (2, "")
-    assert err == "error: does not match report.schema.json: 'n' is a required property\n"
+    assert err == f"error: {path}: does not match report.schema.json: 'n' is a required property\n"
+
+
+@pytest.mark.parametrize(
+    "word1, word2, kind, additions",
+    [
+        ("s0 z0", "z0 s0", "iso", [("forward", 5)]),
+        ("s0 s0^-1", "", "homotopy", [("homotopy_source", 7), ("backward", -5)]),
+    ],
+    ids=["iso-forward-5", "homotopy-source-7-backward--5"],
+)
+def test_an_empty_matrix_outside_both_complexes_keeps_the_verdict(capsys, tmp_path, word1, word2, kind, additions):
+    # both complexes are zero at these degrees, so each 0x0 matrix is a zero
+    # map with no entry and no product: the certificate still verifies
+    code, out, _ = run(capsys, "certify-pair", word1, word2, "--n", "2", "--format", "json")
+    cert = json.loads(out)
+    assert (code, cert["kind"]) == (0, kind)
+    for field, degree in additions:
+        cert[field].append({"degree": degree, "matrix": []})
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    assert run(capsys, "verify-certificate", str(path)) == (0, f"[ok] {word1} ~ {word2} ({kind})\n", "")
 
 
 @pytest.mark.parametrize("depth", [2, 500])
@@ -963,12 +984,14 @@ def test_schema_errors_cut_the_offending_value(capsys, tmp_path):
         (json.dumps(report), "results[2].certificate does not match", "homotopy_source: "),
         (deep, "does not match", "forward[0]: "),
     ]
+    bad = tmp_path / "bad.json"
     for text, where, path in cases:
-        (tmp_path / "bad.json").write_text(text)
-        code, out, err = run(capsys, "verify-certificate", str(tmp_path / "bad.json"))
+        bad.write_text(text)
+        code, out, err = run(capsys, "verify-certificate", str(bad))
         assert (code, out) == (2, "")
-        assert err.count("\n") == 1 and len(err) < 200, err
-        assert err.startswith(f"error: {where} certificate.schema.json: {path}"), err
+        # the line names the file, and the rest stays under 200 characters
+        assert err.count("\n") == 1 and len(err) - len(f"{bad}: ") < 200, err
+        assert err.startswith(f"error: {bad}: {where} certificate.schema.json: {path}"), err
 
 
 def test_verify_certificate_runs_without_jsonschema():

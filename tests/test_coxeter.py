@@ -1,5 +1,4 @@
 import itertools
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,9 +15,9 @@ from braidcert.coxeter import (
 from braidcert.errors import ReflectionError
 from braidcert.homotopy import F_word
 from braidcert.polyring import LinearEndo, Poly, monomial_exponents
-from braidcert.scalars import QSqrt2
+from braidcert.scalars import SQRT2, QSqrt2, reduced
 from braidcert.words import Alphabet, parse_word
-from conftest import invariant_generators
+from conftest import invariant_generators, qsqrt2
 
 
 def X(n, j):
@@ -28,8 +27,8 @@ def X(n, j):
 def test_cartan_values():
     t = cartan(4)
     assert t[0][0] == QSqrt2(1)
-    assert t[0][1] == QSqrt2(0, Fraction(-1, 2))
-    assert t[1][2] == QSqrt2(Fraction(-1, 2))
+    assert t[0][1] == reduced(0, -1, 2)
+    assert t[1][2] == reduced(-1, 0, 2)
     assert t[0][2] == QSqrt2(0)
     for i, j in itertools.product(range(4), repeat=2):
         assert t[i][j] == t[j][i]
@@ -38,13 +37,13 @@ def test_cartan_values():
 def test_alpha0_images():
     a0 = alpha(0, 3)
     assert a0.images[0] == -X(3, 0)
-    assert a0.images[1] == X(3, 1) + X(3, 0).scale(QSqrt2.sqrt2())
+    assert a0.images[1] == X(3, 1) + X(3, 0).scale(SQRT2)
     assert a0.images[2] == X(3, 2)
 
 
 def test_alpha1_images():
     a1 = alpha(1, 3)
-    assert a1.images[0] == X(3, 0) + X(3, 1).scale(QSqrt2.sqrt2())
+    assert a1.images[0] == X(3, 0) + X(3, 1).scale(SQRT2)
     assert a1.images[1] == -X(3, 1)
     assert a1.images[2] == X(3, 1) + X(3, 2)
 
@@ -118,9 +117,9 @@ def test_element_equal_examples():
 
 def test_is_invariant_examples():
     n = 3
-    p = X(n, 0).scale(QSqrt2.sqrt2()) + X(n, 1).scale(2)
+    p = X(n, 0).scale(SQRT2) + X(n, 1).scale(2)
     assert act((0,), p) == p
-    q = X(n, 1) * (X(n, 0).scale(QSqrt2.sqrt2()) + X(n, 1))
+    q = X(n, 1) * (X(n, 0).scale(SQRT2) + X(n, 1))
     assert act((1, 0, 1), q) == q
     assert act((0,), X(n, 0)) != X(n, 0)
 
@@ -129,10 +128,10 @@ def test_make_reflection_roots():
     n = 3
     assert make_reflection((0,), n).root == X(n, 0)
     r101 = make_reflection((1, 0, 1), n)
-    assert r101.root == X(n, 0) + X(n, 1).scale(QSqrt2.sqrt2())
+    assert r101.root == X(n, 0) + X(n, 1).scale(SQRT2)
     assert act((1, 0, 1), r101.root) == -r101.root
     r010 = make_reflection((0, 1, 0), n)
-    assert r010.root == X(n, 1) + X(n, 0).scale(QSqrt2.sqrt2())
+    assert r010.root == X(n, 1) + X(n, 0).scale(SQRT2)
     assert act((0, 1, 0), r010.root) == -r010.root
 
 
@@ -157,15 +156,15 @@ def test_demazure_examples():
     p, q = demazure_decompose(s0, X(n, 0))
     assert (p, q) == (Poly.zero(n), Poly.one(n))
     p, q = demazure_decompose(s0, X(n, 1))
-    assert p == X(n, 1) + X(n, 0).scale(QSqrt2(0, Fraction(1, 2)))
-    assert q == Poly.constant(n, QSqrt2(0, Fraction(-1, 2)))
+    assert p == X(n, 1) + X(n, 0).scale(reduced(0, 1, 2))
+    assert q == Poly.constant(n, reduced(0, -1, 2))
     p, q = demazure_decompose(s0, X(n, 0) * X(n, 0))
     assert (p, q) == (X(n, 0) * X(n, 0), Poly.zero(n))
 
 
 def coeffs():
     return st.builds(
-        QSqrt2,
+        qsqrt2,
         st.fractions(max_denominator=6),
         st.fractions(max_denominator=6),
     )
@@ -216,7 +215,7 @@ def test_x2_squared_identity():
     # multiple of X2 with invariant cofactor
     n = 3
     x0, x1, x2 = (X(n, j) for j in range(n))
-    sqrt2 = QSqrt2.sqrt2()
+    sqrt2 = SQRT2
     first = x1 * (x0.scale(sqrt2) + x1) - (x1 + x2) * (x1 + x2) - x0.scale(sqrt2) * (x1 + x2)
     second = x0.scale(sqrt2) + x1.scale(2) + x2.scale(2)
     assert first + second * x2 == x2 * x2

@@ -1,17 +1,17 @@
 import copy
-from fractions import Fraction
 from math import gcd
 
 from hypothesis import example, given, settings, strategies as st
 
 from braidcert import linalg
 from braidcert.scalars import QSqrt2, reduced
+from conftest import qsqrt2
 
 UNIT = (1, 0, 1)
 
 
 def q(a, b=0):
-    return QSqrt2(Fraction(a), Fraction(b))
+    return qsqrt2(a, b)
 
 
 def t(x):
@@ -33,7 +33,7 @@ def sparse(matrix):
     return [{j: t(v) for j, v in enumerate(row) if v} for row in matrix]
 
 
-entries = st.builds(QSqrt2, st.fractions(max_denominator=4), st.fractions(max_denominator=4))
+entries = st.builds(qsqrt2, st.fractions(max_denominator=4), st.fractions(max_denominator=4))
 # few distinct values, so that singular matrices and dependent rows are common
 small_entries = st.sampled_from([q(0), q(0), q(1), q(-1), q(0, 1)])
 mixed_entries = st.one_of(small_entries, entries)
@@ -238,7 +238,7 @@ def test_fused_row_update_matches_operators(factor, pivot_values, data):
             # a canonical value whose denominator is the unreduced product's
             den = factor.d * v.d
             p = 1 + den * data.draw(st.integers(-3, 3))
-            row[c] = QSqrt2(Fraction(p, den), Fraction(data.draw(st.integers(-9, 9)), den))
+            row[c] = reduced(p, data.draw(st.integers(-9, 9)), den)
             assert row[c].d == den
         elif case == "any":
             row[c] = data.draw(mixed_entries)
