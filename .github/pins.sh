@@ -83,8 +83,9 @@ cat bound.err
 test "$status" -eq 1
 grep -qx 'NONE: not searched: the pair spans 9 degrees, above DEGREE_BOUND = 8' bound.err
 
-echo "== Common virtual whiskers (z1 s0 s0^-1 z2 vs z1 z2 round-trips to [ok]; z0 s1 s2 s1 s2 z1 vs z0 s2 s1 s2 s1 z1 ends in NONE with its reason, exit 1)"
+echo "== Common virtual whiskers (z1 s0 s0^-1 z2 vs z1 z2 is byte-identical against its sha256 and round-trips to [ok]; z0 s1 s2 s1 s2 z1 vs z0 s2 s1 s2 s1 z1 ends in NONE with its reason, exit 1)"
 braidcert certify-pair "z1 s0 s0^-1 z2" "z1 z2" --n 3 --format json > whiskered.json
+echo "8b7fc1e672c54c3f2cd9fcbc24043bc1134a695aa73c6e28de70827c97f94bf1  whiskered.json" | sha256sum -c
 braidcert verify-certificate whiskered.json > whiskered.txt
 cat whiskered.txt
 grep -q '^\[ok\]' whiskered.txt

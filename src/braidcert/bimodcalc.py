@@ -18,12 +18,16 @@ and at the JSON boundary of certificates.
 
 A polynomial crosses a bimodule as the matrix of right multiplication by it
 (``Bimodule.action_of``), which is how ``id_tensor`` and ``tensor`` move
-coefficients through the first factor.  Each bimodule caches the matrix of
-every monomial it has met, each one product from a smaller one, and a
-polynomial with several terms or a coefficient other than 1 is summed in one
-pass with the product kernel ``mat_mul`` uses.  The cached matrices are shared
-with ``Bimodule.actions``, with callers and with the tensor products by a rank
-one bimodule (``tensor``), so no caller writes to a matrix it did not build.
+coefficients through the first factor.  Through a rank-one factor, such as a
+twist ``R_w``, that matrix has one entry, so ``id_tensor`` substitutes the
+factor into each entry and builds no matrix per entry, and ``whisker`` writes
+``R_u (x) M (x) R_v`` from ``M`` in one pass.  Each bimodule caches the
+matrix of every monomial it has met, each one product from a smaller one, and
+a polynomial with several terms or a coefficient other than 1 is summed in
+one pass with the product kernel ``mat_mul`` uses.  The cached matrices are
+shared with ``Bimodule.actions``, with callers and with the tensor products
+by a rank one bimodule (``tensor``), so no caller writes to a matrix it did
+not build.
 
 Every exact check (a bimodule map, a commuting square, ``d d = 0``, a
 composite plus homotopy terms equal to the identity) is an identity "sum of
@@ -192,8 +196,12 @@ def id_tensor(left: Bimodule, matrix: Matrix, cols: int) -> Matrix:
 
     The entries of ``matrix`` cross ``left``.  Basis element ``a (x) b`` sits
     at index ``a * rank_b + b`` on both sides, so every output entry comes
-    from exactly one entry of ``matrix``.
+    from exactly one entry of ``matrix``.  A rank-one ``left`` keeps the
+    indices: each entry ``p`` becomes ``left``'s image of ``p``
+    (``_rank_one_image``), with no matrix built per entry.
     """
+    if left.rank == 1:
+        return [{b: q for b, p in row.items() if (q := _rank_one_image(left, p))} for row in matrix]
     rl = left.rank
     tr = len(matrix)
     out = mat_zero(rl * tr)
@@ -205,6 +213,27 @@ def id_tensor(left: Bimodule, matrix: Matrix, cols: int) -> Matrix:
                 for a, e in crossed[a2].items():
                     orow[a * cols + b] = e
     return out
+
+
+def _rank_one_image(left: Bimodule, p: Poly) -> Poly | None:
+    """``p`` crossed through the rank-one ``left``: entry (0, 0) of ``left.action_of(p)``, or None for zero.
+
+    A single term with coefficient 1 is the cached monomial image itself;
+    otherwise ``c * image(X^exp)`` is summed over the terms of ``p`` in one
+    ``polyring._mul_into`` dict, in the order ``action_of`` sums them.
+    """
+    terms = p.terms
+    if len(terms) == 1:
+        ((exp, c),) = terms.items()
+        if c == ONE:
+            return left._monomial_action(exp)[0].get(0)
+    n = left.n
+    acc: dict = {}
+    for exp, c in terms.items():
+        x = left._monomial_action(exp)[0].get(0)
+        if x is not None:
+            _mul_into(acc, {(0,) * n: c}, x.terms)
+    return _from_sums(n, acc)
 
 
 # -- bimodules -------------------------------------------------------------------
@@ -332,25 +361,41 @@ def shift(m: Bimodule, p: int) -> Bimodule:
     return Bimodule(m.n, [d + p for d in m.basis_degrees], m.actions, m.block_spans)
 
 
+def whisker(left: Bimodule | None, m: Bimodule, right: Bimodule | None) -> Bimodule:
+    """``left (x) m (x) right`` for rank-one ``left`` and ``right`` (None for ``R``), in one pass.
+
+    A rank-one factor reorders no basis: the result keeps ``m``'s blocks,
+    and its basis degrees are ``m``'s raised by those of ``left`` and
+    ``right``.  Action ``j`` is ``m.action_of(p_j)`` for ``right``'s image
+    ``p_j`` of ``X_j``, with ``left`` substituted into every entry
+    (``id_tensor``).  Where ``left`` is None and ``right`` fixes ``X_j``,
+    that is ``m``'s own matrix, shared read-only, like every matrix
+    ``action_of`` returns.
+    """
+    shift_by = sum(x.basis_degrees[0] for x in (left, right) if x is not None)
+    actions = m.actions if right is None else [m.action_of(a[0][0]) for a in right.actions]
+    if left is not None:
+        actions = [id_tensor(left, a, m.rank) for a in actions]
+    return Bimodule(m.n, [d + shift_by for d in m.basis_degrees], actions, m.block_spans)
+
+
 def tensor(m: Bimodule, other: Bimodule) -> Bimodule:
     """Tensor over the ring; the right action crosses the second factor first.
 
     ``(x (x) y) * X_j`` expands ``y * X_j`` in the second factor and moves the
     resulting polynomial coefficients through the first factor with its own
-    right-action matrices.  When ``other`` has rank one, say ``y * X_j = p_j
-    y``, action ``j`` is ``m.action_of(p_j)`` itself, which may be a matrix
-    ``m`` already holds (its own ``actions[j]`` for an untwisted variable).
-    The result shares those matrices, so they are read-only, like every
-    matrix ``action_of`` returns.
-
-    Basis element ``(a, b)`` sits at ``a * other.rank + b``.  So a
-    single-block ``other`` keeps ``m``'s blocks, scaled by ``other.rank``, and
-    a rank-one ``m`` keeps ``other``'s blocks as they are: it cannot
-    interleave them.  Any other product is one block.
+    right-action matrices.  A rank-one factor on either side makes the
+    product a ``whisker`` of the other factor.  Otherwise basis element
+    ``(a, b)`` sits at ``a * other.rank + b``, so a single-block ``other``
+    keeps ``m``'s blocks, scaled by ``other.rank``, and any other product is
+    one block.
     """
     if m.n != other.n:
         raise ValueError("bimodules over different variable counts")
-    n = m.n
+    if other.rank == 1:
+        return whisker(None, m, other)
+    if m.rank == 1:
+        return whisker(m, other, None)
     rm, ro = m.rank, other.rank
     rank = rm * ro
     degrees = [
@@ -358,17 +403,12 @@ def tensor(m: Bimodule, other: Bimodule) -> Bimodule:
         for a in range(rm)
         for b in range(ro)
     ]
-    if ro == 1:
-        actions = [m.action_of(a[0][0]) for a in other.actions]
-    else:
-        actions = [id_tensor(m, a, ro) for a in other.actions]
-    if rm == 1:
-        spans = other.block_spans
-    elif len(other.block_spans) == 1:
+    actions = [id_tensor(m, a, ro) for a in other.actions]
+    if len(other.block_spans) == 1:
         spans = [(s * ro, e * ro) for s, e in m.block_spans]
     else:
         spans = [(0, rank)]
-    return Bimodule(n, degrees, actions, spans)
+    return Bimodule(m.n, degrees, actions, spans)
 
 
 def direct_sum(parts: Sequence[Bimodule]) -> Bimodule:

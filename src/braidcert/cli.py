@@ -11,7 +11,7 @@ import json
 import os
 import reprlib
 import sys
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import freegroup, homotopy, words
 from .errors import ParseError
@@ -396,17 +396,47 @@ def _strand_count(text: str) -> int:
     return int(text)
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """argparse's formatter at the width it would pick, found without importing ``shutil``.
+
+    That width is ``shutil.get_terminal_size``'s columns minus 2: ``COLUMNS``
+    if it is a positive integer, else the width of the terminal on stdout,
+    else 80.  ``shutil`` would pull in the compression modules at the first
+    parser a process builds.
+    """
+
+    def __init__(self, prog, **kwargs) -> None:
+        kwargs.setdefault("width", _terminal_columns() - 2)
+        super().__init__(prog, **kwargs)
+
+
+def _terminal_columns() -> int:
+    try:
+        columns = int(os.environ["COLUMNS"])
+    except (KeyError, ValueError):
+        columns = 0
+    if columns <= 0:
+        try:
+            columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
+        except (AttributeError, ValueError, OSError):
+            columns = 0
+    return columns or 80
+
+
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="braidcert",
+        formatter_class=_HelpFormatter,
         description=(
             "Type-B virtual braid words: free-group invariants and "
             "machine-checked complex certificates"
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=partial(argparse.ArgumentParser, formatter_class=_HelpFormatter)
+    )
 
     def common(p, group=True):
         p.add_argument("--n", type=_strand_count, required=True, help="strand parameter (ASCII digits, 2..8)")

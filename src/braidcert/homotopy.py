@@ -13,25 +13,27 @@ tensoring them one at a time writes, not only an isomorphic one.  The pieces
 are folded left to right, because regrouping the tensor products would
 reorder the bases and ``block_spans`` and so change the certificates.  A
 rank-one factor on the left is the exception: it reorders no basis and keeps
-the blocks (``bimodcalc.tensor``), so ``R_u (x) (X (x) Y)`` and
+the blocks (``bimodcalc.whisker``), so ``R_u (x) (X (x) Y)`` and
 ``(R_u (x) X) (x) Y`` are the same presentation.
 
 Whiskers.  Each ``R_x`` is invertible (``R_x (x) R_{x^-1} = R``), so
 ``R_u (x) - (x) R_v`` is an autoequivalence: ``u w v`` and ``u w' v`` are
 isomorphic, or homotopy equivalent, exactly when ``w`` and ``w'`` are, and a
-certificate for the core pair whiskers to one for the whole pair.  The right
-whisker keeps every matrix: ``M (x) R_v`` has ``M``'s basis and
-differentials, and its right action of ``X_j`` is ``M``'s action of
+certificate for the core pair whiskers to one for the whole pair.  A whisker
+is a rewrite of ``F(w)``, one pass per object with no tensor product
+(``_whiskered_complex``, ``bimodcalc.whisker``).  Each object keeps its basis
+degrees and blocks.  The right whisker keeps every matrix but the actions:
+the right action of ``X_j`` on ``M (x) R_v`` is ``M``'s action of
 ``v(X_j)``, so a map that commutes with ``M``'s actions commutes with these.
-The left whisker twists every entry by ``u``, as ``id_tensor`` does for the
-differentials of ``R_u (x) F(w)``; the twist is a ring automorphism, so every
-identity carries over, and ``R_u`` sits in degree 0, so no Koszul sign
-enters.  ``certify_pair`` strips the longest common virtual prefix and
-suffix (either may be empty) and searches the core pair once per process.
-When the search finds a certificate, it keeps the core's matrices and its
-two complexes, and it whiskers both: ``R_u (x) F(w) (x) R_v`` is the
-presentation ``F(u w v)`` folds (the rank-one exception above), so no whole
-word is folded again.  It then checks the result once, on the whole pair's
+The left whisker then substitutes ``u`` into every entry of every action and
+differential, as the rank-one ``id_tensor`` does; the twist is a ring
+automorphism, so every identity carries over, and ``R_u`` sits in degree 0,
+so no Koszul sign enters.  The result is the presentation ``F(u w v)`` folds
+(the rank-one exception above).  ``certify_pair`` strips the longest common
+virtual prefix and suffix (either may be empty) and searches the core pair
+once per process.  When the search finds a certificate, it keeps the core's
+matrices and its two complexes, and it whiskers both, so no whole word is
+folded again.  It then checks the result once, on the whole pair's
 complexes: the searches, ``graded_inverse`` included, do not check what
 they find, so this certificate check is the one check, and a result that
 fails it is a ``RuntimeError``.  A search on the whole pair would give the
@@ -99,6 +101,7 @@ from .bimodcalc import (
     shift,
     solve_morphisms,
     tensor,
+    whisker,
     zero_bimodule,
 )
 from .coxeter import make_reflection
@@ -756,17 +759,27 @@ PAIR_KINDS = ("auto", "homotopy")
 _CORE_CACHE: dict = {}
 
 
+def _twist(letters: tuple, n: int):
+    """The cached ``R_w`` of a virtual word, or None for the empty word."""
+    return _twist_complex(tuple(index for _, index, _ in letters), n).objects[0] if letters else None
+
+
 def _whiskered_complex(core: Complex, u: tuple, v: tuple, n: int) -> Complex:
     """``F(u w v)`` from ``core = F(w)``: ``R_u (x) F(w) (x) R_v`` for virtual ``u``, ``v``.
 
-    The same presentation ``F_word`` folds, block spans included (module
-    doc); with ``u`` and ``v`` empty it is ``core`` itself.
+    One pass over ``core``, with no tensor product (module doc): the same
+    presentation ``F_word`` folds, block spans included.  With ``u`` and
+    ``v`` empty it is ``core`` itself.
     """
-    if u:
-        core = tensor_complex(F_word(u, n), core)
-    if v:
-        core = tensor_complex(core, F_word(v, n))
-    return core
+    if not (u or v):
+        return core
+    left, right = _twist(u, n), _twist(v, n)
+    objects = {k: whisker(left, m, right) for k, m in core.objects.items()}
+    diffs = {
+        k: Morphism(objects[k], objects[k + 1], d.matrix if left is None else id_tensor(left, d.matrix, d.source.rank))
+        for k, d in core.diffs.items()
+    }
+    return Complex(n, objects, diffs)
 
 
 def _whiskered(kind: str, matrices: dict, u: tuple, n: int, c: Complex, d: Complex) -> dict:
@@ -775,7 +788,7 @@ def _whiskered(kind: str, matrices: dict, u: tuple, n: int, c: Complex, d: Compl
     ``id_{R_u} (x) -`` twists every entry as ``id_tensor`` does for the
     differentials of ``R_u (x) F(w)``; ``- (x) id_{R_v}`` keeps the matrices.
     """
-    twist = _twist_complex(tuple(index for _, index, _ in u), n).objects[0] if u else None
+    twist = _twist(u, n)
     sides = (c, d)
     maps = {}
     for field, s, t, degree_shift in _KIND_FIELDS[kind]:

@@ -715,3 +715,35 @@ def test_action_of_matches_dense_formula_and_shares_read_only_caches():
         tensor(left, bimodule_Bs(refl((1,), N)))
         assert left.actions == actions
         assert results == snapshot
+
+
+# entries with one to four terms of degree 0 to 3 and unit or other coefficients, or zero
+_TWIST_ENTRY = st.one_of(
+    st.just(_ZERO),
+    st.dictionaries(st.sampled_from(_EXPONENTS), st.sampled_from(_COEFFICIENTS), min_size=1, max_size=4).map(
+        lambda terms: Poly(N, terms)
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([None, (0,), (1,), (0, 1), (1, 0, 1)]), st.integers(1, 3), st.integers(1, 3), st.data())
+def test_a_rank_one_factor_substitutes_into_entries(word, rows, cols, data):
+    # id (x) g for a rank-one factor is g with each entry crossed on its own,
+    # as the 1x1 matrix action_of gives it; a fresh factor computes that, so
+    # the two share no monomial cache
+    def factor():
+        return bimodule_R(N) if word is None else bimodule_Rw(word, N)
+
+    left, reference = factor(), factor()
+    matrix = from_dense(data.draw(_dense(rows, cols, _TWIST_ENTRY)))
+    matrix_before = copy.deepcopy(matrix)
+    expected = [{b: reference.action_of(p)[0][0] for b, p in row.items()} for row in matrix]
+    first = id_tensor(left, matrix, cols)
+    cache = copy.deepcopy(left._monomial_cache)
+    # the second pass reads every image from the cache it filled
+    assert first == id_tensor(left, matrix, cols) == expected
+    assert _stores_no_zero(first)
+    assert matrix == matrix_before
+    assert left.actions == factor().actions
+    assert {exp: left._monomial_cache[exp] for exp in cache} == cache

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -488,6 +489,39 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def _help_texts():
+    """The help text of a freshly built parser and of each of its commands."""
+    cli.build_parser.cache_clear()
+    parser = cli.build_parser()
+    cli.build_parser.cache_clear()
+    (commands,) = parser._subparsers._group_actions
+    return [parser.format_help()] + [p.format_help() for p in commands.choices.values()]
+
+
+def test_help_text_is_what_the_stock_formatter_writes(monkeypatch):
+    # the CLI's formatter finds the width without importing shutil; at any
+    # width the help of every parser is argparse's own, byte for byte
+    texts = {}
+    for columns in ("60", "120"):
+        monkeypatch.setenv("COLUMNS", columns)
+        texts[columns] = _help_texts()
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_HelpFormatter", argparse.HelpFormatter)
+            assert _help_texts() == texts[columns], columns
+    assert texts["60"] != texts["120"]
+
+
+@pytest.mark.parametrize("columns", [None, "60", "0", "-3", "wide"])
+def test_terminal_columns_match_shutil(monkeypatch, columns):
+    import shutil
+
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    assert cli._terminal_columns() == shutil.get_terminal_size().columns
 
 
 def test_repeated_main_calls_match_fresh_processes(capsys):

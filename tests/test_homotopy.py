@@ -1165,8 +1165,29 @@ def whiskered_words(draw):
 @settings(max_examples=60, deadline=None)
 @example((3, (("z", 2, 1),), (("s", 0, 1), ("s", 1, -1)), ()))  # degree 0 has two blocks
 @example((3, (("z", 0, 1),), (("z", 1, 1), ("s", 1, 1), ("z", 2, 1)), (("z", 0, 1),)))  # runs merge
+@example((3, (("z", 1, 1), ("z", 2, 1)), (("s", 0, 1), ("s", 1, -1)), ()))  # left whisker only
+@example((2, (), (("s", 0, -1), ("z", 1, 1), ("s", 1, 1)), (("z", 0, 1), ("z", 1, 1))))  # right whisker only
+@example((3, (("z", 2, 1),), (("z", 0, 1), ("z", 1, 1)), (("z", 1, 1),)))  # an all-virtual core: rank one
 def test_whiskered_core_complex_is_the_folded_word(case):
     # R_u (x) F(core) (x) R_v is the presentation F_word folds for u core v,
     # block spans included, so the whiskered certificate is checked on it
     n, u, core, v = case
     _assert_same_presentation(homotopy._whiskered_complex(F_word(core, n), u, v, n), F_word(u + core + v, n))
+
+
+def test_a_cached_core_is_whiskered_with_no_tensor_product(monkeypatch):
+    # both whiskers are written from the core's matrices in one pass, degree
+    # 0's two blocks included: no complex and no bimodule is tensored
+    n = 3
+    u, core, v = (W(text, n).letters for text in ("z2 z0", "s0 z1 s1^-1", "z1 z2"))
+    cached, expected = F_word(core, n), F_word(u + core + v, n)
+
+    def refuse(*args):
+        raise AssertionError(f"a tensor product was built: {args}")
+
+    for module, name in ((homotopy, "tensor_complex"), (homotopy, "tensor"), (bimodcalc, "tensor")):
+        monkeypatch.setattr(module, name, refuse)
+    _assert_same_presentation(homotopy._whiskered_complex(cached, u, v, n), expected)
+    # a right whisker alone shares the core's differentials, read-only
+    right = homotopy._whiskered_complex(cached, (), v, n)
+    assert all(d.matrix is cached.diffs[k].matrix for k, d in right.diffs.items())

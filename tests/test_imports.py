@@ -15,7 +15,7 @@ import braidcert
 ROOT = Path(__file__).resolve().parents[1]
 REPORT_N3 = ROOT / "perfbench" / "data" / "certify_n3.json"
 # stdlib modules no import-time code of braidcert needs
-UNNEEDED = ("dataclasses", "inspect", "typing", "fractions", "decimal", "importlib.resources", "pathlib", "tempfile")
+UNNEEDED = ("dataclasses", "inspect", "typing", "fractions", "decimal", "importlib.resources", "pathlib", "tempfile", "shutil")
 # the modules perfbench/tracer.py wraps, looked up in sys.modules right after the import
 TRACED = ("linalg", "bimodcalc", "homotopy", "polyring", "words", "freegroup", "scalars", "cli")
 
