@@ -141,6 +141,15 @@ for k in 0 1; do
     grep -q '^\[FAIL\] relB3: ' uncovered.txt
 done
 
+echo "== A report entry must say what its certificate says (the n=3 report with relB1[0,2]'s status set to failed; its certificate still verifies, one [FAIL] relB1[0,2] line, exit 1)"
+python -c 'import json, sys; r = json.load(open(sys.argv[1])); next(e for e in r["results"] if e["relation"] == "relB1[0,2]")["status"] = "failed"; json.dump(r, open("disagreeing.json", "w"))' "$root/perfbench/data/certify_n3.json"
+status=0
+braidcert verify-certificate disagreeing.json > disagreeing.txt || status=$?
+grep -v '^\[ok\]' disagreeing.txt
+test "$status" -eq 1
+test "$(grep -c '^\[FAIL\]' disagreeing.txt)" -eq 1
+grep -q '^\[FAIL\] relB1\[0,2\]: ' disagreeing.txt
+
 echo "== --n takes ASCII digits only (an Arabic-Indic three is a usage error, exit 2)"
 status=0
 braidcert distinguish s0 s1 --n "٣" 2> ascii_n.err || status=$?

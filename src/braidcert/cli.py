@@ -196,8 +196,10 @@ def _coverage_failures(report: dict, verdict: bool) -> list:
     The report must hold each pair of ``words.certified_relations`` at its
     ``n`` exactly once and no other label; each certificate must have the
     report's ``n`` and words that parse to the pair; and ``all_certified``
-    must be ``verdict``, whether every entry verified.  An entry's label is
-    its certificate's ``relation``, or the entry's when it has none.  Only
+    must be ``verdict``, whether every entry verified.  An entry with a
+    certificate carries that certificate's ``relation`` and ``kind`` and says
+    ``certified``; one without says ``failed``.  An entry's label is its
+    certificate's ``relation``, or the entry's when it has none.  Only
     labels and words are read: no complex is built.
     """
     n = report["n"]
@@ -214,6 +216,10 @@ def _coverage_failures(report: dict, verdict: bool) -> list:
             failures.append((label, f"not a relation of a report at n={n}"))
         elif seen[label] == 2:
             failures.append((label, "occurs more than once"))
+        said = {"status": "failed"} if cert is None else {"relation": cert["relation"], "kind": cert["kind"], "status": "certified"}
+        failures += [
+            (label, f"the entry's {key} is {entry[key]!r}, not {want!r}") for key, want in said.items() if entry[key] != want
+        ]
         if cert is None:
             continue
         if cert["n"] != n:

@@ -32,7 +32,7 @@ so no Koszul sign enters.  The result is the presentation ``F(u w v)`` folds
 (the rank-one exception above).  ``certify_pair`` strips the longest common
 virtual prefix and suffix (either may be empty) and searches the core pair
 once per process.  When the search finds a certificate, it keeps the core's
-matrices and its two complexes, and it whiskers both, so no whole word is
+maps and its two complexes, and it whiskers both, so no whole word is
 folded again.  It then checks the result once, on the whole pair's
 complexes: the searches, ``graded_inverse`` included, do not check what
 they find, so this certificate check is the one check, and a result that
@@ -50,7 +50,9 @@ kind's fields, the complexes they join and their degree shifts are written.
 Each field, a chain map ``c_k -> d_k`` or a homotopy ``c_k -> c_{k-1}``, is
 a plain ``{degree k: Morphism}`` dict read with the two complexes it joins,
 and so is each chain map the searches solve for: a missing degree is the
-zero morphism, and a check adds no product for it.
+zero morphism, and a check adds no product for it.  A missing differential
+is zero in the same way: ``Complex.diffs`` holds only the nonzero ones, and
+neither a check nor ``_delta`` adds a product for one it lacks.
 Each check hands the factors of its composites to ``bimodcalc.mat_residuals``,
 which compares unreduced sums and builds a residual only where an identity
 fails; no composite is built to be compared.
@@ -95,7 +97,6 @@ from .bimodcalc import (
     direct_sum,
     id_tensor,
     mat_identity,
-    mat_paste,
     mat_residuals,
     mat_zero,
     shift,
@@ -128,12 +129,6 @@ class Complex:
 
     def object_at(self, k: int) -> Bimodule:
         return self.objects.get(k) or zero_bimodule(self.n)
-
-    def diff_at(self, k: int) -> Morphism:
-        d = self.diffs.get(k)
-        if d is None:
-            return Morphism.zero(self.object_at(k), self.object_at(k + 1))
-        return d
 
     def __repr__(self) -> str:
         parts = ", ".join(f"{k}: rank {m.rank}" for k, m in sorted(self.objects.items()))
@@ -264,22 +259,17 @@ def F_word(word, n: int) -> Complex:
     return reduce(tensor_complex, pieces) if pieces else F_one(n)
 
 
-def _morphism_tensor_id(f: Morphism, right: Bimodule) -> Matrix:
-    """Matrix of ``f (x) id`` (plain Kronecker with the identity)."""
-    r = right.rank
-    out = mat_zero(f.target.rank * r)
-    for a2, row in enumerate(f.matrix):
-        for a, entry in row.items():
-            for b in range(r):
-                out[a2 * r + b][a * r + b] = entry
-    return out
-
-
 def tensor_complex(c: Complex, d: Complex) -> Complex:
-    """Total complex of the product, with the Koszul sign on the second factor."""
+    """Total complex of the product, with the Koszul sign on the second factor.
+
+    Degree ``k`` is the direct sum of the blocks ``c_p (x) d_q`` with
+    ``p + q = k``, in the order of ``p``; ``offsets[k]`` is its
+    ``(p, q) -> offset`` table, the one ROADMAP item 2 would keep on
+    ``Complex``.  Each entry of ``d_C (x) id`` and of ``(-1)^p id (x) d_D``
+    is written once, straight into its degree's matrix at those offsets.
+    """
     if c.n != d.n:
         raise ValueError("complexes over different variable counts")
-    n = c.n
     pairs: dict = {}
     for p in c.support():
         for q in d.support():
@@ -288,36 +278,29 @@ def tensor_complex(c: Complex, d: Complex) -> Complex:
     offsets: dict = {}
     for k, pq in pairs.items():
         blocks = [tensor(c.objects[p], d.objects[q]) for p, q in pq]
-        off: dict = {}
-        pos = 0
-        for (p, q), blk in zip(pq, blocks):
-            off[(p, q)] = pos
-            pos += blk.rank
-        offsets[k] = off
+        offsets[k] = dict(zip(pq, itertools.accumulate((blk.rank for blk in blocks), initial=0)))
         objects[k] = direct_sum(blocks) if len(blocks) > 1 else blocks[0]
     diffs: dict = {}
     for k in sorted(pairs):
         if k + 1 not in pairs:
             continue
-        src, tgt = objects[k], objects[k + 1]
-        matrix = mat_zero(tgt.rank)
+        matrix = mat_zero(objects[k + 1].rank)
         for p, q in pairs[k]:
             soff = offsets[k][(p, q)]
-            # d_C (x) id into block (p+1, q)
-            if (p + 1, q) in offsets[k + 1] and (p in c.diffs):
-                block = _morphism_tensor_id(c.diffs[p], d.objects[q])
+            if p in c.diffs:  # d_C (x) id into block (p+1, q): a plain Kronecker product
+                r = d.objects[q].rank
                 toff = offsets[k + 1][(p + 1, q)]
-                mat_paste(matrix, block, toff, soff)
-            # (-1)^p id (x) d_D into block (p, q+1)
-            if (p, q + 1) in offsets[k + 1] and (q in d.diffs):
+                for a2, row in enumerate(c.diffs[p].matrix):
+                    for a, entry in row.items():
+                        for b in range(r):
+                            matrix[toff + a2 * r + b][soff + a * r + b] = entry
+            if q in d.diffs:  # (-1)^p id (x) d_D into block (p, q+1)
                 dq = d.diffs[q]
-                block = id_tensor(c.objects[p], dq.matrix, dq.source.rank)
-                if p % 2:
-                    block = [{j: -e for j, e in row.items()} for row in block]
                 toff = offsets[k + 1][(p, q + 1)]
-                mat_paste(matrix, block, toff, soff)
-        diffs[k] = Morphism(src, tgt, matrix)
-    return Complex(n, objects, diffs)
+                for i, row in enumerate(id_tensor(c.objects[p], dq.matrix, dq.source.rank)):
+                    matrix[toff + i].update((soff + j, -e if p % 2 else e) for j, e in row.items())
+        diffs[k] = Morphism(objects[k], objects[k + 1], matrix)
+    return Complex(c.n, objects, diffs)
 
 
 # -- chain maps ---------------------------------------------------------------------
@@ -413,15 +396,20 @@ def _delta(x: Complex, y: Complex, p: int, k: int, h: Morphism) -> dict:
     """``delta h = d h - (-1)^p h d`` for ``h: x_k -> y_{k+p}`` in ``Hom^p(x, y)``.
 
     Returns ``{source degree: sums}`` (see ``_product_sums``): ``d h`` starts
-    in degree ``k`` and ``h d`` in degree ``k - 1``.
+    in degree ``k`` and ``h d`` in degree ``k - 1``.  A differential the
+    complexes lack is zero, so its product has no entry.
     """
-    hd = _product_sums(h.after(x.diff_at(k - 1)))
-    if p % 2 == 0:
-        for row in hd:
-            for acc in row.values():
-                for e, (a, b, c) in acc.items():
-                    acc[e] = (-a, -b, c)
-    return {k: _product_sums(y.diff_at(k + p).after(h)), k - 1: hd}
+    out = {}
+    if k + p in y.diffs:
+        out[k] = _product_sums(y.diffs[k + p].after(h))
+    if k - 1 in x.diffs:
+        out[k - 1] = hd = _product_sums(h.after(x.diffs[k - 1]))
+        if p % 2 == 0:
+            for row in hd:
+                for acc in row.values():
+                    for e, (a, b, c) in acc.items():
+                        acc[e] = (-a, -b, c)
+    return out
 
 
 def _product_sums(factors: tuple) -> list:
@@ -754,8 +742,8 @@ def _search(c: Complex, d: Complex, kind: str):
 PAIR_KINDS = ("auto", "homotopy")
 
 # (core lhs letters, core rhs letters, n, kind) -> None, or the kind found,
-# {field: {degree: matrix}} and the core's two complexes; kept for the
-# process, like bimodcalc's pane cache, so the complexes are read-only
+# the maps as ``_search`` returns them and the core's two complexes; kept for
+# the process, like bimodcalc's pane cache, so all of it is read-only
 _CORE_CACHE: dict = {}
 
 
@@ -782,8 +770,8 @@ def _whiskered_complex(core: Complex, u: tuple, v: tuple, n: int) -> Complex:
     return Complex(n, objects, diffs)
 
 
-def _whiskered(kind: str, matrices: dict, u: tuple, n: int, c: Complex, d: Complex) -> dict:
-    """The core ``kind`` certificate ``matrices`` as maps between ``c = F(u lhs v)`` and ``d = F(u rhs v)``.
+def _whiskered(kind: str, core_maps: dict, u: tuple, n: int, c: Complex, d: Complex) -> dict:
+    """The core ``kind`` certificate's ``core_maps`` as maps between ``c = F(u lhs v)`` and ``d = F(u rhs v)``.
 
     ``id_{R_u} (x) -`` twists every entry as ``id_tensor`` does for the
     differentials of ``R_u (x) F(w)``; ``- (x) id_{R_v}`` keeps the matrices.
@@ -793,11 +781,10 @@ def _whiskered(kind: str, matrices: dict, u: tuple, n: int, c: Complex, d: Compl
     maps = {}
     for field, s, t, degree_shift in _KIND_FIELDS[kind]:
         maps[field] = comps = {}
-        for k, m in matrices[field].items():
+        for k, m in core_maps[field].items():
             src = sides[s].object_at(k)
-            if twist is not None:
-                m = id_tensor(twist, m, src.rank)
-            comps[k] = Morphism(src, sides[t].object_at(k + degree_shift), m)
+            matrix = m.matrix if twist is None else id_tensor(twist, m.matrix, src.rank)
+            comps[k] = Morphism(src, sides[t].object_at(k + degree_shift), matrix)
     return maps
 
 
@@ -814,7 +801,7 @@ def certify_pair(lhs: BraidWord, rhs: BraidWord, n: int, kind: str = "auto", lab
 
     Every pair takes one path.  The common virtual prefix ``u`` and suffix
     ``v`` of the two words are whiskers (module doc): the core pair is
-    searched once per process and kind, and its complexes and matrices are
+    searched once per process and kind, and its complexes and maps are
     whiskered into the whole pair's complexes and maps (with ``u`` and ``v``
     empty the core is the pair and the whisker the identity).  A core with
     no certificate caches only its ``None``, so a repeat builds nothing.
@@ -836,15 +823,13 @@ def certify_pair(lhs: BraidWord, rhs: BraidWord, n: int, kind: str = "auto", lab
     if key not in _CORE_CACHE:
         core = F_word(core_lhs, n), F_word(core_rhs, n)
         found = _search(*core, kind)
-        _CORE_CACHE[key] = found and (
-            found[0], {field: {k: m.matrix for k, m in comps.items()} for field, comps in found[1].items()}, core
-        )
+        _CORE_CACHE[key] = found and (*found, core)
     found = _CORE_CACHE[key]
     if found is None:
         return None, "not homotopy equivalent"
-    found_kind, matrices, core = found
+    found_kind, core_maps, core = found
     c, d = (_whiskered_complex(x, u, v, n) for x in core)
-    maps = _whiskered(found_kind, matrices, u, n, c, d)
+    maps = _whiskered(found_kind, core_maps, u, n, c, d)
     failures = _certificate_failures(found_kind, maps, c, d)
     if failures:
         raise RuntimeError(f"the certificate for {label!r} fails its check: {failures[0]}")

@@ -918,7 +918,11 @@ def _swap_in_reid2a(report, by_label):
         (
             lambda report, by_label: by_label["relB3"]["certificate"].update(relation="relB4"),
             25,
-            ["[FAIL] relB4: not a relation of a report at n=3", "[FAIL] relB3: missing"],
+            [
+                "[FAIL] relB4: not a relation of a report at n=3",
+                "[FAIL] relB4: the entry's relation is 'relB3', not 'relB4'",
+                "[FAIL] relB3: missing",
+            ],
         ),
         (
             lambda report, by_label: by_label["relB2[1]"]["certificate"].update(n=4),
@@ -930,8 +934,25 @@ def _swap_in_reid2a(report, by_label):
             25,
             ["[FAIL] all_certified: the report says False, the check finds True"],
         ),
+        # an entry says what its certificate says
+        (
+            lambda report, by_label: report["results"][0].update(kind="homotopy"),
+            25,
+            ["[FAIL] relB1[0,2]: the entry's kind is 'homotopy', not 'iso'"],
+        ),
+        (
+            lambda report, by_label: report["results"][1].update(status="failed"),
+            25,
+            ["[FAIL] relB2[1]: the entry's status is 'failed', not 'certified'"],
+        ),
+        (
+            lambda report, by_label: report["results"][2].update(relation="bogus"),
+            25,
+            ["[FAIL] relB3: the entry's relation is 'bogus', not 'relB3'"],
+        ),
     ],
-    ids=["relB3-deleted", "relB3-swapped-for-reid2a", "relB3-twice", "relB3-relabelled", "n-differs", "verdict-differs"],
+    ids=["relB3-deleted", "relB3-swapped-for-reid2a", "relB3-twice", "relB3-relabelled", "n-differs", "verdict-differs"]
+    + ["entry-kind-differs", "entry-status-failed", "entry-relation-differs"],
 )
 def test_a_report_must_cover_its_relations(capsys, tmp_path, tamper, oks, fails):
     # every certificate left verifies, so only the coverage check can fail

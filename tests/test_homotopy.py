@@ -412,6 +412,17 @@ def test_delta_of_a_homotopy_is_a_chain_map(pair):
         assert chain_map_failures(f, c, d) == []
 
 
+def test_delta_adds_no_product_for_a_missing_differential():
+    # F(s0) has the one differential d_-1, so delta of an endomorphism at its
+    # lowest degree is d h alone and at its highest h d alone: a missing
+    # differential is zero, and its product has no entry
+    n = 2
+    c = FW("s0", n)
+    low, high = (identity_map(c.objects[k]) for k in (-1, 0))
+    assert list(homotopy._delta(c, c, 0, -1, low)) == [-1]
+    assert list(homotopy._delta(c, c, 0, 0, high)) == [-1]
+
+
 def test_find_chain_iso_simple_cases():
     n = 2
     # involution relation: F(z0 z0) vs F(1); virtual order-4 relation
