@@ -102,7 +102,7 @@ braidcert verify-certificate pair.json > pair.txt
 cat pair.txt
 grep -q '^\[ok\]' pair.txt
 
-echo "== A tampered entry is caught with a witness (X0^16 added to entry (0,0) of pair.json's first forward matrix, one [FAIL], exit 1)"
+echo "== A tampered entry is caught with a witness (X0^16 added to entry (0,0) of pair.json's first forward matrix, one [FAIL], exit 1, residual text against its sha256)"
 python -c 'import json; c = json.load(open("pair.json")); m = c["forward"][0]["matrix"]; m[0][0] = "X0^16" if m[0][0] == "0" else m[0][0] + " + X0^16"; json.dump(c, open("tampered.json", "w"))'
 status=0
 braidcert verify-certificate tampered.json > tampered.txt || status=$?
@@ -110,6 +110,7 @@ cat tampered.txt
 test "$status" -eq 1
 test "$(grep -c '^\[FAIL\]' tampered.txt)" -eq 1
 grep -Eq '^    degree -?[0-9]+: .* at \(0,0\): .' tampered.txt
+echo "aac56ba72e1942aa6c3fb03bfd842f2342ddc7f8deb261ee35bdb0b3e815303d  tampered.txt" | sha256sum -c
 
 echo "== Spellings no printer writes are refused where they stand (entry (0,0) of pair.json's first forward matrix respelled as (1 - sqrt2), then as X with an Arabic-Indic one; one parse error line each, exit 2)"
 for k in 0 1; do

@@ -16,15 +16,22 @@ source, which the ``Morphism`` or ``Bimodule`` holding the matrix carries.
 Dense lists of lists appear only in ``from_dense``, for literal matrices,
 and at the JSON boundary of certificates.
 
+Every matrix product runs one kernel, ``_add_products``.  An entry's terms
+are already the packed exponents and ``(p, q, d)`` triples it sums in
+(``polyring``), so it adds the term products of each pair of entries in one
+inline loop, with no call per product and no conversion.  ``mat_mul``
+builds each output entry once from its sums (``polyring._from_sums``), and
+``_weighted_sum`` does the same for a linear combination of matrices.
+
 A polynomial crosses a bimodule as the matrix of right multiplication by it
 (``Bimodule.action_of``), which is how ``id_tensor`` and ``tensor`` move
 coefficients through the first factor.  Through a rank-one factor, such as a
 twist ``R_w``, that matrix has one entry, so ``id_tensor`` substitutes the
 factor into each entry and builds no matrix per entry, and ``whisker`` writes
 ``R_u (x) M (x) R_v`` from ``M`` in one pass.  Each bimodule caches the
-matrix of every monomial it has met, each one product from a smaller one, and
-a polynomial with several terms or a coefficient other than 1 is summed in
-one pass with the product kernel ``mat_mul`` uses.  The cached matrices are
+matrix of every monomial it has met, by packed exponent and each one product
+from a smaller one, and a polynomial with several terms or a coefficient
+other than 1 is one ``_weighted_sum`` of them.  The cached matrices are
 shared with ``Bimodule.actions``, with callers and with the tensor products
 by a rank one bimodule (``tensor``), so no caller writes to a matrix it did
 not build.
@@ -52,12 +59,11 @@ from collections.abc import Sequence
 
 from . import coxeter, linalg
 from .coxeter import Reflection, demazure_decompose
-from .polyring import _PACKED, Poly, _from_sums, _mul_into, _sums_of, format_poly, monomial_exponents
-from .scalars import ONE, ZERO, QSqrt2, reduced
+from .linalg import UNIT
+from .polyring import _FIELD, Poly, _from_sums, _mul_into, format_poly, monomial_codes
+from .scalars import ZERO
 
 Matrix = list  # list of {column: non-zero Poly} rows
-
-MINUS_ONE = QSqrt2(-1)
 
 
 @lru_cache(maxsize=None)
@@ -81,32 +87,32 @@ def mat_identity(rank: int, n: int) -> Matrix:
     return [{i: _one(n)} for i in range(rank)]
 
 
-def _add_into(row: dict, j: int, x: Poly) -> None:
-    """``row[j] += x``, dropping the entry if the sum is zero."""
-    cur = row.get(j)
-    if cur is None:
-        row[j] = x
-        return
-    cur = cur + x
-    if cur:
-        row[j] = cur
-    else:
-        del row[j]
-
-
 def _add_products(sums: dict, products, i: int) -> dict:
     """Add the term products of row ``i`` of every ``a * b`` in ``products`` into ``sums``.
 
-    ``sums`` maps a column to its ``polyring._mul_into`` dict; it is returned.
+    ``sums`` maps a column to its sums in the format ``polyring._mul_into``
+    fills; it is returned.  The loop is ``_mul_into``'s, inline: one loop per
+    pair of entries, and no call per product.
     """
     for a, b in products:
         for k, x in a[i].items():
-            t1 = x.terms
+            t1 = x.terms.items()
             for j, y in b[k].items():
                 acc = sums.get(j)
                 if acc is None:
                     acc = sums[j] = {}
-                _mul_into(acc, t1, y.terms)
+                for e1, (p1, q1, d1) in t1:
+                    for e2, (p2, q2, d2) in y.terms.items():
+                        exp = e1 + e2
+                        s = acc.get(exp)
+                        if s is None:
+                            acc[exp] = (p1 * p2 + 2 * q1 * q2, p1 * q2 + q1 * p2, d1 * d2)
+                            continue
+                        p, q, d, sd = p1 * p2 + 2 * q1 * q2, p1 * q2 + q1 * p2, d1 * d2, s[2]
+                        if sd == d:
+                            acc[exp] = (s[0] + p, s[1] + q, d)
+                        else:
+                            acc[exp] = (s[0] * d + p * sd, s[1] * d + q * sd, sd * d)
     return sums
 
 
@@ -126,15 +132,27 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    out = [dict(row) for row in a]
-    for oi, bi in zip(out, b):
-        for j, y in bi.items():
-            _add_into(oi, j, y)
-    return out
+    n = next((x.n for row in (*a, *b) for x in row.values()), 0)
+    return _weighted_sum(n, len(a), ((UNIT, a), (UNIT, b)))
 
 
-def mat_scale(a: Matrix, c) -> Matrix:
-    return [{j: y for j, x in row.items() if (y := x.scale(c))} for row in a]
+def _weighted_sum(n: int, rows: int, weighted) -> Matrix:
+    """``sum(c * a)`` over the pairs ``(c, a)`` of ``weighted``: a ``Poly.terms`` triple and a matrix of ``rows`` rows.
+
+    Each entry gathers its ``c * entry`` terms in one ``polyring._mul_into``
+    dict and is built once by ``_from_sums``; an entry that cancels is not
+    stored.
+    """
+    sums = [{} for _ in range(rows)]
+    for c, a in weighted:
+        scalar = {0: c}
+        for srow, row in zip(sums, a):
+            for j, x in row.items():
+                acc = srow.get(j)
+                if acc is None:
+                    acc = srow[j] = {}
+                _mul_into(acc, scalar, x.terms)
+    return [{j: q for j, acc in srow.items() if (q := _from_sums(n, acc))} for srow in sums]
 
 
 def _same_sums(x: dict, y: dict) -> bool:
@@ -176,11 +194,11 @@ def mat_residuals(n: int, lhs, rhs=(), target: Matrix | None = None) -> list:
         left = _add_products({}, lhs, i)
         right = {}
         if target is not None:
-            right = {j: _sums_of(x.terms) for j, x in target[i].items()}
+            right = {j: dict(x.terms) for j, x in target[i].items()}
         _add_products(right, rhs, i)
         for j in sorted(left.keys() | right.keys()):
             x, y = left.get(j, {}), right.get(j, {})
-            if not _same_sums(x, y):
+            if x != y and not _same_sums(x, y):
                 out.append((i, j, format_poly(_from_sums(n, x) - _from_sums(n, y))))
     return out
 
@@ -191,11 +209,11 @@ def id_tensor(left: Bimodule, matrix: Matrix, cols: int) -> Matrix:
     The entries of ``matrix`` cross ``left``.  Basis element ``a (x) b`` sits
     at index ``a * rank_b + b`` on both sides, so every output entry comes
     from exactly one entry of ``matrix``.  A rank-one ``left`` keeps the
-    indices: each entry ``p`` becomes ``left``'s image of ``p``
-    (``_rank_one_image``), with no matrix built per entry.
+    indices: each entry ``p`` becomes entry (0, 0) of ``left.action_of(p)``,
+    a cached monomial image or one weighted sum.
     """
     if left.rank == 1:
-        return [{b: q for b, p in row.items() if (q := _rank_one_image(left, p))} for row in matrix]
+        return [{b: q for b, p in row.items() if (q := left.action_of(p)[0].get(0))} for row in matrix]
     rl = left.rank
     tr = len(matrix)
     out = mat_zero(rl * tr)
@@ -207,28 +225,6 @@ def id_tensor(left: Bimodule, matrix: Matrix, cols: int) -> Matrix:
                 for a, e in crossed[a2].items():
                     orow[a * cols + b] = e
     return out
-
-
-# kept apart from ``action_of``: building its 1x1 matrix per entry cost the ``pairs`` workload 1-4% ops_per_s
-def _rank_one_image(left: Bimodule, p: Poly) -> Poly | None:
-    """``p`` crossed through the rank-one ``left``: entry (0, 0) of ``left.action_of(p)``, or None for zero.
-
-    A single term with coefficient 1 is the cached monomial image itself;
-    otherwise ``c * image(X^exp)`` is summed over the terms of ``p`` in one
-    ``polyring._mul_into`` dict, in the order ``action_of`` sums them.
-    """
-    terms = p.terms
-    if len(terms) == 1:
-        ((exp, c),) = terms.items()
-        if c == ONE:
-            return left._monomial_action(exp)[0].get(0)
-    n = left.n
-    acc: dict = {}
-    for exp, c in terms.items():
-        x = left._monomial_action(exp)[0].get(0)
-        if x is not None:
-            _mul_into(acc, {(0,) * n: c}, x.terms)
-    return _from_sums(n, acc)
 
 
 # -- bimodules -------------------------------------------------------------------
@@ -266,52 +262,41 @@ class Bimodule:
     def __repr__(self) -> str:
         return f"Bimodule(rank={self.rank}, degrees={list(self.basis_degrees)})"
 
-    def _monomial_action(self, exp: tuple) -> Matrix:
-        """The matrix of ``X^exp``, cached per bimodule and shared, so read-only.
+    def _monomial_action(self, code: int) -> Matrix:
+        """The matrix of ``X^exp`` for the packed exponent ``code``, cached per bimodule and shared, so read-only.
 
         The zero exponent is the identity and ``X_j`` is ``actions[j]`` itself.
         A higher monomial is one product ``actions[j] * X^(exp - e_j)`` with
-        ``j`` its last variable, on the cached smaller monomial.
+        ``j`` its last variable, the one whose field holds the top bit of
+        ``code``, on the cached smaller monomial.
         """
-        cached = self._monomial_cache.get(exp)
+        cached = self._monomial_cache.get(code)
         if cached is not None:
             return cached
-        nonzero = [j for j, e in enumerate(exp) if e]
-        if not nonzero:
+        if not code:
             result = mat_identity(self.rank, self.n)
         else:
-            j = nonzero[-1]
-            lower = exp[:j] + (exp[j] - 1,) + exp[j + 1 :]
+            j = (code.bit_length() - 1) // _FIELD
+            lower = code - (1 << (_FIELD * j))
             result = self.actions[j]
-            if any(lower):
+            if lower:
                 result = mat_mul(result, self._monomial_action(lower))
-        self._monomial_cache[exp] = result
+        self._monomial_cache[code] = result
         return result
 
     def action_of(self, p: Poly) -> Matrix:
         """Right multiplication by an arbitrary polynomial, in the left basis.
 
         A single term with coefficient 1 is its cached monomial matrix, shared
-        and read-only.  Otherwise each output entry gathers ``c * X^exp`` over
-        the terms of ``p`` in one ``polyring._mul_into`` dict and is built
-        once by ``_from_sums``; the result is a new matrix.
+        and read-only.  Otherwise it is the sum of ``c * X^exp`` over the terms
+        of ``p`` (``_weighted_sum``), a new matrix.
         """
         terms = p.terms
         if len(terms) == 1:
-            ((exp, c),) = terms.items()
-            if c == ONE:
-                return self._monomial_action(exp)
-        n = self.n
-        sums = [{} for _ in range(self.rank)]
-        for exp, c in terms.items():
-            coeff = {(0,) * n: c}
-            for srow, row in zip(sums, self._monomial_action(exp)):
-                for j, x in row.items():
-                    acc = srow.get(j)
-                    if acc is None:
-                        acc = srow[j] = {}
-                    _mul_into(acc, coeff, x.terms)
-        return [{j: q for j, acc in srow.items() if (q := _from_sums(n, acc))} for srow in sums]
+            ((code, c),) = terms.items()
+            if c == UNIT:
+                return self._monomial_action(code)
+        return _weighted_sum(self.n, self.rank, ((c, self._monomial_action(code)) for code, c in terms.items()))
 
     def validate(self) -> None:
         """``ValueError`` unless each right action ``X_j`` is a bimodule map ``M -> M{-2}``.
@@ -479,7 +464,8 @@ class Morphism:
         return Morphism(self.source, self.target, mat_add(self.matrix, other.matrix))
 
     def scale(self, c) -> "Morphism":
-        return Morphism(self.source, self.target, mat_scale(self.matrix, c))
+        matrix = [{j: y for j, x in row.items() if (y := x.scale(c))} for row in self.matrix]
+        return Morphism(self.source, self.target, matrix)
 
     def __repr__(self) -> str:
         return f"Morphism({self.source!r} -> {self.target!r})"
@@ -507,8 +493,7 @@ class Morphism:
         if d_inv is None:
             return None
         d_inv = [{l: Poly.constant(n, c) for l, c in enumerate(row) if c} for row in d_inv]
-        ident = mat_identity(src.rank, n)
-        s = mat_add(ident, mat_scale(mat_mul(d_inv, self.matrix), MINUS_ONE))
+        s = _weighted_sum(n, src.rank, [(UNIT, mat_identity(src.rank, n)), ((-1, 0, 1), mat_mul(d_inv, self.matrix))])
         inverse = d_inv
         for _ in range(len(set(src.basis_degrees)) - 1):
             inverse = mat_add(d_inv, mat_mul(s, inverse))
@@ -525,9 +510,10 @@ def _pane_signature(m: Bimodule, span: tuple) -> tuple:
     """The pane's degrees and action entries, in span-relative (row, column) order.
 
     Each action is one flat tuple of ints: per stored entry its row, column
-    and term count, then per term (sorted by exponent) the exponent and the
-    ``(p, q, d)`` of its coefficient.  With the variable count fixed, the
-    tuple reads back one way only, so equal keys mean equal panes.
+    and term count, then per term (sorted by packed exponent) the packed
+    exponent and the ``(p, q, d)`` of its coefficient.  The tuple reads back
+    one way only, and a ``Poly`` is stored one way only, so equal keys mean
+    equal panes.
     """
     s, e = span
     degs = m.basis_degrees[s:e]
@@ -537,9 +523,9 @@ def _pane_signature(m: Bimodule, span: tuple) -> tuple:
         for k in range(s, e):
             for l, poly in sorted(a[k].items()):
                 flat += (k - s, l - s, len(poly.terms))
-                for exp, c in sorted(poly.terms.items()):
-                    flat += exp
-                    flat += (c.p, c.q, c.d)
+                for code, c in sorted(poly.terms.items()):
+                    flat.append(code)
+                    flat += c
         mats.append(tuple(flat))
     return (degs, tuple(mats))
 
@@ -580,7 +566,7 @@ def _solve_pane(m, sspan, target, tspan):
     degree the grading forces, one variable per monomial.  The equations are
     the monomial coefficients of every entry of ``F A_src - A_tgt F``, one
     action at a time.  They are summed as unreduced ``(p, q, d)`` triples
-    keyed by packed monomial codes (``polyring._PACKED``), the format of the
+    keyed by packed exponents, the format of ``Poly.terms`` and of the
     product kernel's sums, and handed to ``linalg`` as they are, without the
     zero ones.
     """
@@ -589,8 +575,6 @@ def _solve_pane(m, sspan, target, tspan):
     ts, te = tspan
     src_deg = m.basis_degrees
     tgt_deg = target.basis_degrees
-    packed = _PACKED
-    exps_of: dict = {}  # degree -> its monomials
     # the unknown entries (local k, local l) by column and by row, each with
     # its slots [(packed exponent, variable index)]
     by_col: dict = {}
@@ -598,15 +582,12 @@ def _solve_pane(m, sspan, target, tspan):
     slots: list = []
     for k in range(te - ts):
         for l in range(se - ss):
-            delta = src_deg[ss + l] - tgt_deg[ts + k]
-            exps = exps_of.get(delta)
-            if exps is None:
-                exps = exps_of[delta] = monomial_exponents(n, delta)
-            if exps:
-                variables = [(packed[exp], len(slots) + i) for i, exp in enumerate(exps)]
+            codes = monomial_codes(n, src_deg[ss + l] - tgt_deg[ts + k])
+            if codes:
+                variables = [(code, len(slots) + i) for i, code in enumerate(codes)]
                 by_col.setdefault(l, []).append((k, variables))
                 by_row.setdefault(k, []).append((l, variables))
-                slots.extend((k, l, exp) for exp in exps)
+                slots.extend((k, l, code) for code in codes)
     rows: list = []
     for j in range(n):
         # the products of F*A_src - A_tgt*F: (entry (k, l), the unknown
@@ -617,13 +598,13 @@ def _solve_pane(m, sspan, target, tspan):
             if not unknowns:
                 continue
             for l, a in sorted(m.actions[j][ss + mm].items()):
-                terms = _sums_of(a.terms).items()
+                terms = a.terms.items()
                 products += [((k, l - ss), variables, terms) for k, variables in unknowns]
         for k in range(te - ts):
             for mm, b in sorted(target.actions[j][ts + k].items()):
                 unknowns = by_row.get(mm - ts)
                 if unknowns:
-                    terms = [(code, (-p, -q, d)) for code, (p, q, d) in _sums_of(b.terms).items()]
+                    terms = [(code, (-p, -q, d)) for code, (p, q, d) in b.terms.items()]
                     products += [((k, l), variables, terms) for l, variables in unknowns]
         # (k, l) -> packed monomial -> {variable: unreduced sum}; a sum that
         # cancels stays, as a zero, until the rows are read off below
@@ -656,10 +637,10 @@ def _solve_pane(m, sspan, target, tspan):
     for vec in kernel:
         entries: dict = {}
         for var, coeff in vec.items():
-            k, l, exp = slots[var]
+            k, l, code = slots[var]
             poly = entries.get((k, l))
             if poly is None:
                 poly = entries[(k, l)] = Poly(n)
-            poly.terms[exp] = reduced(*coeff)
+            poly.terms[code] = coeff
         out.append(entries)
     return out

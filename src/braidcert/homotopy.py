@@ -91,6 +91,7 @@ from .bimodcalc import (
     Matrix,
     Morphism,
     _add_products,
+    _weighted_sum,
     bimodule_R,
     bimodule_Rw,
     bimodule_Bs,
@@ -107,8 +108,7 @@ from .bimodcalc import (
 )
 from .coxeter import make_reflection
 from .errors import ParseError
-from .polyring import Poly, _sums_of, format_poly, parse_poly
-from .scalars import reduced
+from .polyring import Poly, format_poly, parse_poly
 from .words import REPORT_FORMAT, Alphabet, BraidWord, certified_relations, format_word, parse_word, split_common
 
 
@@ -415,15 +415,16 @@ def _delta(x: Complex, y: Complex, p: int, k: int, h: Morphism) -> dict:
 def _product_sums(factors: tuple) -> list:
     """The product of the matrix pair ``factors`` as sums, with no ``Poly`` built.
 
-    One row per row of the product, ``{column: polyring._mul_into dict}``:
-    each entry maps a packed exponent to an unreduced ``(p, q, d)`` sum.
+    One row per row of the product, ``{column: sums}``: each entry maps a
+    packed exponent to an unreduced ``(p, q, d)`` sum, the format of
+    ``Poly.terms`` without its reduction.
     """
     return [_add_products({}, (factors,), i) for i in range(len(factors[0]))]
 
 
 def _poly_sums(matrix: Matrix) -> list:
-    """A matrix of ``Poly`` entries in the form ``_product_sums`` returns."""
-    return [{j: _sums_of(x.terms) for j, x in row.items()} for row in matrix]
+    """A matrix of ``Poly`` entries in the form ``_product_sums`` returns: each entry's own terms, read-only."""
+    return [{j: x.terms for j, x in row.items()} for row in matrix]
 
 
 def _slot_vector(sums: dict) -> dict:
@@ -465,18 +466,20 @@ def _combine(weighted) -> dict:
 
     A coefficient is a ``linalg`` triple, or None for zero; zero terms are
     skipped and degrees whose total is zero dropped: a missing degree is the
-    zero morphism.
+    zero morphism.  Each degree's entries are built once
+    (``bimodcalc._weighted_sum``).
     """
-    totals: dict = {}
+    by_degree: dict = {}  # degree -> (a morphism there, [(coeff, matrix)])
     for coeff, components in weighted:
-        if coeff is None:
-            continue
-        coeff = reduced(*coeff)
-        for k, m in components.items():
-            piece = m.scale(coeff)
-            cur = totals.get(k)
-            totals[k] = piece if cur is None else cur + piece
-    return {k: m for k, m in totals.items() if not m.is_zero()}
+        if coeff is not None:
+            for k, m in components.items():
+                by_degree.setdefault(k, (m, []))[1].append((coeff, m.matrix))
+    out = {}
+    for k, (m, terms) in by_degree.items():
+        matrix = _weighted_sum(m.source.n, m.target.rank, terms)
+        if any(matrix):
+            out[k] = Morphism(m.source, m.target, matrix)
+    return out
 
 
 def _graded_ranks_match(c: Complex, d: Complex) -> bool:

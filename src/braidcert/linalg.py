@@ -6,8 +6,8 @@ An entry is a triple of ints ``(p, q, d)``, meaning ``(p + q*sqrt2)/d`` with
 they take need not be in lowest terms, so the callers hand over the
 unreduced sums of ``polyring``'s product kernel as they are; every entry
 the eliminator stores, and so every entry it returns, is in lowest terms
-(``scalars.reduced_triple``, the one normalisation).  The callers make a
-``QSqrt2`` of an entry only where it becomes a polynomial coefficient.
+(``scalars.reduced_triple``, the one normalisation).  A returned entry is
+a polynomial coefficient as it stands: ``Poly`` stores the same triples.
 ``dense_rank`` and ``dense_inverse`` take small dense ``QSqrt2`` matrices
 and convert at the boundary.
 

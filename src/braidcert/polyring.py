@@ -1,22 +1,31 @@
 """Graded multivariate polynomials over Q(sqrt2).
 
 The ring is ``k[X_0, ..., X_{n-1}]`` with every variable in degree 2 (so all
-degrees are even and "linear forms" have degree 2).  Monomials are dense
-exponent tuples of length ``n``; the canonical order is graded lexicographic
-with ``X_0 > X_1 > ...``, largest term first.
+degrees are even and "linear forms" have degree 2).  The canonical order of
+monomials is graded lexicographic with ``X_0 > X_1 > ...``, largest term
+first.
 
-Every polynomial product goes through one multiply-accumulate helper,
-``_mul_into``.  It adds term products, in ints, into an ``{exponent: sum}``
-dict, with each exponent packed into one int so that a product adds ints, and
-``_from_sums`` turns that dict into a ``Poly`` once, reducing each
-coefficient and dropping the ones that cancelled.  ``Poly.__mul__`` fills
-one dict; ``bimodcalc.mat_mul`` and ``Bimodule.action_of`` fill one per
-output entry, so a sum of products builds one ``Poly``, not one per product.
-``bimodcalc.mat_residuals`` fills one per entry and side of an identity and
-compares the sums as they are, so an identity that holds builds no ``Poly``.
-The homotopy search (``homotopy._delta``) fills one per entry of each
-product it needs and hands the sums to ``linalg`` as equation entries,
-again with no ``Poly`` built.
+A ``Poly`` stores its terms in the format its products compute in,
+``{packed exponent: (p, q, d)}``.  The exponent ``(e_0, ..., e_{n-1})`` is
+one int with ``e_i`` in the ``_FIELD`` bits from bit ``_FIELD * i``, so a
+product adds two ints.  The coefficient ``(p + q*sqrt2)/d`` is three ints in
+lowest terms with ``d > 0`` (``scalars.reduced_triple``), never zero, so two
+polynomials are equal exactly when their dicts are.  Exponent tuples and
+``QSqrt2`` values appear only at the boundary: the constructors,
+``coefficient``, ``sorted_terms``, the text form and the cold helpers
+``LinearEndo`` and ``divide_by_linear``.
+
+A product adds its term products into an ``{exponent: sum}`` dict of
+unreduced triples (``_mul_into``, and inline ``bimodcalc._add_products``, one
+dict per entry of a matrix product), and ``_from_sums`` builds the ``Poly``
+once, reducing each sum and dropping the ones that cancelled.  The sums are
+also read as they are: ``bimodcalc.mat_residuals`` compares them, and
+``homotopy._delta`` hands them to ``linalg`` as equation entries.
+
+A stored exponent is below ``2**(_FIELD - 1)``, so the sum of two never
+carries into the next field: ``_from_sums`` refuses a product that reaches
+that bound with one mask test, and the parser and the constructors take
+exponents up to ``MAX_EXPONENT``, so a product of two of theirs is stored.
 """
 
 from __future__ import annotations
@@ -24,44 +33,37 @@ from __future__ import annotations
 import itertools
 import re
 from collections.abc import Iterable, Iterator
+from functools import lru_cache, reduce
+from operator import or_
 
 from .errors import ExactDivisionError, ParseError, parse_int
-from .scalars import ONE, SQRT2, QSqrt2, reduced
+from .scalars import ONE, SQRT2, QSqrt2, reduced, reduced_triple
 
 Monomial = tuple  # exponent tuple of length n
 
-
-def _monomial_key(exp: Monomial):
-    return (sum(exp), exp)
-
-
-# The sums of the product kernel are keyed by exponents packed into one int,
-# ``_FIELD`` bits per variable, so a term product adds two ints where it would
-# build a tuple.  Each distinct exponent is packed once, and each packed sum
-# unpacked once, per process.  A factor's exponents are at most
-# ``MAX_EXPONENT``, so the sum of two never carries into the next field; the
-# parser refuses a larger one with its position.
-_FIELD = 32
-MAX_EXPONENT = (1 << (_FIELD - 1)) - 1
+_FIELD = 33
+MAX_EXPONENT = (1 << (_FIELD - 2)) - 1
 
 
-class _Packed(dict):
-    """Exponent tuple -> packed int, filled on first use."""
-
-    def __missing__(self, exp: Monomial) -> int:
-        top = max(exp, default=0)
-        if top > MAX_EXPONENT:
-            raise ValueError(f"exponent {top} is too large to multiply (at most {MAX_EXPONENT})")
-        code = self[exp] = sum(e << (_FIELD * i) for i, e in enumerate(exp))
-        return code
+def _pack(exp: Monomial) -> int:
+    """The packed code of the exponent tuple ``exp``; ``ValueError`` past ``MAX_EXPONENT``."""
+    top = max(exp, default=0)
+    if top > MAX_EXPONENT:
+        raise ValueError(f"exponent {top} is too large to multiply (at most {MAX_EXPONENT})")
+    return sum(e << (_FIELD * i) for i, e in enumerate(exp))
 
 
 class _Unpacked(dict):
-    """Packed int -> exponent tuple of ``n`` variables, filled on first use."""
+    """Packed code -> exponent tuple of ``n`` variables, filled on first use.
+
+    ``carry`` has the top bit of each of the ``n`` fields, which no stored
+    code sets.
+    """
 
     def __init__(self, n: int) -> None:
         super().__init__()
         self.n = n
+        self.carry = sum(1 << (_FIELD * i + _FIELD - 1) for i in range(n))
 
     def __missing__(self, code: int) -> Monomial:
         mask = (1 << _FIELD) - 1
@@ -69,67 +71,64 @@ class _Unpacked(dict):
         return exp
 
 
-_PACKED = _Packed()
-_UNPACKED: dict = {}  # variable count -> _Unpacked
+_unpacked = lru_cache(maxsize=None)(_Unpacked)  # variable count -> its one _Unpacked
 
 
 def _mul_into(acc: dict, terms1: dict, terms2: dict) -> None:
     """Add every product of a term of ``terms1`` and a term of ``terms2`` into ``acc``.
 
-    ``terms1`` and ``terms2`` are ``Poly.terms`` dicts.  ``acc`` maps a packed
-    exponent to an unreduced sum ``(p, q, d)``, meaning ``(p + q*sqrt2)/d``
-    with ``d > 0``.  ``_from_sums`` reads it into a ``Poly``,
-    ``bimodcalc.mat_residuals`` compares two, and ``homotopy._slot_vector``
-    hands its sums to ``linalg`` as equation entries.  ``_sums_of`` makes
-    one from a polynomial, which is how ``bimodcalc._solve_pane`` reads the
-    action entries it sums its equations from.
+    ``terms1`` and ``terms2`` are dicts in the format of ``Poly.terms``.
+    ``acc`` maps a packed exponent to an unreduced sum ``(p, q, d)``, meaning
+    ``(p + q*sqrt2)/d`` with ``d > 0``, and ``_from_sums`` reads it into a
+    ``Poly``.  ``bimodcalc._add_products`` runs this loop inline.
     """
-    get = acc.get
-    packed = _PACKED
-    for e1, c1 in terms1.items():
-        k1 = packed[e1]
-        p1, q1, d1 = c1.p, c1.q, c1.d
-        for e2, c2 in terms2.items():
-            exp = k1 + packed[e2]
-            p2, q2, d = c2.p, c2.q, d1 * c2.d
-            p, q = p1 * p2 + 2 * q1 * q2, p1 * q2 + q1 * p2
-            s = get(exp)
+    for e1, (p1, q1, d1) in terms1.items():
+        for e2, (p2, q2, d2) in terms2.items():
+            exp = e1 + e2
+            s = acc.get(exp)
             if s is None:
-                acc[exp] = (p, q, d)
-            elif s[2] == d:
+                acc[exp] = (p1 * p2 + 2 * q1 * q2, p1 * q2 + q1 * p2, d1 * d2)
+                continue
+            p, q, d, sd = p1 * p2 + 2 * q1 * q2, p1 * q2 + q1 * p2, d1 * d2, s[2]
+            if sd == d:
                 acc[exp] = (s[0] + p, s[1] + q, d)
             else:
-                sd = s[2]
                 acc[exp] = (s[0] * d + p * sd, s[1] * d + q * sd, sd * d)
 
 
-def _sums_of(terms: dict) -> dict:
-    """The ``Poly.terms`` dict ``terms`` as the sums ``_mul_into`` fills, with no product."""
-    return {_PACKED[exp]: (c.p, c.q, c.d) for exp, c in terms.items()}
-
-
 def _from_sums(n: int, acc: dict) -> "Poly":
-    """The ``Poly`` of the sums ``_mul_into`` left in ``acc``, without the zero ones."""
-    exps = _UNPACKED.get(n)
-    if exps is None:
-        exps = _UNPACKED[n] = _Unpacked(n)
+    """The ``Poly`` of the sums ``_mul_into`` left in ``acc``, without the zero ones.
+
+    ``ValueError`` if an exponent reaches the top bit of its field.
+    """
     out = Poly(n)
-    out.terms = {exps[code]: reduced(p, q, d) for code, (p, q, d) in acc.items() if p or q}
+    terms = out.terms = {code: s if s[2] == 1 else reduced_triple(*s) for code, s in acc.items() if s[0] or s[1]}
+    exps = _unpacked(n)
+    if reduce(or_, terms, 0) & exps.carry:
+        top = max(e for code in terms for e in exps[code])
+        raise ValueError(f"exponent {top} of a product is too large (at most {2 * MAX_EXPONENT + 1})")
     return out
 
 
+def _triple(c) -> tuple:
+    """The ``(p, q, d)`` of a ``QSqrt2`` or an int."""
+    c = c if isinstance(c, QSqrt2) else QSqrt2(c)
+    return c.p, c.q, c.d
+
+
 class Poly:
-    """A polynomial stored as ``{exponent tuple: nonzero QSqrt2}``."""
+    """A polynomial stored as ``{packed exponent: (p, q, d)}``, each triple in lowest terms and nonzero."""
 
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms: dict | None = None) -> None:
+        """``terms`` maps exponent tuples to coefficients, ``QSqrt2`` or int; zero ones are dropped."""
         self.n = n
         self.terms: dict = {}
         if terms:
             for exp, c in terms.items():
                 if c:
-                    self.terms[exp] = c
+                    self.terms[_pack(exp)] = _triple(c)
 
     # -- constructors ---------------------------------------------------
 
@@ -139,24 +138,21 @@ class Poly:
 
     @classmethod
     def one(cls, n: int) -> "Poly":
-        return cls(n, {(0,) * n: ONE})
+        return cls.constant(n, ONE)
 
     @classmethod
     def constant(cls, n: int, c) -> "Poly":
-        c = c if isinstance(c, QSqrt2) else QSqrt2(c)
         return cls(n, {(0,) * n: c})
 
     @classmethod
     def variable(cls, n: int, j: int) -> "Poly":
         if not 0 <= j < n:
             raise IndexError(f"variable index {j} out of range for n={n}")
-        exp = tuple(1 if k == j else 0 for k in range(n))
-        return cls(n, {exp: ONE})
+        return cls(n, {tuple(1 if k == j else 0 for k in range(n)): ONE})
 
     @classmethod
     def monomial(cls, exp: Monomial, c=ONE) -> "Poly":
-        c = c if isinstance(c, QSqrt2) else QSqrt2(c)
-        return cls(len(exp), {tuple(exp): c} if c else None)
+        return cls(len(exp), {tuple(exp): c})
 
     # -- ring operations --------------------------------------------------
 
@@ -172,13 +168,15 @@ class Poly:
         if o is None:
             return NotImplemented
         terms = dict(self.terms)
-        for exp, c in o.terms.items():
-            s = terms.get(exp)
-            s = c if s is None else s + c
-            if s:
-                terms[exp] = s
+        for code, t in o.terms.items():
+            s = terms.get(code)
+            if s is not None:
+                (p1, q1, d1), (p2, q2, d2) = s, t
+                t = reduced_triple(p1 * d2 + p2 * d1, q1 * d2 + q2 * d1, d1 * d2)
+            if t[0] or t[1]:
+                terms[code] = t
             else:
-                terms.pop(exp, None)
+                del terms[code]
         out = Poly(self.n)
         out.terms = terms
         return out
@@ -191,7 +189,7 @@ class Poly:
 
     def __neg__(self) -> "Poly":
         out = Poly(self.n)
-        out.terms = {exp: -c for exp, c in self.terms.items()}
+        out.terms = {code: (-p, -q, d) for code, (p, q, d) in self.terms.items()}
         return out
 
     def __mul__(self, other) -> "Poly":
@@ -203,11 +201,13 @@ class Poly:
         return _from_sums(self.n, acc)
 
     def scale(self, c) -> "Poly":
-        c = c if isinstance(c, QSqrt2) else QSqrt2(c)
-        if not c:
-            return Poly.zero(self.n)
+        cp, cq, cd = _triple(c)
         out = Poly(self.n)
-        out.terms = {exp: k * c for exp, k in self.terms.items()}
+        if cp or cq:
+            out.terms = {
+                code: reduced_triple(p * cp + 2 * q * cq, p * cq + q * cp, d * cd)
+                for code, (p, q, d) in self.terms.items()
+            }
         return out
 
     def __eq__(self, other) -> bool:
@@ -219,24 +219,25 @@ class Poly:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    # -- grading -----------------------------------------------------------
+    # -- grading and the boundary -------------------------------------------
 
     def is_homogeneous(self, d: int | None = None) -> bool:
-        if not self.terms:
-            return True
-        degs = {2 * sum(exp) for exp in self.terms}
-        if len(degs) > 1:
-            return False
-        return d is None or degs == {d}
+        exps = _unpacked(self.n)
+        degs = {2 * sum(exps[code]) for code in self.terms}
+        return len(degs) <= 1 and (d is None or degs <= {d})
 
     def coefficient(self, exp: Monomial) -> QSqrt2:
-        return self.terms.get(tuple(exp), QSqrt2(0))
+        return reduced(*self.terms.get(_pack(exp), (0, 0, 1)))
 
     def constant_term(self) -> QSqrt2:
-        return self.coefficient((0,) * self.n)
+        return reduced(*self.terms.get(0, (0, 0, 1)))
 
     def sorted_terms(self) -> list:
-        return sorted(self.terms.items(), key=lambda t: _monomial_key(t[0]), reverse=True)
+        """``(exponent tuple, QSqrt2)`` per term, largest first in the canonical order."""
+        exps = _unpacked(self.n)
+        terms = [(exps[code], c) for code, c in self.terms.items()]
+        terms.sort(key=lambda t: (sum(t[0]), t[0]), reverse=True)
+        return [(exp, reduced(*c)) for exp, c in terms]
 
     # -- text form -----------------------------------------------------------
 
@@ -277,10 +278,12 @@ class LinearEndo:
         """Extend ``X_j -> images[j]`` to a ring homomorphism and evaluate."""
         if p.n != self.n:
             raise ValueError("polynomial over a different variable count")
+        exps = _unpacked(self.n)
         result = Poly.zero(self.n)
-        for exp, c in p.terms.items():
-            term = Poly.constant(self.n, c)
-            for j, e in enumerate(exp):
+        for code, c in p.terms.items():
+            term = Poly(self.n)
+            term.terms = {0: c}
+            for j, e in enumerate(exps[code]):
                 for _ in range(e):
                     term = term * self.images[j]
             result = result + term
@@ -327,6 +330,12 @@ def monomial_exponents(n: int, d: int) -> list:
     return exps
 
 
+@lru_cache(maxsize=None)
+def monomial_codes(n: int, d: int) -> tuple:
+    """The packed codes of ``monomial_exponents(n, d)``, in that order."""
+    return tuple(_pack(exp) for exp in monomial_exponents(n, d))
+
+
 def divide_by_linear(p: Poly, ell: Poly) -> Poly:
     """Return ``q`` with ``p == ell * q`` for a linear form ``ell``, or raise.
 
@@ -336,13 +345,11 @@ def divide_by_linear(p: Poly, ell: Poly) -> Poly:
     """
     if not ell or not ell.is_homogeneous(2):
         raise ValueError("divisor must be a nonzero linear form")
-    lead_exp, lead_coeff = max(
-        ell.terms.items(), key=lambda t: _monomial_key(t[0])
-    )
+    lead_exp, lead_coeff = ell.sorted_terms()[0]
     quotient = Poly.zero(p.n)
     rest = p
     while rest.terms:
-        exp, c = max(rest.terms.items(), key=lambda t: _monomial_key(t[0]))
+        exp, c = rest.sorted_terms()[0]
         diff = tuple(a - b for a, b in zip(exp, lead_exp))
         if any(e < 0 for e in diff):
             raise ExactDivisionError(f"{ell} does not divide {p}")

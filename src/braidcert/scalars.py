@@ -141,9 +141,9 @@ def _rational_text(n: int, d: int) -> str:
 def reduced_triple(p: int, q: int, d: int) -> tuple:
     """``(p, q, d)`` for ``d > 0``, divided by ``gcd(p, q, d)``: the one normalisation.
 
-    ``linalg`` keeps its rows as these triples, and ``reduced`` makes a
-    ``QSqrt2`` of one; ``inverse_triple`` and ``QSqrt2.inverse`` end here
-    too.
+    ``linalg`` keeps its rows as these triples and ``polyring.Poly`` its
+    coefficients, and ``reduced`` makes a ``QSqrt2`` of one;
+    ``inverse_triple`` and ``QSqrt2.inverse`` end here too.
     """
     if d != 1:
         g = gcd(p, q, d)
@@ -169,8 +169,8 @@ def inverse_triple(p: int, q: int, d: int) -> tuple:
 def reduced(p: int, q: int, d: int) -> QSqrt2:
     """The ``QSqrt2`` ``(p + q*sqrt2)/d`` for ``d > 0``, in lowest terms.
 
-    Every operator ends here, and so does ``polyring``'s product kernel,
-    which sums products in ints and calls it once per coefficient.
+    Every operator ends here, and so does ``polyring`` where a coefficient
+    leaves a polynomial as a ``QSqrt2``.
     """
     x = object.__new__(QSqrt2)
     x.p, x.q, x.d = reduced_triple(p, q, d)

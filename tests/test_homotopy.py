@@ -1044,7 +1044,9 @@ def test_pairs_that_share_a_core_search_it_once_and_check_each_result(monkeypatc
 def test_the_largest_certify_n2_system_is_the_relB3_pane(monkeypatch):
     # every system certify --n 2 eliminates, with a fresh pane cache: the
     # largest (rows x cols) is the 1044 x 303 pane of relB3, with one kernel
-    # vector, so a change to the pane builder's equation count shows here
+    # vector, so a change to the pane builder's equation count shows here.
+    # There are 135 of them, 119 pane solves and 16 Z^0 systems, so a pane
+    # key that stops matching equal panes shows here too
     shapes = []
     kernel_basis = linalg.kernel_basis
 
@@ -1057,6 +1059,7 @@ def test_the_largest_certify_n2_system_is_the_relB3_pane(monkeypatch):
     monkeypatch.setattr(bimodcalc, "_PANE_CACHE", {})
     assert relation_certificates(2)["all_certified"]
     assert max(shapes, key=lambda s: s[0] * s[1]) == (1044, 303, 1)
+    assert len(shapes) == 135
 
 
 def test_a_wrong_homotopy_solve_is_an_error(monkeypatch):

@@ -9,12 +9,14 @@ from braidcert.polyring import (
     MAX_EXPONENT,
     LinearEndo,
     Poly,
+    _from_sums,
+    _pack,
     divide_by_linear,
     format_poly,
     monomial_exponents,
     parse_poly,
 )
-from braidcert.scalars import SQRT2, QSqrt2, reduced
+from braidcert.scalars import SQRT2, ZERO, QSqrt2, reduced, reduced_triple
 from conftest import parts, qsqrt2
 
 
@@ -57,12 +59,11 @@ def _convolution(p, q, size):
     ``a + b*sqrt2``; the zero cells of the result are left out.
     """
     grid = list(itertools.product(range(size), repeat=p.n))
-    zero = QSqrt2(0)
     out = {}
     for e1 in grid:
-        c1 = p.terms.get(e1, zero)
+        c1 = p.coefficient(e1)
         for e2 in grid:
-            c2 = q.terms.get(e2, zero)
+            c2 = q.coefficient(e2)
             e = tuple(x + y for x, y in zip(e1, e2))
             a, b = out.get(e, (Fraction(0), Fraction(0)))
             (a1, b1), (a2, b2) = parts(c1), parts(c2)
@@ -78,8 +79,8 @@ def test_product_matches_dense_convolution(p, q, cancel):
         # (p + q) * (p - q): the cross products p*q and -q*p cancel
         p, q = p + q, p - q
     product = p * q
-    assert product.terms == _convolution(p, q, 4)
-    assert all(product.terms.values()), "a cancelled coefficient is stored"
+    assert dict(product.sorted_terms()) == _convolution(p, q, 4)
+    assert all(a or b for a, b, _ in product.terms.values()), "a cancelled coefficient is stored"
 
 
 def test_add_cancels():
@@ -261,7 +262,7 @@ def test_over_long_numbers_are_parse_errors():
 def test_exponents_stay_inside_the_packed_field():
     # a factor may carry MAX_EXPONENT, so a product of two reaches 2 * MAX_EXPONENT
     top = parse_poly(f"X1^{MAX_EXPONENT}", 2)
-    assert (top * top).terms == {(0, 2 * MAX_EXPONENT): QSqrt2(1)}
+    assert dict((top * top).sorted_terms()) == {(0, 2 * MAX_EXPONENT): QSqrt2(1)}
     assert format_poly(top * X(2, 0)) == f"X0*X1^{MAX_EXPONENT}"
     for text, position, j in [(f"X0^{MAX_EXPONENT + 1}", 0, 0), (f"1 + X1*X1^{MAX_EXPONENT}", 7, 1)]:
         with pytest.raises(ParseError) as exc:
@@ -270,6 +271,12 @@ def test_exponents_stay_inside_the_packed_field():
         assert exc.value.message == f"exponent of X{j} over {MAX_EXPONENT}"
     with pytest.raises(ValueError, match="too large to multiply"):
         Poly.monomial((MAX_EXPONENT + 1, 0)) * X(2, 0)
+    # a product past the stored bound is refused, never carried into the next variable
+    top = parse_poly(f"X1^{MAX_EXPONENT}", 3)
+    assert format_poly(top * top * X(3, 1)) == f"X1^{2 * MAX_EXPONENT + 1}"
+    for product in [lambda: (top * top) * top, lambda: top * top * X(3, 1) * X(3, 1)]:
+        with pytest.raises(ValueError, match="too large"):
+            product()
 
 
 def test_parse_mixed_coefficient():
@@ -284,3 +291,52 @@ def test_ring_axioms(p, q, r):
     assert (p + q) * r == p * r + q * r
     assert p * q == q * p
     assert (p * q) * r == p * (q * r)
+
+
+def _stored_canonically(p):
+    """Every stored coefficient is nonzero, in lowest terms and with ``d > 0``: ``==`` is then exact."""
+    return all((a or b) and d > 0 and (a, b, d) == reduced_triple(a, b, d) for a, b, d in p.terms.values())
+
+
+def _expected(op, p, q, c):
+    """The coefficients of ``op`` on ``p``, ``q`` and ``c``, from ``QSqrt2`` arithmetic on theirs."""
+    pc, qc = dict(p.sorted_terms()), dict(q.sorted_terms())
+    if op == "*":
+        out = {}
+        for e1, c1 in pc.items():
+            for e2, c2 in qc.items():
+                e = tuple(x + y for x, y in zip(e1, e2))
+                out[e] = out.get(e, ZERO) + c1 * c2
+    elif op in "+-":
+        sign = 1 if op == "+" else -1
+        out = {e: pc.get(e, ZERO) + qc.get(e, ZERO) * sign for e in pc.keys() | qc.keys()}
+    else:
+        out = {e: -x if op == "neg" else x * c for e, x in pc.items()}
+    return {e: x for e, x in out.items() if x}
+
+
+@given(polys(2), polys(2), coeffs, st.sampled_from(["+", "-", "*", "scale", "neg"]), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_every_operation_stores_its_coefficients_canonically(p, q, c, op, cancel):
+    if cancel:
+        q = -p if op == "+" else p  # every coefficient of p + q and p - q cancels
+    result = {"+": lambda: p + q, "-": lambda: p - q, "*": lambda: p * q, "scale": lambda: p.scale(c), "neg": lambda: -p}
+    got = result[op]()
+    assert _stored_canonically(got)
+    assert dict(got.sorted_terms()) == _expected(op, p, q, c)
+
+
+_FRACTIONS = st.fractions(max_denominator=6)
+
+
+@given(st.dictionaries(st.sampled_from(monomial_exponents(2, 4)), st.tuples(_FRACTIONS, _FRACTIONS, st.integers(1, 6))))
+@settings(max_examples=80, deadline=None)
+def test_from_sums_reduces_each_coefficient_and_drops_the_zero_ones(sums):
+    # the product kernel's sums are unreduced: each value here is stored k times over
+    acc = {}
+    for exp, (a, b, k) in sums.items():
+        x = qsqrt2(a, b)
+        acc[_pack(exp)] = (k * x.p, k * x.q, k * x.d)
+    got = _from_sums(2, acc)
+    assert _stored_canonically(got)
+    assert {exp: parts(x) for exp, x in got.sorted_terms()} == {exp: (a, b) for exp, (a, b, _) in sums.items() if a or b}
