@@ -62,6 +62,10 @@ echo "== Certify-pair output is byte-identical on a pair with virtual runs (z0 z
 braidcert certify-pair "z0 z2 s1 z2 z1 z1 z1" "z0 z2 z2 z1 s2 z1 z1" --n 3 --format json > runs.json
 echo "9019c19fee0fc22c5447cfca4192b8f4001f78e56f0c6ad3fdd3252001b3b1a9  runs.json" | sha256sum -c
 
+echo "== Certify-pair output is byte-identical on relB3 in a braid-letter context (s0 s1 s0 s1 s2 vs s1 s0 s1 s0 s2, n=3, homotopy, against its sha256)"
+braidcert certify-pair "s0 s1 s0 s1 s2" "s1 s0 s1 s0 s2" --n 3 --format json > relB3_s2.json
+echo "d3c86f646b0ee6ca453848e398060601fa2af797d9961a2b4ed00c49041764f9  relB3_s2.json" | sha256sum -c
+
 echo "== An isomorphism only the weighted-sum probe finds (s0 s0^-1 vs s0^-1 s0, n=2, iso, against its sha256, then [ok])"
 braidcert certify-pair "s0 s0^-1" "s0^-1 s0" --n 2 --format json --out swap.json
 grep -q '"kind": "iso"' swap.json

@@ -50,6 +50,20 @@ with basis ``{1 (x) 1, 1 (x) root}``, right action computed by Demazure
 decomposition).  Tensor products stay free with the structured Kronecker
 action, so every morphism question is finite-dimensional linear algebra over
 Q(sqrt2).
+
+The degree-0 solver works pane by pane, one pane per pair of blocks, and
+solves a pane at most once per process up to shift and duality.  A pane is
+cached under its presentation with both blocks' degrees moved by one common
+shift, which changes no unknown's degree.  On a miss it looks up the dual
+pane ``Q^v -> P^v``: ``X^v`` has degrees ``-d[r-1-i]`` and actions
+``J A^T J`` (``J`` reverses the basis), and ``G A_P = A_Q G`` exactly when
+``H = J G^T J`` satisfies ``H A_{Q^v} = A_{P^v} H``.  A cached dual basis is
+read back through that identity, and ``linalg.span_basis`` turns it into
+the canonical basis ``kernel_basis`` gives on the pane's own system: that
+basis is normalised at the free columns, the lexicographically last basis
+of the kernel's column matroid, which is where an echelon form that pivots
+at the last column of any spanning set puts its pivots.  ``B_t`` is
+self-dual on the nose (``B_t^v = B_t{-2}``), so many panes meet their duals.
 """
 
 from __future__ import annotations
@@ -233,7 +247,7 @@ def id_tensor(left: Bimodule, matrix: Matrix, cols: int) -> Matrix:
 class Bimodule:
     """A graded bimodule presented by a left basis and right-action matrices."""
 
-    __slots__ = ("n", "rank", "basis_degrees", "actions", "block_spans", "_monomial_cache")
+    __slots__ = ("n", "rank", "basis_degrees", "actions", "block_spans", "_monomial_cache", "_signatures")
 
     def __init__(
         self,
@@ -248,6 +262,7 @@ class Bimodule:
         self.actions = tuple(actions)
         self.block_spans = tuple(block_spans) if block_spans else ((0, self.rank),)
         self._monomial_cache: dict = {}
+        self._signatures: dict = {}  # (span, dual) -> _pane_signature
 
     # equality compares presentations: degrees and actions
     def __eq__(self, other) -> bool:
@@ -506,28 +521,52 @@ class Morphism:
 _PANE_CACHE: dict = {}
 
 
-def _pane_signature(m: Bimodule, span: tuple) -> tuple:
-    """The pane's degrees and action entries, in span-relative (row, column) order.
+def _pane_signature(m: Bimodule, span: tuple, dual: bool = False) -> tuple:
+    """The block's degrees and action entries, in span-relative (row, column) order.
 
     Each action is one flat tuple of ints: per stored entry its row, column
     and term count, then per term (sorted by packed exponent) the packed
     exponent and the ``(p, q, d)`` of its coefficient.  The tuple reads back
-    one way only, and a ``Poly`` is stored one way only, so equal keys mean
-    equal panes.
+    one way only, and a ``Poly`` is stored one way only, so equal
+    signatures mean equal presentations.  With ``dual``, it is the
+    signature of the dual block ``X^v``: degrees ``-d[r-1-i]`` and actions
+    ``J A^T J``, where ``J`` reverses the basis, so entry ``(k, l)`` of ``A``
+    is entry ``(r-1-l, r-1-k)`` of the dual.  Cached per bimodule.
     """
+    cached = m._signatures.get((span, dual))
+    if cached is not None:
+        return cached
     s, e = span
     degs = m.basis_degrees[s:e]
+    if dual:
+        degs = tuple(-d for d in reversed(degs))
     mats = []
     for a in m.actions:
+        if dual:
+            entries = sorted(((e - 1 - l, e - 1 - k), poly) for k in range(s, e) for l, poly in a[k].items())
+        else:
+            entries = [((k - s, l - s), poly) for k in range(s, e) for l, poly in sorted(a[k].items())]
         flat: list = []
-        for k in range(s, e):
-            for l, poly in sorted(a[k].items()):
-                flat += (k - s, l - s, len(poly.terms))
-                for code, c in sorted(poly.terms.items()):
-                    flat.append(code)
-                    flat += c
+        for kl, poly in entries:
+            flat += (*kl, len(poly.terms))
+            for code, c in sorted(poly.terms.items()):
+                flat.append(code)
+                flat += c
         mats.append(tuple(flat))
-    return (degs, tuple(mats))
+    signature = m._signatures[(span, dual)] = (degs, tuple(mats))
+    return signature
+
+
+def _pane_key(n: int, source: tuple, target: tuple) -> tuple:
+    """The cache key of the pane between two block signatures.
+
+    Both blocks' degrees move by one common shift, which puts the smallest
+    at 0: the unknown entries' degrees are differences of a source and a
+    target degree, so panes that differ by such a shift have one basis.
+    """
+    (sdegs, smats), (tdegs, tmats) = source, target
+    low = min(sdegs + tdegs, default=0)
+    return (n, tuple(d - low for d in sdegs), smats, tuple(d - low for d in tdegs), tmats)
 
 
 def solve_morphisms(m: Bimodule, target: Bimodule) -> list:
@@ -536,21 +575,36 @@ def solve_morphisms(m: Bimodule, target: Bimodule) -> list:
     Unknown matrix entries are homogeneous of the degree the grading forces;
     the commutation with every right action gives an exact linear system over
     Q(sqrt2).  The right actions are block diagonal, so the system splits into
-    independent panes (one per pair of blocks), each solved and cached by its
-    presentation.
+    independent panes (one per pair of blocks).  Each pane's basis is cached
+    by the pane's presentation up to one common shift of both blocks'
+    degrees (``_pane_key``), and a pane is solved at most once up to shift
+    and duality:
+
+    - Duality.  ``G A_P = A_Q G`` for every action exactly when
+      ``H = J G^T J`` satisfies ``H A_{Q^v} = A_{P^v} H``, where ``X^v`` has
+      degrees ``-d[r-1-i]`` and actions ``J A^T J``; this is the transpose
+      of the equation, for every presentation.  So on a miss, a cached
+      basis of the dual pane ``Q^v -> P^v`` spans this pane as
+      ``G[k][l] = H[r_P-1-l][r_Q-1-k]``.
+    - Canonical basis.  ``_solve_pane`` turns those maps into slot vectors
+      and ``linalg.span_basis`` returns exactly the basis that
+      ``kernel_basis`` returns on the pane's own system, so a pane's basis
+      does not depend on which way it was found.
     """
     if m.n != target.n:
         raise ValueError("bimodules over different variable counts")
+    n = m.n
     basis = []
     sources = [(sspan, _pane_signature(m, sspan)) for sspan in m.block_spans]
     for tspan in target.block_spans:
         tsig = _pane_signature(target, tspan)
         for sspan, ssig in sources:
-            key = (m.n, ssig, tsig)
+            key = _pane_key(n, ssig, tsig)
             local = _PANE_CACHE.get(key)
             if local is None:
-                local = _solve_pane(m, sspan, target, tspan)
-                _PANE_CACHE[key] = local
+                dual_key = _pane_key(n, _pane_signature(target, tspan, True), _pane_signature(m, sspan, True))
+                dual = _PANE_CACHE.get(dual_key)
+                local = _PANE_CACHE[key] = _solve_pane(m, sspan, target, tspan, dual)
             for mat in local:
                 full = mat_zero(target.rank)
                 for (k, l), poly in mat.items():
@@ -559,16 +613,16 @@ def solve_morphisms(m: Bimodule, target: Bimodule) -> list:
     return basis
 
 
-def _solve_pane(m, sspan, target, tspan):
+def _solve_pane(m, sspan, target, tspan, dual=None):
     """A basis of the degree-0 maps from block ``sspan`` of ``m`` to block ``tspan`` of ``target``.
 
     Each unknown entry ``(k, l)`` is a combination of the monomials of the
-    degree the grading forces, one variable per monomial.  The equations are
-    the monomial coefficients of every entry of ``F A_src - A_tgt F``, one
-    action at a time.  They are summed as unreduced ``(p, q, d)`` triples
-    keyed by packed exponents, the format of ``Poly.terms`` and of the
-    product kernel's sums, and handed to ``linalg`` as they are, without the
-    zero ones.
+    degree the grading forces, one variable (slot) per monomial.  Without
+    ``dual``, the basis is the kernel of the pane's equations
+    (``_pane_equations``).  ``dual`` is a basis of the dual pane's maps
+    ``H`` (see ``solve_morphisms``); each ``H`` is read back as the map
+    ``G[k][l] = H[r_P-1-l][r_Q-1-k]``, and ``linalg.span_basis`` turns the
+    slot vectors of those maps into the same basis.
     """
     n = m.n
     ss, se = sspan
@@ -588,8 +642,42 @@ def _solve_pane(m, sspan, target, tspan):
                 by_col.setdefault(l, []).append((k, variables))
                 by_row.setdefault(k, []).append((l, variables))
                 slots.extend((k, l, code) for code in codes)
+    if dual is None:
+        kernel = linalg.kernel_basis(_pane_equations(m, sspan, target, tspan, by_col, by_row), len(slots))
+    else:
+        index = {slot: i for i, slot in enumerate(slots)}
+        rp, rq = se - ss, te - ts
+        vectors = [
+            {index[(rq - 1 - b, rp - 1 - a, code)]: c for (a, b), poly in h.items() for code, c in poly.terms.items()}
+            for h in dual
+        ]
+        kernel = linalg.span_basis(vectors, len(slots))
+    out = []
+    for vec in kernel:
+        entries: dict = {}
+        for var, coeff in vec.items():
+            k, l, code = slots[var]
+            poly = entries.get((k, l))
+            if poly is None:
+                poly = entries[(k, l)] = Poly(n)
+            poly.terms[code] = coeff
+        out.append(entries)
+    return out
+
+
+def _pane_equations(m, sspan, target, tspan, by_col, by_row) -> list:
+    """The rows of the pane's system, for the unknowns ``_solve_pane`` numbers.
+
+    The equations are the monomial coefficients of every entry of
+    ``F A_src - A_tgt F``, one action at a time.  They are summed as
+    unreduced ``(p, q, d)`` triples keyed by packed exponents, the format of
+    ``Poly.terms`` and of the product kernel's sums, and handed to
+    ``linalg`` as they are, without the zero ones.
+    """
+    ss, se = sspan
+    ts, te = tspan
     rows: list = []
-    for j in range(n):
+    for j in range(m.n):
         # the products of F*A_src - A_tgt*F: (entry (k, l), the unknown
         # entry's slots, the known entry's (packed exponent, triple) terms)
         products: list = []
@@ -632,15 +720,4 @@ def _solve_pane(m, sspan, target, tspan):
                 row = {var: s for var, s in sums.items() if s[0] or s[1]}
                 if row:
                     rows.append(row)
-    kernel = linalg.kernel_basis(rows, len(slots))
-    out = []
-    for vec in kernel:
-        entries: dict = {}
-        for var, coeff in vec.items():
-            k, l, code = slots[var]
-            poly = entries.get((k, l))
-            if poly is None:
-                poly = entries[(k, l)] = Poly(n)
-            poly.terms[code] = coeff
-        out.append(entries)
-    return out
+    return rows

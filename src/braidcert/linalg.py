@@ -2,22 +2,24 @@
 
 An entry is a triple of ints ``(p, q, d)``, meaning ``(p + q*sqrt2)/d`` with
 ``d > 0``, and a row is a ``{column: triple}`` dict that stores no zero.
-``kernel_basis`` and ``solve_affine`` take and return such rows.  An entry
-they take need not be in lowest terms, so the callers hand over the
-unreduced sums of ``polyring``'s product kernel as they are; every entry
+``kernel_basis``, ``span_basis`` and ``solve_affine`` take and return such
+rows.  An entry they take need not be in lowest terms, so the callers hand
+over the unreduced sums of ``polyring``'s product kernel as they are; every entry
 the eliminator stores, and so every entry it returns, is in lowest terms
 (``scalars.reduced_triple``, the one normalisation).  A returned entry is
 a polynomial coefficient as it stands: ``Poly`` stores the same triples.
 ``dense_rank`` and ``dense_inverse`` take small dense ``QSqrt2`` matrices
 and convert at the boundary.
 
-One eliminator, ``_Echelon``, sits behind the four entry points.  It keeps
+One eliminator, ``_Echelon``, sits behind the five entry points.  It keeps
 the reduced row-echelon form of the rows inserted so far, choosing each
 pivot as the smallest column left in an incoming row.  The reduced
 row-echelon form of a row space is unique, so every output (kernel vectors,
 with free columns ascending; the solution with free variables at 0; the
 rank; the inverse) is canonical: it does not depend on the order in which
-rows are inserted, only the running time does.
+rows are inserted, only the running time does.  ``span_basis`` runs it on
+reversed columns: given any spanning set of a kernel, it returns the vectors
+``kernel_basis`` returns for that kernel.
 
 So ``_Echelon`` inserts its rows sparsest first (a stable sort on the number
 of non-zero entries, in the spirit of Markowitz's ordering).  Sparse rows
@@ -28,7 +30,10 @@ A pivot row is 1 at its pivot column, so ``_Echelon`` keeps only the rest
 of it.  Reducing a row against a pivot pops the row's entry ``f`` at the
 pivot column and subtracts ``f`` times the rest, in one fused row update,
 ``_sub_multiple`` (``row -= f * rest`` in ints, with one normalisation per
-entry).
+entry).  Adopting a pivot row reduces the live rows that hold its column
+against it, and only those: ``_Echelon.holders`` maps each column to the
+live rows that hold it, and ``_sub_multiple`` keeps that index current as
+entries fill in or cancel.
 
 Dead columns.  A pivot row with one entry, ``{c: (1, 0, 1)}``, says only
 ``x_c = 0``.  Its rest is empty and its column is dead: reducing a row
@@ -57,11 +62,14 @@ class _Echelon:
     to the rest of its normalized row: the row without its pivot entry,
     which is 1.  A dead column's rest is empty.  ``live`` holds the columns
     whose rest is not, in the same order.  No rest holds a pivot column.
+    ``holders`` maps each column to the pivot columns of the live rests
+    that hold it, so that adopting a pivot visits only those rests.
     """
 
     def __init__(self, rows=()) -> None:
         self.pivots: dict = {}  # pivot column -> the rest of its normalized row
         self.live: dict = {}  # the same, for the rests that are not empty
+        self.holders: dict = {}  # column -> {pivot column of a live rest holding it}
         for row in sorted(rows, key=len):  # sparsest first; see the module doc
             self.insert(row)
 
@@ -88,26 +96,35 @@ class _Echelon:
         ip, iq, id_ = inverse_triple(*row.pop(col))
         iq2 = 2 * iq
         rest = {c: reduced_triple(p * ip + q * iq2, p * iq + q * ip, d * id_) for c, (p, q, d) in row.items()}
-        # keep the live rows fully reduced against the new one; a live row
-        # whose rest empties is dead
-        live = self.live
-        for pcol, prest in [(pcol, prest) for pcol, prest in live.items() if col in prest]:
-            _sub_multiple(prest, prest.pop(col), rest)
+        # keep the live rows that hold the new pivot column fully reduced
+        # against the new row; a live row whose rest empties is dead
+        live, holders = self.live, self.holders
+        for pcol in holders.pop(col, ()):
+            prest = live[pcol]
+            _sub_multiple(prest, prest.pop(col), rest, holders, pcol)
             if not prest:
                 del live[pcol]
         self.pivots[col] = rest
         if rest:
             live[col] = rest
+            for c in rest:
+                held = holders.get(c)
+                if held is None:
+                    holders[c] = {col}
+                else:
+                    held.add(col)
         return True
 
 
-def _sub_multiple(row: Row, factor: tuple, pivot: Row) -> None:
+def _sub_multiple(row: Row, factor: tuple, pivot: Row, holders: dict | None = None, owner=None) -> None:
     """``row -= factor * pivot`` in place; entries that cancel are deleted.
 
     Each entry is one int computation and one ``reduced_triple``: the
     product ``factor * v`` stays unreduced and is subtracted from the
     current entry before the only gcd.  ``factor`` and the pivot entries are
-    non-zero, so an entry the row lacks never cancels.
+    non-zero, so an entry the row lacks never cancels.  For a live row,
+    ``holders`` is ``_Echelon.holders`` and ``owner`` the row's pivot
+    column: an entry filled in or cancelled adds or removes ``owner`` there.
     """
     fp, fq, fd = factor
     fq2 = 2 * fq
@@ -119,6 +136,12 @@ def _sub_multiple(row: Row, factor: tuple, pivot: Row) -> None:
         cur = get(c)
         if cur is None:
             row[c] = reduced_triple(-pp, -pq, pd)
+            if holders is not None:
+                held = holders.get(c)
+                if held is None:
+                    holders[c] = {owner}
+                else:
+                    held.add(owner)
             continue
         cp, cq, cd = cur
         if cd == pd:
@@ -129,6 +152,8 @@ def _sub_multiple(row: Row, factor: tuple, pivot: Row) -> None:
             row[c] = reduced_triple(p, q, pd)
         else:
             del row[c]
+            if holders is not None:
+                holders[c].discard(owner)
 
 
 def kernel_basis(rows, ncols: int) -> list:
@@ -144,6 +169,26 @@ def kernel_basis(rows, ncols: int) -> list:
         for c, (p, q, d) in rest.items():
             vectors[c][pcol] = (-p, -q, d)
     return list(vectors.values())
+
+
+def span_basis(vectors, ncols: int) -> list:
+    """The basis ``kernel_basis`` returns for any system whose kernel is the span of ``vectors``.
+
+    That basis is 1 at its free column and 0 at the others, free columns
+    ascending.  The free columns of ``A`` complement the lexicographically
+    first basis of its column matroid, so they are the lexicographically
+    last basis of the dual matroid, which is the column matroid of any
+    spanning set of ``ker A``.  An echelon form that pivots at the largest
+    column left in each row picks exactly that basis, so ``_Echelon`` runs
+    on the reversed columns ``ncols - 1 - c`` and its reduced rows, read
+    back, are the kernel vectors.
+    """
+    top = ncols - 1
+    ech = _Echelon({top - c: x for c, x in vec.items()} for vec in vectors)
+    return [
+        {top - pcol: UNIT, **{top - c: x for c, x in ech.pivots[pcol].items()}}
+        for pcol in sorted(ech.pivots, reverse=True)
+    ]
 
 
 def solve_affine(rows, rhs) -> Row | None:

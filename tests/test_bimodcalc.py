@@ -461,6 +461,80 @@ def test_end_of_Bs_is_scalar():
     assert basis[0].matrix == mat_identity(2, n) or basis[0].graded_inverse() is not None
 
 
+def dual(m):
+    """The single-block dual ``m^v``: degrees ``-d[r-1-i]``, actions ``J A^T J``."""
+    r = m.rank
+    actions = [[{r - 1 - k: row[r - 1 - l] for k, row in enumerate(a) if r - 1 - l in row} for l in range(r)] for a in m.actions]
+    return Bimodule(m.n, [-d for d in reversed(m.basis_degrees)], actions)
+
+
+def count_kernel_calls(monkeypatch):
+    calls = []
+    kernel_basis = linalg.kernel_basis
+
+    def counted(rows, ncols):
+        calls.append(ncols)
+        return kernel_basis(rows, ncols)
+
+    monkeypatch.setattr(linalg, "kernel_basis", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_Bs_is_self_dual_up_to_shift(n):
+    # the premise of reading panes from their duals: J A^T J = A on the
+    # nose, because the entries q1 and p0 of every action agree
+    for word in [(0,), (1,), (0, 1, 0), (n - 1,)]:
+        B = bimodule_Bs(refl(word, n))
+        assert dual(B) == shift(B, -2)
+
+
+def test_panes_equal_up_to_a_common_shift_are_solved_once(monkeypatch):
+    n = 3
+    monkeypatch.setattr(bimodcalc, "_PANE_CACHE", {})
+    calls = count_kernel_calls(monkeypatch)
+    src = tensor(bimodule_Bs(refl((0,), n)), bimodule_Bs(refl((1,), n)))
+    tgt = tensor(bimodule_Bs(refl((1,), n)), bimodule_Bs(refl((0,), n)))
+    first = solve_morphisms(src, tgt)
+    assert len(calls) == 1
+    assert [b.matrix for b in solve_morphisms(shift(src, 4), shift(tgt, 4))] == [b.matrix for b in first]
+    assert len(calls) == 1
+    # a shift of one side only changes the unknowns' degrees: a new pane
+    solve_morphisms(shift(src, 2), tgt)
+    assert len(calls) == 2
+
+
+def rebased(m, ell):
+    """Rank-two ``m`` in the basis ``e0, e1 + ell e0``, for ``ell`` of degree ``d1 - d0``: not self-dual."""
+    one, zero = Poly.one(m.n), Poly.zero(m.n)
+    to_new = from_dense([[one, -ell], [zero, one]])
+    to_old = from_dense([[one, ell], [zero, one]])
+    return Bimodule(m.n, m.basis_degrees, [mat_mul(to_new, mat_mul(a, to_old)) for a in m.actions])
+
+
+@pytest.mark.parametrize(
+    "src_word, tgt_word, src_shift",
+    [((0,), (1,), 2), ((0,), (0,), 0), ((1, 0, 1), (0,), 2), ((0, 1, 0), (1, 2, 1), 4)],
+)
+def test_a_pane_is_read_from_its_dual(monkeypatch, src_word, tgt_word, src_shift):
+    # Hom(P, Q) from a cached Hom(Q^v, P^v), on presentations that are not
+    # self-dual; the basis is the one the pane's own system gives
+    n = 3
+    src = shift(tensor(rebased(bimodule_Bs(refl(src_word, n)), X(n, 1)), bimodule_Bs(refl((2,), n))), src_shift)
+    tgt = tensor(bimodule_Bs(refl(tgt_word, n)), rebased(bimodule_Bs(refl((2,), n)), X(n, 0) + X(n, 2)))
+    assert dual(src) != shift(src, -4 - src_shift) and dual(tgt) != shift(tgt, -4)
+    monkeypatch.setattr(bimodcalc, "_PANE_CACHE", {})
+    direct = [b.matrix for b in solve_morphisms(src, tgt)]
+    monkeypatch.setattr(bimodcalc, "_PANE_CACHE", {})
+    solve_morphisms(dual(tgt), dual(src))
+    calls = count_kernel_calls(monkeypatch)
+    derived = solve_morphisms(src, tgt)
+    assert calls == [] and len(direct) >= 1
+    assert [b.matrix for b in derived] == direct
+    for b in derived:
+        assert not b.morphism_failures()
+
+
 # -- sparse matrices against dense textbook formulas ----------------------------
 
 N = 2

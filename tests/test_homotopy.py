@@ -1045,8 +1045,10 @@ def test_the_largest_certify_n2_system_is_the_relB3_pane(monkeypatch):
     # every system certify --n 2 eliminates, with a fresh pane cache: the
     # largest (rows x cols) is the 1044 x 303 pane of relB3, with one kernel
     # vector, so a change to the pane builder's equation count shows here.
-    # There are 135 of them, 119 pane solves and 16 Z^0 systems, so a pane
-    # key that stops matching equal panes shows here too
+    # There are 100 of them, 84 pane solves and 16 Z^0 systems: 35 of the
+    # 119 distinct panes are a shift or the dual of a pane solved before
+    # (see test_panes_read_from_their_duals_equal_their_own_solves), so a
+    # pane key that stops matching equal panes shows here too
     shapes = []
     kernel_basis = linalg.kernel_basis
 
@@ -1059,7 +1061,27 @@ def test_the_largest_certify_n2_system_is_the_relB3_pane(monkeypatch):
     monkeypatch.setattr(bimodcalc, "_PANE_CACHE", {})
     assert relation_certificates(2)["all_certified"]
     assert max(shapes, key=lambda s: s[0] * s[1]) == (1044, 303, 1)
-    assert len(shapes) == 135
+    assert len(shapes) == 100
+
+
+@pytest.mark.parametrize("n, duals", [(2, 28), (3, 41)])
+def test_panes_read_from_their_duals_equal_their_own_solves(monkeypatch, n, duals):
+    # every pane the relation certificates take from a cached dual pane
+    # has the basis that the pane's own system gives, on the same blocks
+    solve_pane = bimodcalc._solve_pane
+    derived = []
+
+    def checked(m, sspan, target, tspan, dual=None):
+        local = solve_pane(m, sspan, target, tspan, dual)
+        if dual is not None:
+            assert local == solve_pane(m, sspan, target, tspan)
+            derived.append(local)
+        return local
+
+    monkeypatch.setattr(bimodcalc, "_solve_pane", checked)
+    monkeypatch.setattr(bimodcalc, "_PANE_CACHE", {})
+    assert relation_certificates(n)["all_certified"]
+    assert len(derived) == duals and any(derived)
 
 
 def test_a_wrong_homotopy_solve_is_an_error(monkeypatch):

@@ -98,6 +98,38 @@ def test_kernel_deterministic_order():
     assert min(b1[0]) <= min(b1[1])
 
 
+@given(st.integers(1, 5), st.integers(1, 7), st.data())
+@settings(max_examples=80, deadline=None)
+def test_span_basis_of_any_kernel_basis_is_kernel_basis(nrows, ncols, data):
+    # shuffled, scaled and mixed by unitriangular steps, with a redundant sum
+    # and a zero vector thrown in: any spanning set of ker A gives the basis
+    # kernel_basis gives, vector for vector and entry for entry
+    matrix = draw_matrix(data, nrows, ncols)
+    kernel = linalg.kernel_basis(sparse(matrix), ncols)
+    vecs = [[values(v).get(c, q(0)) for c in range(ncols)] for v in kernel]
+    vecs = [vecs[i] for i in data.draw(st.permutations(range(len(vecs))))]
+    for i, v in enumerate(vecs):
+        scale = data.draw(nonzero_entries)
+        vecs[i] = [scale * x for x in v]
+    for i in range(len(vecs)):
+        for j in range(i):
+            f = data.draw(mixed_entries)
+            vecs[i] = [a + f * b for a, b in zip(vecs[i], vecs[j])]
+    if vecs and data.draw(st.booleans()):
+        vecs.append([sum(col, q(0)) for col in zip(*vecs)])
+    vecs.insert(data.draw(st.integers(0, len(vecs))), [q(0)] * ncols)
+    assert linalg.span_basis(sparse(vecs), ncols) == kernel
+
+
+def test_span_basis_pivots_at_the_last_columns():
+    # the span of x0 + x1 and x1 + x2 is 1 at free columns 1 and 2 of
+    # A = [1 -1 1], so its basis is (-1, 1, 0) and (1, 0, 1)
+    vectors = [{0: UNIT, 1: UNIT}, {1: UNIT, 2: UNIT}]
+    assert linalg.span_basis(vectors, 3) == [{1: UNIT, 0: tq(1)}, {2: UNIT, 0: tq(-1)}]
+    assert linalg.span_basis(vectors, 3) == linalg.kernel_basis([{0: UNIT, 1: tq(-1), 2: UNIT}], 3)
+    assert linalg.span_basis([], 2) == []
+
+
 def test_solve_affine_consistent():
     # x + y = 3, x - y = 1  ->  x = 2, y = 1
     rows = [{0: UNIT, 1: UNIT}, {0: UNIT, 1: tq(-1)}]
@@ -187,6 +219,18 @@ def test_pivot_rows_hold_no_other_pivot_column(nrows, ncols, data):
         for col, rest in ech.pivots.items():
             assert not any(c in ech.pivots for c in rest)
             assert all(c > col for c in rest)
+
+
+@given(st.integers(1, 8), st.integers(1, 6), st.data())
+@settings(max_examples=80, deadline=None)
+def test_holders_index_the_live_rows_of_each_column(nrows, ncols, data):
+    # adopting a pivot visits only ``holders[col]``, so a live row missing
+    # from it would stay unreduced
+    ech = linalg._Echelon()
+    for row in sparse(draw_matrix(data, nrows, ncols)):
+        ech.insert(row)
+        held = {c: {p for p, rest in ech.live.items() if c in rest} for c in range(ncols)}
+        assert {c: h for c, h in ech.holders.items() if h} == {c: h for c, h in held.items() if h}
 
 
 @given(st.integers(1, 6), st.integers(1, 5), st.booleans(), st.data())
