@@ -32,8 +32,9 @@ pivot column and subtracts ``f`` times the rest, in one fused row update,
 ``_sub_multiple`` (``row -= f * rest`` in ints, with one normalisation per
 entry).  Adopting a pivot row reduces the live rows that hold its column
 against it, and only those: ``_Echelon.holders`` maps each column to the
-live rows that hold it, and ``_sub_multiple`` keeps that index current as
-entries fill in or cancel.
+live rows that hold it.  Only the columns of the new row can fill in or
+cancel in a live row reduced against it, so ``insert`` updates the index
+for those columns alone.
 
 Dead columns.  A pivot row with one entry, ``{c: (1, 0, 1)}``, says only
 ``x_c = 0``.  Its rest is empty and its column is dead: reducing a row
@@ -47,6 +48,8 @@ Odlyzko, "Solving large sparse linear systems over finite fields", 1990).
 """
 
 from __future__ import annotations
+
+from collections import defaultdict
 
 from .scalars import ZERO, inverse_triple, reduced, reduced_triple
 
@@ -69,7 +72,7 @@ class _Echelon:
     def __init__(self, rows=()) -> None:
         self.pivots: dict = {}  # pivot column -> the rest of its normalized row
         self.live: dict = {}  # the same, for the rests that are not empty
-        self.holders: dict = {}  # column -> {pivot column of a live rest holding it}
+        self.holders: dict = defaultdict(set)  # column -> {pivot column of a live rest holding it}
         for row in sorted(rows, key=len):  # sparsest first; see the module doc
             self.insert(row)
 
@@ -101,30 +104,29 @@ class _Echelon:
         live, holders = self.live, self.holders
         for pcol in holders.pop(col, ()):
             prest = live[pcol]
-            _sub_multiple(prest, prest.pop(col), rest, holders, pcol)
+            _sub_multiple(prest, prest.pop(col), rest)
+            for c in rest:
+                if c in prest:
+                    holders[c].add(pcol)
+                else:
+                    holders[c].discard(pcol)
             if not prest:
                 del live[pcol]
         self.pivots[col] = rest
         if rest:
             live[col] = rest
             for c in rest:
-                held = holders.get(c)
-                if held is None:
-                    holders[c] = {col}
-                else:
-                    held.add(col)
+                holders[c].add(col)
         return True
 
 
-def _sub_multiple(row: Row, factor: tuple, pivot: Row, holders: dict | None = None, owner=None) -> None:
+def _sub_multiple(row: Row, factor: tuple, pivot: Row) -> None:
     """``row -= factor * pivot`` in place; entries that cancel are deleted.
 
     Each entry is one int computation and one ``reduced_triple``: the
     product ``factor * v`` stays unreduced and is subtracted from the
     current entry before the only gcd.  ``factor`` and the pivot entries are
-    non-zero, so an entry the row lacks never cancels.  For a live row,
-    ``holders`` is ``_Echelon.holders`` and ``owner`` the row's pivot
-    column: an entry filled in or cancelled adds or removes ``owner`` there.
+    non-zero, so an entry the row lacks never cancels.
     """
     fp, fq, fd = factor
     fq2 = 2 * fq
@@ -136,12 +138,6 @@ def _sub_multiple(row: Row, factor: tuple, pivot: Row, holders: dict | None = No
         cur = get(c)
         if cur is None:
             row[c] = reduced_triple(-pp, -pq, pd)
-            if holders is not None:
-                held = holders.get(c)
-                if held is None:
-                    holders[c] = {owner}
-                else:
-                    held.add(owner)
             continue
         cp, cq, cd = cur
         if cd == pd:
@@ -152,8 +148,6 @@ def _sub_multiple(row: Row, factor: tuple, pivot: Row, holders: dict | None = No
             row[c] = reduced_triple(p, q, pd)
         else:
             del row[c]
-            if holders is not None:
-                holders[c].discard(owner)
 
 
 def kernel_basis(rows, ncols: int) -> list:
