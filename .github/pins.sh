@@ -100,8 +100,9 @@ test "$status" -eq 1
 grep -q '^NONE' whiskered.err
 grep -qx 'NONE: not homotopy equivalent' whiskered.err
 
-echo "== A whiskered pair round-trips through the console script (certify-pair JSON, then verify-certificate prints [ok], exit 0)"
+echo "== A left-whiskered homotopy at n=2 is byte-identical and round-trips through the console script (z0 s0 s1 s0 s1 vs z0 s1 s0 s1 s0, certify-pair JSON against its sha256, then verify-certificate prints [ok], exit 0)"
 braidcert certify-pair "z0 s0 s1 s0 s1" "z0 s1 s0 s1 s0" --n 2 --format json > pair.json
+echo "70bc564fb28c984711251c95f72443ee3c2472b661455f903585a9dcc52d334f  pair.json" | sha256sum -c
 braidcert verify-certificate pair.json > pair.txt
 cat pair.txt
 grep -q '^\[ok\]' pair.txt

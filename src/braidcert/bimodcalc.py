@@ -25,16 +25,19 @@ builds each output entry once from its sums (``polyring._from_sums``), and
 
 A polynomial crosses a bimodule as the matrix of right multiplication by it
 (``Bimodule.action_of``), which is how ``id_tensor`` and ``tensor`` move
-coefficients through the first factor.  Through a rank-one factor, such as a
-twist ``R_w``, that matrix has one entry, so ``id_tensor`` substitutes the
-factor into each entry and builds no matrix per entry, and ``whisker`` writes
-``R_u (x) M (x) R_v`` from ``M`` in one pass.  Each bimodule caches the
-matrix of every monomial it has met, by packed exponent and each one product
-from a smaller one, and a polynomial with several terms or a coefficient
-other than 1 is one ``_weighted_sum`` of them.  The cached matrices are
-shared with ``Bimodule.actions``, with callers and with the tensor products
-by a rank one bimodule (``tensor``), so no caller writes to a matrix it did
-not build.
+coefficients through the first factor.  Each bimodule caches the matrix of
+every monomial it has met, by packed exponent and each one product from a
+smaller one, and a polynomial with several terms or a coefficient other than
+1 is one ``_weighted_sum`` of them.  Through a rank-one factor, such as a
+twist ``R_w``, that matrix has one entry, ``w(p)``, so crossing it is
+instead a memoized substitution (``Bimodule.substitute``): each bimodule
+builds its image of a polynomial once, from the cached monomial images, and
+keeps it in a memo of its own keyed by the polynomial's terms.  ``id_tensor``
+substitutes the factor into each entry and builds no matrix per entry, and
+``whisker`` writes ``R_u (x) M (x) R_v`` from ``M`` in one pass.  The cached
+matrices and images are shared with ``Bimodule.actions``, with callers and
+with the tensor products by a rank one bimodule (``tensor``), so no caller
+writes to a matrix or polynomial it did not build.
 
 Every exact check (a bimodule map, a commuting square, ``d d = 0``, a
 composite plus homotopy terms equal to the identity) is an identity "sum of
@@ -223,11 +226,14 @@ def id_tensor(left: Bimodule, matrix: Matrix, cols: int) -> Matrix:
     The entries of ``matrix`` cross ``left``.  Basis element ``a (x) b`` sits
     at index ``a * rank_b + b`` on both sides, so every output entry comes
     from exactly one entry of ``matrix``.  A rank-one ``left`` keeps the
-    indices: each entry ``p`` becomes entry (0, 0) of ``left.action_of(p)``,
-    a cached monomial image or one weighted sum.
+    indices: each entry ``p`` becomes ``left.substitute(p)``, which is
+    ``w(p)`` for a twist ``R_w``.  That is a memoized substitution: each
+    image is built once per bimodule and polynomial, then read from the
+    bimodule's memo, shared and read-only.  This branch is the one way an
+    entry crosses a twist.
     """
     if left.rank == 1:
-        return [{b: q for b, p in row.items() if (q := left.action_of(p)[0].get(0))} for row in matrix]
+        return [{b: q for b, p in row.items() if (q := left.substitute(p))} for row in matrix]
     rl = left.rank
     tr = len(matrix)
     out = mat_zero(rl * tr)
@@ -247,7 +253,7 @@ def id_tensor(left: Bimodule, matrix: Matrix, cols: int) -> Matrix:
 class Bimodule:
     """A graded bimodule presented by a left basis and right-action matrices."""
 
-    __slots__ = ("n", "rank", "basis_degrees", "actions", "block_spans", "_monomial_cache", "_signatures")
+    __slots__ = ("n", "rank", "basis_degrees", "actions", "block_spans", "_monomial_cache", "_images", "_signatures")
 
     def __init__(
         self,
@@ -262,6 +268,7 @@ class Bimodule:
         self.actions = tuple(actions)
         self.block_spans = tuple(block_spans) if block_spans else ((0, self.rank),)
         self._monomial_cache: dict = {}
+        self._images: dict = {}  # frozenset of a polynomial's terms -> substitute(polynomial)
         self._signatures: dict = {}  # (span, dual) -> _pane_signature
 
     # equality compares presentations: degrees and actions
@@ -303,15 +310,48 @@ class Bimodule:
         """Right multiplication by an arbitrary polynomial, in the left basis.
 
         A single term with coefficient 1 is its cached monomial matrix, shared
-        and read-only.  Otherwise it is the sum of ``c * X^exp`` over the terms
-        of ``p`` (``_weighted_sum``), a new matrix.
+        and read-only.  Otherwise, on a rank-one bimodule it is the 1x1 matrix
+        of the memoized ``substitute(p)``, and on any other the sum of ``c *
+        X^exp`` over the terms of ``p`` (``_weighted_sum``); either way a new
+        matrix.
         """
         terms = p.terms
         if len(terms) == 1:
             ((code, c),) = terms.items()
             if c == UNIT:
                 return self._monomial_action(code)
+        if self.rank == 1:
+            image = self.substitute(p)
+            return [{0: image} if image else {}]
         return _weighted_sum(self.n, self.rank, ((c, self._monomial_action(code)) for code, c in terms.items()))
+
+    def substitute(self, p: Poly) -> Poly:
+        """``p`` crossed through this rank-one bimodule: entry (0, 0) of ``action_of(p)``, memoized.
+
+        For a twist ``R_w`` that is ``w(p)``, and for ``R`` it is ``p``.  A
+        monomial with coefficient 1 is its cached monomial image.  Any other
+        polynomial is looked up by its terms in ``_images``; on a miss the
+        ``c * X^exp`` images are summed in one ``_mul_into`` dict and
+        ``_from_sums`` builds the image, which the memo keeps for the
+        bimodule's lifetime.  Every image is shared, so read-only.  A
+        monomial that acts by zero crosses to the zero polynomial.
+        """
+        terms = p.terms
+        if len(terms) == 1:
+            ((code, c),) = terms.items()
+            if c == UNIT:
+                image = self._monomial_action(code)[0].get(0)
+                return Poly(self.n) if image is None else image
+        key = frozenset(terms.items())
+        image = self._images.get(key)
+        if image is None:
+            acc: dict = {}
+            for code, c in terms.items():
+                x = self._monomial_action(code)[0].get(0)
+                if x is not None:
+                    _mul_into(acc, {0: c}, x.terms)
+            image = self._images[key] = _from_sums(self.n, acc)
+        return image
 
     def validate(self) -> None:
         """``ValueError`` unless each right action ``X_j`` is a bimodule map ``M -> M{-2}``.
@@ -363,9 +403,10 @@ def whisker(left: Bimodule | None, m: Bimodule, right: Bimodule | None) -> Bimod
     and its basis degrees are ``m``'s raised by those of ``left`` and
     ``right``.  Action ``j`` is ``m.action_of(p_j)`` for ``right``'s image
     ``p_j`` of ``X_j``, with ``left`` substituted into every entry
-    (``id_tensor``).  Where ``left`` is None and ``right`` fixes ``X_j``,
-    that is ``m``'s own matrix, shared read-only, like every matrix
-    ``action_of`` returns.
+    (``id_tensor``).  That substitution is memoized on ``left``, so an entry
+    a cached core's whiskers meet again is read, not rebuilt.  Where
+    ``left`` is None and ``right`` fixes ``X_j``, the action is ``m``'s own
+    matrix, shared read-only, like every matrix ``action_of`` returns.
     """
     shift_by = sum(x.basis_degrees[0] for x in (left, right) if x is not None)
     actions = m.actions if right is None else [m.action_of(a[0][0]) for a in right.actions]

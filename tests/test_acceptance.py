@@ -12,7 +12,7 @@ import json
 import pytest
 
 from braidcert import freegroup as fg
-from braidcert import linalg
+from braidcert import homotopy, linalg
 from braidcert.bimodcalc import bimodule_Bs, bimodule_Rw, from_dense, mat_mul, tensor
 from braidcert.cli import main
 from braidcert.coxeter import act, alpha, demazure_decompose, make_reflection, word_endo
@@ -399,6 +399,35 @@ def test_certify_pair_output_bytes_unchanged(args, kind, digest, capsys):
     out = capsys.readouterr().out
     assert json.loads(out)["kind"] == kind
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# the three virtual-context pairs .github/pins.sh pins, with their sha256
+VIRTUAL_CONTEXT_PAIRS = [
+    (["z0 z2 s1 z2 z1 z1 z1", "z0 z2 z2 z1 s2 z1 z1", "--n", "3"], "9019c19fee0fc22c5447cfca4192b8f4001f78e56f0c6ad3fdd3252001b3b1a9"),
+    (["z1 s0 s0^-1 z2", "z1 z2", "--n", "3"], "8b7fc1e672c54c3f2cd9fcbc24043bc1134a695aa73c6e28de70827c97f94bf1"),
+    (["z0 s0 s1 s0 s1", "z0 s1 s0 s1 s0", "--n", "2"], "70bc564fb28c984711251c95f72443ee3c2472b661455f903585a9dcc52d334f"),
+]
+
+
+def test_certify_pair_output_bytes_are_the_same_warm_and_cold(capsys):
+    # twice in one process, the second time with every twist image memoized
+    # and every core cached, then once more with the cached twists and
+    # letters (and so their memos) and the core cache dropped
+    def outputs():
+        capsys.readouterr()
+        texts = []
+        for args, _ in VIRTUAL_CONTEXT_PAIRS:
+            assert main(["certify-pair", *args, "--format", "json"]) == 0
+            texts.append(capsys.readouterr().out)
+        return texts
+
+    runs = [outputs(), outputs()]
+    homotopy._twist_complex.cache_clear()
+    homotopy._letter_complex.cache_clear()
+    homotopy._CORE_CACHE.clear()
+    runs.append(outputs())
+    assert runs[0] == runs[1] == runs[2]
+    assert [hashlib.sha256(text.encode()).hexdigest() for text in runs[0]] == [d for _, d in VIRTUAL_CONTEXT_PAIRS]
 
 
 VERIFIED_N3 = [

@@ -7,7 +7,7 @@ from functools import reduce
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braidcert import bimodcalc, homotopy, linalg
+from braidcert import bimodcalc, coxeter, homotopy, linalg
 from braidcert.bimodcalc import (
     Bimodule,
     Morphism,
@@ -808,19 +808,39 @@ _TWIST_ENTRY = st.one_of(
 def test_a_rank_one_factor_substitutes_into_entries(word, rows, cols, data):
     # id (x) g for a rank-one factor is g with each entry crossed on its own,
     # as the 1x1 matrix action_of gives it; a fresh factor computes that, so
-    # the two share no monomial cache
+    # the two share no monomial cache and no memo.  The crossing is the
+    # substitution p -> w(p) of the twist's ring automorphism
     def factor():
         return bimodule_R(N) if word is None else bimodule_Rw(word, N)
 
     left, reference = factor(), factor()
+    endo = coxeter.word_endo(word or (), N)
     matrix = from_dense(data.draw(_dense(rows, cols, _TWIST_ENTRY)))
     matrix_before = copy.deepcopy(matrix)
     expected = [{b: reference.action_of(p)[0][0] for b, p in row.items()} for row in matrix]
     first = id_tensor(left, matrix, cols)
-    cache = copy.deepcopy(left._monomial_cache)
-    # the second pass reads every image from the cache it filled
-    assert first == id_tensor(left, matrix, cols) == expected
+    assert first == expected == [{b: endo.apply(p) for b, p in row.items()} for row in matrix]
+    cache, images = copy.deepcopy(left._monomial_cache), copy.deepcopy(left._images)
+    # the second pass reads every image, the same object, from the cache and
+    # the memo the first one filled
+    second = id_tensor(left, matrix, cols)
+    assert second == first and all(second[i][b] is q for i, row in enumerate(first) for b, q in row.items())
     assert _stores_no_zero(first)
     assert matrix == matrix_before
     assert left.actions == factor().actions
     assert {exp: left._monomial_cache[exp] for exp in cache} == cache
+    assert left._images == images
+
+
+def test_a_rank_one_factor_acting_by_zero_crosses_to_zero():
+    # X_0 acts by zero and X_1 as itself, so crossing kills every term with
+    # X_0 in it: a monomial with X_0 crosses to zero and stores no entry, and
+    # a sum keeps its other terms
+    n = 2
+    x0, x1 = X(n, 0), X(n, 1)
+    left = Bimodule(n, [0], [[{}], [{0: x1}]])
+    left.validate()
+    assert not left.substitute(x0) and not left.substitute(x0 * x1)
+    assert left.substitute(x0 * x1 + x1 * x1 + Poly.constant(n, 3)) == x1 * x1 + Poly.constant(n, 3)
+    assert left.action_of(x0 + x0 * x0) == [{}]
+    assert id_tensor(left, [{0: x0, 1: x1 + x0}, {1: x0 * x1}], 2) == [{1: x1}, {}]

@@ -239,11 +239,17 @@ def test_shared_matrices_stay_unmutated_by_certify_and_verify():
     homotopy._letter_complex.cache_clear()
     olds = pieces + [whiskered] + [c for _, complexes in cores for c in complexes]
     rebuilt = _cached_pieces(n) + [FW("s2 z2", n)] + [F_word(w, n) for words, _ in cores for w in words]
+    images = 0
     for old, fresh in zip(olds, rebuilt, strict=True):
         _assert_same_presentation(old, fresh)
         for k, m in old.objects.items():
             for exp, matrix in m._monomial_cache.items():
                 assert matrix == fresh.objects[k]._monomial_action(exp), (k, exp)
+            # each memoized twist image is what a fresh factor substitutes
+            for terms, image in m._images.items():
+                assert image == fresh.objects[k].substitute(_from_sums(n, dict(terms))), (k, terms)
+            images += len(m._images)
+    assert images
 
 
 letters_st = st.lists(
