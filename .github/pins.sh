@@ -1,11 +1,14 @@
 # Every output the CI workflow pins, through the `braidcert` console script.
 # Run it with `braidcert` on PATH: `bash .github/pins.sh`.  It reads the
-# committed n=3 report from the checkout and writes only to a fresh temp
-# directory; it exits non-zero at the first check that fails, under the
-# header of that check.
+# committed n=3 report and the `pairs` benchmark streams from the checkout
+# and writes only to a fresh temp directory, which it removes on exit; it
+# exits non-zero at the first check that fails, under the header of that
+# check.
 set -e
 root=$(cd "$(dirname "$0")/.." && pwd)
-cd "$(mktemp -d)"
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+cd "$work"
 
 echo "== Importing the installed CLI loads no dataclasses, inspect, fractions or decimal (python -c, the interpreter that runs braidcert)"
 python -c 'import sys; before = set(sys.modules); import braidcert.cli; added = {"dataclasses", "inspect", "fractions", "decimal"} & (set(sys.modules) - before); sys.exit(f"import braidcert.cli loaded {sorted(added)}" if added else None)'
@@ -65,6 +68,11 @@ echo "9019c19fee0fc22c5447cfca4192b8f4001f78e56f0c6ad3fdd3252001b3b1a9  runs.jso
 echo "== Certify-pair output is byte-identical on relB3 in a braid-letter context (s0 s1 s0 s1 s2 vs s1 s0 s1 s0 s2, n=3, homotopy, against its sha256)"
 braidcert certify-pair "s0 s1 s0 s1 s2" "s1 s0 s1 s0 s2" --n 3 --format json > relB3_s2.json
 echo "d3c86f646b0ee6ca453848e398060601fa2af797d9961a2b4ed00c49041764f9  relB3_s2.json" | sha256sum -c
+
+echo "== The pairs benchmark's certify-pair requests keep their bytes (the 621 requests of seeds 1-3 in one process, each certificate verified; one sha256 over every exit code, stdout and stderr)"
+python "$root/.github/pairs_digest.py" > pairs_digest.txt
+cat pairs_digest.txt
+test "$(cat pairs_digest.txt)" = "1acaec6f93abd7c0596e5dbb170928be28ac306f993459cced681410206fa917"
 
 echo "== An isomorphism only the weighted-sum probe finds (s0 s0^-1 vs s0^-1 s0, n=2, iso, against its sha256, then [ok])"
 braidcert certify-pair "s0 s0^-1" "s0^-1 s0" --n 2 --format json --out swap.json

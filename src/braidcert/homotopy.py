@@ -22,24 +22,30 @@ isomorphic, or homotopy equivalent, exactly when ``w`` and ``w'`` are, and a
 certificate for the core pair whiskers to one for the whole pair.  A whisker
 is a rewrite of ``F(w)``, one pass per object with no tensor product
 (``_whiskered_complex``, ``bimodcalc.whisker``).  Each object keeps its basis
-degrees and blocks.  The right whisker keeps every matrix but the actions:
-the right action of ``X_j`` on ``M (x) R_v`` is ``M``'s action of
-``v(X_j)``, so a map that commutes with ``M``'s actions commutes with these.
-The left whisker then substitutes ``u`` into every entry of every action and
-differential, as the rank-one ``id_tensor`` does; the twist is a ring
-automorphism, so every identity carries over, and ``R_u`` sits in degree 0,
-so no Koszul sign enters.  The result is the presentation ``F(u w v)`` folds
-(the rank-one exception above).  ``certify_pair`` strips the longest common
+degrees and blocks.  The left whisker substitutes ``u`` into every entry of
+every action and differential, as the rank-one ``id_tensor`` does; the twist
+is a ring automorphism, so every identity carries over, and ``R_u`` sits in
+degree 0, so no Koszul sign enters.  The result is the presentation
+``F(u w)`` folds (the rank-one exception above).  The right whisker keeps
+every basis degree, differential and map matrix, and turns the right action
+of ``X_j`` into ``M``'s action of ``v(X_j) = sum_i c_ji X_i``, with ``c``
+invertible.  So a family of matrices commutes with the actions of
+``M (x) R_v`` exactly when it commutes with those of ``M``, and a
+certificate passes its check on ``R_u (x) F(w) (x) R_v`` exactly when it
+passes on ``R_u (x) F(w)``.  ``certify_pair`` strips the longest common
 virtual prefix and suffix (either may be empty) and searches the core pair
 once per process.  When the search finds a certificate, it keeps the core's
-maps and its two complexes, and it whiskers both, so no whole word is
-folded again.  It then checks the result once, on the whole pair's
-complexes: the searches, ``graded_inverse`` included, do not check what
-they find, so this certificate check is the one check, and a result that
-fails it is a ``RuntimeError``.  A search on the whole pair would give the
-same bytes under a right whisker; under a left one it can give other,
-equally valid matrices, since the echelon bases it picks depend on the
-coordinates the twist mixes.
+maps and its two complexes, and it whiskers both by ``u`` only, so no whole
+word is folded again.  It then checks the result once per left context, on
+``R_u (x) F(w)`` and ``R_u (x) F(w')``: the searches, ``graded_inverse``
+included, do not check what they find, so this certificate check is the one
+check, and a result that fails it is a ``RuntimeError``.  The checked
+matrices are kept with the core in ``_CORE_CACHE``, one set per ``u``, and
+serve every ``v``: a cached core's entry grows by one set per distinct left
+context, and ``relation_certificates`` drops each entry it adds.
+A search on the whole pair would give the same bytes under a right whisker;
+under a left one it can give other, equally valid matrices, since the
+echelon bases it picks depend on the coordinates the twist mixes.
 
 Certificates are explicit per-degree matrices (a chain isomorphism with its
 inverse, or a homotopy equivalence with both homotopies) whose defining
@@ -610,15 +616,23 @@ def _composite_sums(second: dict, first: dict) -> dict:
 CERTIFICATE_FORMAT = "braidcert.certificate.v1"
 
 
+def _bare(maps: dict) -> dict:
+    """``{field: {degree: (matrix, source rank)}}``: what a certificate prints of ``{field: {degree: Morphism}}``.
+
+    The matrices are shared, not copied; no bimodule is kept.
+    """
+    return {field: {k: (m.matrix, m.source.rank) for k, m in comps.items()} for field, comps in maps.items()}
+
+
 def _components_to_json(components: dict) -> list:
+    """The JSON items of ``{degree: (matrix, source rank)}``, in degree order: dense rows of polynomial texts."""
     out = []
     for k in sorted(components):
-        m = components[k]
-        cols = range(m.source.rank)
+        matrix, rank = components[k]
         out.append(
             {
                 "degree": k,
-                "matrix": [[format_poly(row[j]) if j in row else "0" for j in cols] for row in m.matrix],
+                "matrix": [[format_poly(row[j]) if j in row else "0" for j in range(rank)] for row in matrix],
             }
         )
     return out
@@ -675,7 +689,10 @@ def _parse_matrix(rows: list, n: int, where: str) -> Matrix:
 
 
 def _certificate(label: str, n: int, lhs: BraidWord, rhs: BraidWord, kind: str, **maps) -> dict:
-    """The certificate header, then each named map's components in the given order."""
+    """The certificate header, then each named map's components in the given order.
+
+    Each map is ``{degree: (matrix, source rank)}``, as ``_bare`` gives it.
+    """
     return {
         "format": CERTIFICATE_FORMAT,
         "relation": label,
@@ -745,8 +762,10 @@ def _search(c: Complex, d: Complex, kind: str):
 PAIR_KINDS = ("auto", "homotopy")
 
 # (core lhs letters, core rhs letters, n, kind) -> None, or the kind found,
-# the maps as ``_search`` returns them and the core's two complexes; kept for
-# the process, like bimodcalc's pane cache, so all of it is read-only
+# the maps as ``_search`` returns them, the core's two complexes and
+# ``{u: maps}``: for each left context ``u`` checked so far, the core's maps
+# whiskered by ``u`` as ``_bare`` keeps them.  Kept for the process, like
+# bimodcalc's pane cache, so all of it is read-only
 _CORE_CACHE: dict = {}
 
 
@@ -755,29 +774,31 @@ def _twist(letters: tuple, n: int):
     return _twist_complex(tuple(index for _, index, _ in letters), n).objects[0] if letters else None
 
 
-def _whiskered_complex(core: Complex, u: tuple, v: tuple, n: int) -> Complex:
-    """``F(u w v)`` from ``core = F(w)``: ``R_u (x) F(w) (x) R_v`` for virtual ``u``, ``v``.
+def _whiskered_complex(core: Complex, u: tuple, n: int) -> Complex:
+    """``F(u w)`` from ``core = F(w)``: ``R_u (x) F(w)`` for a virtual ``u``.
 
     One pass over ``core``, with no tensor product (module doc): the same
-    presentation ``F_word`` folds, block spans included.  With ``u`` and
-    ``v`` empty it is ``core`` itself.
+    presentation ``F_word`` folds, block spans included.  With ``u`` empty
+    it is ``core`` itself.
     """
-    if not (u or v):
+    if not u:
         return core
-    left, right = _twist(u, n), _twist(v, n)
-    objects = {k: whisker(left, m, right) for k, m in core.objects.items()}
+    left = _twist(u, n)
+    objects = {k: whisker(left, m, None) for k, m in core.objects.items()}
     diffs = {
-        k: Morphism(objects[k], objects[k + 1], d.matrix if left is None else id_tensor(left, d.matrix, d.source.rank))
+        k: Morphism(objects[k], objects[k + 1], id_tensor(left, d.matrix, d.source.rank))
         for k, d in core.diffs.items()
     }
     return Complex(n, objects, diffs)
 
 
 def _whiskered(kind: str, core_maps: dict, u: tuple, n: int, c: Complex, d: Complex) -> dict:
-    """The core ``kind`` certificate's ``core_maps`` as maps between ``c = F(u lhs v)`` and ``d = F(u rhs v)``.
+    """The core ``kind`` certificate's ``core_maps`` as maps between ``c = F(u lhs)`` and ``d = F(u rhs)``.
 
     ``id_{R_u} (x) -`` twists every entry as ``id_tensor`` does for the
-    differentials of ``R_u (x) F(w)``; ``- (x) id_{R_v}`` keeps the matrices.
+    differentials of ``R_u (x) F(w)``.  A right whisker ``- (x) id_{R_v}``
+    would keep every matrix, so these are the maps of ``u lhs v`` and
+    ``u rhs v`` too.
     """
     twist = _twist(u, n)
     sides = (c, d)
@@ -803,14 +824,16 @@ def certify_pair(lhs: BraidWord, rhs: BraidWord, n: int, kind: str = "auto", lab
     certificate; it defaults to ``"<lhs> ~ <rhs>"``.
 
     Every pair takes one path.  The common virtual prefix ``u`` and suffix
-    ``v`` of the two words are whiskers (module doc): the core pair is
-    searched once per process and kind, and its complexes and maps are
-    whiskered into the whole pair's complexes and maps (with ``u`` and ``v``
-    empty the core is the pair and the whisker the identity).  A core with
-    no certificate caches only its ``None``, so a repeat builds nothing.
-    The searches check nothing themselves:
-    the maps get one exact check here, on the complexes of the whole pair,
-    and a certificate that fails it is a ``RuntimeError``, never a None.
+    ``v`` are whiskers (module doc): the core pair is searched once per
+    process and kind, and its maps pass the exact check on
+    ``R_u (x) F(w) (x) R_v`` exactly when they pass on ``R_u (x) F(w)``,
+    with the same matrices.  So they are whiskered by ``u`` and checked
+    there, once per core, ``n``, kind and ``u``; one that fails is a
+    ``RuntimeError``, never a None (the searches check nothing).  The
+    checked matrices stay in the core's ``_CORE_CACHE`` entry, one set per
+    distinct ``u`` (``relation_certificates`` drops each entry it adds), so
+    a request that differs only in ``v`` neither whiskers nor checks again.
+    A core with no certificate caches only its ``None``.
     """
     if kind not in PAIR_KINDS:
         raise ValueError(f"unknown kind {kind!r}: expected one of {', '.join(PAIR_KINDS)}")
@@ -826,17 +849,19 @@ def certify_pair(lhs: BraidWord, rhs: BraidWord, n: int, kind: str = "auto", lab
     if key not in _CORE_CACHE:
         core = F_word(core_lhs, n), F_word(core_rhs, n)
         found = _search(*core, kind)
-        _CORE_CACHE[key] = found and (*found, core)
+        _CORE_CACHE[key] = found and (*found, core, {})
     found = _CORE_CACHE[key]
     if found is None:
         return None, "not homotopy equivalent"
-    found_kind, core_maps, core = found
-    c, d = (_whiskered_complex(x, u, v, n) for x in core)
-    maps = _whiskered(found_kind, core_maps, u, n, c, d)
-    failures = _certificate_failures(found_kind, maps, c, d)
-    if failures:
-        raise RuntimeError(f"the certificate for {label!r} fails its check: {failures[0]}")
-    return found_kind, _certificate(label, n, lhs, rhs, found_kind, **maps)
+    found_kind, core_maps, core, checked = found
+    if u not in checked:
+        c, d = (_whiskered_complex(x, u, n) for x in core)
+        maps = _whiskered(found_kind, core_maps, u, n, c, d)
+        failures = _certificate_failures(found_kind, maps, c, d)
+        if failures:
+            raise RuntimeError(f"the certificate for {label!r} fails its check: {failures[0]}")
+        checked[u] = _bare(maps)
+    return found_kind, _certificate(label, n, lhs, rhs, found_kind, **checked[u])
 
 
 def relation_certificates(n: int) -> dict:

@@ -40,7 +40,7 @@ from braidcert.homotopy import (
     tensor_complex,
     verify_certificate_dict,
 )
-from braidcert.polyring import Poly, _from_sums, format_poly
+from braidcert.polyring import Poly, _from_sums, format_poly, monomial_exponents
 from braidcert.scalars import SQRT2, QSqrt2, reduced_triple
 from braidcert.words import Alphabet, parse_word, split_common
 
@@ -230,7 +230,7 @@ def test_shared_matrices_stay_unmutated_by_certify_and_verify():
         kind, cert = certify_pair(W(lhs, n), W(rhs, n), n)
         assert kind is not None, (lhs, rhs)
         assert verify_certificate_dict(json.loads(json.dumps(cert))) == (True, [])
-    cores = [(key[:2], complexes) for key, (_, _, complexes) in homotopy._CORE_CACHE.items()]
+    cores = [(key[:2], complexes) for key, (_, _, complexes, _) in homotopy._CORE_CACHE.items()]
     assert [words for words, _ in cores] == [
         (W("s2 s2^-1", n).letters, ()),
         (W("s2 z2", n).letters, W("z2 s2", n).letters),
@@ -781,7 +781,7 @@ def test_iso_search_on_all_short_word_pairs_at_n2():
         isos += 1
         winners[next((i for i, f in enumerate(fb) if f is found["forward"]), "sum")] += 1
         label = f"{words[i]} ~ {words[j]}"
-        cert = homotopy._certificate(label, n, words[i], words[j], "iso", **found)
+        cert = homotopy._certificate(label, n, words[i], words[j], "iso", **homotopy._bare(found))
         digest.update(json.dumps(cert, sort_keys=True).encode() + b"\n")
     assert (pairs, isos) == (194, 52)
     assert winners == {0: 42, 2: 2, "sum": 8}
@@ -850,7 +850,7 @@ def test_whiskered_relations_are_certified(relation, u, v):
     assert h0(c, d)[1] == 1
     cert = find_homotopy_equiv(c, d, chain_map_space(c, d))
     assert cert is not None
-    data = homotopy._certificate("whiskered", n, W(lhs, n), W(rhs, n), "homotopy", **cert)
+    data = homotopy._certificate("whiskered", n, W(lhs, n), W(rhs, n), "homotopy", **homotopy._bare(cert))
     assert verify_certificate_dict(data) == (True, [])
 
 
@@ -1025,26 +1025,74 @@ def test_a_right_whisker_keeps_the_core_matrices(core, v, n):
     fields = [key for key in cert if key not in ("relation", "words")]
     assert all(cert[key] == core_cert[key] for key in fields)
     found_kind, maps = homotopy._search(FW(lhs, n), FW(rhs, n), "auto")
-    assert homotopy._certificate(cert["relation"], n, W(lhs, n), W(rhs, n), found_kind, **maps) == cert
+    assert homotopy._certificate(cert["relation"], n, W(lhs, n), W(rhs, n), found_kind, **homotopy._bare(maps)) == cert
+
+
+def _with_a_monomial_added(maps, rng):
+    """``maps`` with one seeded non-zero entry plus a monomial of the entry's own degree.
+
+    The grading still holds, so only a residual can catch the change.
+    """
+    spots = [(f, k, i, j) for f, comps in maps.items() for k, m in comps.items() for i, row in enumerate(m.matrix) for j in row]
+    f, k, i, j = rng.choice(spots)
+    m = maps[f][k]
+    degree = m.source.basis_degrees[j] - m.target.basis_degrees[i]
+    row = {**m.matrix[i], j: m.matrix[i][j] + Poly.monomial(monomial_exponents(m.source.n, degree)[-1])}
+    matrix = [{c: x for c, x in row.items() if x} if r == i else old for r, old in enumerate(m.matrix)]
+    return {**maps, f: {**maps[f], k: Morphism(m.source, m.target, matrix)}}
+
+
+def test_a_common_right_context_keeps_the_verdict_of_the_left_whiskered_check():
+    # the lemma certify_pair checks by: maps pass on F(u w v), F(u w' v)
+    # exactly when they pass on R_u (x) F(w), R_u (x) F(w').  Four n=3 cores
+    # (two isomorphisms, two homotopies), every virtual u and v of at most 2
+    # letters, each u with one v; the found maps pass in both frames, and a
+    # copy with one entry changed in its own degree fails in both, on a residual
+    n = 3
+    contexts = [()] + [tuple(("z", i, 1) for i in w) for k in (1, 2) for w in itertools.product(range(n), repeat=k)]
+    rng = random.Random(5)
+    for a, b in (("s1 z1", "z1 s1"), ("s0 s0^-1", ""), ("s0 z1 s0 z1", "z1 s0 z1 s0"), ("s1 s2 s1", "s2 s1 s2")):
+        core = FW(a, n), FW(b, n)
+        kind, maps = homotopy._search(*core, "auto")
+        for u, v in zip(contexts, contexts[4:] + contexts[:4]):
+            left = [homotopy._whiskered_complex(x, u, n) for x in core]
+            whole = [F_word(u + W(w, n).letters + v, n) for w in (a, b)]
+            for found, fails in ((maps, False), (_with_a_monomial_added(maps, rng), True)):
+                verdicts = []
+                for c, d in (left, whole):
+                    failures = homotopy._certificate_failures(kind, homotopy._whiskered(kind, found, u, n, c, d), c, d)
+                    assert not [f for f in failures if f[1].endswith("grading")], (a, u, v)
+                    verdicts.append(bool(failures))
+                assert verdicts == [fails, fails], (a, b, u, v)
 
 
 def test_pairs_that_share_a_core_search_it_once_and_check_each_result(monkeypatch):
     # remark_sz[1] at n=3 is an isomorphism: Z^0 is built once, by the first
-    # call; every call, whiskered or not, checks its own certificate once, on
-    # its own complexes, and the search checks nothing
+    # call.  Each left context u is whiskered and checked once, on
+    # R_u (x) F(w), and its checked matrices serve every right context after
+    # it; the search checks nothing, and every result still verifies
     n = 3
     spaces = count_calls(monkeypatch, homotopy, "chain_map_space")
     checks = count_calls(monkeypatch, homotopy, "chain_iso_failures")
+    whiskers = count_calls(monkeypatch, homotopy, "_whiskered_complex")
     results = []
-    for u, v in (("z0", "z2"), ("z2 z1", ""), ("", "")):
+    contexts = (("z0", "z2"), ("z2 z1", ""), ("", ""), ("z0", ""), ("z2 z1", "z0 z1"), ("", "z1"), ("z1", "z2"))
+    seen = set()
+    for u, v in contexts:
         lhs, rhs = (" ".join(p for p in (u, w, v) if p) for w in ("s1 z1", "z1 s1"))
         before = len(checks)
-        results.append(certify_pair(W(lhs, n), W(rhs, n), n))
-        ((_, c, _),) = checks[before:]
-        assert c.objects == FW(lhs, n).objects
-    assert len(spaces) == 1 and len(checks) == 3  # one per call
-    for kind, cert in results:
-        assert kind == "iso" and verify_certificate_dict(cert) == (True, [])
+        results.append((lhs, rhs, *certify_pair(W(lhs, n), W(rhs, n), n)))
+        if u in seen:
+            assert checks[before:] == [], (u, v)
+            continue
+        seen.add(u)
+        ((_, c, d),) = checks[before:]
+        assert c.objects == FW(" ".join(p for p in (u, "s1 z1") if p), n).objects
+        assert d.objects == FW(" ".join(p for p in (u, "z1 s1") if p), n).objects
+    assert len(spaces) == 1 and len(checks) == len(seen) == 4 and len(whiskers) == 2 * 4
+    for lhs, rhs, kind, cert in results:
+        assert kind == "iso" and cert["words"] == [lhs, rhs]
+        assert verify_certificate_dict(cert) == (True, [])
 
 
 def test_the_largest_certify_n2_system_is_the_relB3_pane(monkeypatch):
@@ -1135,16 +1183,20 @@ def test_a_whiskered_certificate_that_fails_its_check_is_an_error():
     # a cached core whose whiskered maps fail is an internal error, never NONE
     n = 3
     certify_pair(W("z0 s1 z1", n), W("z0 z1 s1", n), n)
-    ((key, (kind, matrices, core)),) = homotopy._CORE_CACHE.items()
-    homotopy._CORE_CACHE[key] = kind, {**matrices, "inverse": {}}, core
+    ((key, (kind, matrices, core, checked)),) = homotopy._CORE_CACHE.items()
+    homotopy._CORE_CACHE[key] = kind, {**matrices, "inverse": {}}, core, checked
     with pytest.raises(RuntimeError, match="fails its check"):
         certify_pair(W("z2 s1 z1", n), W("z2 z1 s1", n), n)
+    # the left context z0 was checked before the maps broke, and serves as checked
+    kind, cert = certify_pair(W("z0 s1 z1 z2", n), W("z0 z1 s1 z2", n), n)
+    assert kind == "iso" and verify_certificate_dict(cert) == (True, [])
 
 
 def test_a_cached_core_is_whiskered_without_folding_a_braid_letter(monkeypatch):
     # remark_sz[1] at n=3 with other whiskers: the second pair builds its
-    # complexes from the cached core's, so no braid letter's complex is
-    # looked up, and its certificate is still checked once, on those complexes
+    # left-whiskered complexes R_u (x) F(w) from the cached core's, so no
+    # braid letter's complex is looked up, and its certificate is still
+    # checked once, on those complexes
     n = 3
     certify_pair(W("z0 s1 z1 z2", n), W("z0 z1 s1 z2", n), n)
 
@@ -1158,8 +1210,8 @@ def test_a_cached_core_is_whiskered_without_folding_a_braid_letter(monkeypatch):
         kind, cert = certify_pair(W("z2 z1 s1 z1 z0", n), W("z2 z1 z1 s1 z0", n), n)
     assert kind == "iso" and len(homotopy._CORE_CACHE) == 1
     ((_, _, c, d),) = checks
-    _assert_same_presentation(c, FW("z2 z1 s1 z1 z0", n))
-    _assert_same_presentation(d, FW("z2 z1 z1 s1 z0", n))
+    _assert_same_presentation(c, FW("z2 z1 s1 z1", n))
+    _assert_same_presentation(d, FW("z2 z1 z1 s1", n))
     assert verify_certificate_dict(cert) == (True, [])
 
 
@@ -1194,42 +1246,41 @@ def test_a_core_without_a_certificate_caches_no_complex(monkeypatch):
 
 @st.composite
 def whiskered_words(draw):
-    """``(n, u, core, v)``: virtual ``u`` and ``v`` around a core of at most 3 braid letters."""
+    """``(n, u, core)``: a virtual ``u`` before a core of at most 3 braid letters."""
     n = draw(st.integers(2, 4))
     virtual = st.tuples(st.just("z"), st.integers(0, n - 1), st.just(1))
     braid = st.tuples(st.just("s"), st.integers(0, n - 1), st.sampled_from([1, -1]))
     core = st.lists(st.one_of(braid, virtual), max_size=6).filter(lambda w: sum(k == "s" for k, _, _ in w) <= 3)
-    u, core, v = draw(st.lists(virtual, max_size=3)), draw(core), draw(st.lists(virtual, max_size=3))
-    return n, tuple(u), tuple(core), tuple(v)
+    u, core = draw(st.lists(virtual, max_size=3)), draw(core)
+    return n, tuple(u), tuple(core)
 
 
 @given(whiskered_words())
 @settings(max_examples=60, deadline=None)
-@example((3, (("z", 2, 1),), (("s", 0, 1), ("s", 1, -1)), ()))  # degree 0 has two blocks
-@example((3, (("z", 0, 1),), (("z", 1, 1), ("s", 1, 1), ("z", 2, 1)), (("z", 0, 1),)))  # runs merge
-@example((3, (("z", 1, 1), ("z", 2, 1)), (("s", 0, 1), ("s", 1, -1)), ()))  # left whisker only
-@example((2, (), (("s", 0, -1), ("z", 1, 1), ("s", 1, 1)), (("z", 0, 1), ("z", 1, 1))))  # right whisker only
-@example((3, (("z", 2, 1),), (("z", 0, 1), ("z", 1, 1)), (("z", 1, 1),)))  # an all-virtual core: rank one
+@example((3, (("z", 2, 1),), (("s", 0, 1), ("s", 1, -1))))  # degree 0 has two blocks
+@example((3, (("z", 0, 1),), (("z", 1, 1), ("s", 1, 1), ("z", 2, 1))))  # runs merge
+@example((3, (("z", 1, 1), ("z", 2, 1)), (("s", 0, 1), ("s", 1, -1))))  # a two-letter context
+@example((2, (), (("s", 0, -1), ("z", 1, 1), ("s", 1, 1))))  # no context: the core itself
+@example((3, (("z", 2, 1),), (("z", 0, 1), ("z", 1, 1))))  # an all-virtual core: rank one
 def test_whiskered_core_complex_is_the_folded_word(case):
-    # R_u (x) F(core) (x) R_v is the presentation F_word folds for u core v,
-    # block spans included, so the whiskered certificate is checked on it
-    n, u, core, v = case
-    _assert_same_presentation(homotopy._whiskered_complex(F_word(core, n), u, v, n), F_word(u + core + v, n))
+    # R_u (x) F(core) is the presentation F_word folds for u core, block
+    # spans included, so the whiskered certificate is checked on it
+    n, u, core = case
+    _assert_same_presentation(homotopy._whiskered_complex(F_word(core, n), u, n), F_word(u + core, n))
 
 
 def test_a_cached_core_is_whiskered_with_no_tensor_product(monkeypatch):
-    # both whiskers are written from the core's matrices in one pass, degree
-    # 0's two blocks included: no complex and no bimodule is tensored
+    # the left whisker is written from the core's matrices in one pass,
+    # degree 0's two blocks included: no complex and no bimodule is tensored
     n = 3
-    u, core, v = (W(text, n).letters for text in ("z2 z0", "s0 z1 s1^-1", "z1 z2"))
-    cached, expected = F_word(core, n), F_word(u + core + v, n)
+    u, core = (W(text, n).letters for text in ("z2 z0", "s0 z1 s1^-1"))
+    cached, expected = F_word(core, n), F_word(u + core, n)
 
     def refuse(*args):
         raise AssertionError(f"a tensor product was built: {args}")
 
     for module, name in ((homotopy, "tensor_complex"), (homotopy, "tensor"), (bimodcalc, "tensor")):
         monkeypatch.setattr(module, name, refuse)
-    _assert_same_presentation(homotopy._whiskered_complex(cached, u, v, n), expected)
-    # a right whisker alone shares the core's differentials, read-only
-    right = homotopy._whiskered_complex(cached, (), v, n)
-    assert all(d.matrix is cached.diffs[k].matrix for k, d in right.diffs.items())
+    _assert_same_presentation(homotopy._whiskered_complex(cached, u, n), expected)
+    # an empty left context is the core itself, shared read-only
+    assert homotopy._whiskered_complex(cached, (), n) is cached
