@@ -115,6 +115,13 @@ braidcert verify-certificate pair.json > pair.txt
 cat pair.txt
 grep -q '^\[ok\]' pair.txt
 
+echo "== A homotopy with context on both sides is byte-identical and round-trips (z1 z2 s0 s1 s0 s1 z0 vs z1 z2 s1 s0 s1 s0 z0, n=3, certify-pair JSON against its sha256, then verify-certificate prints [ok], exit 0)"
+braidcert certify-pair "z1 z2 s0 s1 s0 s1 z0" "z1 z2 s1 s0 s1 s0 z0" --n 3 --format json > both_sides.json
+echo "3075e5f9e044644196cd1a94aeb035ea83fa01b6b85bdb8f235de335bab2f220  both_sides.json" | sha256sum -c
+braidcert verify-certificate both_sides.json > both_sides.txt
+cat both_sides.txt
+grep -q '^\[ok\]' both_sides.txt
+
 echo "== A tampered entry is caught with a witness (X0^16 added to entry (0,0) of pair.json's first forward matrix, one [FAIL], exit 1, residual text against its sha256)"
 python -c 'import json; c = json.load(open("pair.json")); m = c["forward"][0]["matrix"]; m[0][0] = "X0^16" if m[0][0] == "0" else m[0][0] + " + X0^16"; json.dump(c, open("tampered.json", "w"))'
 status=0

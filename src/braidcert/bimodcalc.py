@@ -34,10 +34,10 @@ instead a memoized substitution (``Bimodule.substitute``): each bimodule
 builds its image of a polynomial once, from the cached monomial images, and
 keeps it in a memo of its own keyed by the polynomial's terms.  ``id_tensor``
 substitutes the factor into each entry and builds no matrix per entry, and
-``whisker`` writes ``R_u (x) M (x) R_v`` from ``M`` in one pass.  The cached
-matrices and images are shared with ``Bimodule.actions``, with callers and
-with the tensor products by a rank one bimodule (``tensor``), so no caller
-writes to a matrix or polynomial it did not build.
+``whisker`` writes a product ``R_u (x) M`` or ``M (x) R_v`` in one pass.
+The cached matrices and images are shared with ``Bimodule.actions``, with
+callers and with the tensor products by a rank one bimodule (``tensor``), so
+no caller writes to a matrix or polynomial it did not build.
 
 Every exact check (a bimodule map, a commuting square, ``d d = 0``, a
 composite plus homotopy terms equal to the identity) is an identity "sum of
@@ -403,10 +403,10 @@ def whisker(left: Bimodule | None, m: Bimodule, right: Bimodule | None) -> Bimod
     and its basis degrees are ``m``'s raised by those of ``left`` and
     ``right``.  Action ``j`` is ``m.action_of(p_j)`` for ``right``'s image
     ``p_j`` of ``X_j``, with ``left`` substituted into every entry
-    (``id_tensor``).  That substitution is memoized on ``left``, so an entry
-    a cached core's whiskers meet again is read, not rebuilt.  Where
-    ``left`` is None and ``right`` fixes ``X_j``, the action is ``m``'s own
-    matrix, shared read-only, like every matrix ``action_of`` returns.
+    (``id_tensor``, memoized on ``left``).  Where ``left`` is None and
+    ``right`` fixes ``X_j``, the action is ``m``'s own matrix, shared
+    read-only, like every matrix ``action_of`` returns.  ``tensor`` is the
+    one caller, with one side None: its product by a rank-one factor.
     """
     shift_by = sum(x.basis_degrees[0] for x in (left, right) if x is not None)
     actions = m.actions if right is None else [m.action_of(a[0][0]) for a in right.actions]
@@ -489,9 +489,6 @@ class Morphism:
     @classmethod
     def zero(cls, source: Bimodule, target: Bimodule) -> "Morphism":
         return cls(source, target, mat_zero(target.rank))
-
-    def is_zero(self) -> bool:
-        return not any(self.matrix)
 
     def morphism_failures(self) -> list:
         """Empty iff this is a degree-0 bimodule morphism; entries name violations."""

@@ -19,33 +19,30 @@ the blocks (``bimodcalc.whisker``), so ``R_u (x) (X (x) Y)`` and
 Whiskers.  Each ``R_x`` is invertible (``R_x (x) R_{x^-1} = R``), so
 ``R_u (x) - (x) R_v`` is an autoequivalence: ``u w v`` and ``u w' v`` are
 isomorphic, or homotopy equivalent, exactly when ``w`` and ``w'`` are, and a
-certificate for the core pair whiskers to one for the whole pair.  A whisker
-is a rewrite of ``F(w)``, one pass per object with no tensor product
-(``_whiskered_complex``, ``bimodcalc.whisker``).  Each object keeps its basis
-degrees and blocks.  The left whisker substitutes ``u`` into every entry of
-every action and differential, as the rank-one ``id_tensor`` does; the twist
-is a ring automorphism, so every identity carries over, and ``R_u`` sits in
-degree 0, so no Koszul sign enters.  The result is the presentation
-``F(u w)`` folds (the rank-one exception above).  The right whisker keeps
-every basis degree, differential and map matrix, and turns the right action
-of ``X_j`` into ``M``'s action of ``v(X_j) = sum_i c_ji X_i``, with ``c``
-invertible.  So a family of matrices commutes with the actions of
-``M (x) R_v`` exactly when it commutes with those of ``M``, and a
-certificate passes its check on ``R_u (x) F(w) (x) R_v`` exactly when it
-passes on ``R_u (x) F(w)``.  ``certify_pair`` strips the longest common
-virtual prefix and suffix (either may be empty) and searches the core pair
-once per process.  When the search finds a certificate, it keeps the core's
-maps and its two complexes, and it whiskers both by ``u`` only, so no whole
-word is folded again.  It then checks the result once per left context, on
-``R_u (x) F(w)`` and ``R_u (x) F(w')``: the searches, ``graded_inverse``
-included, do not check what they find, so this certificate check is the one
-check, and a result that fails it is a ``RuntimeError``.  The checked
-matrices are kept with the core in ``_CORE_CACHE``, one set per ``u``, and
-serve every ``v``: a cached core's entry grows by one set per distinct left
-context, and ``relation_certificates`` drops each entry it adds.
-A search on the whole pair would give the same bytes under a right whisker;
-under a left one it can give other, equally valid matrices, since the
-echelon bases it picks depend on the coordinates the twist mixes.
+certificate for the core pair whiskers to one for the whole pair.  Both
+contexts keep the verdict of the exact check, matrix for matrix.  The left
+one substitutes the ring automorphism ``u`` into every entry of every
+action, differential and map, as the rank-one ``id_tensor`` does: ``F(u w)``
+is ``F(w)`` so substituted, with its basis degrees and blocks (the rank-one
+exception above), and ``R_u`` sits in degree 0, so no Koszul sign enters.  A
+substitution by an automorphism keeps every identity and every degree, and
+its inverse substitution brings them back.  The right one keeps every basis
+degree, differential and map matrix, and turns the right action of ``X_j``
+into ``M``'s action of ``v(X_j) = sum_i c_ji X_i``, with ``c`` invertible, so
+a family of matrices commutes with the actions of ``M (x) R_v`` exactly when
+it commutes with those of ``M``.  So a certificate's maps pass the check on
+``F(w)`` and ``F(w')`` exactly when their ``u``-substitutes pass on
+``F(u w v)`` and ``F(u w' v)``.  ``certify_pair`` strips the longest common
+virtual prefix and suffix (either may be empty), searches the core pair once
+per process and checks what it finds there, once per core: the searches,
+``graded_inverse`` included, do not check what they find, so this
+certificate check is the one check, and a result that fails it is a
+``RuntimeError``.  ``_CORE_CACHE`` keeps the checked matrices and no
+complex, and each request's certificate is their substitution by its ``u``;
+``relation_certificates`` drops each entry it adds.  A search on the whole
+pair would give the same bytes under a right whisker; under a left one it
+can give other, equally valid matrices, since the echelon bases it picks
+depend on the coordinates the twist mixes.
 
 Certificates are explicit per-degree matrices (a chain isomorphism with its
 inverse, or a homotopy equivalence with both homotopies) whose defining
@@ -109,7 +106,6 @@ from .bimodcalc import (
     shift,
     solve_morphisms,
     tensor,
-    whisker,
     zero_bimodule,
 )
 from .coxeter import make_reflection
@@ -761,55 +757,25 @@ def _search(c: Complex, d: Complex, kind: str):
 # the modes of certify_pair
 PAIR_KINDS = ("auto", "homotopy")
 
-# (core lhs letters, core rhs letters, n, kind) -> None, or the kind found,
-# the maps as ``_search`` returns them, the core's two complexes and
-# ``{u: maps}``: for each left context ``u`` checked so far, the core's maps
-# whiskered by ``u`` as ``_bare`` keeps them.  Kept for the process, like
-# bimodcalc's pane cache, so all of it is read-only
+# (core lhs letters, core rhs letters, n, kind) -> None, or the kind found
+# and the core's checked maps as ``_bare`` keeps them: no complex.  Kept for
+# the process, like bimodcalc's pane cache, so all of it is read-only
 _CORE_CACHE: dict = {}
 
 
-def _twist(letters: tuple, n: int):
-    """The cached ``R_w`` of a virtual word, or None for the empty word."""
-    return _twist_complex(tuple(index for _, index, _ in letters), n).objects[0] if letters else None
+def _whiskered(core_maps: dict, u: tuple, n: int) -> dict:
+    """The core's bare ``core_maps`` with the twist ``R_u`` substituted into every entry.
 
-
-def _whiskered_complex(core: Complex, u: tuple, n: int) -> Complex:
-    """``F(u w)`` from ``core = F(w)``: ``R_u (x) F(w)`` for a virtual ``u``.
-
-    One pass over ``core``, with no tensor product (module doc): the same
-    presentation ``F_word`` folds, block spans included.  With ``u`` empty
-    it is ``core`` itself.
+    ``id_{R_u} (x) -`` is the rank-one ``id_tensor``; the right context adds
+    nothing (module doc).  With ``u`` empty these are ``core_maps`` themselves.
     """
     if not u:
-        return core
-    left = _twist(u, n)
-    objects = {k: whisker(left, m, None) for k, m in core.objects.items()}
-    diffs = {
-        k: Morphism(objects[k], objects[k + 1], id_tensor(left, d.matrix, d.source.rank))
-        for k, d in core.diffs.items()
+        return core_maps
+    twist = _twist_complex(tuple(index for _, index, _ in u), n).objects[0]
+    return {
+        field: {k: (id_tensor(twist, matrix, rank), rank) for k, (matrix, rank) in comps.items()}
+        for field, comps in core_maps.items()
     }
-    return Complex(n, objects, diffs)
-
-
-def _whiskered(kind: str, core_maps: dict, u: tuple, n: int, c: Complex, d: Complex) -> dict:
-    """The core ``kind`` certificate's ``core_maps`` as maps between ``c = F(u lhs)`` and ``d = F(u rhs)``.
-
-    ``id_{R_u} (x) -`` twists every entry as ``id_tensor`` does for the
-    differentials of ``R_u (x) F(w)``.  A right whisker ``- (x) id_{R_v}``
-    would keep every matrix, so these are the maps of ``u lhs v`` and
-    ``u rhs v`` too.
-    """
-    twist = _twist(u, n)
-    sides = (c, d)
-    maps = {}
-    for field, s, t, degree_shift in _KIND_FIELDS[kind]:
-        maps[field] = comps = {}
-        for k, m in core_maps[field].items():
-            src = sides[s].object_at(k)
-            matrix = m.matrix if twist is None else id_tensor(twist, m.matrix, src.rank)
-            comps[k] = Morphism(src, sides[t].object_at(k + degree_shift), matrix)
-    return maps
 
 
 def certify_pair(lhs: BraidWord, rhs: BraidWord, n: int, kind: str = "auto", label: str | None = None):
@@ -824,16 +790,14 @@ def certify_pair(lhs: BraidWord, rhs: BraidWord, n: int, kind: str = "auto", lab
     certificate; it defaults to ``"<lhs> ~ <rhs>"``.
 
     Every pair takes one path.  The common virtual prefix ``u`` and suffix
-    ``v`` are whiskers (module doc): the core pair is searched once per
-    process and kind, and its maps pass the exact check on
-    ``R_u (x) F(w) (x) R_v`` exactly when they pass on ``R_u (x) F(w)``,
-    with the same matrices.  So they are whiskered by ``u`` and checked
-    there, once per core, ``n``, kind and ``u``; one that fails is a
-    ``RuntimeError``, never a None (the searches check nothing).  The
-    checked matrices stay in the core's ``_CORE_CACHE`` entry, one set per
-    distinct ``u`` (``relation_certificates`` drops each entry it adds), so
-    a request that differs only in ``v`` neither whiskers nor checks again.
-    A core with no certificate caches only its ``None``.
+    ``v`` are whiskers, and both keep the verdict of the exact check (module
+    doc).  So the core pair is searched once per process, ``n`` and kind,
+    and what the search finds is checked there, once, on ``F(w)`` and
+    ``F(w')``; a result that fails is a ``RuntimeError`` naming the request
+    and its core, never a None (the searches check nothing).  ``_CORE_CACHE``
+    keeps the checked matrices, or the core's None, and no complex
+    (``relation_certificates`` drops each entry it adds).  The printed
+    certificate is those matrices with ``R_u`` substituted into every entry.
     """
     if kind not in PAIR_KINDS:
         raise ValueError(f"unknown kind {kind!r}: expected one of {', '.join(PAIR_KINDS)}")
@@ -844,24 +808,20 @@ def certify_pair(lhs: BraidWord, rhs: BraidWord, n: int, kind: str = "auto", lab
         label = f"{format_word(lhs)} ~ {format_word(rhs)}"
     u, core_lhs, core_rhs, v = split_common(lhs.letters, rhs.letters, _is_virtual)
     for _, index, _ in u + v:
-        _check_index(index, n)  # a NONE core builds no whisker to check them
+        _check_index(index, n)  # a cached core builds no complex to check them
     key = (core_lhs, core_rhs, n, kind)
     if key not in _CORE_CACHE:
         core = F_word(core_lhs, n), F_word(core_rhs, n)
         found = _search(*core, kind)
-        _CORE_CACHE[key] = found and (*found, core, {})
+        if found is not None and (failures := _certificate_failures(*found, *core)):
+            words = " ~ ".join(format_word(BraidWord(lhs.alphabet, w)) for w in (core_lhs, core_rhs))
+            raise RuntimeError(f"the certificate for {label!r} (core {words!r}) fails its check: {failures[0]}")
+        _CORE_CACHE[key] = found and (found[0], _bare(found[1]))
     found = _CORE_CACHE[key]
     if found is None:
         return None, "not homotopy equivalent"
-    found_kind, core_maps, core, checked = found
-    if u not in checked:
-        c, d = (_whiskered_complex(x, u, n) for x in core)
-        maps = _whiskered(found_kind, core_maps, u, n, c, d)
-        failures = _certificate_failures(found_kind, maps, c, d)
-        if failures:
-            raise RuntimeError(f"the certificate for {label!r} fails its check: {failures[0]}")
-        checked[u] = _bare(maps)
-    return found_kind, _certificate(label, n, lhs, rhs, found_kind, **checked[u])
+    found_kind, core_maps = found
+    return found_kind, _certificate(label, n, lhs, rhs, found_kind, **_whiskered(core_maps, u, n))
 
 
 def relation_certificates(n: int) -> dict:
@@ -871,8 +831,9 @@ def relation_certificates(n: int) -> dict:
     by ``certify_pair`` in 'auto' mode.  An entry's kind is the kind found;
     a failed entry records "homotopy", the last search 'auto' runs.  No two
     entries share a core, so each drops what it added to ``_CORE_CACHE``
-    (the newest keys, since a dict pops in reverse insertion order) and the
-    report keeps no complex alive after its entry.
+    (the newest keys, since a dict pops in reverse insertion order): a
+    relation's core is searched and checked once, as any core is, and the
+    report keeps none of its matrices after its entry.
     """
     results = []
     for rel in certified_relations(n):

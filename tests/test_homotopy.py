@@ -210,7 +210,7 @@ def _cached_pieces(n):
     ]
 
 
-def test_shared_matrices_stay_unmutated_by_certify_and_verify():
+def test_shared_matrices_stay_unmutated_by_certify_and_verify(monkeypatch):
     n = 3
     homotopy._twist_complex.cache_clear()
     homotopy._letter_complex.cache_clear()
@@ -218,27 +218,31 @@ def test_shared_matrices_stay_unmutated_by_certify_and_verify():
     # a rank-one twist that fixes X0 shares X0's matrix with the factor before it
     whiskered = FW("s2 z2", n)
     assert whiskered.objects[0].actions[0] is pieces[3].objects[0].actions[0]
-    # two cores, each certified bare or whiskered and then whiskered again
-    # from the complexes the core cache shares across requests
+    # two cores, each checked once on its own complexes and then printed
+    # bare or substituted from the matrices the core cache shares across
+    # requests
+    checks = count_calls(monkeypatch, homotopy, "_certificate_failures")
     pairs = (
         ("z1 z0 s2 s2^-1 z2 z1", "z1 z0 z2 z1"),
         ("z2 s2 s2^-1 z0", "z2 z0"),
         ("s2 z2", "z2 s2"),
         ("z1 s2 z2 z0", "z1 z2 s2 z0"),
     )
-    for lhs, rhs in pairs:
-        kind, cert = certify_pair(W(lhs, n), W(rhs, n), n)
-        assert kind is not None, (lhs, rhs)
+    results = [certify_pair(W(lhs, n), W(rhs, n), n) for lhs, rhs in pairs]
+    checked = [(c, d) for _, _, c, d in checks]
+    for kind, cert in results:
+        assert kind is not None, cert
         assert verify_certificate_dict(json.loads(json.dumps(cert))) == (True, [])
-    cores = [(key[:2], complexes) for key, (_, _, complexes, _) in homotopy._CORE_CACHE.items()]
-    assert [words for words, _ in cores] == [
-        (W("s2 s2^-1", n).letters, ()),
-        (W("s2 z2", n).letters, W("z2 s2", n).letters),
-    ]
+    cores = [(W("s2 s2^-1", n).letters, ()), (W("s2 z2", n).letters, W("z2 s2", n).letters)]
+    assert [key[:2] for key in homotopy._CORE_CACHE] == cores and len(checked) == len(cores)
+    # the cached matrices are still the ones a fresh search on the cores finds
+    for (kind, bare), words in zip(homotopy._CORE_CACHE.values(), cores, strict=True):
+        found_kind, maps = homotopy._search(*(F_word(w, n) for w in words), "auto")
+        assert (kind, bare) == (found_kind, homotopy._bare(maps))
     homotopy._twist_complex.cache_clear()
     homotopy._letter_complex.cache_clear()
-    olds = pieces + [whiskered] + [c for _, complexes in cores for c in complexes]
-    rebuilt = _cached_pieces(n) + [FW("s2 z2", n)] + [F_word(w, n) for words, _ in cores for w in words]
+    olds = pieces + [whiskered] + [c for complexes in checked for c in complexes]
+    rebuilt = _cached_pieces(n) + [FW("s2 z2", n)] + [F_word(w, n) for words in cores for w in words]
     images = 0
     for old, fresh in zip(olds, rebuilt, strict=True):
         _assert_same_presentation(old, fresh)
@@ -1042,54 +1046,58 @@ def _with_a_monomial_added(maps, rng):
     return {**maps, f: {**maps[f], k: Morphism(m.source, m.target, matrix)}}
 
 
-def test_a_common_right_context_keeps_the_verdict_of_the_left_whiskered_check():
-    # the lemma certify_pair checks by: maps pass on F(u w v), F(u w' v)
-    # exactly when they pass on R_u (x) F(w), R_u (x) F(w').  Four n=3 cores
-    # (two isomorphisms, two homotopies), every virtual u and v of at most 2
-    # letters, each u with one v; the found maps pass in both frames, and a
-    # copy with one entry changed in its own degree fails in both, on a residual
+def _as_maps(kind, bare, c, d):
+    """Bare maps ``{field: {degree: (matrix, source rank)}}`` as morphisms between ``c`` and ``d``."""
+    sides = (c, d)
+    return {
+        field: {k: Morphism(sides[s].object_at(k), sides[t].object_at(k + shift), m) for k, (m, _) in bare[field].items()}
+        for field, s, t, shift in homotopy._KIND_FIELDS[kind]
+    }
+
+
+def test_common_virtual_contexts_keep_the_verdict_of_the_core_check():
+    # the lemma certify_pair checks by: a core's maps pass on F(w), F(w')
+    # exactly when their u-substitutes pass on F(u w v), F(u w' v).  Four
+    # n=3 cores (two isomorphisms, two homotopies), every virtual u and v of
+    # at most 2 letters, each u with three v and each v with three u; the
+    # found maps pass in both frames, and a copy with one entry changed in
+    # its own degree fails in both, on a residual
     n = 3
     contexts = [()] + [tuple(("z", i, 1) for i in w) for k in (1, 2) for w in itertools.product(range(n), repeat=k)]
+    frames = [(u, contexts[(i + r) % len(contexts)]) for r in (0, 4, 8) for i, u in enumerate(contexts)]
     rng = random.Random(5)
     for a, b in (("s1 z1", "z1 s1"), ("s0 s0^-1", ""), ("s0 z1 s0 z1", "z1 s0 z1 s0"), ("s1 s2 s1", "s2 s1 s2")):
         core = FW(a, n), FW(b, n)
         kind, maps = homotopy._search(*core, "auto")
-        for u, v in zip(contexts, contexts[4:] + contexts[:4]):
-            left = [homotopy._whiskered_complex(x, u, n) for x in core]
+        for u, v in frames:
             whole = [F_word(u + W(w, n).letters + v, n) for w in (a, b)]
             for found, fails in ((maps, False), (_with_a_monomial_added(maps, rng), True)):
+                substituted = _as_maps(kind, homotopy._whiskered(homotopy._bare(found), u, n), *whole)
                 verdicts = []
-                for c, d in (left, whole):
-                    failures = homotopy._certificate_failures(kind, homotopy._whiskered(kind, found, u, n, c, d), c, d)
+                for frame, c, d in ((found, *core), (substituted, *whole)):
+                    failures = homotopy._certificate_failures(kind, frame, c, d)
                     assert not [f for f in failures if f[1].endswith("grading")], (a, u, v)
                     verdicts.append(bool(failures))
                 assert verdicts == [fails, fails], (a, b, u, v)
 
 
-def test_pairs_that_share_a_core_search_it_once_and_check_each_result(monkeypatch):
+def test_pairs_that_share_a_core_search_and_check_it_once(monkeypatch):
     # remark_sz[1] at n=3 is an isomorphism: Z^0 is built once, by the first
-    # call.  Each left context u is whiskered and checked once, on
-    # R_u (x) F(w), and its checked matrices serve every right context after
-    # it; the search checks nothing, and every result still verifies
+    # call, and the found maps are checked once, on F(s1 z1) and F(z1 s1);
+    # every other request, whatever its u and v, substitutes u into the
+    # checked matrices and runs no check, and every result still verifies
     n = 3
     spaces = count_calls(monkeypatch, homotopy, "chain_map_space")
     checks = count_calls(monkeypatch, homotopy, "chain_iso_failures")
-    whiskers = count_calls(monkeypatch, homotopy, "_whiskered_complex")
     results = []
     contexts = (("z0", "z2"), ("z2 z1", ""), ("", ""), ("z0", ""), ("z2 z1", "z0 z1"), ("", "z1"), ("z1", "z2"))
-    seen = set()
     for u, v in contexts:
         lhs, rhs = (" ".join(p for p in (u, w, v) if p) for w in ("s1 z1", "z1 s1"))
-        before = len(checks)
         results.append((lhs, rhs, *certify_pair(W(lhs, n), W(rhs, n), n)))
-        if u in seen:
-            assert checks[before:] == [], (u, v)
-            continue
-        seen.add(u)
-        ((_, c, d),) = checks[before:]
-        assert c.objects == FW(" ".join(p for p in (u, "s1 z1") if p), n).objects
-        assert d.objects == FW(" ".join(p for p in (u, "z1 s1") if p), n).objects
-    assert len(spaces) == 1 and len(checks) == len(seen) == 4 and len(whiskers) == 2 * 4
+    ((_, c, d),) = checks
+    _assert_same_presentation(c, FW("s1 z1", n))
+    _assert_same_presentation(d, FW("z1 s1", n))
+    assert len(spaces) == 1
     for lhs, rhs, kind, cert in results:
         assert kind == "iso" and cert["words"] == [lhs, rhs]
         assert verify_certificate_dict(cert) == (True, [])
@@ -1140,7 +1148,8 @@ def test_panes_read_from_their_duals_equal_their_own_solves(monkeypatch, n, dual
 
 def test_a_wrong_homotopy_solve_is_an_error(monkeypatch):
     # relB2 at n=3 is decided by one solve; a solution with one coefficient
-    # doubled fails the certificate's check, which is an error, never NONE
+    # doubled fails the certificate's check, which is an error, never NONE.
+    # The check runs on the core, and the error names the request and its core
     n = 3
     solve = linalg.solve_affine
 
@@ -1153,6 +1162,10 @@ def test_a_wrong_homotopy_solve_is_an_error(monkeypatch):
     monkeypatch.setattr(linalg, "solve_affine", doubled)
     with pytest.raises(RuntimeError, match="fails its check"):
         certify_pair(W("s1 s2 s1", n), W("s2 s1 s2", n), n)
+    message = r"^the certificate for 'z0 s1 s2 s1 z2 z1 ~ z0 s2 s1 s2 z2 z1' \(core 's1 s2 s1 ~ s2 s1 s2'\) fails its check: \(-?\d+, "
+    with pytest.raises(RuntimeError, match=message):
+        certify_pair(W("z0 s1 s2 s1 z2 z1", n), W("z0 s2 s1 s2 z2 z1", n), n)
+    assert homotopy._CORE_CACHE == {}
 
 
 def test_a_wrong_graded_inverse_is_an_error(monkeypatch):
@@ -1179,39 +1192,41 @@ def test_a_wrong_graded_inverse_is_an_error(monkeypatch):
                     certify_pair(W(lhs, n), W(rhs, n), n)
 
 
-def test_a_whiskered_certificate_that_fails_its_check_is_an_error():
-    # a cached core whose whiskered maps fail is an internal error, never NONE
+def test_a_whiskered_certificate_that_fails_its_check_is_an_error(monkeypatch):
+    # a core whose found maps fail their check is an internal error on a
+    # whiskered request, never NONE, and caches nothing: once the search is
+    # sound again, the same core is searched, checked and served
     n = 3
-    certify_pair(W("z0 s1 z1", n), W("z0 z1 s1", n), n)
-    ((key, (kind, matrices, core, checked)),) = homotopy._CORE_CACHE.items()
-    homotopy._CORE_CACHE[key] = kind, {**matrices, "inverse": {}}, core, checked
-    with pytest.raises(RuntimeError, match="fails its check"):
-        certify_pair(W("z2 s1 z1", n), W("z2 z1 s1", n), n)
-    # the left context z0 was checked before the maps broke, and serves as checked
+    search = homotopy._search
+
+    def broken(c, d, kind):
+        found_kind, maps = search(c, d, kind)
+        return found_kind, {**maps, "inverse": {}}
+
+    with monkeypatch.context() as patch:
+        patch.setattr(homotopy, "_search", broken)
+        with pytest.raises(RuntimeError, match=r"for 'z2 s1 z1 ~ z2 z1 s1' \(core 's1 z1 ~ z1 s1'\) fails its check"):
+            certify_pair(W("z2 s1 z1", n), W("z2 z1 s1", n), n)
+    assert homotopy._CORE_CACHE == {}
     kind, cert = certify_pair(W("z0 s1 z1 z2", n), W("z0 z1 s1 z2", n), n)
     assert kind == "iso" and verify_certificate_dict(cert) == (True, [])
 
 
 def test_a_cached_core_is_whiskered_without_folding_a_braid_letter(monkeypatch):
-    # remark_sz[1] at n=3 with other whiskers: the second pair builds its
-    # left-whiskered complexes R_u (x) F(w) from the cached core's, so no
-    # braid letter's complex is looked up, and its certificate is still
-    # checked once, on those complexes
+    # remark_sz[1] at n=3 with other whiskers: the second pair reads the
+    # cached core's checked matrices, so no word is folded, no braid
+    # letter's complex is looked up and nothing is checked again
     n = 3
     certify_pair(W("z0 s1 z1 z2", n), W("z0 z1 s1 z2", n), n)
 
     def refuse(*args):
-        raise AssertionError(f"a braid letter was folded: {args}")
+        raise AssertionError(f"a complex was built or checked: {args}")
 
     with monkeypatch.context() as patch:
-        patch.setattr(homotopy, "F_letter", refuse)
-        patch.setattr(homotopy, "_letter_complex", refuse)
-        checks = count_calls(patch, homotopy, "_certificate_failures")
+        for name in ("F_word", "F_letter", "_letter_complex", "_certificate_failures"):
+            patch.setattr(homotopy, name, refuse)
         kind, cert = certify_pair(W("z2 z1 s1 z1 z0", n), W("z2 z1 z1 s1 z0", n), n)
     assert kind == "iso" and len(homotopy._CORE_CACHE) == 1
-    ((_, _, c, d),) = checks
-    _assert_same_presentation(c, FW("z2 z1 s1 z1", n))
-    _assert_same_presentation(d, FW("z2 z1 z1 s1", n))
     assert verify_certificate_dict(cert) == (True, [])
 
 
@@ -1244,6 +1259,13 @@ def test_a_core_without_a_certificate_caches_no_complex(monkeypatch):
         certify_pair(W("z2 s0", n), W("z2 s0^-1", n), 2)
 
 
+def _bare_presentation(c):
+    """Every action and differential of ``c`` as bare maps ``{name: {degree: (matrix, source rank)}}``."""
+    out = {f"action {j}": {k: (m.actions[j], m.rank) for k, m in c.objects.items()} for j in range(c.n)}
+    out["differential"] = {k: (d.matrix, d.source.rank) for k, d in c.diffs.items()}
+    return out
+
+
 @st.composite
 def whiskered_words(draw):
     """``(n, u, core)``: a virtual ``u`` before a core of at most 3 braid letters."""
@@ -1263,24 +1285,34 @@ def whiskered_words(draw):
 @example((2, (), (("s", 0, -1), ("z", 1, 1), ("s", 1, 1))))  # no context: the core itself
 @example((3, (("z", 2, 1),), (("z", 0, 1), ("z", 1, 1))))  # an all-virtual core: rank one
 def test_whiskered_core_complex_is_the_folded_word(case):
-    # R_u (x) F(core) is the presentation F_word folds for u core, block
-    # spans included, so the whiskered certificate is checked on it
+    # F(u core) is F(core) with u substituted into every action and
+    # differential, as _whiskered substitutes it into a certificate's
+    # matrices, with the same basis degrees and block spans: so the
+    # substituted maps of a core join the whole words' complexes
     n, u, core = case
-    _assert_same_presentation(homotopy._whiskered_complex(F_word(core, n), u, n), F_word(u + core, n))
+    c, whole = F_word(core, n), F_word(u + core, n)
+    assert c.support() == whole.support()
+    for k, m in c.objects.items():
+        assert (m.basis_degrees, m.block_spans) == (whole.objects[k].basis_degrees, whole.objects[k].block_spans), k
+    assert homotopy._whiskered(_bare_presentation(c), u, n) == _bare_presentation(whole)
 
 
 def test_a_cached_core_is_whiskered_with_no_tensor_product(monkeypatch):
-    # the left whisker is written from the core's matrices in one pass,
-    # degree 0's two blocks included: no complex and no bimodule is tensored
+    # a request on a cached core writes its certificate from the core's
+    # checked matrices, degree 0's two blocks included: no complex and no
+    # bimodule is tensored.  An empty left context prints the cached
+    # matrices themselves, shared read-only
     n = 3
-    u, core = (W(text, n).letters for text in ("z2 z0", "s0 z1 s1^-1"))
-    cached, expected = F_word(core, n), F_word(u + core, n)
+    certify_pair(W("s0 s0^-1", n), W("", n), n)
+    ((kind, bare),) = homotopy._CORE_CACHE.values()
+    assert len(F_word(W("s0 s0^-1", n), n).objects[0].block_spans) == 2
+    assert homotopy._whiskered(bare, (), n) is bare
 
     def refuse(*args):
         raise AssertionError(f"a tensor product was built: {args}")
 
-    for module, name in ((homotopy, "tensor_complex"), (homotopy, "tensor"), (bimodcalc, "tensor")):
-        monkeypatch.setattr(module, name, refuse)
-    _assert_same_presentation(homotopy._whiskered_complex(cached, u, n), expected)
-    # an empty left context is the core itself, shared read-only
-    assert homotopy._whiskered_complex(cached, (), n) is cached
+    with monkeypatch.context() as patch:
+        for module, name in ((homotopy, "tensor_complex"), (homotopy, "tensor"), (bimodcalc, "tensor")):
+            patch.setattr(module, name, refuse)
+        found, cert = certify_pair(W("z2 z0 s0 s0^-1 z1", n), W("z2 z0 z1", n), n)
+    assert found == kind and verify_certificate_dict(cert) == (True, [])
